@@ -169,8 +169,8 @@ def check_selftest(stdout: str) -> list[str]:
 
 
 def check_session(ref: Reference, w: Workload, out: Path, seed: int,
-                  selftest_stdout: str) -> dict[str, list[str]]:
-    """Failure messages per command of one session."""
+                  selftest_stdout: str, names=None) -> dict[str, list[str]]:
+    """Failure messages per command of one session, for the commands in names (default all)."""
     checks = {
         "ground-state": lambda: check_ground_state(ref, w, out),
         "evolve": lambda: check_evolve(ref, w, out, seed),
@@ -180,6 +180,8 @@ def check_session(ref: Reference, w: Workload, out: Path, seed: int,
     }
     result = {}
     for name, fn in checks.items():
+        if names is not None and name not in names:
+            continue
         try:
             result[name] = fn()
         except (OSError, KeyError, ValueError, TypeError, IndexError) as exc:

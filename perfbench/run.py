@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark of a radnls CLI session, end to end or traced layer by layer.
 
-    python3 perfbench/run.py --workload sw_dense --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload sw_dense --seed 1 --seconds 45 --trace 0
 
 Run it from the root of a checkout; it runs the program from ./src.  With
---trace 0 it runs a discarded warm-up session, then whole sessions
+--trace 0 it runs a discarded warm-up session, then two whole sessions
 (ground-state, evolve, diagnose, lemma, selftest), each command in a fresh
-process: two, and a third if the first two took less than --seconds.  It
-times every command from outside and prints the median of each.  With
+process.  A lone ground-state in a fresh directory follows each session, and
+up to two more follow while less than --seconds have passed.  It times every
+command from outside and prints the median of each; setup_s is the median
+over every ground-state of the run, four to six of them.  With
 --trace 1 it replays one session in-process with spans around the public
 calls of each module (trace.py) and prints the per-layer figures; --seconds
 plays no part there.  Every output is checked against checks.py.  The last
@@ -42,7 +44,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = Path.cwd()
 OUT = HERE / "out"
 COMMAND_LIMIT_S = 170.0
-MIN_SESSIONS, MAX_SESSIONS = 2, 3
+SESSIONS = 2
+MAX_LONE_SETUPS = 4
 
 
 def child_env() -> dict:
@@ -73,13 +76,15 @@ def radnls(args: list) -> list:
     return [sys.executable, "-m", "radnls.cli"] + args
 
 
-def run_session(w: Workload, seed: int, out_dir: Path, logs: Path, tag: str) -> dict:
-    """One session in out_dir: every command in its own process, in order."""
+def run_session(w: Workload, seed: int, out_dir: Path, logs: Path, tag: str,
+                names: tuple | None = None) -> dict:
+    """One session in out_dir: each command of names (default all) in its own process."""
     out_dir.mkdir(parents=True)
     cfg_path = out_dir / "session.json"
     cfg_path.write_text(json.dumps(w.config(seed, str(out_dir)), indent=1))
     return {name: run_process(radnls(args), logs / f"{tag}-{name}")
-            for name, args in session_commands(w, str(cfg_path), str(out_dir))}
+            for name, args in session_commands(w, str(cfg_path), str(out_dir))
+            if names is None or name in names}
 
 
 def calibration() -> dict:
@@ -117,27 +122,36 @@ def end_to_end(w: Workload, seed: int, seconds: float, run_dir: Path) -> tuple[d
     ref = checks.Reference(w)
     warm = run_session(WARMUP, seed, run_dir / "warmup", logs, "warmup")
     shutil.rmtree(run_dir / "warmup")
-    sessions = []
+    sessions, setups = [], []  # setups: the lone ground-state runs
     start = time.perf_counter()
-    while len(sessions) < MIN_SESSIONS or (len(sessions) < MAX_SESSIONS
-                                           and time.perf_counter() - start < seconds):
-        out_dir = run_dir / f"session{len(sessions)}"
-        cmds = run_session(w, seed, out_dir, logs, f"s{len(sessions)}")
-        found = checks.check_session(ref, w, out_dir, seed, cmds["selftest"]["stdout"])
+
+    def measure(tag: str, names: tuple | None) -> dict:
+        out_dir = run_dir / tag
+        cmds = run_session(w, seed, out_dir, logs, tag, names)
+        found = checks.check_session(ref, w, out_dir, seed,
+                                     cmds.get("selftest", {}).get("stdout", ""), names)
         for name, res in cmds.items():
             res["problems"] = found[name]
-        sessions.append(cmds)
         shutil.rmtree(out_dir)
-    every = [res for cmds in sessions for res in cmds.values()]
+        return cmds
+
+    # Each session is followed by a lone ground-state in a fresh directory, and
+    # more follow while time is left: setup_s is the median of every ground-state.
+    for k in range(SESSIONS):
+        sessions.append(measure(f"session{k}", None))
+        setups.append(measure(f"setup{k}", ("ground-state",)))
+    while len(setups) < MAX_LONE_SETUPS and time.perf_counter() - start < seconds:
+        setups.append(measure(f"setup{len(setups)}", ("ground-state",)))
+    every = [res for cmds in sessions + setups for res in cmds.values()]
     problems = [p for res in every for p in res["problems"]]
 
     def med(values):
         return {"value": statistics.median(values), "unit": "s"}
 
-    metrics = {metric: med(cmds[name]["wall_s"] for cmds in sessions)
-               for metric, name in (("setup_s", "ground-state"), ("evolve_s", "evolve"),
-                                    ("diagnose_s", "diagnose"), ("lemma_s", "lemma"),
-                                    ("selftest_s", "selftest"))}
+    metrics = {"setup_s": med(cmds["ground-state"]["wall_s"] for cmds in sessions + setups)}
+    metrics.update({metric: med(cmds[name]["wall_s"] for cmds in sessions)
+                    for metric, name in (("evolve_s", "evolve"), ("diagnose_s", "diagnose"),
+                                         ("lemma_s", "lemma"), ("selftest_s", "selftest"))})
     metrics["session_s"] = med(sum(res["wall_s"] for res in cmds.values()) for cmds in sessions)
     metrics["peak_rss_mb"] = {"value": max(res["rss_mb"] for res in every), "unit": "MB"}
     info = {
@@ -145,6 +159,8 @@ def end_to_end(w: Workload, seed: int, seconds: float, run_dir: Path) -> tuple[d
         "warmup_rc": [res["rc"] for res in warm.values()],
         "per_session_s": [{k: round(v["wall_s"], 4) for k, v in cmds.items()}
                           for cmds in sessions],
+        "setup_s": [round(cmds["ground-state"]["wall_s"], 4) for cmds in setups],
+        "measured_s": round(time.perf_counter() - start, 2),
         "problems": problems,
     }
     result = {"correct": not problems, "attempted": len(every),
@@ -188,7 +204,7 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=40.0)
+    p.add_argument("--seconds", type=float, default=45.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args()
     if not (ROOT / "src" / "radnls" / "cli.py").is_file():

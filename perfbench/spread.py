@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Run the benchmark on several seeds and summarise each metric's spread.
 
-    python3 perfbench/spread.py --workload sw_dense --seeds 1-10 [--trace 1] [--json FILE]
+    python3 perfbench/spread.py --workload sw_dense --seeds 1-10
 
-For every metric it prints the median, the first and third quartiles
-(statistics.quantiles with n=4) and the quartile distance as a share of the
-median, which BENCHMARK.json's bounds are judged against.
+Every run is end to end (--trace 0).  For every metric it prints the median,
+the first and third quartiles (statistics.quantiles with n=4) and the
+quartile distance as a share of the median, which BENCHMARK.json's bounds
+are judged against.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--trace", type=int, default=0)
-    p.add_argument("--json", help="also write every run's result here")
     args = p.parse_args()
     bench = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     runs = []
     for seed in seeds(args.seeds):
         cmd = bench["command"] + ["--workload", args.workload, "--seed", str(seed),
                                   "--seconds", str(bench["run_seconds"]),
-                                  "--trace", str(args.trace)]
+                                  "--trace", "0"]
         proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
         if proc.returncode != 0:
             print(proc.stderr, file=sys.stderr)
@@ -53,8 +52,6 @@ def main() -> int:
         med = statistics.median(vals)
         q1, _, q3 = statistics.quantiles(vals, n=4)
         print(f"{name:34s} {med:12.5g} {q1:12.5g} {q3:12.5g} {(q3 - q1) / med:8.3f}")
-    if args.json:
-        Path(args.json).write_text(json.dumps(runs, indent=1))
     return 0
 
 

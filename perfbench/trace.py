@@ -8,9 +8,8 @@ wraps the public calls of each module in spans, runs the session's commands
 and selftest through radnls.cli.main exactly as the CLI would, and writes
 every span plus the per-layer metrics to FILE at the end.  A span records
 its name, start, end and parent; its self time is its duration minus that of
-its child spans.  Where a workload's session never reaches a layer (pc_n1280
-runs two of the five diagnostics and no extract_A_sequence), one probe call
-on the same grid fills the row, outside the session's spans.
+its child spans.  A layer the session never reaches reads 0: pc_n1280 runs
+two of the five diagnostics and no extract_A_sequence.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ _t0 = time.perf_counter()
 import radnls.cli as cli  # noqa: E402
 IMPORT_S = time.perf_counter() - _t0
 
-import numpy as np  # noqa: E402
 from radnls import bands, core, evolution, fieldio, groundstate, recurrence  # noqa: E402
 
-from workloads import DIAGNOSTIC_SPECS, WORKLOADS, Workload, session_commands  # noqa: E402
+from workloads import WORKLOADS, Workload, session_commands  # noqa: E402
 
 
 class Tracer:
@@ -127,41 +125,21 @@ def replay(w: Workload, seed: int, out: Path, tr: Tracer) -> int:
     return worst
 
 
-def probes(w: Workload, out: Path, tr: Tracer) -> dict:
-    """Layer figures the session's spans do not give: kernels, and unreached layers."""
+def kernels(out: Path) -> dict:
+    """Medians of the two transform kernels on the stored Q, which spans do not give."""
     cfg = cli.load_config(str(out / "session.json"), {})
     traj = fieldio.load_trajectory(out / "trajectory")
-    gs = fieldio.load_ground_state(out / "ground_state_cache", traj.grid, cfg["tol"])
-    q = gs.profile
+    q = fieldio.load_ground_state(out / "ground_state_cache", traj.grid, cfg["tol"]).profile
     sym = bands.high_symbol(q.grid, 8.0)
-    kernels = {
+    return {
         "core.transform_pair_us": median_us(
             lambda: core.transform_inverse(core.transform_forward(q))),
         "core.apply_multiplier_us": median_us(lambda: core.apply_multiplier(q, sym)),
     }
-    probe_dir = out / "probe"
-    probe_dir.mkdir()
-    with tr.span("probe"):
-        for kind in cli.DIAGNOSTIC_RUNNERS:
-            if kind not in w.diagnostics:
-                cli.DIAGNOSTIC_RUNNERS[kind](cfg, traj, DIAGNOSTIC_SPECS[kind], probe_dir)
-        if w.lemma_Ns is None:
-            # e^{it}Q sampled densely over the window of the grid's top dyadic scale
-            top = core.dyadic_scales(q.grid)[-1]
-            steps = round(top ** -0.5 / w.dt)
-            dense = evolution.Trajectory(config=evolution.SimulationConfig(
-                dimension=4, mu=-1, r_max=15.0, n=w.n, dt=w.dt, t_final=steps * w.dt,
-                cadence=1))
-            dense.times = [k * w.dt for k in range(steps + 1)]
-            dense.fields = [core.RadialField(q.grid, np.exp(1j * t) * q.values)
-                            for t in dense.times]
-            recurrence.extract_A_sequence(dense, [top])
-    return kernels
 
 
-def layer_metrics(w: Workload, tr: Tracer, kernels: dict) -> dict:
+def layer_metrics(w: Workload, tr: Tracer, kernel_us: dict) -> dict:
     session = {f"cli.{name}" for name in ("ground-state", "evolve", "diagnose", "lemma")}
-    reach = session | {"probe"}
 
     def total(name, roots=session, key="duration"):
         return sum(s[key] for s in tr.select(name, roots))
@@ -173,8 +151,8 @@ def layer_metrics(w: Workload, tr: Tracer, kernels: dict) -> dict:
     m = {
         "cli.import_s": (IMPORT_S, "s"),
         "core.grid_build_s": (statistics.median(grids), "s"),
-        "core.transform_pair_us": (kernels["core.transform_pair_us"], "us"),
-        "core.apply_multiplier_us": (kernels["core.apply_multiplier_us"], "us"),
+        "core.transform_pair_us": (kernel_us["core.transform_pair_us"], "us"),
+        "core.apply_multiplier_us": (kernel_us["core.apply_multiplier_us"], "us"),
         "groundstate.fixed_point_s": (sum(s["self"] for s in solve), "s"),
         "groundstate.iterations": (solve[0]["iterations"], "count"),
         "groundstate.shooting_s": (total("groundstate.shooting", {"cli.ground-state"}), "s"),
@@ -187,8 +165,8 @@ def layer_metrics(w: Workload, tr: Tracer, kernels: dict) -> dict:
         "fieldio.load_trajectory_s": (total("fieldio.load_trajectory", key="self"), "s"),
     }
     for kind in cli.DIAGNOSTIC_RUNNERS:
-        m[f"diagnostics.{kind}_s"] = (total(f"diagnostics.{kind}", reach), "s")
-    m["recurrence.extract_A_sequence_s"] = (total("recurrence.extract_A_sequence", reach), "s")
+        m[f"diagnostics.{kind}_s"] = (total(f"diagnostics.{kind}"), "s")
+    m["recurrence.extract_A_sequence_s"] = (total("recurrence.extract_A_sequence"), "s")
     m["recurrence.verify_s"] = (total("recurrence.verify", key="self"), "s")
     m["bands.in_out_s"] = (total("bands.in_out", {"cli.selftest"}), "s")
     return {k: {"value": v, "unit": u} for k, (v, u) in m.items()}
@@ -219,12 +197,12 @@ def main() -> int:
     if rc != 0:
         print(f"a session command exited {rc}", file=sys.stderr)
         return 1
-    kernels = probes(w, out, tr)
+    kernel_us = kernels(out)
     tr.finish()
     commands = {s["name"]: s["duration"] for s in tr.spans if s["name"].startswith("cli.")}
     Path(args.trace_file).write_text(json.dumps({
         "workload": w.name, "seed": args.seed,
-        "layers": layer_metrics(w, tr, kernels),
+        "layers": layer_metrics(w, tr, kernel_us),
         "commands_s": commands,
         "self_times": self_times(tr),
         "spans": tr.spans,
