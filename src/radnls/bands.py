@@ -30,6 +30,7 @@ from .core import (
     RadialField,
     RadialGrid,
     SpectralField,
+    _real_matvec,
     apply_multiplier,
     lebesgue_norm,
     mass,
@@ -316,6 +317,6 @@ def in_out(f: RadialField, sign) -> RadialField:
     g = f.values * grid.r ** (d - 1)
     fprime = radial_derivative(f).values
     gprime = fprime * grid.r ** (d - 1) + (d - 1) * grid.r ** (d - 2) * f.values
-    integral = off @ g - g * row_sum + diag_coef * gprime + g * pv_log
+    integral = _real_matvec(off, g) - g * row_sum + diag_coef * gprime + g * pv_log
     out = 0.5 * f.values + sgn * (1j / math.pi) * grid.r ** (2 - d) * integral
     return RadialField(grid, out)

@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     RadialField,
     RadialGrid,
-    gradient_norm_sq,
     make_radial_grid,
     mass,
     require_resolved,
@@ -115,19 +114,21 @@ def free_propagate(f: RadialField, t: float) -> RadialField:
     return RadialField(g, g._inverse_values(np.exp(-1j * t * g.rho**2) * coeffs))
 
 
-def _energy_unchecked(f: RadialField, mu: int) -> float:
-    """Energy without the resolvedness gate (conservation logging only).
+def _snapshot_stats(f: RadialField, mu: int) -> tuple[float, float]:
+    """(energy, ||grad f||_2^2) from one forward transform, without the resolvedness gate.
 
-    Near a guard trip the tail can sit between the strict resolvedness
-    threshold and the guard threshold; the log still wants a number there.
+    Used for conservation logging and the gradient guard.  Near a guard trip
+    the tail can sit between the strict resolvedness threshold and the guard
+    threshold; the log still wants a number there.
     """
     g = f.grid
     coeffs = g._forward_values(f.values)
-    kinetic = 0.5 * float(np.sum(g.wrho * g.rho**2 * np.abs(coeffs) ** 2))
-    if mu == 0:
-        return kinetic
-    p = 2.0 * (g.d + 2) / g.d
-    return kinetic + mu * g.d / (2.0 * (g.d + 2)) * float(np.sum(g.w * np.abs(f.values) ** p))
+    grad_sq = float(np.sum(g.wrho * g.rho**2 * np.abs(coeffs) ** 2))
+    energy = 0.5 * grad_sq
+    if mu != 0:
+        p = 2.0 * (g.d + 2) / g.d
+        energy += mu * g.d / (2.0 * (g.d + 2)) * float(np.sum(g.w * np.abs(f.values) ** p))
+    return energy, grad_sq
 
 
 def nonlinearity(f: RadialField, mu: int) -> RadialField:
@@ -182,14 +183,15 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
             f"dt * rho_max^2 = {cfg.dt * u0.grid.rho_max**2:.3g} > pi: the linear phase "
             "wraps within one step (accuracy, not stability, may suffer)")
 
-    grad0 = math.sqrt(gradient_norm_sq(u0))
+    energy0, grad_sq0 = _snapshot_stats(u0, cfg.mu)
+    grad0 = math.sqrt(grad_sq0)
     u = u0
     t = 0.0
     traj.times.append(t)
     traj.fields.append(u)
     traj.step_times.append(t)
     traj.mass_log.append(mass(u))
-    traj.energy_log.append(_energy_unchecked(u, cfg.mu))
+    traj.energy_log.append(energy0)
 
     for k in range(1, cfg.n_steps + 1):
         try:
@@ -203,9 +205,10 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
         if k % cfg.cadence == 0:
             traj.times.append(t)
             traj.fields.append(u)
-            traj.energy_log.append(_energy_unchecked(u, cfg.mu))
+            energy, grad_sq = _snapshot_stats(u, cfg.mu)
+            traj.energy_log.append(energy)
             if grad0 > 0:
-                ratio = math.sqrt(gradient_norm_sq(u)) / grad0
+                ratio = math.sqrt(grad_sq) / grad0
                 if ratio > GRADIENT_GUARD_RATIO:
                     traj.guard_event = {"kind": "blowup_guard", "time": t,
                                         "gradient_ratio": ratio}

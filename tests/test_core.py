@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
-from radnls import core
+from radnls import bands, core
 
 GAUSS_MASS_4D = (math.pi / 2) ** 2        # integral of e^{-2 r^2} over R^4
 GAUSS_KINETIC_4D = math.pi**2             # ||grad e^{-|x|^2}||_2^2 in d=4
@@ -74,6 +76,72 @@ class TestTransforms:
         g = gaussian(grid20)
         with pytest.raises(core.GridMismatchError):
             _ = f + g
+
+
+def dense_transforms(d, r_max, n):
+    """Forward and inverse transform matrices straight from the module docstring.
+
+    fhat(rho) = rho^-nu Int f(r) J_nu(rho r) r^(nu+1) dr on the Bessel-zero
+    nodes r_k = j_k R / S, rho_k = j_k / R, with the Fourier-Bessel weights
+    Int_0^R h(r) r dr ~= sum 2 R^2 / (S^2 J_{nu+1}(j_k)^2) h(r_k) and
+    Int_0^(S/R) h(rho) rho drho ~= sum 2 / (R^2 J_{nu+1}(j_k)^2) h(rho_k).
+    """
+    nu = d // 2 - 1
+    zeros = special.jn_zeros(nu, n + 1)
+    j, s_edge = zeros[:n], zeros[n]
+    r, rho = j * r_max / s_edge, j / r_max
+    jnext_sq = special.jv(nu + 1, j) ** 2
+    w_r = 2.0 * r_max**2 / (s_edge**2 * jnext_sq)
+    w_rho = 2.0 / (r_max**2 * jnext_sq)
+    bessel = special.jv(nu, np.outer(rho, r))
+    fwd = bessel * (w_r * r**nu)[None, :] / rho[:, None] ** nu
+    inv = bessel.T * (w_rho * rho**nu)[None, :] / r[:, None] ** nu
+    return fwd, inv
+
+
+class TestKernel:
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_transforms_match_dense_oracle(self, d, n):
+        g = core.make_radial_grid(d, 15.0, n)
+        fwd, inv = dense_transforms(d, 15.0, n)
+        rng = np.random.default_rng(n + d)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for got, ref in ((g._forward_values(v), fwd @ v), (g._inverse_values(v), inv @ v)):
+            assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_block_build_is_bitwise_full_evaluation(self, d, n):
+        g = core.make_radial_grid(d, 15.0, n)
+        nu = d // 2 - 1
+        zeros = special.jn_zeros(nu, n + 1)
+        arg = np.outer(zeros[:n], zeros[:n]) / zeros[n]
+        jnext_sq = special.jv(nu + 1, zeros[:n])[None, :] ** 2
+        assert np.array_equal(g._kernel, special.jv(nu, arg) / jnext_sq)
+        assert np.array_equal(g.derivative_kernel(), special.jv(nu + 1, arg) / jnext_sq)
+
+    def test_grid_holds_one_square_matrix(self):
+        g = core.make_radial_grid(4, 15.0, 200)
+        square = [a for a in vars(g).values() if isinstance(a, np.ndarray) and a.ndim == 2]
+        assert len(square) == 1
+
+    def test_complex_products_do_not_copy_the_kernel(self, grid):
+        f = core.random_smooth_field(grid, np.random.default_rng(7))
+        bands.in_out(f, "+")  # builds the derivative and PV kernels once
+        calls = [lambda: grid._forward_values(f.values),
+                 lambda: grid._inverse_values(f.values),
+                 lambda: core.radial_derivative(f),
+                 lambda: bands.in_out(f, "-")]
+        tracemalloc.start()
+        try:
+            for call in calls:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                assert tracemalloc.get_traced_memory()[1] - base < grid.n**2 * 8 / 4
+        finally:
+            tracemalloc.stop()
 
 
 class TestNorms:

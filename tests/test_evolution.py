@@ -97,6 +97,11 @@ class TestEvolve:
         drift = max(abs(e - e0) for e in sw_dense.energy_log)
         assert drift < 1e-5 * ground.kinetic
 
+    def test_energy_log_matches_core_energy(self, defocusing_dense):
+        for i in range(0, len(defocusing_dense), 50):
+            e = core.energy(defocusing_dense.fields[i], 1)
+            assert abs(defocusing_dense.energy_log[i] - e) <= 1e-12 * e
+
     def test_pseudo_conformal_oracle(self, pc_traj, ground):
         exact = groundstate.make_pc(ground, -0.5)
         assert relative_l2(pc_traj.fields[-1], exact) < 1e-2

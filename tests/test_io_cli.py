@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radnls
 from radnls import cli, core, evolution, fieldio, groundstate
 
 
@@ -180,3 +184,29 @@ class TestCli:
         first = (out_env / "rep" / "lemma_report.json").read_bytes()
         assert cli.main(["--config", cfg, "lemma"]) == 0
         assert (out_env / "rep" / "lemma_report.json").read_bytes() == first
+
+
+def test_outputs_independent_of_blas_threads(tmp_path):
+    """evolve + diagnose write byte-identical artifacts with one and two BLAS threads."""
+    cfg = write_cfg(tmp_path, {
+        "grid": {"r_max": 15.0, "n": 128},
+        "time": {"dt": 1e-3, "T": 0.02, "cadence": 1},
+        "initial": {"kind": "gaussian"},
+        "diagnostics": [{"kind": "virial"}, {"kind": "concentration"},
+                        {"kind": "spatial_decay"}, {"kind": "kinetic_localization"}],
+        "output_dir": "run", "format": "csv"})
+    src = str(Path(radnls.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, RADNLS_OUTPUT_ROOT=str(root),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for command in (["evolve"], ["diagnose", str(root / "run" / "trajectory")]):
+            subprocess.run([sys.executable, "-m", "radnls.cli", "--config", cfg, *command],
+                           env=env, check=True, capture_output=True, timeout=300)
+        outputs.append({p.relative_to(root): p.read_bytes()
+                        for p in sorted(root.rglob("*")) if p.is_file()})
+    assert {p.suffix for p in outputs[0]} == {".json", ".csv", ".rfb"}
+    assert outputs[0].keys() == outputs[1].keys()
+    for path, data in outputs[0].items():
+        assert outputs[1][path] == data, f"{path} differs between BLAS thread counts"
