@@ -21,10 +21,9 @@ Band projections multiply the spectral coefficients by symbols built from phi:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     RadialField,
@@ -147,12 +146,6 @@ class BandNormTable:
             raise ValueError("scales must be strictly increasing")
         if not all(np.isfinite(v) for v in self.values):
             raise ValueError("table values must be finite")
-
-    def to_csv_lines(self) -> list[str]:
-        lines = ["quantity,N,value"]
-        for s, v in zip(self.scales, self.values):
-            lines.append(f"{self.quantity},{s!r},{v!r}")
-        return lines
 
     def to_json_obj(self) -> dict:
         return {
@@ -279,15 +272,20 @@ def _pv_parts(grid: RadialGrid):
       + g(r_m) * (1 / 2 r_m) log((L + r_m) / (L - r_m))   (analytic PV of the constant)
 
     with the diagonal of the regular part assigned its Taylor limit
-    -g'(r_m) / (2 r_m).
+    -g'(r_m) / (2 r_m).  The quadrature matrix is
+
+        off[m, k] = w_k / (r_m^2 - r_k^2)  (m != k),   off[m, m] = 0,
+
+    with w_k = w1_k / r_k the weights for the plain measure ds; it is built in
+    place, so the n x n result is the only large allocation.
     """
     if grid._pv_parts is None:
         r = grid.r
-        w_ds = grid.w1 / r  # weights for the plain measure ds
-        denom = r[:, None] ** 2 - r[None, :] ** 2
-        off = np.zeros((grid.n, grid.n))
-        mask = ~np.eye(grid.n, dtype=bool)
-        off[mask] = w_ds[None, :].repeat(grid.n, axis=0)[mask] / denom[mask]
+        w_ds = grid.w1 / r
+        off = np.subtract.outer(r**2, r**2)
+        np.fill_diagonal(off, 1.0)
+        np.divide(w_ds, off, out=off)
+        np.fill_diagonal(off, 0.0)
         row_sum = off.sum(axis=1)
         diag_coef = -w_ds / (2.0 * r)
         L = grid.r_max

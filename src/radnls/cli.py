@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bands, core, diagnostics, evolution, fieldio, groundstate
+from . import __version__, core, diagnostics, evolution, fieldio, groundstate
 from . import recurrence, selftest
 
 EXIT_OK = 0
@@ -146,10 +146,6 @@ def write_csv(cfg: dict, path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _build_grid(cfg: dict) -> core.RadialGrid:
-    return core.make_radial_grid(cfg["dimension"], cfg["grid"]["r_max"], cfg["grid"]["n"])
-
-
 def _ground_state(cfg: dict, grid: core.RadialGrid, cache: Path):
     gs = fieldio.load_ground_state(cache, grid, cfg["tol"])
     if gs is None:
@@ -182,7 +178,7 @@ def _initial_field(cfg: dict, grid: core.RadialGrid, cache: Path) -> core.Radial
 
 def cmd_ground_state(cfg: dict) -> int:
     out = output_dir(cfg)
-    grid = _build_grid(cfg)
+    grid = core.make_radial_grid(cfg["dimension"], cfg["grid"]["r_max"], cfg["grid"]["n"])
     gs = groundstate.solve_ground_state(grid, tol=cfg["tol"])
     fieldio.save_ground_state(gs, out / "ground_state_cache", cfg["tol"])
     fieldio.save_field_binary(gs.profile, out / "ground_state.rfb")
@@ -207,11 +203,11 @@ def cmd_ground_state(cfg: dict) -> int:
 
 def cmd_evolve(cfg: dict) -> int:
     out = output_dir(cfg)
-    grid = _build_grid(cfg)
     sim = evolution.SimulationConfig(
         dimension=cfg["dimension"], mu=cfg["mu"], r_max=cfg["grid"]["r_max"],
         n=cfg["grid"]["n"], dt=cfg["time"]["dt"], t_final=cfg["time"]["T"],
         cadence=cfg["time"]["cadence"])
+    grid = sim.make_grid()
     u0 = _initial_field(cfg, grid, out / "ground_state_cache")
     traj = evolution.evolve(sim, u0)
     run_dir = out / "trajectory"
@@ -237,36 +233,34 @@ def cmd_evolve(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _diag_frequency_decay(cfg, traj, spec, out):
-    grid = traj.grid
-    ns = spec.get("Ns") or core.dyadic_scales(grid)[-4:]
+# Each runner is a pure function of (trajectory, spec) returning (passed, detail,
+# JSON payload, CSV header, CSV rows); cmd_diagnose writes {kind}.json and {kind}.csv.
+
+def _table_rows(table) -> list:
+    return [(table.quantity, s, v) for s, v in zip(table.scales, table.values)]
+
+
+def _row_dicts(header: list[str], rows) -> list[dict]:
+    return [dict(zip(header, r)) for r in rows]
+
+
+def _diag_frequency_decay(traj, spec):
+    ns = spec.get("Ns") or core.dyadic_scales(traj.grid)[-4:]
     rep = diagnostics.frequency_decay_fit(traj, spec.get("shell_cut", 1.0), ns)
-    base = out / "frequency_decay"
-    write_json(cfg, base.with_suffix(".json"), rep.to_json_obj())
-    if cfg["format"] == "csv":
-        write_csv(cfg, base.with_suffix(".csv"), ["quantity", "N", "value"],
-                  [(rep.table.quantity, s, v) for s, v in
-                   zip(rep.table.scales, rep.table.values)])
-    return rep.passes, {"exponent": rep.exponent, "threshold": rep.threshold,
-                        "note": rep.note}
+    detail = {"exponent": rep.exponent, "threshold": rep.threshold, "note": rep.note}
+    return rep.passes, detail, rep.to_json_obj(), ["quantity", "N", "value"], _table_rows(rep.table)
 
 
-def _diag_spatial_decay(cfg, traj, spec, out):
-    grid = traj.grid
-    scales = core.dyadic_scales(grid)
+def _diag_spatial_decay(traj, spec):
+    scales = core.dyadic_scales(traj.grid)
     n_range = spec.get("N_range", [scales[0], scales[-1]])
     rs = spec.get("Rs", [1.0, 2.0, 4.0])
     rep = diagnostics.spatial_decay_scan(traj, tuple(n_range), rs)
-    base = out / "spatial_decay"
-    write_json(cfg, base.with_suffix(".json"), rep.to_json_obj())
-    if cfg["format"] == "csv":
-        write_csv(cfg, base.with_suffix(".csv"), ["quantity", "R", "value"],
-                  [(rep.table.quantity, s, v) for s, v in
-                   zip(rep.table.scales, rep.table.values)])
-    return rep.passes, {"delta": rep.exponent, "note": rep.note}
+    detail = {"delta": rep.exponent, "note": rep.note}
+    return rep.passes, detail, rep.to_json_obj(), ["quantity", "R", "value"], _table_rows(rep.table)
 
 
-def _diag_virial(cfg, traj, spec, out):
+def _diag_virial(traj, spec):
     r_cut = spec.get("R", math.inf)
     times = traj.times[2:-2]
     if not times:
@@ -287,30 +281,21 @@ def _diag_virial(cfg, traj, spec, out):
                    <= (25 * r_cut / 24) ** 2 * m * (1 + 1e-9)
                    for f, m in zip(traj.fields, traj.mass_log))\
         if math.isfinite(r_cut) else True
-    write_json(cfg, out / "virial.json", {
-        "rows": [dict(zip(("t", "d2_virial", "eight_kinetic"), r)) for r in rows],
-        "free_flow_worst_rel": worst if traj.config.mu == 0 else None,
-        "cutoff_bound_ok": bound_ok})
-    if cfg["format"] == "csv":
-        write_csv(cfg, out / "virial.csv", ["t", "d2_virial", "eight_kinetic"], rows)
-    return (ok and bound_ok), {"worst_rel": worst}
+    header = ["t", "d2_virial", "eight_kinetic"]
+    payload = {"rows": _row_dicts(header, rows),
+               "free_flow_worst_rel": worst if traj.config.mu == 0 else None,
+               "cutoff_bound_ok": bound_ok}
+    return ok and bound_ok, {"worst_rel": worst}, payload, header, rows
 
 
-def _diag_kinetic_localization(cfg, traj, spec, out):
+def _diag_kinetic_localization(traj, spec):
     eta_frac = spec.get("eta_fraction", 1e-2)
-    rows = []
-    for i, t in enumerate(traj.times):
-        f = traj.fields[i]
-        total = core.gradient_norm_sq(f)
-        rows.append((t, diagnostics.kinetic_localization_radius(f, eta_frac * total)))
-    radii = [r for _, r in rows]
-    spread_cells = _cell_spread(traj.grid, radii)
-    write_json(cfg, out / "kinetic_localization.json",
-               {"rows": [{"t": t, "radius": r} for t, r in rows],
-                "spread_cells": spread_cells})
-    if cfg["format"] == "csv":
-        write_csv(cfg, out / "kinetic_localization.csv", ["t", "radius"], rows)
-    return spread_cells <= 1, {"spread_cells": spread_cells}
+    rows = [(t, diagnostics.kinetic_localization_radius(f, eta_frac * core.gradient_norm_sq(f)))
+            for t, f in zip(traj.times, traj.fields)]
+    spread_cells = _cell_spread(traj.grid, [r for _, r in rows])
+    header = ["t", "radius"]
+    payload = {"rows": _row_dicts(header, rows), "spread_cells": spread_cells}
+    return spread_cells <= 1, {"spread_cells": spread_cells}, payload, header, rows
 
 
 def _cell_spread(grid, radii) -> int:
@@ -318,18 +303,14 @@ def _cell_spread(grid, radii) -> int:
     return max(idx) - min(idx)
 
 
-def _diag_concentration(cfg, traj, spec, out):
+def _diag_concentration(traj, spec):
     eta_frac = spec.get("eta_fraction", 1e-2)
     rows = []
-    for i, t in enumerate(traj.times):
-        f = traj.fields[i]
+    for t, f in zip(traj.times, traj.fields):
         rep = diagnostics.concentration_radii(f, eta_frac * core.mass(f), t=t)
         rows.append((t, rep.c_x, rep.c_xi))
-    write_json(cfg, out / "concentration.json",
-               {"rows": [dict(zip(("t", "c_x", "c_xi"), r)) for r in rows]})
-    if cfg["format"] == "csv":
-        write_csv(cfg, out / "concentration.csv", ["t", "c_x", "c_xi"], rows)
-    return True, {"snapshots": len(rows)}
+    header = ["t", "c_x", "c_xi"]
+    return True, {"snapshots": len(rows)}, {"rows": _row_dicts(header, rows)}, header, rows
 
 
 DIAGNOSTIC_RUNNERS = {
@@ -355,7 +336,10 @@ def cmd_diagnose(cfg: dict, trajectory_path: str) -> int:
         if kind not in DIAGNOSTIC_RUNNERS:
             raise ConfigError(f"unknown diagnostic kind {kind!r} "
                               f"(have {sorted(DIAGNOSTIC_RUNNERS)})")
-        passed, detail = DIAGNOSTIC_RUNNERS[kind](cfg, traj, spec, out)
+        passed, detail, payload, header, rows = DIAGNOSTIC_RUNNERS[kind](traj, spec)
+        write_json(cfg, out / f"{kind}.json", payload)
+        if cfg["format"] == "csv":
+            write_csv(cfg, out / f"{kind}.csv", header, rows)
         summary[kind] = {"passed": passed, **detail}
         print(f"diagnose {kind}: {'pass' if passed else 'FAIL'} {detail}")
         if not passed:
@@ -432,47 +416,58 @@ def cmd_selftest(cfg: dict) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# command -> (handler, help, positional arguments as (name, help)); the handler
+# takes the merged config followed by the positional arguments
+COMMANDS = {
+    "ground-state": (cmd_ground_state, "solve and certify the ground state", ()),
+    "evolve": (cmd_evolve, "run the split-step integrator", ()),
+    "diagnose": (cmd_diagnose, "run diagnostics over a stored trajectory",
+                 (("trajectory", "trajectory directory (from evolve)"),)),
+    "lemma": (cmd_lemma, "recurrence and bootstrap reports", ()),
+    "selftest": (cmd_selftest, "run every module's invariant suite", ()),
+}
+
+# flag -> (dotted config path it overrides, argparse keywords)
+OVERRIDE_FLAGS = {
+    "--output-dir": ("output_dir", {"help": "override output directory"}),
+    "--seed": ("seed", {"type": int, "help": "override seed"}),
+    "--format": ("format", {"choices": ("json", "csv"), "help": "report format"}),
+    "--dimension": ("dimension", {"type": int}),
+    "--mu": ("mu", {"type": int, "choices": (-1, 0, 1)}),
+    "--r-max": ("grid.r_max", {"type": float}),
+    "--n": ("grid.n", {"type": int}),
+    "--dt": ("time.dt", {"type": float}),
+    "--T": ("time.T", {"type": float}),
+    "--cadence": ("time.cadence", {"type": int}),
+    "--tol": ("tol", {"type": float}),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="radnls",
                                 description="Radial mass-critical NLS simulator and "
                                             "dyadic-band diagnostics")
     p.add_argument("--config", help="JSON config file (see CONFIG_SCHEMA in radnls.cli)")
-    p.add_argument("--output-dir", help="override output directory")
-    p.add_argument("--seed", type=int, help="override seed")
-    p.add_argument("--format", choices=("json", "csv"), help="report format")
-    p.add_argument("--dimension", type=int)
-    p.add_argument("--mu", type=int, choices=(-1, 0, 1))
-    p.add_argument("--r-max", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--cadence", type=int)
-    p.add_argument("--tol", type=float)
+    for flag, (path, kwargs) in OVERRIDE_FLAGS.items():
+        p.add_argument(flag, dest=path, **kwargs)
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("ground-state", help="solve and certify the ground state")
-    sub.add_parser("evolve", help="run the split-step integrator")
-    d = sub.add_parser("diagnose", help="run diagnostics over a stored trajectory")
-    d.add_argument("trajectory", help="trajectory directory (from evolve)")
-    sub.add_parser("lemma", help="recurrence and bootstrap reports")
-    sub.add_parser("selftest", help="run every module's invariant suite")
+    for name, (_, help_text, positionals) in COMMANDS.items():
+        cp = sub.add_parser(name, help=help_text)
+        for arg, arg_help in positionals:
+            cp.add_argument(arg, help=arg_help)
     return p
 
 
 def _overrides(args: argparse.Namespace) -> dict:
     over: dict = {}
-    for key in ("dimension", "mu", "seed", "format", "tol"):
-        val = getattr(args, key)
+    for path, _ in OVERRIDE_FLAGS.values():
+        val = getattr(args, path)
         if val is not None:
-            over[key] = val
-    if args.output_dir is not None:
-        over["output_dir"] = args.output_dir
-    grid = {k: v for k, v in (("r_max", args.r_max), ("n", args.n)) if v is not None}
-    if grid:
-        over["grid"] = grid
-    time_over = {k: v for k, v in (("dt", args.dt), ("T", args.T),
-                                   ("cadence", args.cadence)) if v is not None}
-    if time_over:
-        over["time"] = time_over
+            *parents, leaf = path.split(".")
+            node = over
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[leaf] = val
     return over
 
 
@@ -480,24 +475,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
-        if args.command == "ground-state":
-            return cmd_ground_state(cfg)
-        if args.command == "evolve":
-            return cmd_evolve(cfg)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg, args.trajectory)
-        if args.command == "lemma":
-            return cmd_lemma(cfg)
-        if args.command == "selftest":
-            return cmd_selftest(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        handler, _, positionals = COMMANDS[args.command]
+        return handler(cfg, *(getattr(args, arg) for arg, _ in positionals))
     except (ConfigError, core.GridResolutionError, ValueError) as exc:
         _emit_error(args, "invalid_input", exc)
         return EXIT_INVALID
-    except GuardTripped as exc:
-        _emit_error(args, "numerical_guard", exc)
-        return EXIT_GUARD
-    except evolution.ResolutionLossError as exc:
+    except (GuardTripped, evolution.ResolutionLossError) as exc:
         _emit_error(args, "numerical_guard", exc)
         return EXIT_GUARD
     except CheckFailed as exc:

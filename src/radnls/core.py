@@ -207,6 +207,17 @@ def make_radial_grid(d: int, r_max: float, n: int) -> RadialGrid:
     return RadialGrid(d, r_max, n)
 
 
+def _frozen_values(grid: RadialGrid, values, what: str) -> np.ndarray:
+    """Read-only complex copy of one value per node; what names the values in errors."""
+    vals = np.array(values, dtype=np.complex128)
+    if vals.shape != (grid.n,):
+        raise ValueError(f"{what} count {vals.shape} does not match grid n={grid.n}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{what}s contain non-finite values")
+    vals.setflags(write=False)
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class RadialField:
     """Complex radial profile u(r_j) sampled on a grid."""
@@ -215,14 +226,7 @@ class RadialField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(f"sample count {vals.shape} does not match grid n={self.grid.n}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field contains non-finite samples")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_values(self.grid, self.values, "sample"))
 
     def _check(self, other: "RadialField") -> None:
         if self.grid.key != other.grid.key:
@@ -250,14 +254,7 @@ class SpectralField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(f"coefficient count {vals.shape} does not match grid n={self.grid.n}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("spectral field contains non-finite coefficients")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_values(self.grid, self.values, "coefficient"))
 
 
 def zero_field(grid: RadialGrid) -> RadialField:
@@ -292,10 +289,6 @@ def mass(f: RadialField) -> float:
     return float(np.sum(f.grid.w * np.abs(f.values) ** 2))
 
 
-def spectral_mass(F: SpectralField) -> float:
-    return float(np.sum(F.grid.wrho * np.abs(F.values) ** 2))
-
-
 def lebesgue_norm(f: RadialField, p: float) -> float:
     """||f||_{L^p}; p = inf gives the sup over grid nodes."""
     if p == math.inf:
@@ -314,23 +307,34 @@ def sobolev_norm(f: RadialField, s: float) -> float:
                                   * np.abs(F.values) ** 2)))
 
 
+def _kinetic_sum(grid: RadialGrid, coeffs: np.ndarray) -> float:
+    """||grad f||_2^2 = sum_k wrho_k rho_k^2 |fhat_k|^2 from the spectral coefficients."""
+    return float(np.sum(grid.wrho * grid.rho**2 * np.abs(coeffs) ** 2))
+
+
+def _potential_sum(grid: RadialGrid, values: np.ndarray) -> float:
+    """d/(2(d+2)) * ||f||^{2(d+2)/d}_{2(d+2)/d}, the potential term of the energy without mu."""
+    d = grid.d
+    p = 2.0 * (d + 2) / d
+    return d / (2.0 * (d + 2)) * float(np.sum(grid.w * np.abs(values) ** p))
+
+
+def _tail_fraction(grid: RadialGrid, coeffs: np.ndarray) -> float:
+    """Fraction of the spectral mass at rho > rho_max / 2 (0 for zero coefficients)."""
+    power = grid.wrho * np.abs(coeffs) ** 2
+    total = float(power.sum())
+    if total == 0.0:
+        return 0.0
+    return float(power[grid.rho > 0.5 * grid.rho_max].sum()) / total
+
+
 def gradient_norm_sq(f: RadialField) -> float:
-    return sobolev_norm(f, 1.0) ** 2
+    return _kinetic_sum(f.grid, f.grid._forward_values(f.values))
 
 
 def spectral_tail_fraction(f: RadialField) -> float:
     """Fraction of the field's mass at rho > rho_max / 2 (0 for the zero field)."""
-    F = transform_forward(f)
-    total = spectral_mass(F)
-    if total == 0.0:
-        return 0.0
-    tail = float(np.sum(F.grid.wrho[F.grid.rho > 0.5 * F.grid.rho_max]
-                        * np.abs(F.values[F.grid.rho > 0.5 * F.grid.rho_max]) ** 2))
-    return tail / total
-
-
-def is_resolved(f: RadialField, tail_fraction: float = RESOLVED_TAIL_FRACTION) -> bool:
-    return spectral_tail_fraction(f) < tail_fraction
+    return _tail_fraction(f.grid, f.grid._forward_values(f.values))
 
 
 def require_resolved(f: RadialField, what: str = "field") -> None:
@@ -349,13 +353,10 @@ def energy(f: RadialField, mu: int) -> float:
     if mu not in (-1, 0, 1):
         raise ValueError(f"mu must be -1, 0 or +1, got {mu}")
     require_resolved(f, "energy argument")
-    d = f.grid.d
     kinetic = 0.5 * gradient_norm_sq(f)
     if mu == 0:
         return kinetic
-    p = 2.0 * (d + 2) / d
-    potential = float(np.sum(f.grid.w * np.abs(f.values) ** p))
-    return kinetic + mu * d / (2.0 * (d + 2)) * potential
+    return kinetic + mu * _potential_sum(f.grid, f.values)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .core import (
     mass,
     radial_derivative,
     require_resolved,
-    spectral_mass,
     transform_forward,
     validate_scale,
 )
@@ -61,20 +60,6 @@ class DecayFitReport:
         }
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Per-snapshot summary used by the report emitters."""
-
-    t: float
-    mass: float
-    energy: float
-    virial: float
-    band_norms: tuple
-    kinetic_radius: float
-    c_x: float
-    c_xi: float
-
-
 # ---------------------------------------------------------------------------
 # virial
 # ---------------------------------------------------------------------------
@@ -109,16 +94,19 @@ def virial_acceleration(traj: Trajectory, R: float, t: float) -> float:
 # localization radii
 # ---------------------------------------------------------------------------
 
+def _tail_radius(dens: np.ndarray, nodes: np.ndarray, eta: float) -> float:
+    """Smallest node whose outside sum of dens (strictly beyond it) is <= eta."""
+    tail = np.concatenate([np.cumsum(dens[::-1])[::-1][1:], [0.0]])
+    return float(nodes[int(np.argmax(tail <= eta))])
+
+
 def kinetic_localization_radius(f: RadialField, eta: float) -> float:
     """Smallest grid radius R with Integral_{|x|>R} |grad f|^2 dx <= eta."""
     require_resolved(f, "kinetic-localization argument")
     total = gradient_norm_sq(f)
     if not 0.0 < eta < total:
         raise ValueError(f"eta={eta} outside (0, ||grad f||^2={total:g})")
-    dens = f.grid.w * np.abs(radial_derivative(f).values) ** 2
-    tail = np.concatenate([np.cumsum(dens[::-1])[::-1][1:], [0.0]])
-    k = int(np.argmax(tail <= eta))
-    return float(f.grid.r[k])
+    return _tail_radius(f.grid.w * np.abs(radial_derivative(f).values) ** 2, f.grid.r, eta)
 
 
 def concentration_radii(f: RadialField, eta: float, t: float | None = None) -> ConcentrationReport:
@@ -127,15 +115,9 @@ def concentration_radii(f: RadialField, eta: float, t: float | None = None) -> C
     if not 0.0 < eta < m:
         raise ValueError(f"eta={eta} outside (0, mass={m:g})")
     dens_x = f.grid.w * np.abs(f.values) ** 2
-    coeffs = transform_forward(f)
-    dens_k = f.grid.wrho * np.abs(coeffs.values) ** 2
-
-    def radius(dens, nodes):
-        tail = np.concatenate([np.cumsum(dens[::-1])[::-1][1:], [0.0]])
-        return float(nodes[int(np.argmax(tail <= eta))])
-
-    return ConcentrationReport(eta=eta, c_x=radius(dens_x, f.grid.r),
-                               c_xi=radius(dens_k, f.grid.rho), t=t)
+    dens_k = f.grid.wrho * np.abs(transform_forward(f).values) ** 2
+    return ConcentrationReport(eta=eta, c_x=_tail_radius(dens_x, f.grid.r, eta),
+                               c_xi=_tail_radius(dens_k, f.grid.rho, eta), t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +209,3 @@ def spatial_decay_scan(traj: Trajectory, n_range: tuple, Rs) -> DecayFitReport:
     return DecayFitReport(table, delta, resid, None, passes=delta > 0,
                           note=f"fitted || phi_>R P_N u || ~ R^(-delta), {kept}/{len(Rs)} radii kept")
 
-
-# ---------------------------------------------------------------------------
-# per-snapshot record
-# ---------------------------------------------------------------------------
-
-def snapshot_record(traj: Trajectory, index: int, R: float, eta_frac: float,
-                    Ns) -> DiagnosticsRecord:
-    """Assemble the standard observables for one stored snapshot."""
-    f = traj.fields[index]
-    t = traj.times[index]
-    m = mass(f)
-    grad_sq = gradient_norm_sq(f)
-    conc = concentration_radii(f, eta_frac * m, t=t)
-    bandvals = tuple(math.sqrt(mass(apply_multiplier(f, band_symbol(f.grid, N)))) for N in Ns)
-    return DiagnosticsRecord(
-        t=t, mass=m, energy=traj.energy_log[index] if index < len(traj.energy_log) else math.nan,
-        virial=truncated_virial(f, R),
-        band_norms=bandvals,
-        kinetic_radius=kinetic_localization_radius(f, eta_frac * grad_sq),
-        c_x=conc.c_x, c_xi=conc.c_xi)

@@ -19,6 +19,10 @@ import numpy as np
 from .core import (
     RadialField,
     RadialGrid,
+    _kinetic_sum,
+    _potential_sum,
+    _tail_fraction,
+    apply_multiplier,
     make_radial_grid,
     mass,
     require_resolved,
@@ -43,7 +47,6 @@ class SimulationConfig:
     dt: float = 1e-3
     t_final: float = 1.0
     cadence: int = 10
-    stepper: str = "strang"
 
     def __post_init__(self):
         if self.mu not in (-1, 0, 1):
@@ -57,8 +60,6 @@ class SimulationConfig:
             raise ValueError("t_final must be an integer number of steps")
         if self.cadence < 1 or round(steps) % self.cadence != 0:
             raise ValueError("cadence must divide the step count")
-        if self.stepper != "strang":
-            raise ValueError(f"unknown stepper {self.stepper!r}")
 
     @property
     def n_steps(self) -> int:
@@ -80,7 +81,6 @@ class Trajectory:
     config: SimulationConfig
     times: list = field(default_factory=list)
     fields: list = field(default_factory=list)
-    step_times: list = field(default_factory=list)
     mass_log: list = field(default_factory=list)
     energy_log: list = field(default_factory=list)
     guard_event: dict | None = None
@@ -109,9 +109,7 @@ class Trajectory:
 
 def free_propagate(f: RadialField, t: float) -> RadialField:
     """Exact free flow: multiply the spectrum by exp(-i t rho^2)."""
-    g = f.grid
-    coeffs = g._forward_values(f.values)
-    return RadialField(g, g._inverse_values(np.exp(-1j * t * g.rho**2) * coeffs))
+    return apply_multiplier(f, np.exp(-1j * t * f.grid.rho**2))
 
 
 def _snapshot_stats(f: RadialField, mu: int) -> tuple[float, float]:
@@ -122,12 +120,10 @@ def _snapshot_stats(f: RadialField, mu: int) -> tuple[float, float]:
     threshold; the log still wants a number there.
     """
     g = f.grid
-    coeffs = g._forward_values(f.values)
-    grad_sq = float(np.sum(g.wrho * g.rho**2 * np.abs(coeffs) ** 2))
+    grad_sq = _kinetic_sum(g, g._forward_values(f.values))
     energy = 0.5 * grad_sq
     if mu != 0:
-        p = 2.0 * (g.d + 2) / g.d
-        energy += mu * g.d / (2.0 * (g.d + 2)) * float(np.sum(g.w * np.abs(f.values) ** p))
+        energy += mu * _potential_sum(g, f.values)
     return energy, grad_sq
 
 
@@ -152,14 +148,11 @@ def step(u: RadialField, dt: float, mu: int) -> RadialField:
     else:
         vals = u.values * np.exp(-1j * mu * 0.5 * dt * np.abs(u.values) ** (4.0 / d))
     coeffs = g._forward_values(vals)
-    power = np.abs(coeffs) ** 2 * g.wrho
-    total = float(power.sum())
-    if total > 0:
-        tail = float(power[g.rho > 0.5 * g.rho_max].sum())
-        if tail > TAIL_GUARD_FRACTION * total:
-            raise ResolutionLossError(
-                f"spectral tail fraction {tail / total:.3e} exceeds {TAIL_GUARD_FRACTION:g}; "
-                "use a smaller dt or a larger grid")
+    tail = _tail_fraction(g, coeffs)
+    if tail > TAIL_GUARD_FRACTION:
+        raise ResolutionLossError(
+            f"spectral tail fraction {tail:.3e} exceeds {TAIL_GUARD_FRACTION:g}; "
+            "use a smaller dt or a larger grid")
     vals = g._inverse_values(np.exp(-1j * dt * g.rho**2) * coeffs)
     if mu != 0:
         vals = vals * np.exp(-1j * mu * 0.5 * dt * np.abs(vals) ** (4.0 / d))
@@ -189,7 +182,6 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
     t = 0.0
     traj.times.append(t)
     traj.fields.append(u)
-    traj.step_times.append(t)
     traj.mass_log.append(mass(u))
     traj.energy_log.append(energy0)
 
@@ -200,7 +192,6 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
             traj.guard_event = {"kind": "resolution_loss", "time": t, "detail": str(exc)}
             break
         t = k * cfg.dt
-        traj.step_times.append(t)
         traj.mass_log.append(mass(u))
         if k % cfg.cadence == 0:
             traj.times.append(t)
@@ -236,13 +227,8 @@ def duhamel_residual(traj: Trajectory, t0: float, t1: float) -> float:
     grid = target.grid
     integral = np.zeros(grid.n, dtype=np.complex128)
     if mu != 0:
-        for j, (tj, fj) in enumerate(zip(times, fields)):
-            if j == 0:
-                h = 0.5 * (times[1] - times[0])
-            elif j == len(times) - 1:
-                h = 0.5 * (times[-1] - times[-2])
-            else:
-                h = 0.5 * (times[j + 1] - times[j - 1])
-            integral += h * free_propagate(nonlinearity(fj, mu), t1 - tj).values
+        terms = [free_propagate(nonlinearity(fj, mu), t1 - tj).values
+                 for tj, fj in zip(times, fields)]
+        integral = np.trapezoid(terms, times, axis=0)
     defect = target.values - linear.values + 1j * integral
     return math.sqrt(float(np.sum(grid.w * np.abs(defect) ** 2)))

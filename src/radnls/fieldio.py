@@ -15,6 +15,7 @@ a load-save cycle is bit-exact on the samples and metadata.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -28,6 +29,18 @@ from .evolution import SimulationConfig, Trajectory
 from .groundstate import GroundState
 
 MAGIC = b"RNLSFLD1"
+
+# GroundState fields stored next to the cached profile
+_GROUND_STATE_META = ("dimension", "mass", "kinetic", "residual", "mass_shooting", "iterations")
+
+
+def _grid_for(d: int, n: int, r_max: float, grid: RadialGrid | None, what: str) -> RadialGrid:
+    """The grid a stored field names, or the supplied grid after checking it matches."""
+    if grid is None:
+        return make_radial_grid(d, r_max, n)
+    if (grid.d, grid.n, grid.r_max) != (d, n, r_max):
+        raise ValueError(f"{what} field metadata does not match the supplied grid")
+    return grid
 
 
 def save_field_text(f: RadialField, path) -> None:
@@ -44,11 +57,7 @@ def load_field_text(path, grid: RadialGrid | None = None) -> RadialField:
     text = Path(path).read_text().splitlines()
     meta = text[0]
     parts = dict(tok.split("=") for tok in meta.removeprefix("# radnls field").split())
-    d, n, r_max = int(parts["d"]), int(parts["n"]), float(parts["r_max"])
-    if grid is None:
-        grid = make_radial_grid(d, r_max, n)
-    elif (grid.d, grid.n, grid.r_max) != (d, n, r_max):
-        raise ValueError("text field metadata does not match the supplied grid")
+    grid = _grid_for(int(parts["d"]), int(parts["n"]), float(parts["r_max"]), grid, "text")
     rows = [ln.split() for ln in text if not ln.startswith("#") and ln.strip()]
     vals = np.array([float(a) + 1j * float(b) for _, a, b in rows])
     return RadialField(grid, vals)
@@ -68,11 +77,7 @@ def load_field_binary(path, grid: RadialGrid | None = None) -> RadialField:
     vals = np.frombuffer(blob[28:], dtype=np.complex128)
     if vals.shape != (n,):
         raise ValueError(f"{path}: truncated snapshot")
-    if grid is None:
-        grid = make_radial_grid(int(d), float(r_max), int(n))
-    elif (grid.d, grid.n, grid.r_max) != (int(d), int(n), float(r_max)):
-        raise ValueError("binary field metadata does not match the supplied grid")
-    return RadialField(grid, vals)
+    return RadialField(_grid_for(int(d), int(n), float(r_max), grid, "binary"), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +95,6 @@ def save_trajectory(traj: Trajectory, out_dir) -> Path:
         "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest()[:16],
         "config": vars(traj.config) | {},
         "times": list(traj.times),
-        "step_times": list(traj.step_times),
         "mass_log": list(traj.mass_log),
         "energy_log": list(traj.energy_log),
         "guard_event": traj.guard_event,
@@ -103,11 +107,16 @@ def save_trajectory(traj: Trajectory, out_dir) -> Path:
 def load_trajectory(path) -> Trajectory:
     out = Path(path)
     manifest = json.loads((out / "manifest.json").read_text())
+    keys = {f.name for f in dataclasses.fields(SimulationConfig)}
+    unexpected = sorted(set(manifest["config"]) - keys)
+    missing = sorted(keys - set(manifest["config"]))
+    if unexpected or missing:
+        raise ValueError(f"{out}: manifest config has unexpected keys {unexpected} "
+                         f"and missing keys {missing}")
     cfg = SimulationConfig(**manifest["config"])
     traj = Trajectory(config=cfg)
     grid = cfg.make_grid()
     traj.times = list(manifest["times"])
-    traj.step_times = list(manifest["step_times"])
     traj.mass_log = list(manifest["mass_log"])
     traj.energy_log = list(manifest["energy_log"])
     traj.guard_event = manifest.get("guard_event")
@@ -133,15 +142,7 @@ def save_ground_state(gs: GroundState, cache_dir, tol: float) -> Path:
     cache.mkdir(parents=True, exist_ok=True)
     key = ground_state_key(gs.grid, tol)
     save_field_binary(gs.profile, cache / f"{key}.rfb")
-    meta = {
-        "dimension": gs.dimension,
-        "mass": gs.mass,
-        "kinetic": gs.kinetic,
-        "residual": gs.residual,
-        "mass_shooting": gs.mass_shooting,
-        "iterations": gs.iterations,
-        "tol": tol,
-    }
+    meta = {k: getattr(gs, k) for k in _GROUND_STATE_META} | {"tol": tol}
     (cache / f"{key}.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
     return cache / f"{key}.rfb"
 
@@ -154,6 +155,4 @@ def load_ground_state(cache_dir, grid: RadialGrid, tol: float) -> GroundState | 
         return None
     info = json.loads(meta.read_text())
     profile = load_field_binary(fld, grid)
-    return GroundState(profile=profile, dimension=info["dimension"], mass=info["mass"],
-                       kinetic=info["kinetic"], residual=info["residual"],
-                       mass_shooting=info["mass_shooting"], iterations=info["iterations"])
+    return GroundState(profile=profile, **{k: info[k] for k in _GROUND_STATE_META})

@@ -27,7 +27,6 @@ from scipy.integrate import solve_ivp
 from .core import (
     RadialField,
     RadialGrid,
-    SpectralField,
     energy,
     evaluate_at,
     gradient_norm_sq,
@@ -35,8 +34,6 @@ from .core import (
     mass,
     require_resolved,
     sphere_area,
-    transform_forward,
-    transform_inverse,
 )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import high_symbol
-from .core import RadialField, apply_multiplier, lebesgue_norm, mass, validate_scale
+from .core import apply_multiplier, lebesgue_norm, mass, validate_scale
 from .evolution import Trajectory, nonlinearity
 
 CONCLUSION_SLACK = 1e-12
@@ -104,12 +104,6 @@ class ASequence:
         if any(v < 0 or not np.isfinite(v) for v in self.values):
             raise ValueError("values must be finite and nonnegative")
 
-    def value_at(self, N: float) -> float:
-        for s, v in zip(self.scales, self.values):
-            if abs(s - N) <= 1e-9 * N:
-                return v
-        raise KeyError(f"N={N} not in sequence (sequence gap)")
-
 
 # ---------------------------------------------------------------------------
 # space-time norms
@@ -126,17 +120,20 @@ def _window(traj: Trajectory, t0: float, t1: float):
     return times, fields
 
 
-def strichartz_norm(traj: Trajectory, interval: tuple[float, float]) -> float:
-    """max of sup_t ||u||_2 and the L^2_t L^{2d/(d-2)}_x norm on the interval."""
-    d = traj.grid.d
+def _s_norm(times: np.ndarray, fields: list) -> float:
+    """max of sup_t ||u||_2 and the trapezoid L^2_t L^{2d/(d-2)}_x norm over the snapshots."""
+    d = fields[0].grid.d
     if d < 3:
         raise ValueError("the admissible-pair norm needs d >= 3")
-    times, fields = _window(traj, *interval)
     sup_l2 = max(math.sqrt(mass(f)) for f in fields)
     q = 2.0 * d / (d - 2.0)
     integrand = np.array([lebesgue_norm(f, q) ** 2 for f in fields])
-    l2_lq = math.sqrt(float(np.trapezoid(integrand, times)))
-    return max(sup_l2, l2_lq)
+    return max(sup_l2, math.sqrt(float(np.trapezoid(integrand, times))))
+
+
+def strichartz_norm(traj: Trajectory, interval: tuple[float, float]) -> float:
+    """max of sup_t ||u||_2 and the L^2_t L^{2d/(d-2)}_x norm on the interval."""
+    return _s_norm(*_window(traj, *interval))
 
 
 def dual_nonlinearity_norm(traj: Trajectory, N: float,
@@ -165,18 +162,13 @@ def extract_A_sequence(traj: Trajectory, Ns, window_exponent: float = 0.5) -> AS
     """
     Ns = sorted(float(N) for N in Ns)
     grid = traj.grid
-    d = grid.d
     t0 = traj.times[0]
-    q = 2.0 * d / (d - 2.0)
     values = []
     for N in Ns:
         validate_scale(grid, N)
         times, fields = _window(traj, t0, t0 + N ** (-window_exponent))
         sym = high_symbol(grid, N)
-        projected = [apply_multiplier(f, sym) for f in fields]
-        sup_l2 = max(math.sqrt(mass(f)) for f in projected)
-        integrand = np.array([lebesgue_norm(f, q) ** 2 for f in projected])
-        values.append(max(sup_l2, math.sqrt(float(np.trapezoid(integrand, times)))))
+        values.append(_s_norm(times, [apply_multiplier(f, sym) for f in fields]))
     return ASequence(tuple(Ns), tuple(values), provenance="extracted-from-trajectory")
 
 

@@ -93,7 +93,6 @@ def single_snapshot_trajectory(grid, field):
     traj = evolution.Trajectory(config=cfg)
     traj.times = [0.0]
     traj.fields = [field]
-    traj.step_times = [0.0]
     traj.mass_log = [core.mass(field)]
     traj.energy_log = [0.0]
     return traj

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,25 @@ class TestInOut:
             mine = (plus.values[m] - 0.5 * f.values[m]) / (1j / math.pi) * rm ** (d - 2)
             assert abs(mine.real - oracle) < tol * max(1.0, abs(oracle))
 
+    def test_pv_kernel_matches_docstring_formula(self, grid):
+        # off[m, k] = w_k / (r_m^2 - r_k^2) off the diagonal, 0 on it, w_k = w1_k / r_k
+        off = bands._pv_parts(grid)[0]
+        with np.errstate(divide="ignore"):
+            ref = (grid.w1 / grid.r)[None, :] / (grid.r[:, None] ** 2 - grid.r[None, :] ** 2)
+        np.fill_diagonal(ref, 0.0)
+        assert np.array_equal(off, ref)
+
+    def test_pv_kernel_built_in_place(self):
+        g = core.make_radial_grid(4, 15.0, 640)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bands._pv_parts(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * g.n**2
+
     def test_truncated_bound_constant_stable_in_scale(self, grid, corpus):
         consts = []
         for N in (4.0, 8.0, 16.0):
@@ -310,10 +330,7 @@ class TestBandNormTable:
         with pytest.raises(ValueError):
             bands.BandNormTable("q", (2.0, 1.0), (0.1, 0.2))
 
-    def test_csv_and_json(self):
+    def test_json(self):
         tab = bands.BandNormTable("q", (1.0, 2.0), (0.5, 0.25), annotation="x")
-        lines = tab.to_csv_lines()
-        assert lines[0] == "quantity,N,value"
-        assert len(lines) == 3
         obj = tab.to_json_obj()
         assert obj["rows"][1] == {"N": 2.0, "value": 0.25}

@@ -224,14 +224,6 @@ class TestSpatialDecayScan:
 
 
 class TestReports:
-    def test_snapshot_record(self, sw_dense, ground):
-        rec = diagnostics.snapshot_record(sw_dense, 100, R=8.0, eta_frac=1e-2,
-                                          Ns=(4.0, 8.0))
-        assert rec.t == pytest.approx(0.1)
-        assert rec.mass == pytest.approx(ground.mass, rel=1e-8)
-        assert len(rec.band_norms) == 2
-        assert rec.c_x > 0 and rec.c_xi > 0 and rec.kinetic_radius > 0
-
     def test_decay_report_json_shape(self, grid):
         scales = (4.0, 8.0, 16.0, 32.0)
         f = planted_band_field(grid, scales, [N**-2.0 for N in scales])

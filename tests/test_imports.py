@@ -1,0 +1,31 @@
+import ast
+from pathlib import Path
+
+import radnls
+
+SOURCES = sorted(Path(radnls.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never references (star and __future__ imports aside)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_guard_flags_an_unused_import():
+    assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
+        "line 1: math", "line 2: path"]
+
+
+def test_no_unused_imports():
+    found = {p.name: unused_imports(p.read_text()) for p in SOURCES}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -175,15 +175,67 @@ class TestCli:
         cfg = write_cfg(tmp_path, {"no_such_key": 1})
         assert cli.main(["--config", cfg, "ground-state"]) == 2
 
-    def test_reproducible_outputs(self, out_env, tmp_path):
+    @pytest.mark.parametrize("command, payload", [
+        pytest.param(["lemma"], {"lemma": {"params": {
+            "s": 1.5, "gamma": 0.3, "c1": 2.0, "m0": 1.0, "beta_prime": 1e-9, "a_bound": 2.0}}},
+            id="lemma"),
+        pytest.param(["ground-state"], {"grid": SMALL_GRID}, id="ground-state"),
+        pytest.param(["evolve"], {"grid": SMALL_GRID,
+                                  "time": {"dt": 1e-3, "T": 0.01, "cadence": 1}}, id="evolve"),
+    ])
+    def test_reproducible_outputs(self, tmp_path, monkeypatch, capsys, command, payload):
+        cfg = write_cfg(tmp_path, {**payload, "output_dir": "rep", "seed": 42})
+        outputs = []
+        for run in ("first", "second"):
+            root = tmp_path / run
+            monkeypatch.setenv("RADNLS_OUTPUT_ROOT", str(root))
+            assert cli.main(["--config", cfg, *command]) == 0
+            outputs.append({p.relative_to(root): p.read_bytes()
+                            for p in sorted(root.rglob("*")) if p.is_file()})
+        assert outputs[0] and outputs[0].keys() == outputs[1].keys()
+        for path, data in outputs[0].items():
+            assert outputs[1][path] == data, f"{path} differs between reruns"
+
+    def test_diagnose_artifact_set(self, out_env, tmp_path, capsys):
+        headers = {"frequency_decay": "quantity,N,value", "spatial_decay": "quantity,R,value",
+                   "virial": "t,d2_virial,eight_kinetic", "kinetic_localization": "t,radius",
+                   "concentration": "t,c_x,c_xi"}
+        decay = {"table", "exponent", "residual", "threshold", "passes", "note"}
+        keys = {"frequency_decay": decay, "spatial_decay": decay,
+                "virial": {"rows", "free_flow_worst_rel", "cutoff_bound_ok"},
+                "kinetic_localization": {"rows", "spread_cells"}, "concentration": {"rows"}}
         cfg = write_cfg(tmp_path, {
-            "lemma": {"params": {"s": 1.5, "gamma": 0.3, "c1": 2.0, "m0": 1.0,
-                                 "beta_prime": 1e-9, "a_bound": 2.0}},
-            "output_dir": "rep", "seed": 42})
-        assert cli.main(["--config", cfg, "lemma"]) == 0
-        first = (out_env / "rep" / "lemma_report.json").read_bytes()
-        assert cli.main(["--config", cfg, "lemma"]) == 0
-        assert (out_env / "rep" / "lemma_report.json").read_bytes() == first
+            "grid": SMALL_GRID, "mu": 0,
+            "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+            "diagnostics": [{"kind": kind} for kind in headers],
+            "output_dir": "run", "format": "csv"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        assert cli.main(["--config", cfg, "--output-dir", "diag", "diagnose",
+                         str(out_env / "run" / "trajectory")]) == 0
+        out = out_env / "diag"
+        assert {p.name for p in out.iterdir()} == (
+            {f"{kind}.{ext}" for kind in headers for ext in ("json", "csv")}
+            | {"diagnose_summary.json"})
+        for kind, header in headers.items():
+            assert (out / f"{kind}.csv").read_text().splitlines()[1] == header
+            payload = json.loads((out / f"{kind}.json").read_text())
+            assert set(payload) == {"artifact_version", "config_hash", "seed"} | keys[kind]
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda config: config.update(stepper="strang"), id="stepper"),
+        pytest.param(lambda config: config.pop("dt"), id="missing_dt"),
+    ])
+    def test_bad_manifest_config_exits_2(self, out_env, tmp_path, capsys, edit):
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
+                                   "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+                                   "output_dir": "bad"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        path = out_env / "bad" / "trajectory" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["config"])
+        path.write_text(json.dumps(manifest))
+        assert cli.main(["--config", cfg, "diagnose", str(path.parent)]) == 2
+        assert "invalid_input" in capsys.readouterr().err
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):

@@ -28,7 +28,6 @@ def zero_trajectory(grid, n_snaps=51, dt=1e-3):
     traj = evolution.Trajectory(config=cfg)
     traj.times = [i * dt for i in range(n_snaps)]
     traj.fields = [core.zero_field(grid) for _ in range(n_snaps)]
-    traj.step_times = list(traj.times)
     traj.mass_log = [0.0] * n_snaps
     traj.energy_log = [0.0] * n_snaps
     return traj
