@@ -132,12 +132,17 @@ def multiply_radial(f: RadialField, profile: np.ndarray) -> RadialField:
 
 @dataclass(frozen=True)
 class BandNormTable:
-    """Measured norms indexed by a scale parameter (dyadic N, radius R, or time)."""
+    """Measured norms indexed by a scale parameter (dyadic N, radius R, or time t).
+
+    scale_name labels the scale column: the key of each JSON row and the
+    column header of the CLI's CSV.
+    """
 
     quantity: str
     scales: tuple
     values: tuple
     annotation: str = ""
+    scale_name: str = "N"
 
     def __post_init__(self):
         if len(self.scales) != len(self.values):
@@ -151,7 +156,7 @@ class BandNormTable:
         return {
             "quantity": self.quantity,
             "annotation": self.annotation,
-            "rows": [{"N": s, "value": v} for s, v in zip(self.scales, self.values)],
+            "rows": [{self.scale_name: s, "value": v} for s, v in zip(self.scales, self.values)],
         }
 
 
@@ -255,7 +260,8 @@ def dispersive_decay(f: RadialField, N: float, times) -> BandNormTable:
         prop = transform_inverse(SpectralField(g, coeffs * np.exp(-1j * t * g.rho**2)))
         vals.append(t ** (d / 2.0) * float(np.max(np.abs(prop.values))))
     return BandNormTable("dispersive_sup_decay", tuple(sorted(times)), tuple(vals),
-                         annotation=f"N={N}, value = t^(d/2) * sup |e^(it Lap) P_N f|")
+                         annotation=f"N={N}, value = t^(d/2) * sup |e^(it Lap) P_N f|",
+                         scale_name="t")
 
 
 # ---------------------------------------------------------------------------

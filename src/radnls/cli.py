@@ -236,8 +236,9 @@ def cmd_evolve(cfg: dict) -> int:
 # Each runner is a pure function of (trajectory, spec) returning (passed, detail,
 # JSON payload, CSV header, CSV rows); cmd_diagnose writes {kind}.json and {kind}.csv.
 
-def _table_rows(table) -> list:
-    return [(table.quantity, s, v) for s, v in zip(table.scales, table.values)]
+def _table_csv(table) -> tuple[list[str], list]:
+    return (["quantity", table.scale_name, "value"],
+            [(table.quantity, s, v) for s, v in zip(table.scales, table.values)])
 
 
 def _row_dicts(header: list[str], rows) -> list[dict]:
@@ -248,7 +249,7 @@ def _diag_frequency_decay(traj, spec):
     ns = spec.get("Ns") or core.dyadic_scales(traj.grid)[-4:]
     rep = diagnostics.frequency_decay_fit(traj, spec.get("shell_cut", 1.0), ns)
     detail = {"exponent": rep.exponent, "threshold": rep.threshold, "note": rep.note}
-    return rep.passes, detail, rep.to_json_obj(), ["quantity", "N", "value"], _table_rows(rep.table)
+    return rep.passes, detail, rep.to_json_obj(), *_table_csv(rep.table)
 
 
 def _diag_spatial_decay(traj, spec):
@@ -257,7 +258,7 @@ def _diag_spatial_decay(traj, spec):
     rs = spec.get("Rs", [1.0, 2.0, 4.0])
     rep = diagnostics.spatial_decay_scan(traj, tuple(n_range), rs)
     detail = {"delta": rep.exponent, "note": rep.note}
-    return rep.passes, detail, rep.to_json_obj(), ["quantity", "R", "value"], _table_rows(rep.table)
+    return rep.passes, detail, rep.to_json_obj(), *_table_csv(rep.table)
 
 
 def _diag_virial(traj, spec):

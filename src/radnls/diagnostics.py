@@ -200,7 +200,8 @@ def spatial_decay_scan(traj: Trajectory, n_range: tuple, Rs) -> DecayFitReport:
                 best = max(best, v)
         vals.append(best)
     table = BandNormTable("shell_radius_sup", tuple(Rs), tuple(vals),
-                          annotation=f"sup over t and N in [{n0},{n1}] of || phi_>R P_N u ||_2")
+                          annotation=f"sup over t and N in [{n0},{n1}] of || phi_>R P_N u ||_2",
+                          scale_name="R")
     slope, resid, kept = _fit_loglog(np.asarray(Rs), np.asarray(vals))
     if slope is None:
         return DecayFitReport(table, None, None, None, True,

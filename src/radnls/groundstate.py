@@ -18,11 +18,13 @@ multiplying with Q resp. x . grad Q and integrating:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .core import (
     RadialField,
@@ -138,17 +140,19 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-8, max_iter: int = 400,
                        residual=residual, mass_shooting=m_shoot, iterations=iterations)
 
 
-def shooting_mass(d: int, r_end: float = 40.0, bracket: tuple[float, float] | None = None,
-                  rtol: float = 1e-11) -> float:
+def shooting_mass(d: int, r_end: float = 40.0, rtol: float = 1e-11) -> float:
     """Independent mass of the ground state from a 1D shooting integration.
 
-    Integrates Q'' + (d-1)/r Q' = Q - Q^p outward from a series start and
-    bisects on Q(0): overshooting trajectories cross zero, undershooting ones
-    turn around at a positive minimum.  The mass integral rides along as an
-    extra ODE component and is read off where the converged trajectory decays
-    below 1e-6.  That threshold sits above the e^{+r} instability floor left
-    by the finite bisection (~1e-13 * e^{r}), and the abandoned exponential
-    tail contributes O(1e-10) relative mass.
+    Integrates Q'' + (d-1)/r Q' = Q - Q^p outward from a series start with
+    DOP853.  Overshooting Q(0) = a crosses zero, undershooting turns around
+    at a positive minimum, both at an exit radius r_exit.  Near the ground
+    state a* the deviation grows like (a - a*) e^{r} and exits where it meets
+    Q ~ e^{-r}, so Brent's method finds a* on the near-linear signed
+    exp(-2 r_exit); the bracket's upper end doubles until it overshoots.  The
+    mass integral rides along as an extra ODE component and is read off where
+    the converged trajectory decays below 1e-6.  That threshold sits above the
+    e^{+r} instability floor left by the root tolerance (~1e-13 * e^{r}), and
+    the abandoned exponential tail contributes O(1e-10) relative mass.
     """
     p = 1.0 + 4.0 / d
     area = sphere_area(d)
@@ -163,44 +167,38 @@ def shooting_mass(d: int, r_end: float = 40.0, bracket: tuple[float, float] | No
         c = (a - a**p) / (2.0 * d)
         return [a + c * r0**2, 2.0 * c * r0, 0.0]
 
-    def classify(a):
-        """-1: crossed zero (a too big), +1: turned around (a too small)."""
-        cross = lambda r, y: y[0]
-        cross.terminal = True
-        cross.direction = -1
-        turn = lambda r, y: y[1]
-        turn.terminal = True
-        turn.direction = 1
-        sol = solve_ivp(rhs, (r0, r_end), start(a), events=(cross, turn),
-                        rtol=rtol, atol=1e-13, method="RK45")
-        if sol.t_events[0].size:
-            return -1, sol
-        if sol.t_events[1].size:
-            return +1, sol
-        return (-1 if sol.y[0, -1] < 0 else +1), sol
+    def integrate(a, events):
+        return solve_ivp(rhs, (r0, r_end), start(a), events=events,
+                         rtol=rtol, atol=1e-13, method="DOP853")
 
-    if bracket is None:
-        lo = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0)) + 1e-9
-        hi = 10.0 * lo
-    else:
-        lo, hi = bracket
-    if classify(lo)[0] != +1 or classify(hi)[0] != -1:
-        raise GroundStateError("shooting bracket does not straddle the ground state")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        sign, _ = classify(mid)
-        if sign < 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-13 * mid:
+    cross = lambda r, y: y[0]
+    cross.terminal = True
+    cross.direction = -1
+    turn = lambda r, y: y[1]
+    turn.terminal = True
+    turn.direction = 1
+
+    @functools.cache  # brentq re-evaluates the bracket ends checked below
+    def exit_signed(a):
+        """-exp(-2 r) if the trajectory crosses zero at r (a too big),
+        +exp(-2 r) if it turns around at r (a too small)."""
+        sol = integrate(a, (cross, turn))
+        crossed = sol.t_events[0].size or (not sol.t_events[1].size and sol.y[0, -1] < 0)
+        return (-1.0 if crossed else 1.0) * math.exp(-2.0 * sol.t[-1])
+
+    lo = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0)) + 1e-9
+    hi = 10.0 * lo
+    for _ in range(8):
+        if exit_signed(hi) < 0:
             break
+        hi *= 2.0
+    if exit_signed(lo) <= 0 or exit_signed(hi) >= 0:
+        raise GroundStateError("shooting bracket does not straddle the ground state")
+    a_star = brentq(exit_signed, lo, hi, xtol=1e-13 * lo)
 
-    a_star = 0.5 * (lo + hi)
     small = lambda r, y: abs(y[0]) - 1e-6
     small.terminal = True
-    sol = solve_ivp(rhs, (r0, r_end), start(a_star), events=(small,),
-                    rtol=rtol, atol=1e-13, method="RK45")
+    sol = integrate(a_star, (small,))
     if not sol.t_events[0].size:
         raise GroundStateError("shooting trajectory never decayed below threshold")
     return float(sol.y[2, -1])

@@ -7,6 +7,7 @@ the full pytest suite so the whole run stays around a minute.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from . import bands, core, diagnostics, evolution, groundstate, recurrence
 SEED = 20260808
 
 
+@functools.cache
 def _grid():
     return core.make_radial_grid(4, 15.0, 384)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_bvp
 
 from radnls import core, groundstate
 
@@ -47,6 +48,49 @@ class TestSolve:
 
     def test_grid_doubling_stability(self, ground, ground_double):
         assert abs(ground_double.mass - ground.mass) < 1e-6 * ground.mass
+
+
+def collocation_mass(d: int, r_end: float = 30.0) -> float:
+    """M(Q) from a solve_bvp collocation of Q'' + (d-1)/r Q' = Q - Q^(1+4/d).
+
+    The mass integral is a third component m' = |S^{d-1}| r^{d-1} Q^2 with
+    m(0) = 0; decay is imposed as Q' = -(1 + (d-1)/(2r)) Q at r_end.
+    """
+    p = 1.0 + 4.0 / d
+    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    k = 1.0 + (d - 1.0) / (2.0 * r_end)
+    r = np.linspace(0.0, r_end, 300)
+    guess = np.vstack([1.5 * d / np.cosh(r) ** 2,
+                       -3.0 * d * np.tanh(r) / np.cosh(r) ** 2, np.zeros_like(r)])
+    sol = solve_bvp(
+        lambda x, y: np.vstack([y[1], y[0] - np.abs(y[0]) ** p, area * x ** (d - 1) * y[0] ** 2]),
+        lambda ya, yb: np.array([ya[1], ya[2], yb[1] + k * yb[0]]),
+        r, guess, S=np.diag([0.0, -(d - 1.0), 0.0]), tol=1e-9, max_nodes=100000)
+    assert sol.status == 0 and np.all(sol.y[0] > 0) and sol.y[0, 0] > 1.0, sol.message
+    return float(sol.y[2, -1])
+
+
+class TestShooting:
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_matches_collocation(self, d):
+        ref = collocation_mass(d)
+        assert abs(groundstate.shooting_mass(d) - ref) <= 1e-8 * ref
+
+    def test_townes_mass(self):
+        # d=2: the Townes soliton's critical mass 11.70089652...
+        assert abs(groundstate.shooting_mass(2) - 11.70089652) < 1e-8
+
+    def test_integration_count(self, monkeypatch):
+        calls = []
+        solve_ivp = groundstate.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(groundstate, "solve_ivp", counting)
+        groundstate.shooting_mass(4)
+        assert len(calls) <= 30
 
 
 class TestSharpRatio:

@@ -83,6 +83,14 @@ class TestCli:
         assert cert["mass_agreement"] < 1e-4
         assert "config_hash" in cert and "artifact_version" in cert
 
+    def test_ground_state_certifies_dimension_6(self, out_env, tmp_path, capsys):
+        # Q(0) ~ 44 at d=6 lies above the initial shooting bracket [lo, 10 lo]
+        cfg = write_cfg(tmp_path, {"output_dir": "gs6"})
+        assert cli.main(["--config", cfg, "--dimension", "6", "--n", "384", "ground-state"]) == 0
+        cert = json.loads((out_env / "gs6" / "ground_state_certification.json").read_text())
+        assert cert["dimension"] == 6
+        assert cert["mass_agreement"] < 1e-4
+
     def test_dimension_out_of_range_exits_2(self, out_env, capsys):
         rc = cli.main(["--dimension", "1", "ground-state"])
         assert rc == 2
@@ -220,6 +228,9 @@ class TestCli:
             assert (out / f"{kind}.csv").read_text().splitlines()[1] == header
             payload = json.loads((out / f"{kind}.json").read_text())
             assert set(payload) == {"artifact_version", "config_hash", "seed"} | keys[kind]
+            if "table" in payload:
+                scale = header.split(",")[1]
+                assert all(set(row) == {scale, "value"} for row in payload["table"]["rows"])
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda config: config.update(stepper="strang"), id="stepper"),
