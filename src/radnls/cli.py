@@ -13,7 +13,6 @@ output directories.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -112,10 +111,6 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
-
-
 def output_dir(cfg: dict) -> Path:
     root = os.environ.get("RADNLS_OUTPUT_ROOT", "")
     out = Path(cfg["output_dir"])
@@ -129,7 +124,7 @@ def output_dir(cfg: dict) -> Path:
 
 
 def _stamp(cfg: dict, payload: dict) -> dict:
-    return {"artifact_version": __version__, "config_hash": config_hash(cfg),
+    return {"artifact_version": __version__, "config_hash": fieldio._config_hash(cfg),
             "seed": cfg["seed"], **payload}
 
 
@@ -139,8 +134,7 @@ def write_json(cfg: dict, path: Path, payload: dict) -> None:
 
 
 def write_csv(cfg: dict, path: Path, header: list[str], rows) -> None:
-    lines = [f"# artifact_version={__version__} config_hash={config_hash(cfg)} seed={cfg['seed']}",
-             ",".join(header)]
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in _stamp(cfg, {}).items()), ",".join(header)]
     for row in rows:
         lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
@@ -182,7 +176,6 @@ def cmd_ground_state(cfg: dict) -> int:
     gs = groundstate.solve_ground_state(grid, tol=cfg["tol"])
     fieldio.save_ground_state(gs, out / "ground_state_cache", cfg["tol"])
     fieldio.save_field_binary(gs.profile, out / "ground_state.rfb")
-    l3 = core.lebesgue_norm(gs.profile, 3.0) ** 3 if grid.d == 4 else None
     cert = {
         "dimension": gs.dimension,
         "mass": gs.mass,
@@ -192,7 +185,7 @@ def cmd_ground_state(cfg: dict) -> int:
         "residual": gs.residual,
         "energy_over_kinetic": core.energy(gs.profile, -1) / gs.kinetic,
         "gn_ratio": groundstate.gn_ratio(gs.profile, gs),
-        "pohozaev_kinetic_ratio": (gs.kinetic / l3 if l3 else None),
+        "pohozaev_kinetic_ratio": groundstate.pohozaev_ratio(gs),
         "iterations": gs.iterations,
     }
     write_json(cfg, out / "ground_state_certification.json", cert)
@@ -223,7 +216,7 @@ def cmd_evolve(cfg: dict) -> int:
         gs = _ground_state(cfg, grid, out / "ground_state_cache")
         target = groundstate.make_sw(gs, cfg["initial"].get("params", {}).get("t", 0.0)
                                      + traj.times[-1])
-        summary["sw_final_l2_error"] = math.sqrt(core.mass(traj.fields[-1] - target) / gs.mass)
+        summary["sw_final_l2_error"] = math.sqrt(core.mass(traj.field(-1) - target) / gs.mass)
     write_json(cfg, out / "evolve_summary.json", summary)
     print(f"evolve: {len(traj)} snapshots to t={traj.times[-1]:g}, "
           f"mass drift {summary['mass_drift']:.3e}")
@@ -261,28 +254,27 @@ def _diag_spatial_decay(traj, spec):
     return rep.passes, detail, rep.to_json_obj(), *_table_csv(rep.table)
 
 
+def _rows(*columns) -> list[tuple]:
+    """CSV rows of Python floats from equal-length array columns."""
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
 def _diag_virial(traj, spec):
     r_cut = spec.get("R", math.inf)
-    times = traj.times[2:-2]
-    if not times:
+    if len(traj) < 5:
         raise ConfigError("trajectory too short for the virial stencil")
-    rows = []
-    worst = 0.0
-    ok = True
-    for t in times:
-        acc = diagnostics.virial_acceleration(traj, r_cut, t)
-        idx = traj.index_at(t)
-        k = core.gradient_norm_sq(traj.fields[idx])
-        rows.append((t, acc, 8 * k))
-        if traj.config.mu == 0 and k > 0:
-            rel = abs(acc - 8 * k) / (8 * k)
-            worst = max(worst, rel)
-            ok = ok and rel < 0.05
-    bound_ok = all(diagnostics.truncated_virial(f, r_cut)
-                   <= (25 * r_cut / 24) ** 2 * m * (1 + 1e-9)
-                   for f, m in zip(traj.fields, traj.mass_log))\
-        if math.isfinite(r_cut) else True
+    grid, times = traj.grid, traj.times[2:-2]
+    acc = diagnostics.virial_acceleration(traj, r_cut, times)
+    eight_k = 8 * core._kinetic_sum(grid, traj.coeffs[2:-2])
+    worst, ok = 0.0, True
+    if traj.config.mu == 0:
+        rel = np.abs(acc - eight_k)[eight_k > 0] / eight_k[eight_k > 0]
+        worst, ok = float(rel.max(initial=0.0)), bool(np.all(rel < 0.05))
+    bound_ok = bool(np.all(diagnostics._virial(grid, traj.values, r_cut)
+                           <= (25 * r_cut / 24) ** 2 * core._power_sum(grid, traj.values, 2)
+                           * (1 + 1e-9))) if math.isfinite(r_cut) else True
     header = ["t", "d2_virial", "eight_kinetic"]
+    rows = _rows(times, acc, eight_k)
     payload = {"rows": _row_dicts(header, rows),
                "free_flow_worst_rel": worst if traj.config.mu == 0 else None,
                "cutoff_bound_ok": bound_ok}
@@ -291,26 +283,23 @@ def _diag_virial(traj, spec):
 
 def _diag_kinetic_localization(traj, spec):
     eta_frac = spec.get("eta_fraction", 1e-2)
-    rows = [(t, diagnostics.kinetic_localization_radius(f, eta_frac * core.gradient_norm_sq(f)))
-            for t, f in zip(traj.times, traj.fields)]
-    spread_cells = _cell_spread(traj.grid, [r for _, r in rows])
+    grid = traj.grid
+    radii = diagnostics._kinetic_radius(grid, traj.coeffs,
+                                        eta_frac * core._kinetic_sum(grid, traj.coeffs))
+    spread_cells = int(np.ptp(np.searchsorted(grid.r, radii)))
     header = ["t", "radius"]
+    rows = _rows(traj.times, radii)
     payload = {"rows": _row_dicts(header, rows), "spread_cells": spread_cells}
     return spread_cells <= 1, {"spread_cells": spread_cells}, payload, header, rows
 
 
-def _cell_spread(grid, radii) -> int:
-    idx = [int(np.argmin(np.abs(grid.r - r))) for r in radii]
-    return max(idx) - min(idx)
-
-
 def _diag_concentration(traj, spec):
     eta_frac = spec.get("eta_fraction", 1e-2)
-    rows = []
-    for t, f in zip(traj.times, traj.fields):
-        rep = diagnostics.concentration_radii(f, eta_frac * core.mass(f), t=t)
-        rows.append((t, rep.c_x, rep.c_xi))
+    grid = traj.grid
+    c_x, c_xi = diagnostics._concentration(grid, traj.values, traj.coeffs,
+                                           eta_frac * core._power_sum(grid, traj.values, 2))
     header = ["t", "c_x", "c_xi"]
+    rows = _rows(traj.times, c_x, c_xi)
     return True, {"snapshots": len(rows)}, {"rows": _row_dicts(header, rows)}, header, rows
 
 

@@ -14,6 +14,8 @@ Each grid stores one real n x n kernel J_nu(j_m j_k / S) / J_{nu+1}(j_k)^2
 transforms, whose scalars are applied to the n-vector instead.  It is built
 from its symmetry, a block of rows at a time, and complex fields go through
 one real GEMM on their (n, 2) float view rather than a complex copy of it.
+Transforms and private sums work along the last axis, so a (T, n) stack of
+snapshots takes the same code as one field, with one GEMM for all T.
 
 Conventions kept throughout the package:
   * unitary transform, so Plancherel holds without constants;
@@ -45,15 +47,16 @@ _KERNEL_BLOCK = 128
 
 
 def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec for a real matrix without casting mat to complex.
+    """mat applied along the last axis of vec, one field (n,) or a stack (T, n).
 
-    A complex vector is viewed as an (n, 2) float array of its real and
-    imaginary parts, so one real GEMM does the work.
+    mat stays real: a complex vec is laid out as n rows of its T values, whose
+    (n, 2T) float view of real and imaginary parts goes through one real GEMM.
     """
     if not np.iscomplexobj(vec):
-        return mat @ vec
-    pairs = np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    return (mat @ pairs).view(np.complex128).reshape(-1)
+        return (mat @ vec.T).T
+    cols = np.ascontiguousarray(vec.T, dtype=np.complex128)
+    out = mat @ cols.view(np.float64).reshape(len(cols), -1)
+    return out.view(np.complex128).reshape(len(mat), *vec.shape[:-1]).T
 
 
 class GridResolutionError(ValueError):
@@ -207,10 +210,10 @@ def make_radial_grid(d: int, r_max: float, n: int) -> RadialGrid:
     return RadialGrid(d, r_max, n)
 
 
-def _frozen_values(grid: RadialGrid, values, what: str) -> np.ndarray:
-    """Read-only complex copy of one value per node; what names the values in errors."""
+def _frozen_values(grid: RadialGrid, values, what: str, rows: tuple = ()) -> np.ndarray:
+    """Read-only complex copy of one value per node (per row, if rows); what names them."""
     vals = np.array(values, dtype=np.complex128)
-    if vals.shape != (grid.n,):
+    if vals.shape != (*rows, grid.n):
         raise ValueError(f"{what} count {vals.shape} does not match grid n={grid.n}")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{what}s contain non-finite values")
@@ -284,9 +287,14 @@ def apply_multiplier(f: RadialField, symbol: np.ndarray) -> RadialField:
 # norms and integrals
 # ---------------------------------------------------------------------------
 
+def _power_sum(grid: RadialGrid, values: np.ndarray, p: float) -> np.ndarray:
+    """Integral |f|^p dx = sum_k w_k |f_k|^p along the last axis."""
+    return np.sum(grid.w * np.abs(values) ** p, axis=-1)
+
+
 def mass(f: RadialField) -> float:
     """L^2 mass M(f) = Integral |f|^2 dx."""
-    return float(np.sum(f.grid.w * np.abs(f.values) ** 2))
+    return float(_power_sum(f.grid, f.values, 2))
 
 
 def lebesgue_norm(f: RadialField, p: float) -> float:
@@ -295,7 +303,7 @@ def lebesgue_norm(f: RadialField, p: float) -> float:
         return float(np.max(np.abs(f.values)))
     if p < 1:
         raise ValueError(f"Lebesgue exponent p={p} out of range (need p >= 1)")
-    return float(np.sum(f.grid.w * np.abs(f.values) ** p) ** (1.0 / p))
+    return float(_power_sum(f.grid, f.values, p) ** (1.0 / p))
 
 
 def sobolev_norm(f: RadialField, s: float) -> float:
@@ -307,41 +315,42 @@ def sobolev_norm(f: RadialField, s: float) -> float:
                                   * np.abs(F.values) ** 2)))
 
 
-def _kinetic_sum(grid: RadialGrid, coeffs: np.ndarray) -> float:
-    """||grad f||_2^2 = sum_k wrho_k rho_k^2 |fhat_k|^2 from the spectral coefficients."""
-    return float(np.sum(grid.wrho * grid.rho**2 * np.abs(coeffs) ** 2))
+def _kinetic_sum(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
+    """||grad f||_2^2 = sum_k wrho_k rho_k^2 |fhat_k|^2 along the last axis of the coefficients."""
+    return np.sum(grid.wrho * grid.rho**2 * np.abs(coeffs) ** 2, axis=-1)
 
 
-def _potential_sum(grid: RadialGrid, values: np.ndarray) -> float:
-    """d/(2(d+2)) * ||f||^{2(d+2)/d}_{2(d+2)/d}, the potential term of the energy without mu."""
+def _energy_sum(grid: RadialGrid, values: np.ndarray, coeffs: np.ndarray, mu: int) -> np.ndarray:
+    """The energy of energy() along the last axis, without its resolvedness gate."""
+    kinetic = 0.5 * _kinetic_sum(grid, coeffs)
+    if mu == 0:
+        return kinetic
     d = grid.d
-    p = 2.0 * (d + 2) / d
-    return d / (2.0 * (d + 2)) * float(np.sum(grid.w * np.abs(values) ** p))
+    return kinetic + mu * (d / (2.0 * (d + 2)) * _power_sum(grid, values, 2.0 * (d + 2) / d))
 
 
-def _tail_fraction(grid: RadialGrid, coeffs: np.ndarray) -> float:
+def _tail_fraction(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
     """Fraction of the spectral mass at rho > rho_max / 2 (0 for zero coefficients)."""
     power = grid.wrho * np.abs(coeffs) ** 2
-    total = float(power.sum())
-    if total == 0.0:
-        return 0.0
-    return float(power[grid.rho > 0.5 * grid.rho_max].sum()) / total
+    total = power.sum(axis=-1)
+    high = power[..., grid.rho > 0.5 * grid.rho_max].sum(axis=-1)
+    return high / np.where(total == 0.0, 1.0, total)
 
 
-def gradient_norm_sq(f: RadialField) -> float:
-    return _kinetic_sum(f.grid, f.grid._forward_values(f.values))
-
-
-def spectral_tail_fraction(f: RadialField) -> float:
-    """Fraction of the field's mass at rho > rho_max / 2 (0 for the zero field)."""
-    return _tail_fraction(f.grid, f.grid._forward_values(f.values))
-
-
-def require_resolved(f: RadialField, what: str = "field") -> None:
-    frac = spectral_tail_fraction(f)
+def _check_resolved(grid: RadialGrid, coeffs: np.ndarray, what: str) -> None:
+    """Raise UnresolvedFieldError unless every row's tail fraction is under the threshold."""
+    frac = np.max(_tail_fraction(grid, coeffs))
     if frac >= RESOLVED_TAIL_FRACTION:
         raise UnresolvedFieldError(
             f"{what} is under-resolved: {frac:.3e} of its mass lies above rho_max/2")
+
+
+def gradient_norm_sq(f: RadialField) -> float:
+    return float(_kinetic_sum(f.grid, f.grid._forward_values(f.values)))
+
+
+def require_resolved(f: RadialField, what: str = "field") -> None:
+    _check_resolved(f.grid, f.grid._forward_values(f.values), what)
 
 
 def energy(f: RadialField, mu: int) -> float:
@@ -352,11 +361,9 @@ def energy(f: RadialField, mu: int) -> float:
     """
     if mu not in (-1, 0, 1):
         raise ValueError(f"mu must be -1, 0 or +1, got {mu}")
-    require_resolved(f, "energy argument")
-    kinetic = 0.5 * gradient_norm_sq(f)
-    if mu == 0:
-        return kinetic
-    return kinetic + mu * _potential_sum(f.grid, f.values)
+    coeffs = f.grid._forward_values(f.values)
+    _check_resolved(f.grid, coeffs, "energy argument")
+    return float(_energy_sum(f.grid, f.values, coeffs, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +376,13 @@ def radial_derivative(f: RadialField) -> RadialField:
     Differentiating r^(-nu) J_nu(rho r) in r yields -rho r^(-nu) J_{nu+1}(rho r),
     so the derivative is an order-(nu+1) synthesis of the same coefficients.
     """
-    g = f.grid
-    coeffs = g._forward_values(f.values)
-    deriv = -_real_matvec(g.derivative_kernel(),
-                          coeffs * ((2.0 / g.r_max**2) * g._rho_nu * g.rho)) / g._r_nu
-    return RadialField(g, deriv)
+    return RadialField(f.grid, _derivative_values(f.grid, f.grid._forward_values(f.values)))
+
+
+def _derivative_values(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
+    """df/dr at the nodes from the spectral coefficients, along the last axis."""
+    return -_real_matvec(grid.derivative_kernel(),
+                         coeffs * ((2.0 / grid.r_max**2) * grid._rho_nu * grid.rho)) / grid._r_nu
 
 
 def evaluate_at(f: RadialField, radii: np.ndarray, zero_beyond: bool = True) -> np.ndarray:
@@ -450,12 +459,7 @@ def dyadic_range(grid: RadialGrid) -> tuple[float, float]:
 
 def dyadic_scales(grid: RadialGrid) -> list[float]:
     n_min, n_max = dyadic_range(grid)
-    out = []
-    N = n_min
-    while N <= n_max * 1.0000001:
-        out.append(N)
-        N *= 2.0
-    return out
+    return [n_min * 2.0**k for k in range(round(math.log2(n_max / n_min)) + 1)]
 
 
 def validate_scale(grid: RadialGrid, N: float) -> float:
@@ -486,11 +490,7 @@ def concentrated_field(grid: RadialGrid, r_support: float, rho_lo: float,
     idx = np.where((grid.rho >= rho_lo) & (grid.rho <= rho_hi))[0]
     if idx.size < 2:
         raise ValueError("spectral window contains fewer than two grid modes")
-    basis = np.empty((grid.n, idx.size))
-    for j, k in enumerate(idx):
-        coeffs = np.zeros(grid.n)
-        coeffs[k] = 1.0 / math.sqrt(grid.wrho[k])
-        basis[:, j] = grid._inverse_values(coeffs).real
+    basis = grid._inverse_values(np.eye(grid.n)[idx] / np.sqrt(grid.wrho[idx])[:, None]).T
     outside = grid.w * (grid.r > r_support)
     m_out = basis.T @ (outside[:, None] * basis)
     gram = basis.T @ (grid.w[:, None] * basis)

@@ -17,12 +17,10 @@ import numpy as np
 from .bands import BandNormTable, band_symbol, phi_gt, phi_le
 from .core import (
     RadialField,
-    apply_multiplier,
-    gradient_norm_sq,
-    mass,
-    radial_derivative,
-    require_resolved,
-    transform_forward,
+    RadialGrid,
+    _check_resolved,
+    _derivative_values,
+    _kinetic_sum,
     validate_scale,
 )
 from .evolution import Trajectory
@@ -37,7 +35,6 @@ class ConcentrationReport:
     eta: float
     c_x: float
     c_xi: float
-    t: float | None = None
 
 
 @dataclass(frozen=True)
@@ -50,28 +47,25 @@ class DecayFitReport:
     note: str = ""
 
     def to_json_obj(self) -> dict:
-        return {
-            "table": self.table.to_json_obj(),
-            "exponent": self.exponent,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "passes": self.passes,
-            "note": self.note,
-        }
+        return vars(self) | {"table": self.table.to_json_obj()}
 
 
 # ---------------------------------------------------------------------------
 # virial
 # ---------------------------------------------------------------------------
 
+def _virial(grid: RadialGrid, values: np.ndarray, R: float) -> np.ndarray:
+    """V_R along the last axis of values."""
+    return np.sum(grid.w * phi_le(grid.r, R) * grid.r**2 * np.abs(values) ** 2, axis=-1)
+
+
 def truncated_virial(f: RadialField, R: float) -> float:
     """V_R(f) = Integral phi_{<=R}(x) |x|^2 |f|^2 dx (R = inf drops the cutoff)."""
-    cut = phi_le(f.grid.r, R)
-    return float(np.sum(f.grid.w * cut * f.grid.r**2 * np.abs(f.values) ** 2))
+    return float(_virial(f.grid, f.values, R))
 
 
-def virial_acceleration(traj: Trajectory, R: float, t: float) -> float:
-    """Second time derivative of s -> V_R(u(s)) at a snapshot time.
+def virial_acceleration(traj: Trajectory, R: float, t):
+    """Second time derivative of s -> V_R(u(s)) at a snapshot time (or an array of them).
 
     Five-point centered stencil at the snapshot spacing; needs two snapshots
     on each side of t.  For R beyond the localization radius this approaches
@@ -79,50 +73,69 @@ def virial_acceleration(traj: Trajectory, R: float, t: float) -> float:
     8 ||grad u||^2 exactly.
     """
     i = traj.index_at(t)
-    if i < 2 or i > len(traj.times) - 3:
+    if np.any(i < 2) or np.any(i > len(traj) - 3):
         raise ValueError("t too close to the trajectory ends for the 5-point stencil")
-    ts = np.asarray(traj.times[i - 2:i + 3])
-    hs = np.diff(ts)
-    if np.max(np.abs(hs - hs[0])) > 1e-9 * hs[0]:
+    hs = np.diff(traj.times)[np.add.outer(i, np.arange(-2, 2))]
+    if np.any(np.max(np.abs(hs - hs[..., :1]), axis=-1) > 1e-9 * hs[..., 0]):
         raise ValueError("snapshot spacing is not uniform around t")
-    h = float(hs[0])
-    v = [truncated_virial(traj.fields[j], R) for j in range(i - 2, i + 3)]
-    return (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12.0 * h * h)
+    h = hs[..., 0]
+    v = _virial(traj.grid, traj.values, R)
+    return (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12.0 * h * h)
 
 
 # ---------------------------------------------------------------------------
 # localization radii
 # ---------------------------------------------------------------------------
 
-def _tail_radius(dens: np.ndarray, nodes: np.ndarray, eta: float) -> float:
-    """Smallest node whose outside sum of dens (strictly beyond it) is <= eta."""
-    tail = np.concatenate([np.cumsum(dens[::-1])[::-1][1:], [0.0]])
-    return float(nodes[int(np.argmax(tail <= eta))])
+def _tail_radius(dens: np.ndarray, nodes: np.ndarray, eta) -> np.ndarray:
+    """Smallest node whose outside sum of dens (strictly beyond it) is <= eta, per last-axis row."""
+    inside = np.cumsum(dens[..., ::-1], axis=-1)[..., -2::-1]
+    tail = np.concatenate([inside, np.zeros_like(inside[..., :1])], axis=-1)
+    return nodes[np.argmax(tail <= np.asarray(eta)[..., None], axis=-1)]
+
+
+def _check_eta(eta, total, name: str) -> None:
+    if not (np.all(0.0 < eta) and np.all(eta < total)):
+        raise ValueError(f"eta={eta} outside (0, {name}={total})")
+
+
+def _kinetic_radius(grid: RadialGrid, coeffs: np.ndarray, eta) -> np.ndarray:
+    """Kinetic localization radius along the last axis of the spectral coefficients."""
+    _check_resolved(grid, coeffs, "kinetic-localization argument")
+    _check_eta(eta, _kinetic_sum(grid, coeffs), "||grad f||^2")
+    return _tail_radius(grid.w * np.abs(_derivative_values(grid, coeffs)) ** 2, grid.r, eta)
 
 
 def kinetic_localization_radius(f: RadialField, eta: float) -> float:
     """Smallest grid radius R with Integral_{|x|>R} |grad f|^2 dx <= eta."""
-    require_resolved(f, "kinetic-localization argument")
-    total = gradient_norm_sq(f)
-    if not 0.0 < eta < total:
-        raise ValueError(f"eta={eta} outside (0, ||grad f||^2={total:g})")
-    return _tail_radius(f.grid.w * np.abs(radial_derivative(f).values) ** 2, f.grid.r, eta)
+    return float(_kinetic_radius(f.grid, f.grid._forward_values(f.values), eta))
 
 
-def concentration_radii(f: RadialField, eta: float, t: float | None = None) -> ConcentrationReport:
+def _concentration(grid: RadialGrid, values: np.ndarray, coeffs: np.ndarray,
+                   eta) -> tuple[np.ndarray, np.ndarray]:
+    """(c_x, c_xi) along the last axis of values and their spectral coefficients."""
+    dens_x = grid.w * np.abs(values) ** 2
+    _check_eta(eta, dens_x.sum(axis=-1), "mass")
+    dens_k = grid.wrho * np.abs(coeffs) ** 2
+    return _tail_radius(dens_x, grid.r, eta), _tail_radius(dens_k, grid.rho, eta)
+
+
+def concentration_radii(f: RadialField, eta: float) -> ConcentrationReport:
     """Smallest radii capturing all but eta of the mass in x and in xi."""
-    m = mass(f)
-    if not 0.0 < eta < m:
-        raise ValueError(f"eta={eta} outside (0, mass={m:g})")
-    dens_x = f.grid.w * np.abs(f.values) ** 2
-    dens_k = f.grid.wrho * np.abs(transform_forward(f).values) ** 2
-    return ConcentrationReport(eta=eta, c_x=_tail_radius(dens_x, f.grid.r, eta),
-                               c_xi=_tail_radius(dens_k, f.grid.rho, eta), t=t)
+    c_x, c_xi = _concentration(f.grid, f.values, f.grid._forward_values(f.values), eta)
+    return ConcentrationReport(eta=eta, c_x=float(c_x), c_xi=float(c_xi))
 
 
 # ---------------------------------------------------------------------------
 # decay fits
 # ---------------------------------------------------------------------------
+
+def _shell_sup(grid: RadialGrid, coeffs: np.ndarray, symbol: np.ndarray, shells) -> list:
+    """sup over the rows of || shell * P u ||_2 for each shell, P the multiplier symbol."""
+    dens = np.abs(grid._inverse_values(symbol * coeffs)) ** 2
+    return [math.sqrt(float(np.max(np.sum(grid.w * shell**2 * dens, axis=-1))))
+            for shell in shells]
+
 
 def _fit_loglog(scales: np.ndarray, values: np.ndarray) -> tuple[float | None, float | None, int]:
     keep = values > NOISE_FLOOR
@@ -152,15 +165,7 @@ def frequency_decay_fit(traj: Trajectory, shell_cut: float, Ns) -> DecayFitRepor
         validate_scale(grid, N)
     d = grid.d
     shell = phi_gt(grid.r, shell_cut)
-    sups = []
-    for N in Ns:
-        sym = band_symbol(grid, N)
-        best = 0.0
-        for f in traj.fields:
-            g = apply_multiplier(f, sym)
-            val = math.sqrt(float(np.sum(grid.w * shell**2 * np.abs(g.values) ** 2)))
-            best = max(best, val)
-        sups.append(best)
+    sups = [_shell_sup(grid, traj.coeffs, band_symbol(grid, N), [shell])[0] for N in Ns]
     table = BandNormTable("shell_band_sup", tuple(Ns), tuple(sups),
                           annotation=f"sup_t || phi_>({shell_cut}) P_N u ||_2 over {len(traj)} snapshots")
     threshold = -(1.0 + (d - 1.0) / d)
@@ -189,16 +194,9 @@ def spatial_decay_scan(traj: Trajectory, n_range: tuple, Rs) -> DecayFitReport:
         validate_scale(grid, N)
     if not Ns:
         raise ValueError("no dyadic scales inside n_range")
-    projected = [[apply_multiplier(f, band_symbol(grid, N)) for f in traj.fields] for N in Ns]
-    vals = []
-    for R in Rs:
-        shell = phi_gt(grid.r, R)
-        best = 0.0
-        for row in projected:
-            for gfield in row:
-                v = math.sqrt(float(np.sum(grid.w * shell**2 * np.abs(gfield.values) ** 2)))
-                best = max(best, v)
-        vals.append(best)
+    shells = [phi_gt(grid.r, R) for R in Rs]
+    vals = np.max([_shell_sup(grid, traj.coeffs, band_symbol(grid, N), shells) for N in Ns],
+                  axis=0).tolist()
     table = BandNormTable("shell_radius_sup", tuple(Rs), tuple(vals),
                           annotation=f"sup over t and N in [{n0},{n1}] of || phi_>R P_N u ||_2",
                           scale_name="R")

@@ -11,21 +11,24 @@ mu = 0 runs the free flow (used by the diagnostics oracles); -1 is focusing,
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     RadialField,
     RadialGrid,
+    _check_resolved,
+    _frozen_values,
+    _energy_sum,
     _kinetic_sum,
-    _potential_sum,
+    _power_sum,
     _tail_fraction,
     apply_multiplier,
     make_radial_grid,
     mass,
-    require_resolved,
 )
 
 TAIL_GUARD_FRACTION = 1e-4
@@ -73,38 +76,45 @@ class SimulationConfig:
 class Trajectory:
     """Snapshots of a run plus its conservation log and guard events.
 
-    Append-only while a run is in flight, then frozen.  times are the snapshot
-    times; mass_log has one entry per completed step (plus the initial value),
-    energy_log one entry per snapshot.
+    values is a read-only (T, n) complex array whose row k is the snapshot at
+    times[k]; coeffs holds the spectral coefficients of every row, built on
+    first use by one stacked transform.  mass_log has one entry per completed
+    step (plus the initial value), energy_log one entry per snapshot.
     """
 
     config: SimulationConfig
-    times: list = field(default_factory=list)
-    fields: list = field(default_factory=list)
-    mass_log: list = field(default_factory=list)
-    energy_log: list = field(default_factory=list)
+    grid: RadialGrid
+    times: np.ndarray
+    values: np.ndarray
+    mass_log: list
+    energy_log: list
     guard_event: dict | None = None
-    warnings: list = field(default_factory=list)
+    warnings: tuple = ()
+
+    def __post_init__(self):
+        self.times = np.array(self.times, dtype=np.float64)
+        self.values = _frozen_values(self.grid, self.values, "snapshot", (len(self.times),))
 
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def grid(self) -> RadialGrid:
-        return self.fields[0].grid
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        coeffs = self.grid._forward_values(self.values)
+        coeffs.setflags(write=False)
+        return coeffs
 
-    def index_at(self, t: float) -> int:
-        times = np.asarray(self.times)
-        i = int(np.argmin(np.abs(times - t)))
-        if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+    def field(self, i: int) -> RadialField:
+        """Snapshot i as a RadialField."""
+        return RadialField(self.grid, self.values[i])
+
+    def index_at(self, t):
+        """Index of the snapshot at time t; an array of times gives an array of indices."""
+        t = np.asarray(t, dtype=np.float64)
+        i = np.argmin(np.abs(self.times - t[..., None]), axis=-1)
+        if np.any(np.abs(self.times[i] - t) > 1e-9 * np.maximum(1.0, np.abs(t))):
             raise ValueError(f"t={t} is not a snapshot time")
-        return i
-
-    def window(self, t0: float, t1: float) -> tuple[np.ndarray, list]:
-        """Snapshot times/fields with t0 <= t <= t1 (inclusive, fuzzy ends)."""
-        times = np.asarray(self.times)
-        sel = np.where((times >= t0 - 1e-12) & (times <= t1 + 1e-12))[0]
-        return times[sel], [self.fields[i] for i in sel]
+        return i if i.ndim else int(i)
 
 
 def free_propagate(f: RadialField, t: float) -> RadialField:
@@ -112,27 +122,11 @@ def free_propagate(f: RadialField, t: float) -> RadialField:
     return apply_multiplier(f, np.exp(-1j * t * f.grid.rho**2))
 
 
-def _snapshot_stats(f: RadialField, mu: int) -> tuple[float, float]:
-    """(energy, ||grad f||_2^2) from one forward transform, without the resolvedness gate.
-
-    Used for conservation logging and the gradient guard.  Near a guard trip
-    the tail can sit between the strict resolvedness threshold and the guard
-    threshold; the log still wants a number there.
-    """
-    g = f.grid
-    grad_sq = _kinetic_sum(g, g._forward_values(f.values))
-    energy = 0.5 * grad_sq
-    if mu != 0:
-        energy += mu * _potential_sum(g, f.values)
-    return energy, grad_sq
-
-
-def nonlinearity(f: RadialField, mu: int) -> RadialField:
+def _nonlinearity(grid: RadialGrid, values: np.ndarray, mu: int) -> np.ndarray:
     """F(u) = mu |u|^(4/d) u evaluated pointwise."""
     if mu == 0:
-        return RadialField(f.grid, np.zeros_like(f.values))
-    d = f.grid.d
-    return RadialField(f.grid, mu * np.abs(f.values) ** (4.0 / d) * f.values)
+        return np.zeros_like(values)
+    return mu * np.abs(values) ** (4.0 / grid.d) * values
 
 
 def step(u: RadialField, dt: float, mu: int) -> RadialField:
@@ -166,45 +160,46 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
     (gradient norm ratio) trips or a step loses resolution; guard trips are
     reported, never silently clipped.
     """
-    if (u0.grid.d, u0.grid.n, u0.grid.r_max) != (cfg.dimension, cfg.n, cfg.r_max):
+    grid = u0.grid
+    if grid.key != (cfg.dimension, cfg.n, cfg.r_max):
         raise ValueError("initial condition grid does not match the config grid spec")
-    require_resolved(u0, "initial condition")
+    coeffs0 = grid._forward_values(u0.values)
+    _check_resolved(grid, coeffs0, "initial condition")
 
-    traj = Trajectory(config=cfg)
-    if cfg.dt * u0.grid.rho_max**2 > math.pi:
-        traj.warnings.append(
-            f"dt * rho_max^2 = {cfg.dt * u0.grid.rho_max**2:.3g} > pi: the linear phase "
+    warnings = []
+    if cfg.dt * grid.rho_max**2 > math.pi:
+        warnings.append(
+            f"dt * rho_max^2 = {cfg.dt * grid.rho_max**2:.3g} > pi: the linear phase "
             "wraps within one step (accuracy, not stability, may suffer)")
 
-    energy0, grad_sq0 = _snapshot_stats(u0, cfg.mu)
-    grad0 = math.sqrt(grad_sq0)
+    # the energy log skips the resolvedness gate: near a guard trip the tail can
+    # sit between the strict threshold and the guard's, and the log still wants a number
+    grad0 = math.sqrt(_kinetic_sum(grid, coeffs0))
     u = u0
     t = 0.0
-    traj.times.append(t)
-    traj.fields.append(u)
-    traj.mass_log.append(mass(u))
-    traj.energy_log.append(energy0)
+    times, rows, mass_log = [t], [u.values], [mass(u)]
+    energy_log = [float(_energy_sum(grid, u.values, coeffs0, cfg.mu))]
+    guard_event = None
 
     for k in range(1, cfg.n_steps + 1):
         try:
             u = step(u, cfg.dt, cfg.mu)
         except ResolutionLossError as exc:
-            traj.guard_event = {"kind": "resolution_loss", "time": t, "detail": str(exc)}
+            guard_event = {"kind": "resolution_loss", "time": t, "detail": str(exc)}
             break
         t = k * cfg.dt
-        traj.mass_log.append(mass(u))
+        mass_log.append(mass(u))
         if k % cfg.cadence == 0:
-            traj.times.append(t)
-            traj.fields.append(u)
-            energy, grad_sq = _snapshot_stats(u, cfg.mu)
-            traj.energy_log.append(energy)
+            times.append(t)
+            rows.append(u.values)
+            coeffs = grid._forward_values(u.values)
+            energy_log.append(float(_energy_sum(grid, u.values, coeffs, cfg.mu)))
             if grad0 > 0:
-                ratio = math.sqrt(grad_sq) / grad0
+                ratio = math.sqrt(_kinetic_sum(grid, coeffs)) / grad0
                 if ratio > GRADIENT_GUARD_RATIO:
-                    traj.guard_event = {"kind": "blowup_guard", "time": t,
-                                        "gradient_ratio": ratio}
+                    guard_event = {"kind": "blowup_guard", "time": t, "gradient_ratio": ratio}
                     break
-    return traj
+    return Trajectory(cfg, grid, times, rows, mass_log, energy_log, guard_event, tuple(warnings))
 
 
 def duhamel_residual(traj: Trajectory, t0: float, t1: float) -> float:
@@ -220,15 +215,14 @@ def duhamel_residual(traj: Trajectory, t0: float, t1: float) -> float:
     if i1 - i0 < 2:
         raise ValueError("insufficient snapshots between t0 and t1 for the quadrature")
     mu = traj.config.mu
-    times = np.asarray(traj.times[i0:i1 + 1])
-    fields = traj.fields[i0:i1 + 1]
-    target = fields[-1]
-    linear = free_propagate(fields[0], t1 - t0)
-    grid = target.grid
+    grid = traj.grid
+    times = traj.times[i0:i1 + 1]
+    linear = grid._inverse_values(np.exp(-1j * (t1 - t0) * grid.rho**2) * traj.coeffs[i0])
     integral = np.zeros(grid.n, dtype=np.complex128)
     if mu != 0:
-        terms = [free_propagate(nonlinearity(fj, mu), t1 - tj).values
-                 for tj, fj in zip(times, fields)]
+        propagator = np.exp(-1j * (t1 - times)[:, None] * grid.rho**2)
+        terms = grid._inverse_values(
+            propagator * grid._forward_values(_nonlinearity(grid, traj.values[i0:i1 + 1], mu)))
         integral = np.trapezoid(terms, times, axis=0)
-    defect = target.values - linear.values + 1j * integral
-    return math.sqrt(float(np.sum(grid.w * np.abs(defect) ** 2)))
+    defect = traj.values[i1] - linear + 1j * integral
+    return math.sqrt(float(_power_sum(grid, defect, 2)))

@@ -69,32 +69,40 @@ def save_field_binary(f: RadialField, path) -> None:
     Path(path).write_bytes(header + np.ascontiguousarray(f.values).tobytes())
 
 
-def load_field_binary(path, grid: RadialGrid | None = None) -> RadialField:
+def _read_binary(path, grid: RadialGrid | None) -> tuple[RadialGrid, np.ndarray]:
+    """The grid a binary snapshot names (checked against grid, if given) and its samples."""
     blob = Path(path).read_bytes()
     if blob[:8] != MAGIC:
         raise ValueError(f"{path}: not a radnls binary snapshot")
     d, n, r_max = struct.unpack("<IQd", blob[8:8 + 20])
-    vals = np.frombuffer(blob[28:], dtype=np.complex128)
-    if vals.shape != (n,):
+    if len(blob) != 28 + 16 * n:
         raise ValueError(f"{path}: truncated snapshot")
-    return RadialField(_grid_for(int(d), int(n), float(r_max), grid, "binary"), vals)
+    vals = np.frombuffer(blob[28:], dtype=np.complex128)
+    return _grid_for(int(d), int(n), float(r_max), grid, "binary"), vals
+
+
+def load_field_binary(path, grid: RadialGrid | None = None) -> RadialField:
+    return RadialField(*_read_binary(path, grid))
 
 
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
 
+def _config_hash(config: dict) -> str:
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def save_trajectory(traj: Trajectory, out_dir) -> Path:
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
-    for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
-        save_field_binary(f, out / "snapshots" / f"{i:06d}.rfb")
-    cfg_json = json.dumps(vars(traj.config), sort_keys=True)
+    for i in range(len(traj)):
+        save_field_binary(traj.field(i), out / "snapshots" / f"{i:06d}.rfb")
     manifest = {
         "artifact_version": __version__,
-        "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest()[:16],
+        "config_hash": _config_hash(vars(traj.config)),
         "config": vars(traj.config) | {},
-        "times": list(traj.times),
+        "times": traj.times.tolist(),
         "mass_log": list(traj.mass_log),
         "energy_log": list(traj.energy_log),
         "guard_event": traj.guard_event,
@@ -105,25 +113,30 @@ def save_trajectory(traj: Trajectory, out_dir) -> Path:
 
 
 def load_trajectory(path) -> Trajectory:
+    """Read a trajectory directory; ValueError if its manifest and snapshots disagree."""
     out = Path(path)
     manifest = json.loads((out / "manifest.json").read_text())
+    config = manifest["config"]
     keys = {f.name for f in dataclasses.fields(SimulationConfig)}
-    unexpected = sorted(set(manifest["config"]) - keys)
-    missing = sorted(keys - set(manifest["config"]))
+    unexpected = sorted(set(config) - keys)
+    missing = sorted(keys - set(config))
     if unexpected or missing:
         raise ValueError(f"{out}: manifest config has unexpected keys {unexpected} "
                          f"and missing keys {missing}")
-    cfg = SimulationConfig(**manifest["config"])
-    traj = Trajectory(config=cfg)
+    if _config_hash(config) != manifest["config_hash"]:
+        raise ValueError(f"{out}: manifest config_hash does not match its config")
+    times = manifest["times"]
+    names = [f"{i:06d}.rfb" for i in range(len(times))]
+    if sorted(p.name for p in (out / "snapshots").iterdir()) != names:
+        raise ValueError(f"{out}: snapshots/ must hold exactly the {len(names)} files "
+                         "000000.rfb, 000001.rfb, ... named by the manifest's times")
+    cfg = SimulationConfig(**config)
     grid = cfg.make_grid()
-    traj.times = list(manifest["times"])
-    traj.mass_log = list(manifest["mass_log"])
-    traj.energy_log = list(manifest["energy_log"])
-    traj.guard_event = manifest.get("guard_event")
-    traj.warnings = list(manifest.get("warnings", []))
-    for i in range(len(traj.times)):
-        traj.fields.append(load_field_binary(out / "snapshots" / f"{i:06d}.rfb", grid))
-    return traj
+    values = np.empty((len(times), grid.n), dtype=np.complex128)
+    for row, name in zip(values, names):
+        row[:] = _read_binary(out / "snapshots" / name, grid)[1]
+    return Trajectory(cfg, grid, times, values, manifest["mass_log"], manifest["energy_log"],
+                      manifest.get("guard_event"), tuple(manifest.get("warnings", ())))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from scipy.optimize import brentq
 from .core import (
     RadialField,
     RadialGrid,
+    _power_sum,
     energy,
     evaluate_at,
     gradient_norm_sq,
@@ -207,6 +208,12 @@ def shooting_mass(d: int, r_end: float = 40.0, rtol: float = 1e-11) -> float:
 # ---------------------------------------------------------------------------
 # sharp interpolation-inequality ratio and the explicit solutions
 # ---------------------------------------------------------------------------
+
+def pohozaev_ratio(ground: GroundState) -> float:
+    """||grad Q||^2 / ||Q||_p^p with p = 2 + 4/d, which equals d/(d+2) for the ground state."""
+    grid = ground.grid
+    return ground.kinetic / float(_power_sum(grid, ground.profile.values, 2.0 + 4.0 / grid.d))
+
 
 def gn_ratio(f: RadialField, ground: GroundState) -> float:
     """Ratio of ||f||^{2(d+2)/d}_{2(d+2)/d} to its sharp interpolation bound.

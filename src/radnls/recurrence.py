@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import high_symbol
-from .core import apply_multiplier, lebesgue_norm, mass, validate_scale
-from .evolution import Trajectory, nonlinearity
+from .core import RadialGrid, _power_sum, validate_scale
+from .evolution import Trajectory, _nonlinearity
 
 CONCLUSION_SLACK = 1e-12
 
@@ -109,31 +109,34 @@ class ASequence:
 # space-time norms
 # ---------------------------------------------------------------------------
 
-def _window(traj: Trajectory, t0: float, t1: float):
+def _window(traj: Trajectory, t0: float, t1: float) -> np.ndarray:
+    """Mask of the snapshots with t0 <= t <= t1 (inclusive, fuzzy ends)."""
     if traj.config.cadence != 1:
         raise ValueError("space-time norms need a dense-cadence trajectory (cadence 1)")
-    times, fields = traj.window(t0, t1)
+    sel = (traj.times >= t0 - 1e-12) & (traj.times <= t1 + 1e-12)
+    times = traj.times[sel]
     if len(times) < 2:
         raise ValueError("interval shorter than one snapshot spacing")
     if times[0] > t0 + traj.config.dt / 2 or times[-1] < t1 - traj.config.dt * 1.5:
         raise ValueError(f"trajectory does not cover [{t0}, {t1}]")
-    return times, fields
+    return sel
 
 
-def _s_norm(times: np.ndarray, fields: list) -> float:
-    """max of sup_t ||u||_2 and the trapezoid L^2_t L^{2d/(d-2)}_x norm over the snapshots."""
-    d = fields[0].grid.d
+def _s_norm(grid: RadialGrid, times: np.ndarray, values: np.ndarray) -> float:
+    """max of sup_t ||u||_2 and the trapezoid L^2_t L^{2d/(d-2)}_x norm over the rows of values."""
+    d = grid.d
     if d < 3:
         raise ValueError("the admissible-pair norm needs d >= 3")
-    sup_l2 = max(math.sqrt(mass(f)) for f in fields)
+    sup_l2 = math.sqrt(float(np.max(_power_sum(grid, values, 2))))
     q = 2.0 * d / (d - 2.0)
-    integrand = np.array([lebesgue_norm(f, q) ** 2 for f in fields])
+    integrand = (_power_sum(grid, values, q) ** (1.0 / q)) ** 2
     return max(sup_l2, math.sqrt(float(np.trapezoid(integrand, times))))
 
 
 def strichartz_norm(traj: Trajectory, interval: tuple[float, float]) -> float:
     """max of sup_t ||u||_2 and the L^2_t L^{2d/(d-2)}_x norm on the interval."""
-    return _s_norm(*_window(traj, *interval))
+    sel = _window(traj, *interval)
+    return _s_norm(traj.grid, traj.times[sel], traj.values[sel])
 
 
 def dual_nonlinearity_norm(traj: Trajectory, N: float,
@@ -143,15 +146,13 @@ def dual_nonlinearity_norm(traj: Trajectory, N: float,
     validate_scale(grid, N)
     if interval is None:
         interval = (traj.times[0], traj.times[0] + N ** (-0.5))
-    times, fields = _window(traj, *interval)
+    sel = _window(traj, *interval)
     d = grid.d
     q = 2.0 * (d + 2.0) / (d + 4.0)
-    mu = traj.config.mu
-    sym = high_symbol(grid, N)
-    integrand = np.array([
-        lebesgue_norm(apply_multiplier(nonlinearity(f, mu), sym), q) ** q
-        for f in fields])
-    return float(np.trapezoid(integrand, times)) ** (1.0 / q)
+    nonlin = _nonlinearity(grid, traj.values[sel], traj.config.mu)
+    high = grid._inverse_values(high_symbol(grid, N) * grid._forward_values(nonlin))
+    integrand = (_power_sum(grid, high, q) ** (1.0 / q)) ** q
+    return float(np.trapezoid(integrand, traj.times[sel])) ** (1.0 / q)
 
 
 def extract_A_sequence(traj: Trajectory, Ns, window_exponent: float = 0.5) -> ASequence:
@@ -166,9 +167,9 @@ def extract_A_sequence(traj: Trajectory, Ns, window_exponent: float = 0.5) -> AS
     values = []
     for N in Ns:
         validate_scale(grid, N)
-        times, fields = _window(traj, t0, t0 + N ** (-window_exponent))
-        sym = high_symbol(grid, N)
-        values.append(_s_norm(times, [apply_multiplier(f, sym) for f in fields]))
+        sel = _window(traj, t0, t0 + N ** (-window_exponent))
+        high = grid._inverse_values(high_symbol(grid, N) * traj.coeffs[sel])
+        values.append(_s_norm(grid, traj.times[sel], high))
     return ASequence(tuple(Ns), tuple(values), provenance="extracted-from-trajectory")
 
 

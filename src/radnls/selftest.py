@@ -55,7 +55,7 @@ def suite_groundstate() -> list[tuple[str, bool, str]]:
     out.append(("groundstate.residual", q.residual < 1e-8, f"{q.residual:.2e}"))
     shoot = abs(q.mass_shooting - q.mass) / q.mass
     out.append(("groundstate.shooting", shoot < 1e-4, f"rel {shoot:.2e}"))
-    k_ratio = q.kinetic / core.lebesgue_norm(q.profile, 3.0) ** 3
+    k_ratio = groundstate.pohozaev_ratio(q)
     out.append(("groundstate.pohozaev", abs(k_ratio - 2.0 / 3.0) < 1e-4, f"{k_ratio:.8f}"))
     j = groundstate.gn_ratio(q.profile, q)
     out.append(("groundstate.sharp_ratio", abs(j - 1.0) < 1e-3, f"{j:.6f}"))
@@ -100,7 +100,7 @@ def suite_evolution() -> list[tuple[str, bool, str]]:
     cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=15.0, n=384,
                                      dt=1e-3, t_final=0.2, cadence=10)
     traj = evolution.evolve(cfg, q.profile)
-    final = traj.fields[-1]
+    final = traj.field(-1)
     err = math.sqrt(core.mass(final - groundstate.make_sw(q, 0.2)) / q.mass)
     out.append(("evolution.solitary_wave", err < 1e-4, f"L2 err {err:.2e}"))
     drift = max(abs(m - traj.mass_log[0]) for m in traj.mass_log) / traj.mass_log[0]
@@ -121,7 +121,7 @@ def suite_diagnostics() -> list[tuple[str, bool, str]]:
                                      dt=1e-3, t_final=0.1, cadence=1)
     traj = evolution.evolve(cfg, f)
     acc = diagnostics.virial_acceleration(traj, math.inf, 0.05)
-    k = core.gradient_norm_sq(traj.fields[traj.index_at(0.05)])
+    k = core.gradient_norm_sq(traj.field(traj.index_at(0.05)))
     rel = abs(acc - 8 * k) / (8 * k)
     out.append(("diagnostics.free_virial", rel < 0.05, f"rel {rel:.2e}"))
     vr = diagnostics.truncated_virial(f, 4.0)

@@ -90,12 +90,7 @@ def single_snapshot_trajectory(grid, field):
     """Wrap one field as a minimal trajectory for the fit/scan diagnostics."""
     cfg = evolution.SimulationConfig(dimension=grid.d, mu=0, r_max=grid.r_max,
                                      n=grid.n, dt=1e-3, t_final=1e-3, cadence=1)
-    traj = evolution.Trajectory(config=cfg)
-    traj.times = [0.0]
-    traj.fields = [field]
-    traj.mass_log = [core.mass(field)]
-    traj.energy_log = [0.0]
-    return traj
+    return evolution.Trajectory(cfg, grid, [0.0], [field.values], [core.mass(field)], [0.0])
 
 
 def planted_band_field(grid, scales, shell_values, shell_cut=1.0, seed=5):

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is fixed here, nothing is calibrated at runtime.
 """
 
+import dataclasses
 import math
 import time
 
@@ -37,7 +38,7 @@ def test_criterion_1_ground_state_certification(grid):
 
 
 def test_criterion_2_solitary_wave_propagation(sw_dense, ground):
-    final = sw_dense.fields[-1]
+    final = sw_dense.field(-1)
     err = math.sqrt(core.mass(final - groundstate.make_sw(ground, 1.0)) / ground.mass)
     m0 = sw_dense.mass_log[0]
     mass_drift = max(abs(m - m0) for m in sw_dense.mass_log) / m0
@@ -49,7 +50,7 @@ def test_criterion_2_solitary_wave_propagation(sw_dense, ground):
 
 
 def test_criterion_3_pseudo_conformal_oracle(pc_traj, ground):
-    err = math.sqrt(core.mass(pc_traj.fields[-1] - groundstate.make_pc(ground, -0.5))
+    err = math.sqrt(core.mass(pc_traj.field(-1) - groundstate.make_pc(ground, -0.5))
                     / ground.mass)
     m0 = pc_traj.mass_log[0]
     mass_drift = max(abs(m - m0) for m in pc_traj.mass_log) / m0
@@ -63,13 +64,13 @@ def test_criterion_3_pseudo_conformal_oracle(pc_traj, ground):
 
 def test_criterion_4_virial_identity(free_dense, sw_dense):
     acc = diagnostics.virial_acceleration(free_dense, math.inf, 0.1)
-    kinetic = core.gradient_norm_sq(free_dense.fields[free_dense.index_at(0.1)])
+    kinetic = core.gradient_norm_sq(free_dense.field(free_dense.index_at(0.1)))
     rel = abs(acc - 8 * kinetic) / (8 * kinetic)
     bound_ok = True
     for traj in (free_dense, sw_dense):
         for R in (2.0, 4.0, 8.0):
             cap = (25 * R / 24) ** 2
-            for f in traj.fields[::100]:
+            for f in map(traj.field, range(0, len(traj), 100)):
                 if diagnostics.truncated_virial(f, R) > cap * core.mass(f) * (1 + 1e-12):
                     bound_ok = False
     ok = rel < 0.05 and bound_ok
@@ -79,10 +80,9 @@ def test_criterion_4_virial_identity(free_dense, sw_dense):
 
 def test_criterion_5_frequency_decay(sw_dense, grid):
     scales = (4.0, 8.0, 16.0, 32.0)
-    sub = sw_dense.fields[::50]
-    traj = single_snapshot_trajectory(grid, sub[0])
-    traj.times = [0.05 * i for i in range(len(sub))]
-    traj.fields = list(sub)
+    sub = sw_dense.values[::50]
+    traj = dataclasses.replace(single_snapshot_trajectory(grid, sw_dense.field(0)),
+                               times=[0.05 * i for i in range(len(sub))], values=sub)
     rep = diagnostics.frequency_decay_fit(traj, 1.0, scales)
     sw_ok = rep.passes and (rep.exponent is None or rep.exponent <= -1.75)
 
@@ -99,7 +99,7 @@ def test_criterion_5_frequency_decay(sw_dense, grid):
 
 def test_criterion_6_kinetic_localization_uniformity(sw_dense, ground):
     eta = 1e-2 * ground.kinetic
-    snapshots = sw_dense.fields[::50]
+    snapshots = list(map(sw_dense.field, range(0, len(sw_dense), 50)))
     assert len(snapshots) >= 20
     cells = [int(np.argmin(np.abs(ground.grid.r
                                   - diagnostics.kinetic_localization_radius(f, eta))))

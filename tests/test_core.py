@@ -109,6 +109,13 @@ class TestKernel:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for got, ref in ((g._forward_values(v), fwd @ v), (g._inverse_values(v), inv @ v)):
             assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+        # a (T, n) stack goes through the same kernel path, one row per field
+        stack = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        for got, mat in ((g._forward_values(stack), fwd), (g._inverse_values(stack), inv)):
+            assert got.shape == stack.shape
+            for row, v in zip(got, stack):
+                ref = mat @ v
+                assert np.max(np.abs(row - ref)) < 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("n", [64, 200])

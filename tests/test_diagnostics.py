@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from radnls import bands, core, diagnostics, evolution
+from radnls import bands, cli, core, diagnostics, evolution, recurrence
 
 from conftest import planted_band_field, single_snapshot_trajectory
 
@@ -28,7 +29,7 @@ class TestTruncatedVirial:
         for traj in (sw_dense, free_dense):
             for R in (2.0, 4.0, 8.0):
                 cap = (25 * R / 24) ** 2
-                for f, m in zip(traj.fields[::100], traj.mass_log[::100]):
+                for f, m in zip(map(traj.field, range(0, len(traj), 100)), traj.mass_log[::100]):
                     assert diagnostics.truncated_virial(f, R) <= cap * core.mass(f) * (1 + 1e-12)
 
 
@@ -37,12 +38,12 @@ class TestVirialAcceleration:
         # for the free flow the variance is exactly quadratic in time with
         # second derivative 8 ||grad u||^2
         acc = diagnostics.virial_acceleration(free_dense, math.inf, 0.1)
-        k = core.gradient_norm_sq(free_dense.fields[free_dense.index_at(0.1)])
+        k = core.gradient_norm_sq(free_dense.field(free_dense.index_at(0.1)))
         assert abs(acc - 8 * k) / (8 * k) < 0.05
 
     def test_truncated_matches_when_localized(self, free_dense):
         acc = diagnostics.virial_acceleration(free_dense, 12.0, 0.1)
-        k = core.gradient_norm_sq(free_dense.fields[free_dense.index_at(0.1)])
+        k = core.gradient_norm_sq(free_dense.field(free_dense.index_at(0.1)))
         assert abs(acc - 8 * k) / (8 * k) < 0.05
 
     def test_solitary_wave_flat(self, sw_dense, ground):
@@ -72,7 +73,7 @@ class TestKineticLocalization:
         eta = 1e-2 * ground.kinetic
         idx = [int(np.argmin(np.abs(ground.grid.r
                                     - diagnostics.kinetic_localization_radius(f, eta))))
-               for f in sw_dense.fields[::50]]
+               for f in map(sw_dense.field, range(0, len(sw_dense), 50))]
         assert len(idx) >= 20
         assert max(idx) - min(idx) <= 1
 
@@ -123,7 +124,7 @@ class TestConcentrationRadii:
         m = ground.mass
         grid = ground.grid
         ix, ik = [], []
-        for f in sw_dense.fields[::100]:
+        for f in map(sw_dense.field, range(0, len(sw_dense), 100)):
             rep = diagnostics.concentration_radii(f, 1e-2 * m)
             ix.append(int(np.argmin(np.abs(grid.r - rep.c_x))))
             ik.append(int(np.argmin(np.abs(grid.rho - rep.c_xi))))
@@ -161,10 +162,9 @@ class TestFrequencyDecayFit:
         assert rep.passes is True
 
     def test_solitary_wave_passes(self, sw_dense):
-        sub = sw_dense.fields[::100]
-        traj = single_snapshot_trajectory(sw_dense.grid, sub[0])
-        traj.times = [0.01 * i for i in range(len(sub))]
-        traj.fields = list(sub)
+        sub = sw_dense.values[::100]
+        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, sw_dense.field(0)),
+                                   times=[0.01 * i for i in range(len(sub))], values=sub)
         rep = diagnostics.frequency_decay_fit(traj, 1.0, self.SCALES)
         assert rep.passes is True
 
@@ -206,10 +206,9 @@ class TestSpatialDecayScan:
         # the profile itself decays exponentially; what survives at these
         # radii is the band kernels' slow tails, so the fitted power is a
         # finite positive delta rather than a noise-floor report
-        sub = sw_dense.fields[::200]
-        traj = single_snapshot_trajectory(sw_dense.grid, sub[0])
-        traj.times = [0.01 * i for i in range(len(sub))]
-        traj.fields = list(sub)
+        sub = sw_dense.values[::200]
+        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, sw_dense.field(0)),
+                                   times=[0.01 * i for i in range(len(sub))], values=sub)
         rep = diagnostics.spatial_decay_scan(traj, (4.0, 16.0), [2.0, 3.0, 4.5, 6.5])
         assert rep.passes
         assert rep.exponent is None or rep.exponent > 0.3
@@ -232,3 +231,64 @@ class TestReports:
         obj = rep.to_json_obj()
         assert set(obj) == {"table", "exponent", "residual", "threshold",
                             "passes", "note"}
+
+
+def test_transform_count_independent_of_snapshot_count(sw_dense, monkeypatch):
+    # the diagnostic runners and extract_A_sequence transform a trajectory's
+    # snapshots as one stack, so doubling the snapshots adds no kernel products
+    real_matvec = core._real_matvec
+    calls = []
+    monkeypatch.setattr(core, "_real_matvec",
+                        lambda mat, vec: calls.append(vec.shape) or real_matvec(mat, vec))
+
+    def count(snapshots):
+        traj = dataclasses.replace(sw_dense, times=sw_dense.times[:snapshots],
+                                   values=sw_dense.values[:snapshots])
+        calls.clear()
+        for runner in cli.DIAGNOSTIC_RUNNERS.values():
+            runner(traj, {})
+        recurrence.extract_A_sequence(traj, [16.0, 32.0])
+        return len(calls)
+
+    assert count(300) == count(600)
+
+
+def test_runners_match_single_field_loop(sw_dense):
+    # reference: the single-field functions applied one snapshot at a time; the
+    # stacked transforms round differently, so values agree to round-off of the
+    # field norm and the grid radii exactly
+    traj = dataclasses.replace(sw_dense, times=sw_dense.times[:300],
+                               values=sw_dense.values[:300])
+    fields = [traj.field(i) for i in range(len(traj))]
+    grid = traj.grid
+    tol = 1e-12 * math.sqrt(core.mass(fields[0]))
+
+    *_, rows = cli.DIAGNOSTIC_RUNNERS["kinetic_localization"](traj, {"eta_fraction": 1e-2})
+    assert [r for _, r in rows] == [diagnostics.kinetic_localization_radius(
+        f, 1e-2 * core.gradient_norm_sq(f)) for f in fields]
+
+    *_, rows = cli.DIAGNOSTIC_RUNNERS["concentration"](traj, {"eta_fraction": 1e-2})
+    reports = [diagnostics.concentration_radii(f, 1e-2 * core.mass(f)) for f in fields]
+    assert [(c_x, c_xi) for _, c_x, c_xi in rows] == [(r.c_x, r.c_xi) for r in reports]
+
+    *_, rows = cli.DIAGNOSTIC_RUNNERS["virial"](traj, {"R": 8.0})
+    v = [diagnostics.truncated_virial(f, 8.0) for f in fields]
+    h = traj.times[1] - traj.times[0]
+    for i, (t, acc, eight_k) in enumerate(rows, start=2):
+        ref = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12 * h * h)
+        assert acc == pytest.approx(ref, rel=1e-12, abs=1e-9)
+        assert eight_k == pytest.approx(8 * core.gradient_norm_sq(fields[i]), rel=1e-12)
+
+    shell = bands.phi_gt(grid.r, 1.0)
+    rep = diagnostics.frequency_decay_fit(traj, 1.0, [4.0, 8.0, 16.0, 32.0])
+    for N, value in zip(rep.table.scales, rep.table.values):
+        ref = max(math.sqrt(float(np.sum(grid.w * shell**2 * np.abs(
+            core.apply_multiplier(f, bands.band_symbol(grid, N)).values) ** 2))) for f in fields)
+        assert abs(value - ref) <= tol
+
+    seq = recurrence.extract_A_sequence(traj, [16.0, 32.0])
+    for N, value in zip(seq.scales, seq.values):
+        high = dataclasses.replace(traj, values=[core.apply_multiplier(
+            f, bands.high_symbol(grid, N)).values for f in fields])
+        ref = recurrence.strichartz_norm(high, (0.0, N ** -0.5))
+        assert abs(value - ref) <= tol

@@ -84,7 +84,7 @@ class TestConfig:
 
 class TestEvolve:
     def test_solitary_wave_unit_time(self, sw_dense, ground):
-        final = sw_dense.fields[-1]
+        final = sw_dense.field(-1)
         exact = groundstate.make_sw(ground, 1.0)
         assert relative_l2(final, exact) < 1e-4
 
@@ -99,12 +99,12 @@ class TestEvolve:
 
     def test_energy_log_matches_core_energy(self, defocusing_dense):
         for i in range(0, len(defocusing_dense), 50):
-            e = core.energy(defocusing_dense.fields[i], 1)
+            e = core.energy(defocusing_dense.field(i), 1)
             assert abs(defocusing_dense.energy_log[i] - e) <= 1e-12 * e
 
     def test_pseudo_conformal_oracle(self, pc_traj, ground):
         exact = groundstate.make_pc(ground, -0.5)
-        assert relative_l2(pc_traj.fields[-1], exact) < 1e-2
+        assert relative_l2(pc_traj.field(-1), exact) < 1e-2
         m0 = pc_traj.mass_log[0]
         assert max(abs(m - m0) for m in pc_traj.mass_log) < 1e-6 * m0
 
@@ -141,8 +141,8 @@ class TestEvolve:
         cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=grid.r_max,
                                          n=grid.n, dt=1e-3, t_final=0.3, cadence=300)
         fwd = evolution.evolve(cfg, f)
-        back = evolution.evolve(cfg, core.RadialField(grid, np.conj(fwd.fields[-1].values)))
-        recovered = core.RadialField(grid, np.conj(back.fields[-1].values))
+        back = evolution.evolve(cfg, core.RadialField(grid, np.conj(fwd.field(-1).values)))
+        recovered = core.RadialField(grid, np.conj(back.field(-1).values))
         assert relative_l2(recovered, f) < 1e-6
 
     def test_scaling_covariance(self, grid):
@@ -155,8 +155,8 @@ class TestEvolve:
                                                n=grid.n, dt=1e-3, t_final=0.1, cadence=100)
         long_run = evolution.evolve(cfg_long, u0)
         short_run = evolution.evolve(cfg_short, core.rescale(u0, lam))
-        rescaled_final = core.rescale(long_run.fields[-1], lam)
-        assert relative_l2(short_run.fields[-1], rescaled_final) < 1e-4
+        rescaled_final = core.rescale(long_run.field(-1), lam)
+        assert relative_l2(short_run.field(-1), rescaled_final) < 1e-4
 
 
 class TestDuhamel:

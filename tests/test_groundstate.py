@@ -14,7 +14,7 @@ class TestSolve:
     def test_pohozaev_kinetic_ratio(self, ground):
         # multiply the elliptic equation by Q resp. x.grad Q and integrate:
         # ||grad Q||^2 / ||Q||_3^3 = d/(d+2) = 2/3 in d=4
-        ratio = ground.kinetic / core.lebesgue_norm(ground.profile, 3.0) ** 3
+        ratio = groundstate.pohozaev_ratio(ground)
         assert abs(ratio - 2.0 / 3.0) < 1e-4
 
     def test_pohozaev_mass_identity(self, ground):

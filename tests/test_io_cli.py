@@ -41,10 +41,10 @@ class TestFieldFormats:
         traj = evolution.evolve(cfg, f)
         fieldio.save_trajectory(traj, tmp_path / "run")
         back = fieldio.load_trajectory(tmp_path / "run")
-        assert back.times == traj.times
+        assert np.array_equal(back.times, traj.times)
         assert back.mass_log == traj.mass_log
-        for a, b in zip(back.fields, traj.fields):
-            assert np.array_equal(a.values, b.values)
+        for i in range(len(traj)):
+            assert np.array_equal(back.field(i).values, traj.field(i).values)
 
     def test_ground_state_cache(self, ground, tmp_path):
         fieldio.save_ground_state(ground, tmp_path, 1e-8)
@@ -90,6 +90,7 @@ class TestCli:
         cert = json.loads((out_env / "gs6" / "ground_state_certification.json").read_text())
         assert cert["dimension"] == 6
         assert cert["mass_agreement"] < 1e-4
+        assert abs(cert["pohozaev_kinetic_ratio"] - 3 / 4) < 1e-4
 
     def test_dimension_out_of_range_exits_2(self, out_env, capsys):
         rc = cli.main(["--dimension", "1", "ground-state"])
@@ -247,6 +248,38 @@ class TestCli:
         path.write_text(json.dumps(manifest))
         assert cli.main(["--config", cfg, "diagnose", str(path.parent)]) == 2
         assert "invalid_input" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda run: _edit_manifest(run, lambda m: m["config"].update(dt=2e-3)),
+                     id="edited_config"),
+        pytest.param(lambda run: (run / "snapshots" / "000003.rfb").unlink(), id="deleted_snapshot"),
+        pytest.param(lambda run: (run / "snapshots" / "999999.rfb").write_bytes(
+            (run / "snapshots" / "000010.rfb").read_bytes()), id="extra_snapshot"),
+        pytest.param(lambda run: (run / "snapshots" / "000005.rfb").write_bytes(
+            (run / "snapshots" / "000005.rfb").read_bytes()[:-8]), id="truncated_rfb"),
+    ])
+    def test_inconsistent_trajectory_exits_2(self, out_env, tmp_path, capsys, corrupt):
+        # the window of N=4 is [0, 1/2], so lemma reads the whole trajectory
+        seq = {"kind": "from_trajectory", "path": str(out_env / "run" / "trajectory"), "Ns": [4]}
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
+                                   "time": {"dt": 5e-3, "T": 0.5, "cadence": 1},
+                                   "lemma": {"params": {"s": 1.25, "gamma": 0.2, "c1": 1.0,
+                                                        "m0": 2.0, "beta_prime": 1e-16,
+                                                        "a_bound": 1.0}, "sequence": seq},
+                                   "output_dir": "run"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        assert cli.main(["--config", cfg, "lemma"]) == 0
+        corrupt(out_env / "run" / "trajectory")
+        assert cli.main(["--config", cfg, "diagnose", str(out_env / "run" / "trajectory")]) == 2
+        assert cli.main(["--config", cfg, "lemma"]) == 2
+        assert capsys.readouterr().err.count("invalid_input") == 2
+
+
+def _edit_manifest(run, edit):
+    manifest = json.loads((run / "manifest.json").read_text())
+    edit(manifest)
+    (run / "manifest.json").write_text(json.dumps(manifest))
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,12 +26,8 @@ def zero_trajectory(grid, n_snaps=51, dt=1e-3):
     cfg = evolution.SimulationConfig(dimension=grid.d, mu=0, r_max=grid.r_max,
                                      n=grid.n, dt=dt, t_final=(n_snaps - 1) * dt,
                                      cadence=1)
-    traj = evolution.Trajectory(config=cfg)
-    traj.times = [i * dt for i in range(n_snaps)]
-    traj.fields = [core.zero_field(grid) for _ in range(n_snaps)]
-    traj.mass_log = [0.0] * n_snaps
-    traj.energy_log = [0.0] * n_snaps
-    return traj
+    return evolution.Trajectory(cfg, grid, [i * dt for i in range(n_snaps)],
+                                np.zeros((n_snaps, grid.n)), [0.0] * n_snaps, [0.0] * n_snaps)
 
 
 class TestStrichartzNorm:
@@ -40,8 +37,7 @@ class TestStrichartzNorm:
 
     def test_constant_in_time_field(self, grid, corpus):
         f = corpus[0]
-        traj = zero_trajectory(grid, n_snaps=1001)
-        traj.fields = [f] * 1001
+        traj = dataclasses.replace(zero_trajectory(grid, n_snaps=1001), values=[f.values] * 1001)
         value = recurrence.strichartz_norm(traj, (0.0, 1.0))
         expected = max(math.sqrt(core.mass(f)), core.lebesgue_norm(f, 4.0))
         assert value == pytest.approx(expected, rel=1e-9)
