@@ -362,10 +362,17 @@ def cmd_lemma(cfg: dict) -> int:
         traj = fieldio.load_trajectory(seq_spec["path"])
         seq = recurrence.extract_A_sequence(traj, seq_spec["Ns"])
     elif kind == "file":
-        rows = [ln.split(",") for ln in Path(seq_spec["path"]).read_text().splitlines()
-                if ln and not ln.startswith("#") and not ln.startswith("N,")]
-        seq = recurrence.ASequence(tuple(float(r[0]) for r in rows),
-                                   tuple(float(r[1]) for r in rows), "synthetic")
+        rows = []
+        for lineno, ln in enumerate(Path(seq_spec["path"]).read_text().splitlines(), 1):
+            if ln and not ln.startswith(("#", "N,")):
+                cols = ln.split(",")
+                try:
+                    rows.append((float(cols[0]), float(cols[1])))
+                except (IndexError, ValueError) as exc:
+                    raise ConfigError(f"sequence file line {lineno}: need 'N,A_N', "
+                                      f"got {ln!r}") from exc
+        seq = recurrence.ASequence(tuple(r[0] for r in rows),
+                                   tuple(r[1] for r in rows), "synthetic")
     else:
         raise ConfigError(f"unknown sequence kind {kind!r}")
     rec = recurrence.check_recurrence(seq, params)

@@ -189,10 +189,14 @@ class RadialGrid:
         return mat
 
     def _forward_values(self, values: np.ndarray) -> np.ndarray:
-        return _real_matvec(self._kernel, values * self._fwd_in) / self._rho_nu
+        out = _real_matvec(self._kernel, values * self._fwd_in)
+        out /= self._rho_nu
+        return out
 
     def _inverse_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return _real_matvec(self._kernel, coeffs * self._inv_in) / self._r_nu
+        out = _real_matvec(self._kernel, coeffs * self._inv_in)
+        out /= self._r_nu
+        return out
 
     def derivative_kernel(self) -> np.ndarray:
         """Kernel for the radial derivative: d/dr maps the J_nu series to a J_{nu+1} series.

@@ -98,6 +98,8 @@ class ASequence:
             raise ValueError("scales/values length mismatch")
         if len(self.scales) == 0:
             raise ValueError("empty sequence")
+        if not all(0 < N < math.inf for N in self.scales):
+            raise ValueError("scales must be finite and positive")
         for a, b in zip(self.scales, self.scales[1:]):
             if abs(b - 2.0 * a) > 1e-9 * b:
                 raise ValueError("scales must be a contiguous dyadic ladder (sequence gap)")
@@ -177,17 +179,21 @@ def extract_A_sequence(traj: Trajectory, Ns, window_exponent: float = 0.5) -> AS
 # recurrence inequality and bootstrap verification
 # ---------------------------------------------------------------------------
 
-def _rhs_sum(seq_scales, seq_values, params: RecurrenceParams, N: float) -> float:
-    """sum over dyadic M with M0 < M <= 2 beta' N of (M/N)^s A_M.
+def _rhs_weights(scales, params: RecurrenceParams) -> np.ndarray:
+    """W[k, i] = (M_i/N_k)^s where M0 < M_i <= 2 beta' N_k (inclusive up to a relative
+    1e-12), else 0; (W * A).sum(axis=1)[k] is sum of (M/N_k)^s A_M over that range."""
+    M = np.asarray(scales, dtype=float)
+    inside = (M > params.m0) & (M <= 2.0 * params.beta_prime * M[:, None] * (1.0 + 1e-12))
+    return np.where(inside, M / M[:, None], 0.0) ** params.s
 
-    The right boundary is inclusive (tested for off-by-one insensitivity).
-    """
-    top = 2.0 * params.beta_prime * N
-    out = 0.0
-    for M, a in zip(seq_scales, seq_values):
-        if params.m0 < M <= top * (1.0 + 1e-12):
-            out += (M / N) ** params.s * a
-    return out
+
+def _base_terms(scales, params: RecurrenceParams) -> np.ndarray:
+    """M0^s N^(-s) per scale; raises if it underflows to 0 (the ladder is too long)."""
+    base = np.array([params.m0**params.s * float(N) ** (-params.s) for N in scales])
+    if not base.all():
+        raise ValueError("base term M0^s N^(-s) underflows to 0 at "
+                         f"N = {scales[int(np.argmin(base))]:g}")
+    return base
 
 
 @dataclass(frozen=True)
@@ -210,23 +216,20 @@ def check_recurrence(seq: ASequence, params: RecurrenceParams) -> RecurrenceRepo
     """Evaluate the recurrence inequality per scale and the smallest workable C1."""
     if seq.scales[0] > params.m0 * 2.0:
         raise ValueError("sequence must cover the ladder from M0 up (sequence gap)")
-    rows = []
-    minimal = 0.0
-    holds = True
-    for N, a in zip(seq.scales, seq.values):
-        if N < params.m0:
-            continue
-        ssum = _rhs_sum(seq.scales, seq.values, params, N)
-        base = params.m0**params.s * N ** (-params.s)
-        rhs = params.c1 * base + ssum
-        slack = rhs - a
-        needed = max(0.0, (a - ssum) / base)
-        minimal = max(minimal, needed)
-        holds = holds and slack >= -CONCLUSION_SLACK * max(1.0, a)
-        rows.append((N, a, ssum, rhs, slack, needed))
-    if not rows:
+    scales, a = np.asarray(seq.scales), np.asarray(seq.values)
+    keep = scales >= params.m0
+    if not keep.any():
         raise ValueError("no scales at or above M0 in the sequence")
-    return RecurrenceReport(params=params, rows=tuple(rows), minimal_c1=minimal,
+    ssum = (_rhs_weights(scales, params) * a).sum(axis=1)[keep]
+    scales, a = scales[keep], a[keep]
+    base = _base_terms(scales, params)
+    rhs = params.c1 * base + ssum
+    slack = rhs - a
+    needed = np.maximum(0.0, (a - ssum) / base)
+    rows = tuple(tuple(map(float, r)) for r in zip(scales, a, ssum, rhs, slack, needed))
+    minimal = float(needed.max())
+    holds = bool(np.all(slack >= -CONCLUSION_SLACK * np.maximum(1.0, a)))
+    return RecurrenceReport(params=params, rows=rows, minimal_c1=minimal,
                             holds_with_given_c1=holds)
 
 
@@ -273,6 +276,8 @@ def iterate_induction(params: RecurrenceParams, n_max: float,
         raise ValueError("empty ladder: n_max below M0")
     scales = np.asarray(scales)
     limit = 2.0 * params.c1 * params.m0**params.s * scales ** (-params.s + params.gamma)
+    weights = _rhs_weights(scales, params)
+    base = params.c1 * _base_terms(scales, params)
     js, bounds, verified = [], [], []
     j = 1
     while True:
@@ -281,14 +286,8 @@ def iterate_induction(params: RecurrenceParams, n_max: float,
         bounds.append(tuple(limit + beta_j))
         capped = np.minimum(limit + beta_j, params.a_bound)
         nxt = limit + params.beta_prime ** (j + 1)
-        ok = True
-        for k, N in enumerate(scales):
-            rhs = params.c1 * params.m0**params.s * N ** (-params.s) \
-                + _rhs_sum(scales, capped, params, N)
-            if rhs > nxt[k] + CONCLUSION_SLACK * max(1.0, nxt[k]):
-                ok = False
-                break
-        verified.append(ok)
+        rhs = base + (weights * capped).sum(axis=1)
+        verified.append(bool(np.all(rhs <= nxt + CONCLUSION_SLACK * np.maximum(1.0, nxt))))
         if beta_j < j_stop_factor * float(limit.min()) or j > 100000:
             break
         j += 1

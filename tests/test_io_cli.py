@@ -180,6 +180,29 @@ class TestCli:
         report = json.loads((out_env / "lem2" / "lemma_report.json").read_text())
         assert report["control"]["applicable"] is False
 
+    @pytest.mark.parametrize("sequence, detail", [
+        pytest.param({"rows": "1.0,1.0\n2.0,0.5\ninf,0.25\n"}, "finite and positive",
+                     id="inf_scale"),
+        pytest.param({"rows": "1.0,1.0\nnan,0.5\n4.0,0.25\n"}, "finite and positive",
+                     id="nan_scale"),
+        pytest.param({"rows": "0.0,1.0\n0.0,0.5\n"}, "finite and positive", id="zero_scale"),
+        pytest.param({"rows": "1.0,1.0\n2.0\n4.0,0.25\n"}, "line 3", id="missing_column"),
+        pytest.param({"kind": "synthetic_power", "ladder": 900}, "underflows to 0",
+                     id="underflowing_base_term"),
+    ])
+    def test_bad_lemma_sequence_exits_2(self, out_env, tmp_path, capsys, sequence, detail):
+        if "rows" in sequence:
+            (tmp_path / "seq.csv").write_text("N,A_N\n" + sequence["rows"])
+            sequence = {"kind": "file", "path": str(tmp_path / "seq.csv")}
+        cfg = write_cfg(tmp_path, {
+            "lemma": {"params": {"s": 1.25, "gamma": 0.2, "c1": 1.0, "m0": 1.0,
+                                 "beta_prime": 1e-16, "a_bound": 1.0},
+                      "sequence": sequence},
+            "output_dir": "lem_bad"})
+        assert cli.main(["--config", cfg, "lemma"]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "invalid_input" and detail in error["detail"]
+
     def test_unknown_config_key_exits_2(self, out_env, tmp_path):
         cfg = write_cfg(tmp_path, {"no_such_key": 1})
         assert cli.main(["--config", cfg, "ground-state"]) == 2
@@ -283,13 +306,16 @@ def _edit_manifest(run, edit):
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):
-    """evolve + diagnose write byte-identical artifacts with one and two BLAS threads."""
+    """evolve + diagnose + lemma write byte-identical artifacts with one and two BLAS threads."""
     cfg = write_cfg(tmp_path, {
         "grid": {"r_max": 15.0, "n": 128},
         "time": {"dt": 1e-3, "T": 0.02, "cadence": 1},
         "initial": {"kind": "gaussian"},
         "diagnostics": [{"kind": "virial"}, {"kind": "concentration"},
                         {"kind": "spatial_decay"}, {"kind": "kinetic_localization"}],
+        "lemma": {"params": {"s": 1.25, "gamma": 0.2, "c1": 1.0, "m0": 1.0,
+                             "beta_prime": 1e-16, "a_bound": 1.0},
+                  "sequence": {"kind": "synthetic_power", "exponent": 1.25, "ladder": 240}},
         "output_dir": "run", "format": "csv"})
     src = str(Path(radnls.__file__).resolve().parents[1])
     outputs = []
@@ -297,12 +323,13 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         root = tmp_path / f"threads{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, RADNLS_OUTPUT_ROOT=str(root),
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for command in (["evolve"], ["diagnose", str(root / "run" / "trajectory")]):
+        for command in (["evolve"], ["diagnose", str(root / "run" / "trajectory")], ["lemma"]):
             subprocess.run([sys.executable, "-m", "radnls.cli", "--config", cfg, *command],
                            env=env, check=True, capture_output=True, timeout=300)
         outputs.append({p.relative_to(root): p.read_bytes()
                         for p in sorted(root.rglob("*")) if p.is_file()})
     assert {p.suffix for p in outputs[0]} == {".json", ".csv", ".rfb"}
+    assert Path("run", "lemma_report.json") in outputs[0]
     assert outputs[0].keys() == outputs[1].keys()
     for path, data in outputs[0].items():
         assert outputs[1][path] == data, f"{path} differs between BLAS thread counts"

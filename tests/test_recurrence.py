@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,21 @@ def make_params(**kw):
     base = dict(s=1.25, gamma=0.2, c1=1.0, m0=1.0, beta_prime=1e-15, a_bound=1.0)
     base.update(kw)
     return recurrence.RecurrenceParams(**base)
+
+
+def loop_rhs_sum(scales, values, params, N):
+    """The recurrence sum by hand: (M/N)^s A_M over M0 < M <= 2 beta' N (1 + 1e-12)."""
+    top = 2.0 * params.beta_prime * N * (1.0 + 1e-12)
+    return sum((M / N) ** params.s * a for M, a in zip(scales, values) if params.m0 < M <= top)
+
+
+def sums_matching_loop(seq, params):
+    """check_recurrence's sum_term per N, each checked against loop_rhs_sum at 1e-13."""
+    sums = {N: ssum for N, _, ssum, *_ in recurrence.check_recurrence(seq, params).rows}
+    for N, ssum in sums.items():
+        expected = loop_rhs_sum(seq.scales, seq.values, params, N)
+        assert ssum == pytest.approx(expected, rel=1e-13, abs=0.0), N
+    return sums
 
 
 def zero_trajectory(grid, n_snaps=51, dt=1e-3):
@@ -157,6 +173,57 @@ class TestCheckRecurrence:
         with pytest.raises(ValueError):
             recurrence.ASequence((1.0, 4.0, 8.0), (1.0, 1.0, 1.0), "synthetic")
 
+    @pytest.mark.parametrize("scales", [(1.0, 2.0, math.inf), (1.0, math.nan, 4.0),
+                                        (math.inf, math.inf), (0.0, 0.0), (-1.0, -2.0)])
+    def test_non_finite_or_non_positive_scales_rejected(self, scales):
+        with pytest.raises(ValueError, match="finite and positive"):
+            recurrence.ASequence(scales, tuple(1.0 for _ in scales), "synthetic")
+
+    @pytest.mark.parametrize("factor, included", [(1.0, True), (1.0 + 1e-13, True),
+                                                  (1.0 + 1e-12, True), (1.0 + 1e-11, False)])
+    def test_right_edge_inclusive_to_1e_12(self, factor, included):
+        # beta' = 1/4 puts 2 beta' N at N/2; the rung near 4 sits at the edge for N = 8
+        params = make_params(beta_prime=0.25, a_bound=10.0)
+        seq = recurrence.ASequence((1.0, 2.0, 4.0 * factor, 8.0, 16.0),
+                                   (1.0, 1.0, 1.0, 1.0, 1.0), "synthetic")
+        sums = sums_matching_loop(seq, params)
+        expected = 0.25**params.s + (factor / 2.0) ** params.s * included
+        assert sums[8.0] == pytest.approx(expected, rel=1e-13)
+
+    def test_rung_at_m0_excluded(self):
+        params = make_params(m0=2.0, beta_prime=0.25, a_bound=10.0)
+        seq = recurrence.ASequence((1.0, 2.0, 4.0, 8.0, 16.0),
+                                   (3.0, 5.0, 7.0, 11.0, 13.0), "synthetic")
+        sums = sums_matching_loop(seq, params)
+        assert sums[8.0] == pytest.approx(0.5**params.s * 7.0, rel=1e-13)
+        assert sums[2.0] == sums[4.0] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(1.05, 3.0),
+           beta=st.one_of(st.sampled_from([0.5, 0.25, 0.125, 2.0**-10]), st.floats(1e-4, 0.9)),
+           m0=st.sampled_from([1.0, 2.0, 3.0, 1024.0]), rungs=st.integers(1, 60),
+           seed=st.integers(0, 10_000))
+    def test_sums_match_loop_on_near_dyadic_ladders(self, s, beta, m0, rungs, seed):
+        rng = np.random.default_rng(seed)
+        scales = [m0 * float(rng.choice([0.5, 1.0, 1.5, 2.0]))]
+        for _ in range(rungs - 1):
+            eps = float(rng.choice([0.0, 1e-13, 5e-13, 2e-12, 1e-11, 4e-10]))
+            scales.append(2.0 * scales[-1] * (1.0 + eps * rng.choice([-1.0, 1.0])))
+        values = tuple(float(v) for v in rng.uniform(0.0, 2.0, rungs))
+        params = make_params(s=s, gamma=(s - 1.0) / 2.0, m0=m0, beta_prime=beta)
+        assume(scales[-1] >= m0)
+        sums_matching_loop(recurrence.ASequence(tuple(scales), values, "synthetic"), params)
+
+    def test_underflowing_base_term_rejected(self):
+        params = make_params()
+        long_ladder = tuple(2.0**k for k in range(900))
+        seq = recurrence.ASequence(long_ladder, tuple(0.0 for _ in long_ladder), "synthetic")
+        with pytest.raises(ValueError, match=re.escape(f"underflows to 0 at N = {2.0**860:g}")):
+            recurrence.check_recurrence(seq, params)
+        rep = recurrence.check_recurrence(
+            dataclasses.replace(seq, scales=long_ladder[:860], values=seq.values[:860]), params)
+        assert rep.holds_with_given_c1 and rep.rows[-1][5] == 0.0
+
 
 class TestRecursiveControl:
     def test_termwise_power_sequence_passes(self):
@@ -183,11 +250,10 @@ class TestRecursiveControl:
                                              beta_prime=1e-3, a_bound=10.0)
         ladder = tuple(2.0**k for k in range(0, 21))
         vals = np.full(len(ladder), params.a_bound)
+        weights = recurrence._rhs_weights(ladder, params)
         for _ in range(400):
-            vals = np.array([min(params.a_bound,
-                                 params.c1 * N**-params.s
-                                 + recurrence._rhs_sum(ladder, vals, params, N))
-                             for N in ladder])
+            vals = np.array([min(params.a_bound, params.c1 * N**-params.s + ssum)
+                             for N, ssum in zip(ladder, (weights * vals).sum(axis=1))])
         table = recurrence.iterate_induction(params, ladder[-1])
         assert all(v <= table.limit_bound(N) * (1 + 1e-9)
                    for N, v in zip(ladder, vals))
@@ -256,6 +322,22 @@ class TestIterateInduction:
         final = np.asarray(table.bounds[-1])
         limit = np.asarray([table.limit_bound(N) for N in table.scales])
         assert np.max(np.abs(final - limit) / limit) < 1e-10
+
+    # all steps verify in the first and last case, one of 18 in the second, none in the third
+    @pytest.mark.parametrize("s, gamma, beta", [(1.5, 0.3, 1e-3), (1.5, 0.3, 0.05),
+                                                (1.25, 0.2, 0.02), (2.0, 0.5, 0.02)])
+    def test_steps_match_loop_replay(self, s, gamma, beta):
+        params = make_params(s=s, gamma=gamma, beta_prime=beta)
+        table = recurrence.iterate_induction(params, 2.0**30)
+        scales = np.asarray(table.scales)
+        limit = 2.0 * params.c1 * params.m0**params.s * scales ** (-params.s + params.gamma)
+        for j, ok in zip(table.js, table.steps_verified):
+            capped = np.minimum(limit + beta**j, params.a_bound)
+            nxt = limit + beta ** (j + 1)
+            assert ok == all(
+                params.c1 * params.m0**params.s * N**-params.s
+                + loop_rhs_sum(scales, capped, params, N) <= b + 1e-12 * max(1.0, b)
+                for N, b in zip(scales, nxt))
 
     def test_steps_verify_for_admissible_params(self):
         params = make_params(s=1.5, gamma=0.3, beta_prime=1e-8, a_bound=2.0)
