@@ -375,8 +375,8 @@ def cmd_lemma(cfg: dict) -> int:
                                    tuple(r[1] for r in rows), "synthetic")
     else:
         raise ConfigError(f"unknown sequence kind {kind!r}")
-    rec = recurrence.check_recurrence(seq, params)
     ctrl = recurrence.verify_recursive_control(seq, params)
+    rec = ctrl.recurrence
     write_json(cfg, out / "lemma_report.json", {
         "recurrence": rec.to_json_obj(),
         "control": ctrl.to_json_obj(),

@@ -46,17 +46,22 @@ QUADRATURE_TOL = 1e-8
 _KERNEL_BLOCK = 128
 
 
-def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat applied along the last axis of vec, one field (n,) or a stack (T, n).
+def _real_matvec(mat: np.ndarray, vec: np.ndarray,
+                 scale: np.ndarray | None = None) -> np.ndarray:
+    """mat applied along the last axis of scale * vec, one field (n,) or a stack (T, n).
 
     mat stays real: a complex vec is laid out as n rows of its T values, whose
     (n, 2T) float view of real and imaginary parts goes through one real GEMM.
+    The scale (n,), if given, is written straight into that layout, which is
+    then the one copy of the input.
     """
     if not np.iscomplexobj(vec):
-        return (mat @ vec.T).T
-    cols = np.ascontiguousarray(vec.T, dtype=np.complex128)
+        return (mat @ (vec if scale is None else vec * scale).T).T
+    # the transpose of a Fortran-ordered (T, n) array is a C-ordered (n, T) one
+    cols = (np.asfortranarray(vec, dtype=np.complex128) if scale is None
+            else np.multiply(vec, scale, order="F")).T
     out = mat @ cols.view(np.float64).reshape(len(cols), -1)
-    return out.view(np.complex128).reshape(len(mat), *vec.shape[:-1]).T
+    return out.view(np.complex128).reshape(len(mat), *cols.shape[1:]).T
 
 
 class GridResolutionError(ValueError):
@@ -189,12 +194,12 @@ class RadialGrid:
         return mat
 
     def _forward_values(self, values: np.ndarray) -> np.ndarray:
-        out = _real_matvec(self._kernel, values * self._fwd_in)
+        out = _real_matvec(self._kernel, values, self._fwd_in)
         out /= self._rho_nu
         return out
 
     def _inverse_values(self, coeffs: np.ndarray) -> np.ndarray:
-        out = _real_matvec(self._kernel, coeffs * self._inv_in)
+        out = _real_matvec(self._kernel, coeffs, self._inv_in)
         out /= self._r_nu
         return out
 
@@ -385,8 +390,8 @@ def radial_derivative(f: RadialField) -> RadialField:
 
 def _derivative_values(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
     """df/dr at the nodes from the spectral coefficients, along the last axis."""
-    return -_real_matvec(grid.derivative_kernel(),
-                         coeffs * ((2.0 / grid.r_max**2) * grid._rho_nu * grid.rho)) / grid._r_nu
+    return -_real_matvec(grid.derivative_kernel(), coeffs,
+                         (2.0 / grid.r_max**2) * grid._rho_nu * grid.rho) / grid._r_nu
 
 
 def evaluate_at(f: RadialField, radii: np.ndarray, zero_beyond: bool = True) -> np.ndarray:

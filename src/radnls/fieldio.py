@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -150,13 +151,34 @@ def ground_state_key(grid: RadialGrid, tol: float) -> str:
     return h.hexdigest()[:24]
 
 
+def _replace_atomically(path: Path, write) -> None:
+    """write(tmp) to a temporary file beside path, then rename it over path.
+
+    A crash leaves either the old file or the new one, never a torn one, and a
+    failed write removes its temporary file.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_ground_state(gs: GroundState, cache_dir, tol: float) -> Path:
+    """Cache the profile and its invariants as {key}.rfb and {key}.json.
+
+    The profile is written first and each file replaced atomically, so a
+    visible .json always means a complete pair.
+    """
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     key = ground_state_key(gs.grid, tol)
-    save_field_binary(gs.profile, cache / f"{key}.rfb")
+    _replace_atomically(cache / f"{key}.rfb", lambda tmp: save_field_binary(gs.profile, tmp))
     meta = {k: getattr(gs, k) for k in _GROUND_STATE_META} | {"tol": tol}
-    (cache / f"{key}.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    text = json.dumps(meta, sort_keys=True, indent=1) + "\n"
+    _replace_atomically(cache / f"{key}.json", lambda tmp: tmp.write_text(text))
     return cache / f"{key}.rfb"
 
 

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .core import (
     RadialField,
@@ -155,6 +153,11 @@ def shooting_mass(d: int, r_end: float = 40.0, rtol: float = 1e-11) -> float:
     e^{+r} instability floor left by the root tolerance (~1e-13 * e^{r}), and
     the abandoned exponential tail contributes O(1e-10) relative mass.
     """
+    # imported on first use: only ground-state and selftest shoot, and these
+    # two packages are most of what a command would otherwise pay at start-up
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
     p = 1.0 + 4.0 / d
     area = sphere_area(d)
     r0 = 1e-6

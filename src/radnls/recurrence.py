@@ -308,6 +308,7 @@ class ControlReport:
     induction_verified: bool
     conclusion_rows: tuple     # (N, A_N, bound, pass)
     overall_pass: bool | None  # None when inapplicable
+    recurrence: RecurrenceReport  # the check it ran; not part of its JSON
 
     def to_json_obj(self) -> dict:
         return {
@@ -341,7 +342,7 @@ def verify_recursive_control(seq: ASequence, params: RecurrenceParams) -> Contro
     if violated:
         return ControlReport(params=params, applicable=False, violated=tuple(violated),
                              admissibility=adm, induction_steps=0, induction_verified=False,
-                             conclusion_rows=(), overall_pass=None)
+                             conclusion_rows=(), overall_pass=None, recurrence=rec)
 
     table = iterate_induction(params, seq.scales[-1])
     rows = []
@@ -356,4 +357,5 @@ def verify_recursive_control(seq: ASequence, params: RecurrenceParams) -> Contro
     return ControlReport(params=params, applicable=True, violated=(),
                          admissibility=adm, induction_steps=len(table.js),
                          induction_verified=table.all_steps_verified,
-                         conclusion_rows=tuple(rows), overall_pass=overall)
+                         conclusion_rows=tuple(rows), overall_pass=overall,
+                         recurrence=rec)

@@ -147,6 +147,24 @@ class TestKernel:
         finally:
             tracemalloc.stop()
 
+    def test_complex_stack_scaled_into_the_gemm_layout(self):
+        # the scaled input is written straight into the transposed copy the GEMM
+        # reads, so a complex stack needs that copy and the output: two stacks
+        # (and numpy's 8192-element casting buffer, small against 64 x 256)
+        g = core.make_radial_grid(4, 15.0, 256)
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((64, g.n)) + 1j * rng.standard_normal((64, g.n))
+        scale = (2.0 / g.r_max**2) * g._rho_nu * g.rho
+        assert np.array_equal(core._derivative_values(g, stack),
+                              -core._real_matvec(g.derivative_kernel(), stack * scale) / g._r_nu)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g._inverse_values(stack)
+            assert tracemalloc.get_traced_memory()[1] - base < 2.5 * stack.nbytes
+        finally:
+            tracemalloc.stop()
+
     def test_grid_holds_one_square_matrix(self):
         g = core.make_radial_grid(4, 15.0, 200)
         square = [a for a in vars(g).values() if isinstance(a, np.ndarray) and a.ndim == 2]

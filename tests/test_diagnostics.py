@@ -239,7 +239,8 @@ def test_transform_count_independent_of_snapshot_count(sw_dense, monkeypatch):
     real_matvec = core._real_matvec
     calls = []
     monkeypatch.setattr(core, "_real_matvec",
-                        lambda mat, vec: calls.append(vec.shape) or real_matvec(mat, vec))
+                        lambda mat, vec, *scale: calls.append(vec.shape)
+                        or real_matvec(mat, vec, *scale))
 
     def count(snapshots):
         traj = dataclasses.replace(sw_dense, times=sw_dense.times[:snapshots],

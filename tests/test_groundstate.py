@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.integrate import solve_bvp
 
 from radnls import core, groundstate
@@ -81,14 +82,15 @@ class TestShooting:
         assert abs(groundstate.shooting_mass(2) - 11.70089652) < 1e-8
 
     def test_integration_count(self, monkeypatch):
+        # shooting_mass imports solve_ivp on first use, from the scipy module
         calls = []
-        solve_ivp = groundstate.solve_ivp
+        solve_ivp = integrate.solve_ivp
 
         def counting(*args, **kwargs):
             calls.append(1)
             return solve_ivp(*args, **kwargs)
 
-        monkeypatch.setattr(groundstate, "solve_ivp", counting)
+        monkeypatch.setattr(integrate, "solve_ivp", counting)
         groundstate.shooting_mass(4)
         assert len(calls) <= 30
 

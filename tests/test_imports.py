@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import radnls
@@ -29,3 +33,15 @@ def test_guard_flags_an_unused_import():
 def test_no_unused_imports():
     found = {p.name: unused_imports(p.read_text()) for p in SOURCES}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_cli_import_leaves_the_shooting_solvers_unloaded():
+    # only ground-state and selftest shoot; every other command starts without
+    # the ODE and root solvers and the scipy packages they pull in
+    src = str(Path(radnls.__file__).resolve().parents[1])
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"]
+    code = ("import json, sys, radnls.cli; "
+            f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(run.stdout) == []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import radnls
-from radnls import cli, core, evolution, fieldio, groundstate
+from radnls import cli, core, evolution, fieldio, groundstate, recurrence
 
 
 class TestFieldFormats:
@@ -53,6 +53,18 @@ class TestFieldFormats:
         assert again.mass == ground.mass
         assert np.array_equal(again.profile.values, ground.profile.values)
         assert fieldio.load_ground_state(tmp_path, ground.grid, 1e-6) is None
+
+    def test_torn_ground_state_cache_write_is_not_trusted(self, ground, tmp_path, monkeypatch):
+        def torn_write(path, text):
+            Path.write_bytes(path, text[: len(text) // 2].encode())
+            raise OSError("disk full")
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            fieldio.save_ground_state(ground, tmp_path, 1e-8)
+        monkeypatch.undo()
+        assert fieldio.load_ground_state(tmp_path, ground.grid, 1e-8) is None
+        key = fieldio.ground_state_key(ground.grid, 1e-8)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.rfb"]
 
 
 @pytest.fixture()
@@ -170,6 +182,20 @@ class TestCli:
         assert report["control"]["applicable"] is True
         assert report["control"]["overall_pass"] is True
         assert (out_env / "lem" / "lemma_table.csv").exists()
+
+    def test_lemma_checks_the_recurrence_once(self, out_env, tmp_path, monkeypatch):
+        check = recurrence.check_recurrence
+        calls = []
+        monkeypatch.setattr(recurrence, "check_recurrence",
+                            lambda *args: calls.append(args) or check(*args))
+        cfg = write_cfg(tmp_path, {
+            "lemma": {"params": {"s": 1.25, "gamma": 0.2, "c1": 1.0, "m0": 1.0,
+                                 "beta_prime": 1e-16, "a_bound": 1.0}},
+            "output_dir": "lem1"})
+        assert cli.main(["--config", cfg, "lemma"]) == 0
+        assert len(calls) == 1
+        report = json.loads((out_env / "lem1" / "lemma_report.json").read_text())
+        assert report["recurrence"] == json.loads(json.dumps(check(*calls[0]).to_json_obj()))
 
     def test_lemma_inapplicable_is_not_failure(self, out_env, tmp_path):
         cfg = write_cfg(tmp_path, {
