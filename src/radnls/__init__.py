@@ -8,7 +8,7 @@ evolution   split-step time integration with conservation logging
 bands       dyadic frequency projections, cutoffs, inequality estimators
 diagnostics virial dynamics, localization radii, decay-exponent fits
 recurrence  space-time norms and the dyadic bootstrap verifier
-fieldio     text/binary snapshots, trajectory dirs, ground-state cache
+fieldio     binary snapshots, trajectory dirs, ground-state cache
 cli         ground-state / evolve / diagnose / lemma / selftest commands
 """
 

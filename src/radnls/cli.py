@@ -148,22 +148,25 @@ def _ground_state(cfg: dict, grid: core.RadialGrid, cache: Path):
     return gs
 
 
-def _initial_field(cfg: dict, grid: core.RadialGrid, cache: Path) -> core.RadialField:
+def _initial_field(cfg: dict, grid: core.RadialGrid,
+                   cache: Path) -> tuple[core.RadialField, groundstate.GroundState | None]:
+    """The initial field, and the ground state it is built from (None for gaussian and file)."""
     kind = cfg["initial"]["kind"]
     params = cfg["initial"].get("params", {})
     if kind == "gaussian":
         a = params.get("amplitude", 1.0)
         w = params.get("width", 1.0)
-        return core.field_from_function(grid, lambda r: a * np.exp(-((r / w) ** 2)))
-    if kind == "ground_state":
-        return _ground_state(cfg, grid, cache).profile
-    if kind == "sw":
-        return groundstate.make_sw(_ground_state(cfg, grid, cache), params.get("t", 0.0))
-    if kind == "pc_ground_state":
-        return groundstate.make_pc(_ground_state(cfg, grid, cache), params.get("t", -1.0))
+        return core.field_from_function(grid, lambda r: a * np.exp(-((r / w) ** 2))), None
     if kind == "file":
-        return fieldio.load_field_binary(params["path"], grid)
-    raise ConfigError(f"unknown initial kind {kind!r}")
+        return fieldio.load_field_binary(params["path"], grid), None
+    if kind not in ("ground_state", "sw", "pc_ground_state"):
+        raise ConfigError(f"unknown initial kind {kind!r}")
+    gs = _ground_state(cfg, grid, cache)
+    if kind == "sw":
+        return groundstate.make_sw(gs, params.get("t", 0.0)), gs
+    if kind == "pc_ground_state":
+        return groundstate.make_pc(gs, params.get("t", -1.0)), gs
+    return gs.profile, gs
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +204,7 @@ def cmd_evolve(cfg: dict) -> int:
         n=cfg["grid"]["n"], dt=cfg["time"]["dt"], t_final=cfg["time"]["T"],
         cadence=cfg["time"]["cadence"])
     grid = sim.make_grid()
-    u0 = _initial_field(cfg, grid, out / "ground_state_cache")
+    u0, gs = _initial_field(cfg, grid, out / "ground_state_cache")
     traj = evolution.evolve(sim, u0)
     run_dir = out / "trajectory"
     fieldio.save_trajectory(traj, run_dir)
@@ -213,7 +216,6 @@ def cmd_evolve(cfg: dict) -> int:
         "warnings": traj.warnings,
     }
     if cfg["initial"]["kind"] == "sw":
-        gs = _ground_state(cfg, grid, out / "ground_state_cache")
         target = groundstate.make_sw(gs, cfg["initial"].get("params", {}).get("t", 0.0)
                                      + traj.times[-1])
         summary["sw_final_l2_error"] = math.sqrt(core.mass(traj.field(-1) - target) / gs.mass)

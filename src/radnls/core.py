@@ -394,41 +394,26 @@ def _derivative_values(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
                          (2.0 / grid.r_max**2) * grid._rho_nu * grid.rho) / grid._r_nu
 
 
-def evaluate_at(f: RadialField, radii: np.ndarray, zero_beyond: bool = True) -> np.ndarray:
+def evaluate_at(f: RadialField, radii: np.ndarray) -> np.ndarray:
     """Evaluate the band-limited interpolant of f at arbitrary radii >= 0.
 
     The Fourier-Bessel series only represents f inside [0, r_max]; radii
-    beyond are returned as 0 when zero_beyond is set (fields are assumed to
-    decay there) and rejected otherwise.
+    beyond are returned as 0 (fields are assumed to decay there).
     """
     g = f.grid
     radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
     if np.any(radii < 0):
         raise ValueError("radii must be nonnegative")
-    outside = radii > g.r_max
-    if np.any(outside) and not zero_beyond:
-        raise ValueError("radius beyond r_max")
     coeffs = g._forward_values(f.values) * g._rho_nu * g.wrho1 * g.r_max**2 / 2.0
     # f(r) = (2/R^2) sum_k coeffs_k J_nu(rho_k r) r^(-nu) with the wrho1 folded in
     out = np.zeros(radii.shape, dtype=np.complex128)
-    inner = ~outside
-    rr = radii[inner]
-    small = rr < 0.5 * g.r[0]
-    reg = inner.copy()
-    reg[inner] = ~small
-    if np.any(reg):
-        rv = radii[reg]
-        kern = special.jv(g.nu, np.outer(rv, g.rho)) / rv[:, None] ** g.nu
-        out[reg] = (2.0 / g.r_max**2) * _real_matvec(kern, coeffs)
-    if np.any(small):
-        sm = inner.copy()
-        sm[inner] = small
-        rv = radii[sm]
-        # J_nu(z) r^(-nu) -> (rho/2)^nu / Gamma(nu+1) as r -> 0; next order keeps accuracy
-        z = np.outer(rv, g.rho)
-        lead = (g.rho[None, :] / 2.0) ** g.nu / math.gamma(g.nu + 1)
-        corr = 1.0 - z**2 / (4.0 * (g.nu + 1))
-        out[sm] = (2.0 / g.r_max**2) * _real_matvec(lead * corr, coeffs)
+    inner = radii <= g.r_max
+    rv = radii[inner]
+    origin = rv == 0.0
+    kern = special.jv(g.nu, np.outer(rv, g.rho)) / np.where(origin, 1.0, rv)[:, None] ** g.nu
+    # J_nu(rho r) r^(-nu) -> (rho/2)^nu / nu! as r -> 0
+    kern[origin] = (g.rho / 2.0) ** g.nu / math.factorial(g.nu)
+    out[inner] = (2.0 / g.r_max**2) * _real_matvec(kern, coeffs)
     return out
 
 
@@ -437,7 +422,7 @@ def rescale(f: RadialField, lam: float) -> RadialField:
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("scaling factor must be positive and finite")
     g = f.grid
-    vals = lam ** (g.d / 2.0) * evaluate_at(f, lam * g.r, zero_beyond=True)
+    vals = lam ** (g.d / 2.0) * evaluate_at(f, lam * g.r)
     return RadialField(g, vals)
 
 
@@ -508,21 +493,17 @@ def concentrated_field(grid: RadialGrid, r_support: float, rho_lo: float,
     return RadialField(grid, f.values / math.sqrt(mass(f)))
 
 
-def random_smooth_field(grid: RadialGrid, rng: np.random.Generator,
-                        rho_cap: float | None = None) -> RadialField:
-    """Random smooth radial field, spatially localized, spectrum below rho_cap.
+def random_smooth_field(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
+    """Random smooth radial field, spatially localized, spectrum below the dyadic ladder's top.
 
     Spectral coefficients are complex Gaussian under a smooth envelope that
-    dies well before rho_cap (default: the top of the grid's dyadic ladder,
-    so band partitions reconstruct such fields); the synthesized field is then
-    tapered by a Gaussian of width r_max/6 so rescalings by factors in
-    [1/2, 2] stay inside the domain.  Unit mass; deterministic given the
-    generator state.
+    dies well before the cap N_max of dyadic_range, so band partitions
+    reconstruct such fields; the synthesized field is then tapered by a
+    Gaussian of width r_max/6 so rescalings by factors in [1/2, 2] stay inside
+    the domain.  Unit mass; deterministic given the generator state.
     """
     g = grid
-    cap = dyadic_range(g)[1] if rho_cap is None else float(rho_cap)
-    if not 0 < cap <= g.rho_max:
-        raise ValueError("rho_cap outside the grid's spectral range")
+    cap = dyadic_range(g)[1]
     center = cap * rng.uniform(0.1, 0.5)
     width = cap * rng.uniform(0.1, 0.3)
     envelope = np.exp(-(((g.rho - center) / width) ** 2)) + 0.2 * np.exp(-((g.rho / (0.3 * cap)) ** 2))

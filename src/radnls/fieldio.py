@@ -1,5 +1,5 @@
-"""On-disk formats: columnar text fields, binary snapshots, trajectory
-directories, and the certified ground-state cache.
+"""On-disk formats: binary snapshots, trajectory directories, and the
+certified ground-state cache.
 
 Binary snapshot layout (little endian):
 
@@ -9,8 +9,9 @@ Binary snapshot layout (little endian):
     f64       r_max
     16n bytes complex128 samples
 
-The grid is reconstructed from (d, n, r_max), which determines it exactly, so
-a load-save cycle is bit-exact on the samples and metadata.
+A load takes the grid the caller expects and checks the header's
+(d, n, r_max), which determines a grid exactly, against it; a load-save cycle
+is bit-exact on the samples and metadata.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import RadialField, RadialGrid, make_radial_grid
+from .core import RadialField, RadialGrid
 from .evolution import SimulationConfig, Trajectory
 from .groundstate import GroundState
 
@@ -35,55 +36,27 @@ MAGIC = b"RNLSFLD1"
 _GROUND_STATE_META = ("dimension", "mass", "kinetic", "residual", "mass_shooting", "iterations")
 
 
-def _grid_for(d: int, n: int, r_max: float, grid: RadialGrid | None, what: str) -> RadialGrid:
-    """The grid a stored field names, or the supplied grid after checking it matches."""
-    if grid is None:
-        return make_radial_grid(d, r_max, n)
-    if (grid.d, grid.n, grid.r_max) != (d, n, r_max):
-        raise ValueError(f"{what} field metadata does not match the supplied grid")
-    return grid
-
-
-def save_field_text(f: RadialField, path) -> None:
-    """Columnar text: header comments with grid metadata, then r, Re u, Im u."""
-    g = f.grid
-    lines = [f"# radnls field  d={g.d} n={g.n} r_max={float(g.r_max)!r}",
-             "# r re im"]
-    for r, v in zip(g.r, f.values):
-        lines.append(f"{float(r)!r} {float(v.real)!r} {float(v.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_field_text(path, grid: RadialGrid | None = None) -> RadialField:
-    text = Path(path).read_text().splitlines()
-    meta = text[0]
-    parts = dict(tok.split("=") for tok in meta.removeprefix("# radnls field").split())
-    grid = _grid_for(int(parts["d"]), int(parts["n"]), float(parts["r_max"]), grid, "text")
-    rows = [ln.split() for ln in text if not ln.startswith("#") and ln.strip()]
-    vals = np.array([float(a) + 1j * float(b) for _, a, b in rows])
-    return RadialField(grid, vals)
-
-
 def save_field_binary(f: RadialField, path) -> None:
     g = f.grid
     header = MAGIC + struct.pack("<IQd", g.d, g.n, g.r_max)
     Path(path).write_bytes(header + np.ascontiguousarray(f.values).tobytes())
 
 
-def _read_binary(path, grid: RadialGrid | None) -> tuple[RadialGrid, np.ndarray]:
-    """The grid a binary snapshot names (checked against grid, if given) and its samples."""
+def _read_binary(path, grid: RadialGrid) -> np.ndarray:
+    """The samples of a binary snapshot, after checking that its header names grid."""
     blob = Path(path).read_bytes()
     if blob[:8] != MAGIC:
         raise ValueError(f"{path}: not a radnls binary snapshot")
     d, n, r_max = struct.unpack("<IQd", blob[8:8 + 20])
     if len(blob) != 28 + 16 * n:
         raise ValueError(f"{path}: truncated snapshot")
-    vals = np.frombuffer(blob[28:], dtype=np.complex128)
-    return _grid_for(int(d), int(n), float(r_max), grid, "binary"), vals
+    if grid.key != (d, n, r_max):
+        raise ValueError(f"{path}: snapshot metadata does not match the supplied grid")
+    return np.frombuffer(blob[28:], dtype=np.complex128)
 
 
-def load_field_binary(path, grid: RadialGrid | None = None) -> RadialField:
-    return RadialField(*_read_binary(path, grid))
+def load_field_binary(path, grid: RadialGrid) -> RadialField:
+    return RadialField(grid, _read_binary(path, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +108,7 @@ def load_trajectory(path) -> Trajectory:
     grid = cfg.make_grid()
     values = np.empty((len(times), grid.n), dtype=np.complex128)
     for row, name in zip(values, names):
-        row[:] = _read_binary(out / "snapshots" / name, grid)[1]
+        row[:] = _read_binary(out / "snapshots" / name, grid)
     return Trajectory(cfg, grid, times, values, manifest["mass_log"], manifest["energy_log"],
                       manifest.get("guard_event"), tuple(manifest.get("warnings", ())))
 

@@ -38,6 +38,10 @@ from .core import (
 )
 
 
+# fixed-point iterations before the solve gives up
+MAX_ITER = 400
+
+
 class GroundStateError(RuntimeError):
     """Iteration failed to converge or certification failed."""
 
@@ -51,7 +55,7 @@ class GroundState:
     mass: float
     kinetic: float          # ||grad Q||^2
     residual: float         # ||Lap Q - Q + Q^(1+4/d)||_2 / ||Q||_2
-    mass_shooting: float | None
+    mass_shooting: float
     iterations: int
 
     @property
@@ -67,33 +71,25 @@ def _elliptic_residual(grid: RadialGrid, q: np.ndarray, p: float) -> float:
                      / float(np.sum(grid.w * np.abs(q) ** 2)))
 
 
-def solve_ground_state(grid: RadialGrid, tol: float = 1e-8, max_iter: int = 400,
-                       stabilizing_power: float | None = None,
-                       seed: RadialField | None = None,
-                       cross_check: bool = True) -> GroundState:
+def solve_ground_state(grid: RadialGrid, tol: float = 1e-8) -> GroundState:
     """Normalized fixed-point iteration for the ground state.
 
     Each step maps Q -> S^gamma (1 - Lap)^(-1) Q^(1+4/d) with the normalization
     S = <(1-Lap)Q, Q> / <Q^(1+4/d), Q> and gamma = p/(p-1) for nonlinearity
-    power p = 1 + 4/d (the standard stabilizing exponent; convergence is
-    insensitive to moderate changes, which the test suite checks).  Positivity
-    is enforced by taking the modulus each step; the fixed point is certified
-    positive, decreasing, and an elliptic solution to the requested tolerance.
+    power p = 1 + 4/d (the standard stabilizing exponent), starting from
+    2 exp(-r^2).  Positivity is enforced by taking the modulus each step; the
+    fixed point is certified positive, decreasing, an elliptic solution to the
+    requested tolerance, and in mass agreement with the shooting integration.
     """
     d = grid.d
     p = 1.0 + 4.0 / d
-    gamma = p / (p - 1.0) if stabilizing_power is None else float(stabilizing_power)
-    if seed is None:
-        q = 2.0 * np.exp(-grid.r**2)
-    else:
-        q = np.abs(seed.values.real).astype(np.float64)
-    if not np.any(q > 0):
-        raise ValueError("seed profile vanishes")
+    gamma = p / (p - 1.0)
+    q = 2.0 * np.exp(-grid.r**2)
 
     inv_helmholtz = 1.0 / (1.0 + grid.rho**2)
     residual = math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         coeffs = grid._forward_values(q)
         num = float(np.sum(grid.wrho * (1.0 + grid.rho**2) * np.abs(coeffs) ** 2))
         den = float(np.sum(grid.w * q ** (p + 1.0)))
@@ -112,7 +108,7 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-8, max_iter: int = 400,
                 break
     else:
         raise GroundStateError(
-            f"no convergence after {max_iter} iterations (last residual {residual:.3e})")
+            f"no convergence after {MAX_ITER} iterations (last residual {residual:.3e})")
 
     profile = RadialField(grid, q.astype(np.complex128))
     require_resolved(profile, "ground state")
@@ -128,18 +124,15 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-8, max_iter: int = 400,
     if e_rel > 1e-4:
         raise GroundStateError(f"focusing energy not flat: |E(Q)| = {e_rel:.3e} * ||grad Q||^2")
 
-    m_shoot = None
-    if cross_check:
-        m_shoot = shooting_mass(d)
-        if abs(m_shoot - m) > 1e-4 * m:
-            raise GroundStateError(
-                f"shooting cross-check disagrees: M={m:.8g} vs {m_shoot:.8g}")
+    m_shoot = shooting_mass(d)
+    if abs(m_shoot - m) > 1e-4 * m:
+        raise GroundStateError(f"shooting cross-check disagrees: M={m:.8g} vs {m_shoot:.8g}")
 
     return GroundState(profile=profile, dimension=d, mass=m, kinetic=kinetic,
                        residual=residual, mass_shooting=m_shoot, iterations=iterations)
 
 
-def shooting_mass(d: int, r_end: float = 40.0, rtol: float = 1e-11) -> float:
+def shooting_mass(d: int) -> float:
     """Independent mass of the ground state from a 1D shooting integration.
 
     Integrates Q'' + (d-1)/r Q' = Q - Q^p outward from a series start with
@@ -172,8 +165,8 @@ def shooting_mass(d: int, r_end: float = 40.0, rtol: float = 1e-11) -> float:
         return [a + c * r0**2, 2.0 * c * r0, 0.0]
 
     def integrate(a, events):
-        return solve_ivp(rhs, (r0, r_end), start(a), events=events,
-                         rtol=rtol, atol=1e-13, method="DOP853")
+        return solve_ivp(rhs, (r0, 40.0), start(a), events=events,
+                         rtol=1e-11, atol=1e-13, method="DOP853")
 
     cross = lambda r, y: y[0]
     cross.terminal = True
@@ -247,7 +240,7 @@ def make_pc(ground: GroundState, t: float) -> RadialField:
         raise ValueError("pseudo-conformal profile undefined at t = 0")
     grid = ground.grid
     d = grid.d
-    scaled = evaluate_at(ground.profile, grid.r / abs(t), zero_beyond=True)
+    scaled = evaluate_at(ground.profile, grid.r / abs(t))
     vals = abs(t) ** (-d / 2.0) * np.exp(1j * (grid.r**2 - 4.0) / (4.0 * t)) * scaled
     out = RadialField(grid, vals)
     require_resolved(out, f"pseudo-conformal profile at t={t}")

@@ -157,19 +157,15 @@ def dual_nonlinearity_norm(traj: Trajectory, N: float,
     return float(np.trapezoid(integrand, traj.times[sel])) ** (1.0 / q)
 
 
-def extract_A_sequence(traj: Trajectory, Ns, window_exponent: float = 0.5) -> ASequence:
-    """A_N = || P_{>=N} u ||_S on the shrinking window [t0, t0 + N^(-window_exponent)].
-
-    The window length N^(-1/2) is the default; the exponent is exposed because
-    length 1/N works equally well for the bootstrap.
-    """
+def extract_A_sequence(traj: Trajectory, Ns) -> ASequence:
+    """A_N = || P_{>=N} u ||_S on the shrinking window [t0, t0 + N^(-1/2)]."""
     Ns = sorted(float(N) for N in Ns)
     grid = traj.grid
     t0 = traj.times[0]
     values = []
     for N in Ns:
         validate_scale(grid, N)
-        sel = _window(traj, t0, t0 + N ** (-window_exponent))
+        sel = _window(traj, t0, t0 + N ** (-0.5))
         high = grid._inverse_values(high_symbol(grid, N) * traj.coeffs[sel])
         values.append(_s_norm(grid, traj.times[sel], high))
     return ASequence(tuple(Ns), tuple(values), provenance="extracted-from-trajectory")
@@ -252,15 +248,14 @@ class InductionTable:
         return 2.0 * p.c1 * p.m0**p.s * N ** (-p.s + p.gamma)
 
 
-def iterate_induction(params: RecurrenceParams, n_max: float,
-                      j_stop_factor: float = 1e-12) -> InductionTable:
+def iterate_induction(params: RecurrenceParams, n_max: float) -> InductionTable:
     """Replay the bootstrap induction numerically over the ladder [M0, n_max].
 
     Row j tabulates the claimed bound B_j(N); each step is verified by
     plugging min(B_j, A) into the recurrence right-hand side and checking it
-    lands at or below B_{j+1}(N).  Iteration stops once (beta')^j is far below
-    the limiting bound, so the table exhibits the monotone convergence to
-    2 C1 M0^s N^(-s+gamma).
+    lands at or below B_{j+1}(N).  Iteration stops once (beta')^j is below
+    1e-12 of the limiting bound, so the table exhibits the monotone
+    convergence to 2 C1 M0^s N^(-s+gamma).
 
     The replay substitutes and checks each step directly, so a table whose
     steps all verify proves the bound for the tabulated ladder even when the
@@ -288,7 +283,7 @@ def iterate_induction(params: RecurrenceParams, n_max: float,
         nxt = limit + params.beta_prime ** (j + 1)
         rhs = base + (weights * capped).sum(axis=1)
         verified.append(bool(np.all(rhs <= nxt + CONCLUSION_SLACK * np.maximum(1.0, nxt))))
-        if beta_j < j_stop_factor * float(limit.min()) or j > 100000:
+        if beta_j < 1e-12 * float(limit.min()) or j > 100000:
             break
         j += 1
     return InductionTable(params=params, scales=tuple(float(N) for N in scales),

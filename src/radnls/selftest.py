@@ -22,6 +22,11 @@ def _grid():
     return core.make_radial_grid(4, 15.0, 384)
 
 
+@functools.cache
+def _ground():
+    return groundstate.solve_ground_state(_grid(), tol=1e-8)
+
+
 def suite_core() -> list[tuple[str, bool, str]]:
     out = []
     g = _grid()
@@ -51,7 +56,7 @@ def suite_core() -> list[tuple[str, bool, str]]:
 def suite_groundstate() -> list[tuple[str, bool, str]]:
     out = []
     g = _grid()
-    q = groundstate.solve_ground_state(g, tol=1e-8, cross_check=True)
+    q = _ground()
     out.append(("groundstate.residual", q.residual < 1e-8, f"{q.residual:.2e}"))
     shoot = abs(q.mass_shooting - q.mass) / q.mass
     out.append(("groundstate.shooting", shoot < 1e-4, f"rel {shoot:.2e}"))
@@ -96,7 +101,7 @@ def suite_bands() -> list[tuple[str, bool, str]]:
 def suite_evolution() -> list[tuple[str, bool, str]]:
     out = []
     g = _grid()
-    q = groundstate.solve_ground_state(g, tol=1e-8, cross_check=False)
+    q = _ground()
     cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=15.0, n=384,
                                      dt=1e-3, t_final=0.2, cadence=10)
     traj = evolution.evolve(cfg, q.profile)

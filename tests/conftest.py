@@ -29,12 +29,12 @@ def grid45():
 
 @pytest.fixture(scope="session")
 def ground(grid):
-    return groundstate.solve_ground_state(grid, tol=1e-8, cross_check=True)
+    return groundstate.solve_ground_state(grid, tol=1e-8)
 
 
 @pytest.fixture(scope="session")
 def ground_double(grid_double):
-    return groundstate.solve_ground_state(grid_double, tol=1e-8, cross_check=False)
+    return groundstate.solve_ground_state(grid_double, tol=1e-8)
 
 
 def _run(grid, u0, mu, dt, T, cadence):

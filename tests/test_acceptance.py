@@ -23,7 +23,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_ground_state_certification(grid):
     t0 = time.monotonic()
-    gs = groundstate.solve_ground_state(grid, tol=1e-8, cross_check=True)
+    gs = groundstate.solve_ground_state(grid, tol=1e-8)
     elapsed = time.monotonic() - t0
     pohozaev = gs.kinetic / core.lebesgue_norm(gs.profile, 3.0) ** 3
     energy_flat = abs(core.energy(gs.profile, -1)) / gs.kinetic

@@ -269,6 +269,11 @@ class TestEvaluationAndScales:
         r = np.array([0.0, 0.37, 1.5, 4.0])
         assert np.max(np.abs(core.evaluate_at(f, r) - np.exp(-(r**2)))) < 1e-10
 
+    def test_evaluate_at_inside_the_first_node(self, grid):
+        f = gaussian(grid)
+        r = np.array([0.1, 0.3, 0.49]) * grid.r[0]
+        assert np.max(np.abs(core.evaluate_at(f, r) - np.exp(-(r**2)))) < 1e-10
+
     def test_is_dyadic(self):
         assert core.is_dyadic(0.5) and core.is_dyadic(64.0)
         assert not core.is_dyadic(3.0) and not core.is_dyadic(-2.0)

@@ -34,19 +34,6 @@ class TestSolve:
         assert np.all(q > 0)
         assert np.all(np.diff(q) <= 1e-10 * q[0])
 
-    def test_negative_seed_converges_to_same_profile(self, grid, ground):
-        seed = core.field_from_function(grid, lambda r: -np.exp(-(r**2)))
-        other = groundstate.solve_ground_state(grid, tol=1e-8, seed=seed,
-                                               cross_check=False)
-        assert abs(other.mass - ground.mass) < 1e-8 * ground.mass
-
-    def test_stabilizing_power_insensitivity(self, grid, ground):
-        for power in (1.6, 2.4):
-            other = groundstate.solve_ground_state(grid, tol=1e-8,
-                                                   stabilizing_power=power,
-                                                   cross_check=False)
-            assert abs(other.mass - ground.mass) < 1e-8 * ground.mass
-
     def test_grid_doubling_stability(self, ground, ground_double):
         assert abs(ground_double.mass - ground.mass) < 1e-6 * ground.mass
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import radnls
-from radnls import cli, core, evolution, fieldio, groundstate, recurrence
+from radnls import cli, core, evolution, fieldio, groundstate, recurrence, selftest
 
 
 class TestFieldFormats:
@@ -17,22 +17,21 @@ class TestFieldFormats:
         f = corpus[0]
         path = tmp_path / "f.rfb"
         fieldio.save_field_binary(f, path)
-        back = fieldio.load_field_binary(path)
+        back = fieldio.load_field_binary(path, grid)
         assert np.array_equal(back.values, f.values)
         assert back.grid.key == f.grid.key
 
-    def test_binary_rejects_garbage(self, tmp_path):
+    def test_binary_rejects_garbage(self, grid, tmp_path):
         p = tmp_path / "junk.rfb"
         p.write_bytes(b"not a snapshot")
         with pytest.raises(ValueError):
-            fieldio.load_field_binary(p)
+            fieldio.load_field_binary(p, grid)
 
-    def test_text_round_trip(self, grid, corpus, tmp_path):
-        f = corpus[1]
-        path = tmp_path / "f.txt"
-        fieldio.save_field_text(f, path)
-        back = fieldio.load_field_text(path, grid)
-        assert np.array_equal(back.values, f.values)   # repr round-trips floats
+    def test_binary_rejects_another_grid(self, grid, grid20, corpus, tmp_path):
+        path = tmp_path / "f.rfb"
+        fieldio.save_field_binary(corpus[0], path)
+        with pytest.raises(ValueError, match="does not match"):
+            fieldio.load_field_binary(path, grid20)
 
     def test_trajectory_round_trip(self, grid, tmp_path):
         f = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
@@ -130,6 +129,21 @@ class TestCli:
                          str(out_env / "run" / "trajectory")]) == 0
         assert (out_env / "run" / "diagnose_summary.json").exists()
 
+    def test_sw_evolve_reads_the_ground_state_once(self, out_env, tmp_path, monkeypatch,
+                                                   capsys):
+        cfg = write_cfg(tmp_path, {"grid": SMALL_GRID,
+                                   "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+                                   "initial": {"kind": "sw"}, "output_dir": "sw1"})
+        assert cli.main(["--config", cfg, "ground-state"]) == 0
+        load = fieldio.load_ground_state
+        calls = []
+        monkeypatch.setattr(fieldio, "load_ground_state",
+                            lambda *args: calls.append(args) or load(*args))
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        assert len(calls) == 1
+        summary = json.loads((out_env / "sw1" / "evolve_summary.json").read_text())
+        assert summary["sw_final_l2_error"] < 1e-4
+
     def test_free_flow_virial_diagnose(self, out_env, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "grid": SMALL_GRID, "mu": 0,
@@ -196,6 +210,19 @@ class TestCli:
         assert len(calls) == 1
         report = json.loads((out_env / "lem1" / "lemma_report.json").read_text())
         assert report["recurrence"] == json.loads(json.dumps(check(*calls[0]).to_json_obj()))
+
+    def test_selftest_solves_the_ground_state_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(name):
+            fn = getattr(groundstate, name)
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        for name in ("solve_ground_state", "shooting_mass"):
+            monkeypatch.setattr(groundstate, name, counted(name))
+        selftest._ground.cache_clear()
+        assert cli.main(["selftest"]) == 0
+        assert calls == ["solve_ground_state", "shooting_mass"]
 
     def test_lemma_inapplicable_is_not_failure(self, out_env, tmp_path):
         cfg = write_cfg(tmp_path, {

@@ -109,11 +109,6 @@ class TestExtractSequence:
         a_cap = recurrence.strichartz_norm(sw_dense, (0.0, 1.0)) + 1.0
         assert all(v <= a_cap for v in vals)
 
-    def test_window_exponent_knob(self, sw_dense):
-        seq_half = recurrence.extract_A_sequence(sw_dense, (4.0, 8.0), window_exponent=0.5)
-        seq_one = recurrence.extract_A_sequence(sw_dense, (4.0, 8.0), window_exponent=1.0)
-        assert all(b <= a * (1 + 1e-12) for a, b in zip(seq_half.values, seq_one.values))
-
     def test_coverage_gap_rejected(self, sw_dense):
         with pytest.raises(ValueError):
             recurrence.extract_A_sequence(sw_dense, (0.5, 1.0, 2.0))
