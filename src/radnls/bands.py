@@ -138,7 +138,7 @@ class BandNormTable:
     quantity: str
     scales: tuple
     values: tuple
-    annotation: str = ""
+    annotation: str
     scale_name: str = "N"
 
     def __post_init__(self):

@@ -1,7 +1,7 @@
 """Command-line entry points: ground-state, evolve, diagnose, lemma, selftest.
 
-Configuration is JSON validated against CONFIG_SCHEMA; command-line flags
-override config fields.  Exit codes: 0 ok, 1 a diagnostic check failed,
+Configuration is JSON with the keys of DEFAULTS and PARAMS and no others; flags
+override config fields.  Exit codes (ERRORS): 0 ok, 1 a diagnostic check failed,
 2 invalid input, 3 I/O error, 4 numerical guard tripped.
 
 Outputs are deterministic for a fixed (config, seed): every JSON/CSV file
@@ -30,31 +30,31 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_GUARD = 4
 
-CONFIG_SCHEMA = {
-    "dimension": "even integer >= 2 (default 4)",
-    "mu": "-1 focusing | 0 free | +1 defocusing (default -1)",
-    "grid": {"r_max": "float > 0 (default 15.0)", "n": "int >= 16 (default 640)"},
-    "time": {"dt": "float > 0 (default 1e-3)", "T": "float > 0 (default 1.0)",
-             "cadence": "steps per snapshot, divides T/dt (default 10)"},
-    "initial": {"kind": "gaussian | ground_state | sw | pc_ground_state | file",
-                "params": "kind-specific: amplitude/width, t, path"},
-    "diagnostics": ["{kind: virial|kinetic_localization|concentration|"
-                    "frequency_decay|spatial_decay, ...parameters}"],
-    "lemma": {"params": "{s, gamma, c1, m0, beta_prime, a_bound}",
-              "sequence": "{kind: from_trajectory|synthetic_power|file, ...}"},
-    "tol": "ground-state residual tolerance (default 1e-8)",
-    "output_dir": "directory for artifacts (default 'out')",
-    "seed": "integer seed recorded in outputs (default 0)",
-    "format": "json | csv (default json; csv adds tables)",
+REQUIRED = object()  # a PARAMS entry the config must give
+
+# section -> kind -> {parameter: default}.  A None default is worked out from
+# the data: Ns and N_range from the grid's dyadic scales, exponent from lemma s.
+PARAMS = {
+    "initial": {"gaussian": {"amplitude": 1.0, "width": 1.0}, "ground_state": {},
+                "sw": {"t": 0.0}, "pc_ground_state": {"t": -1.0}, "file": {"path": REQUIRED}},
+    "diagnostics": {"virial": {"R": math.inf}, "kinetic_localization": {"eta_fraction": 1e-2},
+                    "concentration": {"eta_fraction": 1e-2},
+                    "frequency_decay": {"shell_cut": 1.0, "Ns": None},
+                    "spatial_decay": {"N_range": None, "Rs": [1.0, 2.0, 4.0]}},
+    "lemma.sequence": {"synthetic_power": {"exponent": None, "ladder": 12},
+                       "from_trajectory": {"path": REQUIRED, "Ns": REQUIRED},
+                       "file": {"path": REQUIRED}},
 }
 
+# Every top-level key and its default; an object section takes its default's keys only.
 DEFAULTS = {
     "dimension": 4,
     "mu": -1,
     "grid": {"r_max": 15.0, "n": 640},
     "time": {"dt": 1e-3, "T": 1.0, "cadence": 10},
-    "initial": {"kind": "gaussian", "params": {"amplitude": 1.0, "width": 1.0}},
+    "initial": {"kind": "gaussian", "params": PARAMS["initial"]["gaussian"]},
     "diagnostics": [],
+    "lemma": {"params": {}, "sequence": {"kind": "synthetic_power"}},
     "tol": 1e-8,
     "output_dir": "out",
     "seed": 0,
@@ -84,6 +84,40 @@ def _merge(base: dict, over: dict) -> dict:
     return out
 
 
+def _object(where: str, value, known=None) -> dict:
+    """value, after checking that it is an object with no key outside known (if given)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(value if known is None else known))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown} (known: {sorted(known)})")
+    return value
+
+
+def kind_params(section: str, spec, where: str | None = None) -> tuple[str, dict]:
+    """spec's kind and its parameters, PARAMS' defaults overridden by spec's, which stand
+    next to the kind or, for initial, under "params" and may be any initial kind's."""
+    where, kinds = where or section, PARAMS[section]
+    kind = _object(where, spec).get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where}: unknown kind {kind!r} (have {sorted(kinds)})")
+    params = kinds[kind]
+    given = (_object("initial.params", spec["params"], {p for ps in kinds.values() for p in ps})
+             if section == "initial" else _object(where, spec, {"kind", *params}))
+    missing = [k for k, v in params.items() if v is REQUIRED and k not in given]
+    if missing:
+        raise ConfigError(f"{where}: kind {kind!r} needs key(s) {missing}")
+    return kind, params | {k: given[k] for k in params if k in given}
+
+
+def diagnostic_params(cfg: dict) -> list[tuple[str, dict]]:
+    """Kind and parameters of each diagnostic diagnose runs (virial alone if none)."""
+    if not isinstance(cfg["diagnostics"], list):
+        raise ConfigError(f"diagnostics must be a list, got {cfg['diagnostics']!r}")
+    return [kind_params("diagnostics", spec, f"diagnostics[{i}]")
+            for i, spec in enumerate(cfg["diagnostics"] or [{"kind": "virial"}])]
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = DEFAULTS
     if path is not None:
@@ -93,13 +127,15 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        unknown = set(raw) - set(CONFIG_SCHEMA)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)} "
-                              f"(schema keys: {sorted(CONFIG_SCHEMA)})")
-        cfg = _merge(cfg, raw)
+        cfg = _merge(cfg, _object("config", raw, DEFAULTS))
+        for key, default in DEFAULTS.items():
+            if isinstance(default, dict):
+                _object(key, cfg[key], default)
+        _object("lemma.params", cfg["lemma"]["params"],
+                recurrence.RecurrenceParams.__dataclass_fields__)
+        kind_params("initial", cfg["initial"])
+        diagnostic_params(cfg)
+        kind_params("lemma.sequence", cfg["lemma"]["sequence"])
     cfg = _merge(cfg, overrides)
     d = cfg["dimension"]
     if not (isinstance(d, int) and d >= 2 and d % 2 == 0):
@@ -148,24 +184,19 @@ def _ground_state(cfg: dict, grid: core.RadialGrid, cache: Path):
     return gs
 
 
-def _initial_field(cfg: dict, grid: core.RadialGrid,
+def _initial_field(cfg: dict, kind: str, params: dict, grid: core.RadialGrid,
                    cache: Path) -> tuple[core.RadialField, groundstate.GroundState | None]:
     """The initial field, and the ground state it is built from (None for gaussian and file)."""
-    kind = cfg["initial"]["kind"]
-    params = cfg["initial"].get("params", {})
     if kind == "gaussian":
-        a = params.get("amplitude", 1.0)
-        w = params.get("width", 1.0)
+        a, w = params["amplitude"], params["width"]
         return core.field_from_function(grid, lambda r: a * np.exp(-((r / w) ** 2))), None
     if kind == "file":
         return fieldio.load_field_binary(params["path"], grid), None
-    if kind not in ("ground_state", "sw", "pc_ground_state"):
-        raise ConfigError(f"unknown initial kind {kind!r}")
     gs = _ground_state(cfg, grid, cache)
     if kind == "sw":
-        return groundstate.make_sw(gs, params.get("t", 0.0)), gs
+        return groundstate.make_sw(gs, params["t"]), gs
     if kind == "pc_ground_state":
-        return groundstate.make_pc(gs, params.get("t", -1.0)), gs
+        return groundstate.make_pc(gs, params["t"]), gs
     return gs.profile, gs
 
 
@@ -204,7 +235,8 @@ def cmd_evolve(cfg: dict) -> int:
         n=cfg["grid"]["n"], dt=cfg["time"]["dt"], t_final=cfg["time"]["T"],
         cadence=cfg["time"]["cadence"])
     grid = sim.make_grid()
-    u0, gs = _initial_field(cfg, grid, out / "ground_state_cache")
+    kind, params = kind_params("initial", cfg["initial"])
+    u0, gs = _initial_field(cfg, kind, params, grid, out / "ground_state_cache")
     traj = evolution.evolve(sim, u0)
     run_dir = out / "trajectory"
     fieldio.save_trajectory(traj, run_dir)
@@ -215,9 +247,8 @@ def cmd_evolve(cfg: dict) -> int:
         "guard_event": traj.guard_event,
         "warnings": traj.warnings,
     }
-    if cfg["initial"]["kind"] == "sw":
-        target = groundstate.make_sw(gs, cfg["initial"].get("params", {}).get("t", 0.0)
-                                     + traj.times[-1])
+    if kind == "sw":
+        target = groundstate.make_sw(gs, params["t"] + traj.times[-1])
         summary["sw_final_l2_error"] = math.sqrt(core.mass(traj.field(-1) - target) / gs.mass)
     write_json(cfg, out / "evolve_summary.json", summary)
     print(f"evolve: {len(traj)} snapshots to t={traj.times[-1]:g}, "
@@ -228,8 +259,8 @@ def cmd_evolve(cfg: dict) -> int:
     return EXIT_OK
 
 
-# Each runner is a pure function of (trajectory, spec) returning (passed, detail,
-# JSON payload, CSV header, CSV rows); cmd_diagnose writes {kind}.json and {kind}.csv.
+# Each runner is a pure function of (trajectory, spec holding its kind's PARAMS) returning
+# (passed, detail, JSON payload, CSV header, CSV rows); cmd_diagnose writes {kind}.json/.csv.
 
 def _table_csv(table) -> tuple[list[str], list]:
     return (["quantity", table.scale_name, "value"],
@@ -241,17 +272,16 @@ def _row_dicts(header: list[str], rows) -> list[dict]:
 
 
 def _diag_frequency_decay(traj, spec):
-    ns = spec.get("Ns") or core.dyadic_scales(traj.grid)[-4:]
-    rep = diagnostics.frequency_decay_fit(traj, spec.get("shell_cut", 1.0), ns)
+    ns = spec["Ns"] or core.dyadic_scales(traj.grid)[-4:]
+    rep = diagnostics.frequency_decay_fit(traj, spec["shell_cut"], ns)
     detail = {"exponent": rep.exponent, "threshold": rep.threshold, "note": rep.note}
     return rep.passes, detail, rep.to_json_obj(), *_table_csv(rep.table)
 
 
 def _diag_spatial_decay(traj, spec):
     scales = core.dyadic_scales(traj.grid)
-    n_range = spec.get("N_range", [scales[0], scales[-1]])
-    rs = spec.get("Rs", [1.0, 2.0, 4.0])
-    rep = diagnostics.spatial_decay_scan(traj, tuple(n_range), rs)
+    n_range = spec["N_range"] or [scales[0], scales[-1]]
+    rep = diagnostics.spatial_decay_scan(traj, tuple(n_range), spec["Rs"])
     detail = {"delta": rep.exponent, "note": rep.note}
     return rep.passes, detail, rep.to_json_obj(), *_table_csv(rep.table)
 
@@ -262,7 +292,7 @@ def _rows(*columns) -> list[tuple]:
 
 
 def _diag_virial(traj, spec):
-    r_cut = spec.get("R", math.inf)
+    r_cut = spec["R"]
     if len(traj) < 5:
         raise ConfigError("trajectory too short for the virial stencil")
     grid, times = traj.grid, traj.times[2:-2]
@@ -284,7 +314,7 @@ def _diag_virial(traj, spec):
 
 
 def _diag_kinetic_localization(traj, spec):
-    eta_frac = spec.get("eta_fraction", 1e-2)
+    eta_frac = spec["eta_fraction"]
     grid = traj.grid
     radii = diagnostics._kinetic_radius(grid, traj.coeffs,
                                         eta_frac * core._kinetic_sum(grid, traj.coeffs))
@@ -296,7 +326,7 @@ def _diag_kinetic_localization(traj, spec):
 
 
 def _diag_concentration(traj, spec):
-    eta_frac = spec.get("eta_fraction", 1e-2)
+    eta_frac = spec["eta_fraction"]
     grid = traj.grid
     c_x, c_xi = diagnostics._concentration(grid, traj.values, traj.coeffs,
                                            eta_frac * core._power_sum(grid, traj.values, 2))
@@ -320,14 +350,9 @@ def cmd_diagnose(cfg: dict, trajectory_path: str) -> int:
         traj = fieldio.load_trajectory(trajectory_path)
     except FileNotFoundError as exc:
         raise OSError(f"trajectory not found: {exc}") from exc
-    specs = cfg["diagnostics"] or [{"kind": "virial"}]
     failures = []
     summary = {}
-    for spec in specs:
-        kind = spec.get("kind")
-        if kind not in DIAGNOSTIC_RUNNERS:
-            raise ConfigError(f"unknown diagnostic kind {kind!r} "
-                              f"(have {sorted(DIAGNOSTIC_RUNNERS)})")
+    for kind, spec in diagnostic_params(cfg):
         passed, detail, payload, header, rows = DIAGNOSTIC_RUNNERS[kind](traj, spec)
         write_json(cfg, out / f"{kind}.json", payload)
         if cfg["format"] == "csv":
@@ -344,26 +369,20 @@ def cmd_diagnose(cfg: dict, trajectory_path: str) -> int:
 
 def cmd_lemma(cfg: dict) -> int:
     out = output_dir(cfg)
-    spec = cfg.get("lemma")
-    if not spec or "params" not in spec:
-        raise ConfigError("lemma command needs config key 'lemma' with 'params'")
     try:
-        params = recurrence.RecurrenceParams(**spec["params"])
+        params = recurrence.RecurrenceParams(**cfg["lemma"]["params"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lemma params: {exc}") from exc
-    seq_spec = spec.get("sequence", {"kind": "synthetic_power", "exponent": params.s,
-                                     "ladder": 12})
-    kind = seq_spec.get("kind")
+        raise ConfigError(f"bad lemma.params: {exc}") from exc
+    kind, seq_spec = kind_params("lemma.sequence", cfg["lemma"]["sequence"])
     if kind == "synthetic_power":
-        k = int(seq_spec.get("ladder", 12))
-        scales = tuple(params.m0 * 2.0**j for j in range(k))
-        expo = float(seq_spec.get("exponent", params.s))
+        scales = tuple(params.m0 * 2.0**j for j in range(int(seq_spec["ladder"])))
+        expo = float(params.s if seq_spec["exponent"] is None else seq_spec["exponent"])
         seq = recurrence.ASequence(scales, tuple(min(params.a_bound, float(N) ** (-expo))
                                                  for N in scales), "synthetic")
     elif kind == "from_trajectory":
         traj = fieldio.load_trajectory(seq_spec["path"])
         seq = recurrence.extract_A_sequence(traj, seq_spec["Ns"])
-    elif kind == "file":
+    else:
         rows = []
         for lineno, ln in enumerate(Path(seq_spec["path"]).read_text().splitlines(), 1):
             if ln and not ln.startswith(("#", "N,")):
@@ -375,8 +394,6 @@ def cmd_lemma(cfg: dict) -> int:
                                       f"got {ln!r}") from exc
         seq = recurrence.ASequence(tuple(r[0] for r in rows),
                                    tuple(r[1] for r in rows), "synthetic")
-    else:
-        raise ConfigError(f"unknown sequence kind {kind!r}")
     ctrl = recurrence.verify_recursive_control(seq, params)
     rec = ctrl.recurrence
     write_json(cfg, out / "lemma_report.json", {
@@ -446,7 +463,7 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="radnls",
                                 description="Radial mass-critical NLS simulator and "
                                             "dyadic-band diagnostics")
-    p.add_argument("--config", help="JSON config file (see CONFIG_SCHEMA in radnls.cli)")
+    p.add_argument("--config", help="JSON config file (keys: DEFAULTS and PARAMS in radnls.cli)")
     for flag, (path, kwargs) in OVERRIDE_FLAGS.items():
         p.add_argument(flag, dest=path, **kwargs)
     sub = p.add_subparsers(dest="command", required=True)
@@ -470,29 +487,26 @@ def _overrides(args: argparse.Namespace) -> dict:
     return over
 
 
+ERRORS = {  # exception -> (error kind, exit code); the first class that matches wins
+    ValueError: ("invalid_input", EXIT_INVALID),  # ConfigError, core.GridResolutionError, ...
+    GuardTripped: ("numerical_guard", EXIT_GUARD),
+    evolution.ResolutionLossError: ("numerical_guard", EXIT_GUARD),
+    CheckFailed: ("check_failed", EXIT_CHECK_FAILED),
+    groundstate.GroundStateError: ("certification_failed", EXIT_CHECK_FAILED),
+    OSError: ("io_error", EXIT_IO),
+}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
         handler, _, positionals = COMMANDS[args.command]
         return handler(cfg, *(getattr(args, arg) for arg, _ in positionals))
-    except (ConfigError, core.GridResolutionError, ValueError) as exc:
-        _emit_error(args, "invalid_input", exc)
-        return EXIT_INVALID
-    except (GuardTripped, evolution.ResolutionLossError) as exc:
-        _emit_error(args, "numerical_guard", exc)
-        return EXIT_GUARD
-    except CheckFailed as exc:
-        _emit_error(args, "check_failed", exc)
-        return EXIT_CHECK_FAILED
-    except (OSError, groundstate.GroundStateError) as exc:
-        kind = "io_error" if isinstance(exc, OSError) else "certification_failed"
-        _emit_error(args, kind, exc)
-        return EXIT_IO if isinstance(exc, OSError) else EXIT_CHECK_FAILED
-
-
-def _emit_error(args, kind: str, exc: Exception) -> None:
-    print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
+    except tuple(ERRORS) as exc:
+        kind, code = next(v for t, v in ERRORS.items() if isinstance(exc, t))
+        print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -358,7 +358,7 @@ def gradient_norm_sq(f: RadialField) -> float:
     return float(_kinetic_sum(f.grid, f.grid._forward_values(f.values)))
 
 
-def require_resolved(f: RadialField, what: str = "field") -> None:
+def require_resolved(f: RadialField, what: str) -> None:
     _check_resolved(f.grid, f.grid._forward_values(f.values), what)
 
 

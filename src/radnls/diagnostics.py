@@ -44,7 +44,7 @@ class DecayFitReport:
     residual: float | None      # rms residual of the fit in log2 units
     threshold: float | None     # slope the check is judged against (None: report-only)
     passes: bool
-    note: str = ""
+    note: str
 
     def to_json_obj(self) -> dict:
         return vars(self) | {"table": self.table.to_json_obj()}

@@ -43,13 +43,13 @@ class ResolutionLossError(RuntimeError):
 class SimulationConfig:
     """Run parameters; cadence is in steps per stored snapshot."""
 
-    dimension: int = 4
-    mu: int = -1
-    r_max: float = 15.0
-    n: int = 640
-    dt: float = 1e-3
-    t_final: float = 1.0
-    cadence: int = 10
+    dimension: int
+    mu: int
+    r_max: float
+    n: int
+    dt: float
+    t_final: float
+    cadence: int
 
     def __post_init__(self):
         if self.mu not in (-1, 0, 1):
@@ -88,8 +88,8 @@ class Trajectory:
     values: np.ndarray
     mass_log: list
     energy_log: list
-    guard_event: dict | None = None
-    warnings: tuple = ()
+    guard_event: dict | None
+    warnings: tuple
 
     def __post_init__(self):
         self.times = np.array(self.times, dtype=np.float64)

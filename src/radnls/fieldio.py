@@ -16,7 +16,6 @@ is bit-exact on the samples and metadata.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -91,12 +90,10 @@ def load_trajectory(path) -> Trajectory:
     out = Path(path)
     manifest = json.loads((out / "manifest.json").read_text())
     config = manifest["config"]
-    keys = {f.name for f in dataclasses.fields(SimulationConfig)}
-    unexpected = sorted(set(config) - keys)
-    missing = sorted(keys - set(config))
-    if unexpected or missing:
-        raise ValueError(f"{out}: manifest config has unexpected keys {unexpected} "
-                         f"and missing keys {missing}")
+    try:
+        cfg = SimulationConfig(**config)
+    except TypeError as exc:
+        raise ValueError(f"{out}: manifest config does not fit SimulationConfig: {exc}") from exc
     if _config_hash(config) != manifest["config_hash"]:
         raise ValueError(f"{out}: manifest config_hash does not match its config")
     times = manifest["times"]
@@ -104,7 +101,6 @@ def load_trajectory(path) -> Trajectory:
     if sorted(p.name for p in (out / "snapshots").iterdir()) != names:
         raise ValueError(f"{out}: snapshots/ must hold exactly the {len(names)} files "
                          "000000.rfb, 000001.rfb, ... named by the manifest's times")
-    cfg = SimulationConfig(**config)
     grid = cfg.make_grid()
     values = np.empty((len(times), grid.n), dtype=np.complex128)
     for row, name in zip(values, names):

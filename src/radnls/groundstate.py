@@ -71,7 +71,7 @@ def _elliptic_residual(grid: RadialGrid, q: np.ndarray, p: float) -> float:
                      / float(np.sum(grid.w * np.abs(q) ** 2)))
 
 
-def solve_ground_state(grid: RadialGrid, tol: float = 1e-8) -> GroundState:
+def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
     """Normalized fixed-point iteration for the ground state.
 
     Each step maps Q -> S^gamma (1 - Lap)^(-1) Q^(1+4/d) with the normalization

@@ -90,7 +90,8 @@ def single_snapshot_trajectory(grid, field):
     """Wrap one field as a minimal trajectory for the fit/scan diagnostics."""
     cfg = evolution.SimulationConfig(dimension=grid.d, mu=0, r_max=grid.r_max,
                                      n=grid.n, dt=1e-3, t_final=1e-3, cadence=1)
-    return evolution.Trajectory(cfg, grid, [0.0], [field.values], [core.mass(field)], [0.0])
+    return evolution.Trajectory(cfg, grid, [0.0], [field.values], [core.mass(field)], [0.0],
+                                None, ())
 
 
 def planted_band_field(grid, scales, shell_values, shell_cut=1.0, seed=5):

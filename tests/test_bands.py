@@ -328,7 +328,7 @@ class TestFractionalChain:
 class TestBandNormTable:
     def test_rejects_disorder(self):
         with pytest.raises(ValueError):
-            bands.BandNormTable("q", (2.0, 1.0), (0.1, 0.2))
+            bands.BandNormTable("q", (2.0, 1.0), (0.1, 0.2), "")
 
     def test_json(self):
         tab = bands.BandNormTable("q", (1.0, 2.0), (0.5, 0.25), annotation="x")

@@ -246,8 +246,8 @@ def test_transform_count_independent_of_snapshot_count(sw_dense, monkeypatch):
         traj = dataclasses.replace(sw_dense, times=sw_dense.times[:snapshots],
                                    values=sw_dense.values[:snapshots])
         calls.clear()
-        for runner in cli.DIAGNOSTIC_RUNNERS.values():
-            runner(traj, {})
+        for kind, runner in cli.DIAGNOSTIC_RUNNERS.items():
+            runner(traj, cli.PARAMS["diagnostics"][kind])
         recurrence.extract_A_sequence(traj, [16.0, 32.0])
         return len(calls)
 

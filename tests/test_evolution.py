@@ -68,18 +68,23 @@ class TestStep:
             evolution.step(rough, 1e-3, -1)
 
 
+# a valid run config; each TestConfig case breaks one field of it
+CONFIG = {"dimension": 4, "mu": -1, "r_max": 15.0, "n": 640, "dt": 1e-3, "t_final": 1.0,
+          "cadence": 10}
+
+
 class TestConfig:
     def test_rejects_bad_mu(self):
         with pytest.raises(ValueError):
-            evolution.SimulationConfig(mu=2)
+            evolution.SimulationConfig(**dict(CONFIG, mu=2))
 
     def test_rejects_noninteger_steps(self):
         with pytest.raises(ValueError):
-            evolution.SimulationConfig(dt=3e-4, t_final=1.0)
+            evolution.SimulationConfig(**dict(CONFIG, dt=3e-4, t_final=1.0))
 
     def test_rejects_cadence_not_dividing(self):
         with pytest.raises(ValueError):
-            evolution.SimulationConfig(dt=1e-3, t_final=1.0, cadence=7)
+            evolution.SimulationConfig(**dict(CONFIG, dt=1e-3, t_final=1.0, cadence=7))
 
 
 class TestEvolve:

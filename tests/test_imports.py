@@ -43,14 +43,50 @@ UNSET_DEFAULTS_ALLOWED = {
 }
 
 
-def _defaulted(fn: ast.FunctionDef) -> list[tuple[str, int | None, ast.expr]]:
-    """(name, call position, default) per defaulted parameter; position None if keyword-only."""
-    a = fn.args
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _defaulted(node) -> list[tuple[str, int | None, ast.expr]]:
+    """(name, call position, default) per defaulted parameter; position None if keyword-only.
+
+    A dataclass's parameters are its fields, in field order.
+    """
+    if isinstance(node, ast.ClassDef):
+        fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+        return [(f.target.id, i, f.value) for i, f in enumerate(fields) if f.value is not None]
+    a = node.args
     pos = a.posonlyargs + a.args
     skip = 1 if pos and pos[0].arg in ("self", "cls") else 0
     first = len(pos) - len(a.defaults)
     out = [(p.arg, i - skip, d) for i, (p, d) in enumerate(zip(pos[first:], a.defaults), first)]
     return out + [(p.arg, None, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _defaults_and_calls(sources: list[str]):
+    """Each defaulted parameter as (function, name, position, default), and the
+    calls of each function name; a dataclass counts as a function of its fields."""
+    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
+    calls: dict[str, list[ast.Call]] = {}
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            calls.setdefault(name, []).append(node)
+    defaults = [(fn.name, *entry) for fn in nodes
+                if isinstance(fn, ast.FunctionDef)
+                or isinstance(fn, ast.ClassDef) and _is_dataclass(fn)
+                for entry in _defaulted(fn)]
+    return defaults, calls
+
+
+def _passed(call: ast.Call, name: str, position: int | None) -> list[ast.expr]:
+    """What call passes for the parameter, by keyword or by position."""
+    passed = [kw.value for kw in call.keywords if kw.arg == name]
+    if position is not None and position < len(call.args):
+        passed.append(call.args[position])
+    return passed
 
 
 def unset_defaults(sources: list[str]) -> list[str]:
@@ -60,24 +96,29 @@ def unset_defaults(sources: list[str]) -> list[str]:
     anything but the default's own literal.  Calls are matched to functions
     by name, so a parameter counts as set when any function of its name gets it.
     """
-    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
-    calls: dict[str, list[ast.Call]] = {}
-    for node in nodes:
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            calls.setdefault(name, []).append(node)
+    defaults, calls = _defaults_and_calls(sources)
 
     def sets(call: ast.Call, name: str, position: int | None, default: ast.expr) -> bool:
-        passed = [kw.value for kw in call.keywords if kw.arg == name]
-        if position is not None and position < len(call.args):
-            passed.append(call.args[position])
         return any(not (isinstance(v, ast.Constant) and isinstance(default, ast.Constant)
-                        and v.value == default.value) for v in passed)
+                        and v.value == default.value) for v in _passed(call, name, position))
 
-    return [f"{fn.name}({name})" for fn in nodes if isinstance(fn, ast.FunctionDef)
-            for name, position, default in _defaulted(fn)
-            if not any(sets(c, name, position, default) for c in calls.get(fn.name, ()))]
+    return [f"{fn}({name})" for fn, name, position, default in defaults
+            if not any(sets(c, name, position, default) for c in calls.get(fn, ()))]
+
+
+def overridden_defaults(sources: list[str]) -> list[str]:
+    """Defaulted parameters, as "function(param)", that every call in the sources passes.
+
+    Such a default is never used.  Only functions called at least once count,
+    and a call that unpacks ** is left out, since what it passes is unknown.
+    """
+    defaults, calls = _defaults_and_calls(sources)
+    out = []
+    for fn, name, position, _ in defaults:
+        known = [c for c in calls.get(fn, ()) if all(kw.arg is not None for kw in c.keywords)]
+        if known and all(_passed(c, name, position) for c in known):
+            out.append(f"{fn}({name})")
+    return out
 
 
 def test_guard_flags_a_parameter_no_call_sets():
@@ -87,9 +128,35 @@ def test_guard_flags_a_parameter_no_call_sets():
     assert unset_defaults([source]) == ["f(b)", "f(c)", "m(y)"]
 
 
+def test_guard_reads_dataclass_fields_in_order():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass P:\n    a: int\n    b: int = 1\n    c: str = ''\n"
+              "@dataclass\nclass Q:\n    z: int = 0\n"
+              "class R:\n    w: int = 0\n"
+              "P(0, 2)\nP(0, c='')\n")
+    assert unset_defaults([source]) == ["P(c)", "Q(z)"]
+
+
+def test_guard_flags_a_default_every_call_overrides():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    return a\n"
+              "def g(x=0):\n    return x\n"
+              "def h(y=0):\n    return y\n"
+              "from dataclasses import dataclass\n"
+              "@dataclass\nclass P:\n    a: int = 0\n    b: int = 1\n"
+              "f(0, 1, d=4)\nf(0, 1, c=2, d=3)\nh(**{'y': 1})\n"
+              "P(1, 2)\nP(1, b=0)\n")
+    # b and d are passed by both calls of f, even where the value equals the
+    # default; g is never called; h's only call unpacks **
+    assert overridden_defaults([source]) == ["f(b)", "f(d)", "P(a)", "P(b)"]
+
+
 def test_every_defaulted_parameter_is_set_by_the_package():
     found = unset_defaults([p.read_text() for p in SOURCES])
     assert sorted(found) == sorted(UNSET_DEFAULTS_ALLOWED)
+
+
+def test_no_default_is_overridden_by_every_call_in_the_package():
+    assert overridden_defaults([p.read_text() for p in SOURCES]) == []
 
 
 def test_cli_import_leaves_the_shooting_solvers_unloaded():

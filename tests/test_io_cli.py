@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -79,6 +80,21 @@ def write_cfg(tmp_path, payload):
 
 
 SMALL_GRID = {"r_max": 15.0, "n": 384}
+LEMMA_PARAMS = {"s": 1.25, "gamma": 0.2, "c1": 1.0, "m0": 1.0, "beta_prime": 1e-16, "a_bound": 1.0}
+
+# (exception a command raises, error kind, exit code): each entry of cli.ERRORS,
+# and subclasses that fall under an entry
+EXIT_CASES = [
+    (ValueError("boom"), "invalid_input", 2),
+    (cli.ConfigError("boom"), "invalid_input", 2),
+    (core.GridResolutionError("boom"), "invalid_input", 2),
+    (cli.GuardTripped("boom"), "numerical_guard", 4),
+    (evolution.ResolutionLossError("boom"), "numerical_guard", 4),
+    (cli.CheckFailed("boom"), "check_failed", 1),
+    (groundstate.GroundStateError("boom"), "certification_failed", 1),
+    (OSError("boom"), "io_error", 3),
+    (FileNotFoundError("boom"), "io_error", 3),
+]
 
 
 class TestCli:
@@ -260,6 +276,81 @@ class TestCli:
         cfg = write_cfg(tmp_path, {"no_such_key": 1})
         assert cli.main(["--config", cfg, "ground-state"]) == 2
 
+    @pytest.mark.parametrize("edit, detail", [
+        pytest.param({"grid": {"r_max": 15.0, "nn": 128}}, "grid: unknown key(s) ['nn']",
+                     id="grid_typo"),
+        pytest.param({"time": {"t": 0.02}}, "time: unknown key(s) ['t']", id="time_typo"),
+        pytest.param({"initial": {"kind": "sw", "params": {"tt": 0.5}}},
+                     "initial.params: unknown key(s) ['tt']", id="initial_params_typo"),
+        pytest.param({"diagnostics": [{"kind": "virial"},
+                                      {"kind": "kinetic_localization", "eta_frac": 0.1}]},
+                     "diagnostics[1]: unknown key(s) ['eta_frac']", id="diagnostic_typo"),
+        pytest.param({"lemma": {"params": LEMMA_PARAMS, "sequnce": {"kind": "synthetic_power"}}},
+                     "lemma: unknown key(s) ['sequnce']", id="lemma_typo"),
+        pytest.param({"lemma": {"params": LEMMA_PARAMS,
+                                "sequence": {"kind": "synthetic_power", "ladr": 8}}},
+                     "lemma.sequence: unknown key(s) ['ladr']", id="sequence_typo"),
+        pytest.param({"initial": {"kind": "file"}}, "initial: kind 'file' needs key(s) ['path']",
+                     id="initial_file_without_path"),
+        pytest.param({"lemma": {"params": LEMMA_PARAMS,
+                                "sequence": {"kind": "from_trajectory", "Ns": [4]}}},
+                     "lemma.sequence: kind 'from_trajectory' needs key(s) ['path']",
+                     id="from_trajectory_without_path"),
+        pytest.param({"lemma": {"params": LEMMA_PARAMS, "sequence": {"kind": "file"}}},
+                     "lemma.sequence: kind 'file' needs key(s) ['path']",
+                     id="sequence_file_without_path"),
+        pytest.param({"grid": 5}, "grid must be an object, got 5", id="grid_not_an_object"),
+        pytest.param({"initial": {"kind": ["sw"]}}, "initial: unknown kind ['sw']",
+                     id="unhashable_kind"),
+    ])
+    def test_config_key_nothing_reads_exits_2(self, out_env, tmp_path, capsys, edit, detail):
+        # every command checks the whole config before it starts, so lemma, which
+        # reads neither grid, time, initial nor diagnostics, rejects them too
+        payload = {"grid": {"r_max": 15.0, "n": 128}, "time": {"dt": 1e-3, "T": 0.02},
+                   "lemma": {"params": LEMMA_PARAMS}, "output_dir": "typo"} | edit
+        assert cli.main(["--config", write_cfg(tmp_path, payload), "lemma"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "invalid_input" and detail in error["detail"]
+        assert not (out_env / "typo" / "lemma_report.json").exists()
+
+    def test_benchmark_warmup_config_runs(self, tmp_path, monkeypatch, capsys):
+        # the warm-up gives a gaussian start the t that sw and pc_ground_state
+        # read; initial.params may hold any initial kind's parameters
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        out = str(tmp_path / "warmup")
+        cfg = write_cfg(tmp_path, workloads.WARMUP.config(3, out))
+        for name, args in workloads.session_commands(workloads.WARMUP, cfg, out):
+            assert cli.main(args) == 0, name
+
+    def test_readme_example_config_is_valid(self, tmp_path):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text[text.index("### Config"):]
+        block = section[section.index("```json") + len("```json"):]
+        cfg = cli.load_config(write_cfg(tmp_path, json.loads(block[:block.index("```")])), {})
+        assert cli.kind_params("initial", cfg["initial"]) == ("sw", {"t": 0.0})
+        assert [kind for kind, _ in cli.diagnostic_params(cfg)] == list(cli.DIAGNOSTIC_RUNNERS)
+        assert cli.kind_params("lemma.sequence", cfg["lemma"]["sequence"])[0] == "synthetic_power"
+        # and the section names every kind and parameter of the table
+        for kinds in cli.PARAMS.values():
+            for kind, params in kinds.items():
+                assert all(f"`{name}`" in section for name in (kind, *params)), kind
+
+    @pytest.mark.parametrize("exc, kind, code", EXIT_CASES,
+                             ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_exit_code_and_error_kind(self, monkeypatch, capsys, exc, kind, code):
+        def fail(cfg):
+            raise exc
+        monkeypatch.setitem(cli.COMMANDS, "selftest", (fail, "fails", ()))
+        assert cli.main(["selftest"]) == code
+        assert json.loads(capsys.readouterr().err) == {"error": kind, "detail": "boom"}
+
+    def test_exit_cases_cover_every_table_entry(self):
+        assert set(cli.ERRORS) <= {type(exc) for exc, _, _ in EXIT_CASES}
+
     @pytest.mark.parametrize("command, payload", [
         pytest.param(["lemma"], {"lemma": {"params": {
             "s": 1.5, "gamma": 0.3, "c1": 2.0, "m0": 1.0, "beta_prime": 1e-9, "a_bound": 2.0}}},
@@ -309,11 +400,14 @@ class TestCli:
                 scale = header.split(",")[1]
                 assert all(set(row) == {scale, "value"} for row in payload["table"]["rows"])
 
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda config: config.update(stepper="strang"), id="stepper"),
-        pytest.param(lambda config: config.pop("dt"), id="missing_dt"),
+    @pytest.mark.parametrize("edit, rehash", [
+        pytest.param(lambda config: config.update(stepper="strang"), False, id="stepper"),
+        pytest.param(lambda config: config.pop("dt"), False, id="missing_dt"),
+        # with config_hash matching the edited config, SimulationConfig itself rejects it
+        pytest.param(lambda config: config.update(stepper="strang"), True, id="stepper_rehashed"),
+        pytest.param(lambda config: config.pop("dt"), True, id="missing_dt_rehashed"),
     ])
-    def test_bad_manifest_config_exits_2(self, out_env, tmp_path, capsys, edit):
+    def test_bad_manifest_config_exits_2(self, out_env, tmp_path, capsys, edit, rehash):
         cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
                                    "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
                                    "output_dir": "bad"})
@@ -321,9 +415,12 @@ class TestCli:
         path = out_env / "bad" / "trajectory" / "manifest.json"
         manifest = json.loads(path.read_text())
         edit(manifest["config"])
+        if rehash:
+            manifest["config_hash"] = fieldio._config_hash(manifest["config"])
         path.write_text(json.dumps(manifest))
         assert cli.main(["--config", cfg, "diagnose", str(path.parent)]) == 2
-        assert "invalid_input" in capsys.readouterr().err
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "invalid_input" and str(path.parent) in error["detail"]
 
 
     @pytest.mark.parametrize("corrupt", [
