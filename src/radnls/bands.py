@@ -129,7 +129,7 @@ def multiply_radial(f: RadialField, profile: np.ndarray) -> RadialField:
 
 @dataclass(frozen=True)
 class BandNormTable:
-    """Measured norms indexed by a scale parameter (dyadic N, radius R, or time t).
+    """Measured norms indexed by a scale parameter (dyadic N or radius R).
 
     scale_name labels the scale column: the key of each JSON row and the
     column header of the CLI's CSV.
@@ -200,16 +200,6 @@ def mismatch_real(f: RadialField, R: float, N: float, with_gradient: bool = Fals
     return math.sqrt(mass(out))
 
 
-def mismatch_freq(f: RadialField, N: float, M: float, R: float) -> float:
-    """|| P_N phi_{<=R} P_M f ||_2 for well-separated bands (max >= 4 min)."""
-    if max(N, M) < 4.0 * min(N, M):
-        raise ValueError(f"band separation violated: max(N,M) < 4 min(N,M) for N={N}, M={M}")
-    g = project_band(f, M)
-    h = multiply_radial(g, phi_le(f.grid.r, R))
-    out = project_band(h, N)
-    return math.sqrt(mass(out))
-
-
 def radial_sobolev_ratio(f: RadialField, N: float) -> float:
     """sup_r r^{(d-1)/2} |P_N f(r)| / (N^{1/2} ||P_N f||_2)."""
     g = _band_or_raise(f, N)
@@ -236,26 +226,6 @@ def fractional_chain_ratio(u: RadialField, s: float) -> float:
     num = lebesgue_norm(frac(fu), q_num)
     den = lebesgue_norm(frac(u), q_den) * lebesgue_norm(u, q_den) ** (4.0 / d)
     return num / den
-
-
-def dispersive_decay(f: RadialField, N: float, times) -> BandNormTable:
-    """Table of t -> t^{d/2} || e^{it Laplacian} P_N f ||_inf over the given times.
-
-    Uniform boundedness over [N^{-2}, 10] is the dispersive sup-norm decay of
-    the band-limited free propagator.
-    """
-    times = np.sort(np.asarray(times, dtype=np.float64))
-    if not times.size:
-        raise ValueError("empty time list")
-    if np.any((times < 1.0 / N**2 - 1e-12) | (times > 10.0)):
-        raise ValueError("times must lie in [N^-2, 10]")
-    g = f.grid
-    coeffs = g._forward_values(project_band(f, N).values)
-    prop = g._inverse_values(coeffs * np.exp(-1j * times[:, None] * g.rho**2))
-    vals = times ** (g.d / 2.0) * np.max(np.abs(prop), axis=-1)
-    return BandNormTable("dispersive_sup_decay", tuple(times.tolist()), tuple(vals.tolist()),
-                         annotation=f"N={N}, value = t^(d/2) * sup |e^(it Lap) P_N f|",
-                         scale_name="t")
 
 
 # ---------------------------------------------------------------------------

@@ -417,11 +417,9 @@ def cmd_lemma(cfg: dict) -> int:
 def cmd_selftest(cfg: dict) -> int:
     results = selftest.run_all()
     width = max(len(name) for name, _, _ in results)
-    failed = 0
     for name, ok, detail in results:
         print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
-        if not ok:
-            failed += 1
+    failed = sum(not ok for _, ok, _ in results)
     print(f"selftest: {len(results) - failed}/{len(results)} suites green")
     if failed:
         raise CheckFailed(f"{failed} selftest suites failed")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bands import high_symbol
 from .core import RadialGrid, _power_sum, validate_scale
-from .evolution import Trajectory, _nonlinearity
+from .evolution import Trajectory
 
 CONCLUSION_SLACK = 1e-12
 
@@ -139,22 +139,6 @@ def strichartz_norm(traj: Trajectory, interval: tuple[float, float]) -> float:
     """max of sup_t ||u||_2 and the L^2_t L^{2d/(d-2)}_x norm on the interval."""
     sel = _window(traj, *interval)
     return _s_norm(traj.grid, traj.times[sel], traj.values[sel])
-
-
-def dual_nonlinearity_norm(traj: Trajectory, N: float,
-                           interval: tuple[float, float] | None = None) -> float:
-    """|| P_{>=N} F(u) ||_{L^{2(d+2)/(d+4)}_{t,x}} on [0, 1/sqrt(N)] by default."""
-    grid = traj.grid
-    validate_scale(grid, N)
-    if interval is None:
-        interval = (traj.times[0], traj.times[0] + N ** (-0.5))
-    sel = _window(traj, *interval)
-    d = grid.d
-    q = 2.0 * (d + 2.0) / (d + 4.0)
-    nonlin = _nonlinearity(grid, traj.values[sel], traj.config.mu)
-    high = grid._inverse_values(high_symbol(grid, N) * grid._forward_values(nonlin))
-    integrand = (_power_sum(grid, high, q) ** (1.0 / q)) ** q
-    return float(np.trapezoid(integrand, traj.times[sel])) ** (1.0 / q)
 
 
 def extract_A_sequence(traj: Trajectory, Ns) -> ASequence:

