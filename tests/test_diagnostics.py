@@ -55,6 +55,14 @@ class TestKineticLocalization:
         r_star = diagnostics.kinetic_localization_radius(ground.profile, eta)
         assert 0 < r_star < ground.grid.r_max / 2
 
+    def test_uniform_along_solitary_wave(self, sw_dense, ground):
+        eta = 1e-2 * ground.kinetic
+        idx = [int(np.argmin(np.abs(ground.grid.r
+                                    - diagnostics.kinetic_localization_radius(f, eta))))
+               for f in map(sw_dense.field, range(0, len(sw_dense), 50))]
+        assert len(idx) >= 20
+        assert max(idx) - min(idx) <= 1
+
     def test_eta_above_total_rejected(self, ground):
         with pytest.raises(ValueError):
             diagnostics.kinetic_localization_radius(ground.profile, 2 * ground.kinetic)

@@ -88,10 +88,21 @@ class TestConfig:
 
 
 class TestEvolve:
+    def test_energy_conservation(self, sw_dense, ground):
+        e0 = sw_dense.energy_log[0]
+        drift = max(abs(e - e0) for e in sw_dense.energy_log)
+        assert drift < 1e-5 * ground.kinetic
+
     def test_energy_log_matches_core_energy(self, defocusing_dense):
         for i in range(0, len(defocusing_dense), 50):
             e = core.energy(defocusing_dense.field(i), 1)
             assert abs(defocusing_dense.energy_log[i] - e) <= 1e-12 * e
+
+    def test_pseudo_conformal_oracle(self, pc_traj, ground):
+        exact = groundstate.make_pc(ground, -0.5)
+        assert relative_l2(pc_traj.field(-1), exact) < 1e-2
+        m0 = pc_traj.mass_log[0]
+        assert max(abs(m - m0) for m in pc_traj.mass_log) < 1e-6 * m0
 
     def test_small_data_runs_clean(self, grid):
         small = core.field_from_function(grid, lambda r: 0.05 * np.exp(-(r**2)))
@@ -145,9 +156,18 @@ class TestEvolve:
 
 
 class TestDuhamel:
+    def test_linear_run_residual(self, free_dense):
+        res = evolution.duhamel_residual(free_dense, 0.0, 0.2)
+        assert res < 1e-8
+
     def test_solitary_wave_residual_scale(self, sw_dense, ground):
         res = evolution.duhamel_residual(sw_dense, 0.0, 0.2)
         assert res < 1e-3 * math.sqrt(ground.mass)
+
+    def test_residual_refinement_ratio(self, sw_dense, sw_half_dense):
+        r1 = evolution.duhamel_residual(sw_dense, 0.0, 0.2)
+        r2 = evolution.duhamel_residual(sw_half_dense, 0.0, 0.2)
+        assert r1 / r2 >= 3.0
 
     def test_insufficient_snapshots_rejected(self, sw_dense):
         with pytest.raises(ValueError):

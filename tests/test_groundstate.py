@@ -13,6 +13,9 @@ class TestSolve:
         l3 = core.lebesgue_norm(ground.profile, 3.0) ** 3
         assert abs(ground.mass - l3 / 3.0) < 1e-4 * ground.mass
 
+    def test_focusing_energy_vanishes(self, ground):
+        assert abs(core.energy(ground.profile, -1)) < 1e-4 * ground.kinetic
+
     def test_profile_positive_and_decreasing(self, ground):
         q = ground.profile.values.real
         assert np.all(q > 0)
