@@ -102,16 +102,6 @@ def project_low(f: RadialField, N: float) -> RadialField:
     return apply_multiplier(f, low_symbol(f.grid, N))
 
 
-def project_high(f: RadialField, N: float) -> RadialField:
-    """P_{>= N} f = f minus everything strictly below the N band.
-
-    Equals the sum of project_band over all dyadic scales >= N, i.e. the
-    complement of project_low at N/2.
-    """
-    validate_scale(f.grid, N)
-    return apply_multiplier(f, high_symbol(f.grid, N))
-
-
 def project_fat(f: RadialField, N: float) -> RadialField:
     """The fattened band P_{N/2} + P_N + P_{2N}."""
     validate_scale(f.grid, N)

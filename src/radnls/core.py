@@ -269,10 +269,6 @@ class SpectralField:
         object.__setattr__(self, "values", _frozen_values(self.grid, self.values, "coefficient"))
 
 
-def zero_field(grid: RadialGrid) -> RadialField:
-    return RadialField(grid, np.zeros(grid.n, dtype=np.complex128))
-
-
 def field_from_function(grid: RadialGrid, fn) -> RadialField:
     """Sample a callable of the radius on the grid nodes."""
     return RadialField(grid, np.asarray(fn(grid.r), dtype=np.complex128))

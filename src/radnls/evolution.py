@@ -104,6 +104,12 @@ class Trajectory:
         coeffs.setflags(write=False)
         return coeffs
 
+    @property
+    def mass_drift(self) -> float:
+        """Largest relative departure of the mass log from its first entry; 0 at zero mass."""
+        m0 = self.mass_log[0]
+        return max(abs(m - m0) for m in self.mass_log) / m0 if m0 else 0.0
+
     def field(self, i: int) -> RadialField:
         """Snapshot i as a RadialField."""
         return RadialField(self.grid, self.values[i])

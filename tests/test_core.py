@@ -57,7 +57,7 @@ class TestGridConstruction:
 
 class TestTransforms:
     def test_forward_of_zero(self, grid):
-        F = core.transform_forward(core.zero_field(grid))
+        F = core.transform_forward(core.RadialField(grid, np.zeros(grid.n)))
         assert np.all(F.values == 0)
 
     def test_gaussian_transform_closed_form(self, grid20):
@@ -190,7 +190,7 @@ class TestKernel:
 
 class TestNorms:
     def test_mass_zero_field(self, grid):
-        assert core.mass(core.zero_field(grid)) == 0.0
+        assert core.mass(core.RadialField(grid, np.zeros(grid.n))) == 0.0
 
     def test_mass_scaling_invariance(self, corpus):
         for f in corpus[:5]:
@@ -206,7 +206,7 @@ class TestNorms:
                 assert abs(scaled / base - lam) < 1e-6 * lam
 
     def test_lebesgue_zero(self, grid):
-        assert core.lebesgue_norm(core.zero_field(grid), 3.0) == 0.0
+        assert core.lebesgue_norm(core.RadialField(grid, np.zeros(grid.n)), 3.0) == 0.0
 
     def test_lebesgue_gaussian_l2(self, grid20):
         v = core.lebesgue_norm(gaussian(grid20), 2.0) ** 2
@@ -226,7 +226,7 @@ class TestNorms:
         for f in corpus[:10]:
             assert core.mass(f) >= 0
             assert core.lebesgue_norm(f, 3.0) >= 0
-        assert core.mass(core.zero_field(grid)) <= 1e-12
+        assert core.mass(core.RadialField(grid, np.zeros(grid.n))) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(scale=st.floats(0.1, 10.0), phase=st.floats(0, 2 * math.pi),
@@ -240,7 +240,7 @@ class TestNorms:
 
 class TestEnergy:
     def test_energy_zero_field(self, grid):
-        assert core.energy(core.zero_field(grid), -1) == 0.0
+        assert core.energy(core.RadialField(grid, np.zeros(grid.n)), -1) == 0.0
 
     def test_gaussian_linear_energy(self, grid20):
         # closed-form Gaussian moment, cross-checked by high-resolution quadrature

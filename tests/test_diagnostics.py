@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from radnls import bands, cli, core, diagnostics, evolution, recurrence
+from radnls import bands, cli, core, diagnostics, evolution, recurrence, selftest
 
 from conftest import planted_band_field, single_snapshot_trajectory
 
@@ -14,7 +14,8 @@ GAUSS_VIRIAL_4D = math.pi**2 / 4   # integral of |x|^2 e^{-2|x|^2} over R^4
 
 class TestTruncatedVirial:
     def test_zero_field(self, grid):
-        assert diagnostics.truncated_virial(core.zero_field(grid), 4.0) == 0.0
+        zero = core.RadialField(grid, np.zeros(grid.n))
+        assert diagnostics.truncated_virial(zero, 4.0) == 0.0
 
     def test_gaussian_moment(self, grid20):
         f = core.field_from_function(grid20, lambda r: np.exp(-(r**2)))
@@ -24,6 +25,17 @@ class TestTruncatedVirial:
     def test_monotone_in_cutoff(self, grid, corpus):
         f = corpus[0]
         assert diagnostics.truncated_virial(f, 4.0) >= diagnostics.truncated_virial(f, 2.0)
+
+    def test_bound_check_on_a_stack(self, grid, corpus):
+        # V_R <= (25R/24)^2 M row by row, reporting the row nearest its bound; R = inf and
+        # a zero-mass row have no bound to fail
+        f = corpus[0]
+        stack = np.stack([np.zeros(grid.n), f.values])
+        ok, (v, cap) = selftest.check_virial_bound(grid, stack, 4.0)
+        assert ok is True
+        assert v == pytest.approx(diagnostics.truncated_virial(f, 4.0), rel=1e-14)
+        assert cap == pytest.approx((25 * 4.0 / 24) ** 2 * core.mass(f), rel=1e-14)
+        assert selftest.check_virial_bound(grid, stack, math.inf)[0] is True
 
 
 class TestVirialAcceleration:
@@ -54,14 +66,6 @@ class TestKineticLocalization:
         eta = 1e-2 * ground.kinetic
         r_star = diagnostics.kinetic_localization_radius(ground.profile, eta)
         assert 0 < r_star < ground.grid.r_max / 2
-
-    def test_uniform_along_solitary_wave(self, sw_dense, ground):
-        eta = 1e-2 * ground.kinetic
-        idx = [int(np.argmin(np.abs(ground.grid.r
-                                    - diagnostics.kinetic_localization_radius(f, eta))))
-               for f in map(sw_dense.field, range(0, len(sw_dense), 50))]
-        assert len(idx) >= 20
-        assert max(idx) - min(idx) <= 1
 
     def test_eta_above_total_rejected(self, ground):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import radnls
@@ -156,6 +157,54 @@ def test_every_defaulted_parameter_is_set_by_the_package():
 
 def test_no_default_is_overridden_by_every_call_in_the_package():
     assert overridden_defaults([p.read_text() for p in SOURCES]) == []
+
+
+# public module-level functions and classes that nothing in the package names, each with
+# why it stays: the paper's lemmas, which the acceptance suite measures, and the
+# single-field references test_runners_match_single_field_loop holds the stacked runners to
+UNREFERENCED_ALLOWED = {
+    "bernstein_ratio": "Bernstein's inequality, measured by acceptance criterion 8",
+    "radial_sobolev_ratio": "the radial Sobolev embedding, measured by criterion 8",
+    "fractional_chain_ratio": "the fractional chain rule, measured by criterion 8",
+    "strichartz_norm": "the S-norm of the Strichartz estimate, extract_A_sequence's reference",
+    "duhamel_residual": "the Duhamel formula's defect, judged by criterion 9",
+    "kinetic_localization_radius": "single-field reference of the kinetic_localization runner",
+    "truncated_virial": "single-field reference of the virial runner",
+}
+
+
+def _referenced(node: ast.AST) -> Counter:
+    """How often each name is used inside node, as a bare name or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_public(sources: list[str]) -> list[str]:
+    """Public module-level functions and classes that no code in the sources names,
+    apart from their own definitions.  Names are matched across modules by name alone."""
+    trees = [ast.parse(source) for source in sources]
+    used = sum((_referenced(tree) for tree in trees), Counter())
+    return sorted(node.name for tree in trees for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and used[node.name] == _referenced(node)[node.name])
+
+
+def test_guard_flags_a_public_name_nothing_references():
+    module = ("def used():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "def _private():\n    return 0\n"
+              "class Lone:\n    def used(self):\n        return Lone\n"
+              "class Kept:\n    pass\n"
+              "def helper():\n    return used() + Kept\n")
+    caller = "import m\nm.helper()\n"
+    # recursion and a class naming itself do not count; an attribute in another module does
+    assert unreferenced_public([module, caller]) == ["Lone", "recursive"]
+    assert unreferenced_public([module]) == ["Lone", "helper", "recursive"]
+
+
+def test_every_public_name_is_used_by_the_package():
+    assert unreferenced_public([p.read_text() for p in SOURCES]) == sorted(UNREFERENCED_ALLOWED)
 
 
 def test_cli_import_leaves_the_shooting_solvers_unloaded():

@@ -145,6 +145,17 @@ class TestCli:
                          str(out_env / "run" / "trajectory")]) == 0
         assert (out_env / "run" / "diagnose_summary.json").exists()
 
+    def test_zero_mass_evolve_reports_no_drift(self, out_env, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "grid": SMALL_GRID, "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+            "initial": {"kind": "gaussian", "params": {"amplitude": 0.0}},
+            "output_dir": "zero"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        summary = json.loads((out_env / "zero" / "evolve_summary.json").read_text())
+        assert summary["mass_drift"] == 0.0
+        # the default virial diagnostic has R = inf, where a zero field has no bound to fail
+        assert cli.main(["--config", cfg, "diagnose", str(out_env / "zero" / "trajectory")]) == 0
+
     def test_sw_evolve_reads_the_ground_state_once(self, out_env, tmp_path, monkeypatch,
                                                    capsys):
         cfg = write_cfg(tmp_path, {"grid": SMALL_GRID,
@@ -249,7 +260,7 @@ class TestCli:
         assert names == [
             "core.roundtrip", "core.gaussian_mass", "core.plancherel", "core.scaling",
             "groundstate.residual", "groundstate.shooting", "groundstate.pohozaev",
-            "groundstate.sharp_ratio", "groundstate.ratio_below_one",
+            "groundstate.sharp_ratio", "groundstate.energy", "groundstate.ratio_below_one",
             "bands.partition", "bands.fat_idempotent", "bands.in_out_complete",
             "bands.mismatch_nr64",
             "evolution.solitary_wave", "evolution.mass", "evolution.free_gaussian",
@@ -318,6 +329,19 @@ class TestCli:
         pytest.param({"grid": 5}, "grid must be an object, got 5", id="grid_not_an_object"),
         pytest.param({"initial": {"kind": ["sw"]}}, "initial: unknown kind ['sw']",
                      id="unhashable_kind"),
+        pytest.param({"initial": {"kind": "gaussian", "params": {"width": "1"}}},
+                     "initial.params: width must be of type float, got '1'", id="string_float"),
+        pytest.param({"diagnostics": [{"kind": "spatial_decay", "Rs": 3}]},
+                     "diagnostics[0]: Rs must be of type list, got 3", id="scalar_list"),
+        pytest.param({"grid": {"r_max": 15.0, "n": "128"}},
+                     "grid: n must be of type int, got '128'", id="string_int"),
+        pytest.param({"time": {"dt": 1e-3, "T": 0.02, "cadence": 1.0}},
+                     "time: cadence must be of type int, got 1.0", id="float_int"),
+        pytest.param({"seed": True}, "config: seed must be of type int, got True", id="bool_int"),
+        pytest.param({"diagnostics": [{"kind": "virial", "R": False}]},
+                     "diagnostics[0]: R must be of type float, got False", id="bool_float"),
+        pytest.param({"output_dir": ["typo"]}, "config: output_dir must be of type str",
+                     id="list_str"),
     ])
     def test_config_key_nothing_reads_exits_2(self, out_env, tmp_path, capsys, edit, detail):
         # every command checks the whole config before it starts, so lemma, which
@@ -328,6 +352,13 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "invalid_input" and detail in error["detail"]
         assert not (out_env / "typo" / "lemma_report.json").exists()
+
+    def test_int_for_a_float_default_runs(self, out_env, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15, "n": 384},
+                                   "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+                                   "initial": {"kind": "gaussian", "params": {"width": 1}},
+                                   "output_dir": "ints"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
 
     def test_benchmark_warmup_config_runs(self, tmp_path, monkeypatch, capsys):
         # the warm-up gives a gaussian start the t that sw and pc_ground_state
