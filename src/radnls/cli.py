@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,20 +31,31 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_GUARD = 4
 
-REQUIRED = object()  # a PARAMS entry the config must give
+REQUIRED = object()  # the default of a Param the config must give
+
+
+class Param(NamedTuple):
+    """A parameter whose type its default does not show: the type a config value must
+    have, and the default, which may be None (worked out from the data) or REQUIRED."""
+    type: object  # a type, or a list[...] or tuple[...] of types
+    default: object = None
+
 
 # section -> kind -> {parameter: default}.  A None default is worked out from
 # the data: Ns and N_range from the grid's dyadic scales, exponent from lemma s.
 PARAMS = {
     "initial": {"gaussian": {"amplitude": 1.0, "width": 1.0}, "ground_state": {},
-                "sw": {"t": 0.0}, "pc_ground_state": {"t": -1.0}, "file": {"path": REQUIRED}},
+                "sw": {"t": 0.0}, "pc_ground_state": {"t": -1.0},
+                "file": {"path": Param(str, REQUIRED)}},
     "diagnostics": {"virial": {"R": math.inf}, "kinetic_localization": {"eta_fraction": 1e-2},
                     "concentration": {"eta_fraction": 1e-2},
-                    "frequency_decay": {"shell_cut": 1.0, "Ns": None},
-                    "spatial_decay": {"N_range": None, "Rs": [1.0, 2.0, 4.0]}},
-    "lemma.sequence": {"synthetic_power": {"exponent": None, "ladder": 12},
-                       "from_trajectory": {"path": REQUIRED, "Ns": REQUIRED},
-                       "file": {"path": REQUIRED}},
+                    "frequency_decay": {"shell_cut": 1.0, "Ns": Param(list[float])},
+                    "spatial_decay": {"N_range": Param(tuple[float, float]),
+                                      "Rs": Param(list[float], [1.0, 2.0, 4.0])}},
+    "lemma.sequence": {"synthetic_power": {"exponent": Param(float), "ladder": 12},
+                       "from_trajectory": {"path": Param(str, REQUIRED),
+                                           "Ns": Param(list[float], REQUIRED)},
+                       "file": {"path": Param(str, REQUIRED)}},
 }
 
 # Every top-level key and its default; an object section takes its default's keys only.
@@ -84,22 +96,34 @@ def _merge(base: dict, over: dict) -> dict:
     return out
 
 
+def _has_type(value, kind) -> bool:
+    """Whether value has type kind.  A float takes an int too, an int takes no bool,
+    and a tuple[...] is a JSON list of that many values."""
+    args = getattr(kind, "__args__", ())
+    if kind is float:
+        return type(value) in (int, float)
+    if getattr(kind, "__origin__", None) is tuple:
+        return type(value) is list and len(value) == len(args) and all(map(_has_type, value, args))
+    if args:
+        return type(value) is list and all(_has_type(v, args[0]) for v in value)
+    return type(value) is kind
+
+
 def _object(where: str, value, known: dict | None = None) -> dict:
     """value, after checking that it is an object whose keys are all in known (if given),
-    each holding its default's type.  A float default takes an int too, an int default
-    takes no bool; None and REQUIRED defaults take anything."""
+    each of its Param's type or else its default's.  None defaults take anything."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object, got {value!r}")
     unknown = sorted(set(value) - set(value if known is None else known))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {unknown} (known: {sorted(known)})")
     for key, default in (known or {}).items():
-        if key not in value or default is None or default is REQUIRED or type(default) is dict:
+        if key not in value or default is None or type(default) is dict:
             continue  # absent, unchecked, or an object that is checked as one
-        types = (int, float) if type(default) is float else (type(default),)
-        if type(value[key]) not in types:
-            raise ConfigError(f"{where}: {key} must be of type {types[-1].__name__}, "
-                              f"got {value[key]!r}")
+        kind = default.type if isinstance(default, Param) else type(default)
+        if not _has_type(value[key], kind):
+            name = kind.__name__ if type(kind) is type else kind
+            raise ConfigError(f"{where}: {key} must be of type {name}, got {value[key]!r}")
     return value
 
 
@@ -114,10 +138,11 @@ def kind_params(section: str, spec, where: str | None = None) -> tuple[str, dict
     given = (_object("initial.params", spec["params"], {p: v for ps in kinds.values()
                                                          for p, v in ps.items()})
              if section == "initial" else _object(where, spec, {"kind": kind, **params}))
-    missing = [k for k, v in params.items() if v is REQUIRED and k not in given]
+    defaults = {k: v.default if isinstance(v, Param) else v for k, v in params.items()}
+    missing = [k for k, v in defaults.items() if v is REQUIRED and k not in given]
     if missing:
         raise ConfigError(f"{where}: kind {kind!r} needs key(s) {missing}")
-    return kind, params | {k: given[k] for k in params if k in given}
+    return kind, defaults | {k: given[k] for k in params if k in given}
 
 
 def diagnostic_params(cfg: dict) -> list[tuple[str, dict]]:

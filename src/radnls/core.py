@@ -176,17 +176,19 @@ class RadialGrid:
                 f"quadrature error {abs(quad - exact) / exact:.3e} on a Gaussian "
                 f"exceeds {QUADRATURE_TOL:g}")
 
-    def _symmetric_kernel(self, order: int) -> np.ndarray:
-        """J_order(j_m j_k / S) / J_{nu+1}(j_k)^2, bitwise equal to the full outer-product build.
+    def _symmetric_kernel(self, order: int, scale: float = 1.0) -> np.ndarray:
+        """J_order(scale j_m j_k / S) / J_{nu+1}(j_k)^2, bitwise equal to the full build.
 
-        J_order(j_m j_k / S) is symmetric in (m, k), so Bessel values are computed
-        for the upper triangle only, one block of rows at a time, and mirrored.
+        J_order(scale j_m j_k / S) is symmetric in (m, k), so Bessel values are
+        computed for the upper triangle only, one block of rows at a time, and
+        mirrored.  Dividing by S / scale keeps the scale-1 argument j_m j_k / S
+        bit for bit.
         """
         j, n = self._bessel_zeros, self.n
         mat = np.empty((n, n))
         for i0 in range(0, n, _KERNEL_BLOCK):
             i1 = min(i0 + _KERNEL_BLOCK, n)
-            block = special.jv(order, np.outer(j[i0:i1], j[i0:]) / self._s_edge)
+            block = special.jv(order, np.outer(j[i0:i1], j[i0:]) / (self._s_edge / scale))
             mat[i0:i1, i0:] = block
             mat[i1:, i0:i1] = block[:, i1 - i0:].T
         mat /= self._jnext**2
@@ -372,7 +374,7 @@ def energy(f: RadialField, mu: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# derivative, off-grid evaluation, rescaling
+# derivative and rescaling
 # ---------------------------------------------------------------------------
 
 def radial_derivative(f: RadialField) -> RadialField:
@@ -390,36 +392,25 @@ def _derivative_values(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
                          (2.0 / grid.r_max**2) * grid._rho_nu * grid.rho) / grid._r_nu
 
 
-def evaluate_at(f: RadialField, radii: np.ndarray) -> np.ndarray:
-    """Evaluate the band-limited interpolant of f at arbitrary radii >= 0.
+def _rescaled_values(grid: RadialGrid, values: np.ndarray, lam: float) -> np.ndarray:
+    """lam^{d/2} f(lam r) at the nodes, along the last axis; 0 where lam r > r_max.
 
-    The Fourier-Bessel series only represents f inside [0, r_max]; radii
-    beyond are returned as 0 (fields are assumed to decay there).
+    The inverse transform at the radii lam r_m has the kernel
+    J_nu(lam j_m j_k / S) / J_{nu+1}(j_k)^2, the grid's own at scale lam.
     """
-    g = f.grid
-    radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
-    if np.any(radii < 0):
-        raise ValueError("radii must be nonnegative")
-    coeffs = g._forward_values(f.values) * g._rho_nu * g.wrho1 * g.r_max**2 / 2.0
-    # f(r) = (2/R^2) sum_k coeffs_k J_nu(rho_k r) r^(-nu) with the wrho1 folded in
-    out = np.zeros(radii.shape, dtype=np.complex128)
-    inner = radii <= g.r_max
-    rv = radii[inner]
-    origin = rv == 0.0
-    kern = special.jv(g.nu, np.outer(rv, g.rho)) / np.where(origin, 1.0, rv)[:, None] ** g.nu
-    # J_nu(rho r) r^(-nu) -> (rho/2)^nu / nu! as r -> 0
-    kern[origin] = (g.rho / 2.0) ** g.nu / math.factorial(g.nu)
-    out[inner] = (2.0 / g.r_max**2) * _real_matvec(kern, coeffs)
+    coeffs = grid._forward_values(values)
+    out = _real_matvec(grid._symmetric_kernel(grid.nu, lam), coeffs, grid._inv_in)
+    out *= lam ** (grid.d / 2.0) / (lam * grid.r) ** grid.nu
+    out[..., lam * grid.r > grid.r_max] = 0.0
     return out
 
 
 def rescale(f: RadialField, lam: float) -> RadialField:
-    """Mass-preserving rescaling f -> lam^{d/2} f(lam x), sampled on the same grid."""
+    """Mass-preserving rescaling f -> lam^{d/2} f(lam x), sampled on the same grid; nodes
+    with lam r > r_max, where the series does not represent f, read 0."""
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("scaling factor must be positive and finite")
-    g = f.grid
-    vals = lam ** (g.d / 2.0) * evaluate_at(f, lam * g.r)
-    return RadialField(g, vals)
+    return RadialField(f.grid, _rescaled_values(f.grid, f.values, lam))
 
 
 # ---------------------------------------------------------------------------

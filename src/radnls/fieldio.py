@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +36,18 @@ MAGIC = b"RNLSFLD1"
 _GROUND_STATE_META = ("dimension", "mass", "kinetic", "residual", "mass_shooting", "iterations")
 
 
-def save_field_binary(f: RadialField, path) -> None:
+def _field_bytes(f: RadialField) -> bytes:
     g = f.grid
-    header = MAGIC + struct.pack("<IQd", g.d, g.n, g.r_max)
-    Path(path).write_bytes(header + np.ascontiguousarray(f.values).tobytes())
+    return MAGIC + struct.pack("<IQd", g.d, g.n, g.r_max) + np.ascontiguousarray(f.values).tobytes()
 
 
-def _read_binary(path, grid: RadialGrid) -> np.ndarray:
-    """The samples of a binary snapshot, after checking that its header names grid."""
-    blob = Path(path).read_bytes()
+def save_field_binary(f: RadialField, path) -> None:
+    Path(path).write_bytes(_field_bytes(f))
+
+
+def _samples(path, blob: bytes, grid: RadialGrid) -> np.ndarray:
+    """The samples of the binary snapshot blob read from path, after checking that its
+    header names grid."""
     if blob[:8] != MAGIC:
         raise ValueError(f"{path}: not a radnls binary snapshot")
     d, n, r_max = struct.unpack("<IQd", blob[8:8 + 20])
@@ -55,7 +59,7 @@ def _read_binary(path, grid: RadialGrid) -> np.ndarray:
 
 
 def load_field_binary(path, grid: RadialGrid) -> RadialField:
-    return RadialField(grid, _read_binary(path, grid))
+    return RadialField(grid, _samples(path, Path(path).read_bytes(), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +107,8 @@ def load_trajectory(path) -> Trajectory:
                          "000000.rfb, 000001.rfb, ... named by the manifest's times")
     grid = cfg.make_grid()
     values = np.empty((len(times), grid.n), dtype=np.complex128)
-    for row, name in zip(values, names):
-        row[:] = _read_binary(out / "snapshots" / name, grid)
+    for row, path in zip(values, (out / "snapshots" / name for name in names)):
+        row[:] = _samples(path, path.read_bytes(), grid)
     return Trajectory(cfg, grid, times, values, manifest["mass_log"], manifest["energy_log"],
                       manifest.get("guard_event"), tuple(manifest.get("warnings", ())))
 
@@ -136,7 +140,8 @@ def _replace_atomically(path: Path, write) -> None:
 
 
 def save_ground_state(gs: GroundState, cache_dir, tol: float) -> Path:
-    """Cache the profile and its invariants as {key}.rfb and {key}.json.
+    """Cache the profile as {key}.rfb, and its invariants, the sha256 of the .rfb
+    and the artifact version as {key}.json.
 
     The profile is written first and each file replaced atomically, so a
     visible .json always means a complete pair.
@@ -144,19 +149,39 @@ def save_ground_state(gs: GroundState, cache_dir, tol: float) -> Path:
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     key = ground_state_key(gs.grid, tol)
-    _replace_atomically(cache / f"{key}.rfb", lambda tmp: save_field_binary(gs.profile, tmp))
-    meta = {k: getattr(gs, k) for k in _GROUND_STATE_META} | {"tol": tol}
+    blob = _field_bytes(gs.profile)
+    _replace_atomically(cache / f"{key}.rfb", lambda tmp: tmp.write_bytes(blob))
+    meta = {k: getattr(gs, k) for k in _GROUND_STATE_META} | {
+        "tol": tol, "sha256": hashlib.sha256(blob).hexdigest(), "artifact_version": __version__}
     text = json.dumps(meta, sort_keys=True, indent=1) + "\n"
     _replace_atomically(cache / f"{key}.json", lambda tmp: tmp.write_text(text))
     return cache / f"{key}.rfb"
 
 
 def load_ground_state(cache_dir, grid: RadialGrid, tol: float) -> GroundState | None:
+    """The cached ground state, or None on a miss.
+
+    An entry whose .json is unreadable or incomplete, was written by another
+    artifact version, or whose .rfb does not match the stored sha256 is a
+    miss too, reported with one line on stderr; the caller solves again and
+    rewrites it.
+    """
     key = ground_state_key(grid, tol)
     cache = Path(cache_dir)
     fld, meta = cache / f"{key}.rfb", cache / f"{key}.json"
     if not (fld.exists() and meta.exists()):
         return None
-    info = json.loads(meta.read_text())
-    profile = load_field_binary(fld, grid)
-    return GroundState(profile=profile, **{k: info[k] for k in _GROUND_STATE_META})
+    blob = fld.read_bytes()
+    try:
+        info = json.loads(meta.read_text())
+        fields = {k: info[k] for k in _GROUND_STATE_META}
+        stored = (info["artifact_version"], info["sha256"])
+    except (ValueError, TypeError, KeyError) as exc:
+        problem = f"unreadable or incomplete ({type(exc).__name__}: {exc})"
+    else:
+        problem = (None if stored == (__version__, hashlib.sha256(blob).hexdigest())
+                   else "from another artifact version, or its .rfb does not match its sha256")
+    if problem is not None:
+        print(f"ground-state cache entry {meta}: {problem}; solving again", file=sys.stderr)
+        return None
+    return GroundState(profile=RadialField(grid, _samples(fld, blob, grid)), **fields)

@@ -29,11 +29,11 @@ from .core import (
     RadialGrid,
     _power_sum,
     energy,
-    evaluate_at,
     gradient_norm_sq,
     lebesgue_norm,
     mass,
     require_resolved,
+    rescale,
     sphere_area,
 )
 
@@ -238,10 +238,7 @@ def make_pc(ground: GroundState, t: float) -> RadialField:
     """The pseudo-conformal blowup solution |t|^{-d/2} e^{i(|x|^2-4)/(4t)} Q(x/t)."""
     if t == 0.0:
         raise ValueError("pseudo-conformal profile undefined at t = 0")
-    grid = ground.grid
-    d = grid.d
-    scaled = evaluate_at(ground.profile, grid.r / abs(t))
-    vals = abs(t) ** (-d / 2.0) * np.exp(1j * (grid.r**2 - 4.0) / (4.0 * t)) * scaled
-    out = RadialField(grid, vals)
+    r = ground.grid.r
+    out = rescale(ground.profile, 1.0 / abs(t)) * np.exp(1j * (r**2 - 4.0) / (4.0 * t))
     require_resolved(out, f"pseudo-conformal profile at t={t}")
     return out

@@ -160,6 +160,24 @@ class TestInOut:
             mine = (plus.values[m] - 0.5 * f.values[m]) / (1j / math.pi) * rm ** (d - 2)
             assert abs(mine.real - oracle) < tol * max(1.0, abs(oracle))
 
+    def test_gaussian_closed_form(self, grid, grid_double):
+        # independent oracle: for f = e^{-r^2} in d = 4,
+        # P^+- f(r) = e^{-r^2}/2 +- i (r^2 e^{-r^2} Ei(r^2) - 1) / (2 pi r^2);
+        # the node rule is first order near the origin, so its error must halve with n
+        from scipy.special import expi
+
+        def worst(g):
+            f = core.field_from_function(g, lambda r: np.exp(-(r**2)))
+            r = g.r[g.r >= 0.5]
+            pv = 1j * (r**2 * np.exp(-(r**2)) * expi(r**2) - 1.0) / (2 * math.pi * r**2)
+            return max(np.max(np.abs(bands.in_out(f, sign).values[g.r >= 0.5]
+                                     - (0.5 * np.exp(-(r**2)) + s * pv)))
+                       for sign, s in (("+", 1), ("-", -1)))
+
+        coarse, fine = worst(grid), worst(grid_double)
+        assert coarse <= 1e-2
+        assert fine <= 0.6 * coarse
+
     def test_pv_kernel_matches_docstring_formula(self, grid):
         # off[m, k] = w_k / (r_m^2 - r_k^2) off the diagonal, 0 on it, w_k = w1_k / r_k
         off = bands._pv_parts(grid)[0]

@@ -127,6 +127,10 @@ class TestKernel:
         jnext_sq = special.jv(nu + 1, zeros[:n])[None, :] ** 2
         assert np.array_equal(g._kernel, special.jv(nu, arg) / jnext_sq)
         assert np.array_equal(g.derivative_kernel(), special.jv(nu + 1, arg) / jnext_sq)
+        # rescale's kernel J_nu(scale j_m j_k / S), at radii inside and beyond the nodes
+        for scale in (0.5, 2.0):
+            arg = np.outer(zeros[:n], zeros[:n]) / (zeros[n] / scale)
+            assert np.array_equal(g._symmetric_kernel(nu, scale), special.jv(nu, arg) / jnext_sq)
 
     def test_stack_transform_divides_in_place(self):
         # the scaled input and the GEMM output are the only (T, n) arrays a real
@@ -264,15 +268,20 @@ class TestEnergy:
 
 
 class TestEvaluationAndScales:
-    def test_evaluate_at_matches_profile(self, grid20):
-        f = gaussian(grid20)
-        r = np.array([0.0, 0.37, 1.5, 4.0])
-        assert np.max(np.abs(core.evaluate_at(f, r) - np.exp(-(r**2)))) < 1e-10
+    @staticmethod
+    def rescale_error(grid, lam):
+        """Worst error of rescale(e^{-r^2}, lam) against lam^{d/2} e^{-lam^2 r^2}."""
+        exact = lam ** (grid.d / 2) * np.exp(-((lam * grid.r) ** 2))
+        return np.max(np.abs(core.rescale(gaussian(grid), lam).values - exact))
 
-    def test_evaluate_at_inside_the_first_node(self, grid):
-        f = gaussian(grid)
-        r = np.array([0.1, 0.3, 0.49]) * grid.r[0]
-        assert np.max(np.abs(core.evaluate_at(f, r) - np.exp(-(r**2)))) < 1e-10
+    def test_rescale_matches_profile(self, grid20):
+        for lam in (0.5, 2.0):
+            assert self.rescale_error(grid20, lam) < 1e-10
+
+    def test_rescale_reads_inside_the_first_node(self, grid):
+        # lam = 1/2 reads the series at r_1 / 2, inside the first node
+        for lam in (0.5, 2.0):
+            assert self.rescale_error(grid, lam) < 1e-10
 
     def test_is_dyadic(self):
         assert core.is_dyadic(0.5) and core.is_dyadic(64.0)

@@ -237,7 +237,7 @@ def test_transform_count_independent_of_snapshot_count(sw_dense, monkeypatch):
                                    values=sw_dense.values[:snapshots])
         calls.clear()
         for kind, runner in cli.DIAGNOSTIC_RUNNERS.items():
-            runner(traj, cli.PARAMS["diagnostics"][kind])
+            runner(traj, cli.kind_params("diagnostics", {"kind": kind})[1])
         recurrence.extract_A_sequence(traj, [16.0, 32.0])
         return len(calls)
 

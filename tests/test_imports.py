@@ -217,3 +217,49 @@ def test_cli_import_leaves_the_shooting_solvers_unloaded():
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True, timeout=120)
     assert json.loads(run.stdout) == []
+
+
+# scipy.special's Bessel and modified Bessel functions (jn_zeros is a zero finder, not one)
+BESSEL = {"jv", "jve", "jn", "j0", "j1", "yv", "yve", "yn", "y0", "y1",
+          "iv", "ive", "i0", "i0e", "i1", "i1e", "kv", "kve", "kn", "k0", "k0e", "k1", "k1e",
+          "hankel1", "hankel1e", "hankel2", "hankel2e",
+          "spherical_jn", "spherical_yn", "spherical_in", "spherical_kn"}
+BESSEL_BUILDERS = {"RadialGrid.__init__", "RadialGrid._symmetric_kernel"}
+
+
+def bessel_calls(source: str) -> list[str]:
+    """Each call of a function in BESSEL, as "where: name", where being the dotted names
+    of the classes and functions around the call ("<module>" outside any)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in BESSEL:
+                    found.append(f"{where or '<module>'}: {name}")
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_guard_flags_a_bessel_call():
+    source = ("from scipy import special\nfrom scipy.special import jv\n"
+              "class G:\n    def build(self):\n"
+              "        return special.jv(0, special.jn_zeros(0, 3))\n"
+              "def helper(x):\n    return jv(1, x) + special.kve(0, x)\n"
+              "X = special.j1(2.0)\n")
+    assert bessel_calls(source) == ["G.build: jv", "helper: jv", "helper: kve", "<module>: j1"]
+
+
+def test_one_bessel_builder():
+    # the grid's constructor evaluates J_{nu+1}(j_k) and _symmetric_kernel every
+    # kernel, rescaling's included; nothing else evaluates a Bessel function
+    calls = [c for p in SOURCES for c in bessel_calls(p.read_text())]
+    assert calls and {c.split(":")[0] for c in calls} <= BESSEL_BUILDERS, calls
+

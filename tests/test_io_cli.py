@@ -171,6 +171,32 @@ class TestCli:
         summary = json.loads((out_env / "sw1" / "evolve_summary.json").read_text())
         assert summary["sw_final_l2_error"] < 1e-4
 
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda rfb, meta: _edit_json(meta, lambda m: m.pop("mass")),
+                     id="json_missing_key"),
+        pytest.param(lambda rfb, meta: meta.write_text(meta.read_text()[:40]),
+                     id="truncated_json"),
+        pytest.param(lambda rfb, meta: _edit_json(meta, lambda m: m.update(
+            artifact_version="0.0.0")), id="other_version"),
+        # a bit of Q(r_1)'s mantissa, 28 header bytes in: Q moves by 2^-12 relative there
+        pytest.param(lambda rfb, meta: _flip_bit(rfb, 28 + 5), id="flipped_rfb_byte"),
+    ])
+    def test_bad_ground_state_cache_is_solved_again(self, ground, out_env, tmp_path, capsys,
+                                                    corrupt):
+        cache = out_env / "cache" / "ground_state_cache"
+        fieldio.save_ground_state(ground, cache, 1e-8)
+        key = fieldio.ground_state_key(ground.grid, 1e-8)
+        rfb, meta = cache / f"{key}.rfb", cache / f"{key}.json"
+        saved = {rfb: rfb.read_bytes(), meta: meta.read_bytes()}
+        corrupt(rfb, meta)
+        cfg = write_cfg(tmp_path, {"time": {"dt": 1e-3, "T": 1e-3, "cadence": 1},
+                                   "initial": {"kind": "sw"}, "output_dir": "cache"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "ground-state cache entry" in err[0]
+        # the entry is solved again and rewritten as it was
+        assert {path: path.read_bytes() for path in saved} == saved
+
     def test_free_flow_virial_diagnose(self, out_env, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "grid": SMALL_GRID, "mu": 0,
@@ -332,7 +358,33 @@ class TestCli:
         pytest.param({"initial": {"kind": "gaussian", "params": {"width": "1"}}},
                      "initial.params: width must be of type float, got '1'", id="string_float"),
         pytest.param({"diagnostics": [{"kind": "spatial_decay", "Rs": 3}]},
-                     "diagnostics[0]: Rs must be of type list, got 3", id="scalar_list"),
+                     "diagnostics[0]: Rs must be of type list[float], got 3", id="scalar_list"),
+        pytest.param({"diagnostics": [{"kind": "spatial_decay", "Rs": [1.0, "2"]}]},
+                     "diagnostics[0]: Rs must be of type list[float], got [1.0, '2']",
+                     id="string_in_list"),
+        pytest.param({"diagnostics": [{"kind": "frequency_decay", "Ns": 4}]},
+                     "diagnostics[0]: Ns must be of type list[float], got 4", id="scalar_Ns"),
+        pytest.param({"diagnostics": [{"kind": "frequency_decay", "Ns": "4816"}]},
+                     "diagnostics[0]: Ns must be of type list[float], got '4816'",
+                     id="string_Ns"),
+        pytest.param({"diagnostics": [{"kind": "spatial_decay", "N_range": 4}]},
+                     "diagnostics[0]: N_range must be of type tuple[float, float], got 4",
+                     id="scalar_N_range"),
+        pytest.param({"diagnostics": [{"kind": "spatial_decay", "N_range": [4]}]},
+                     "diagnostics[0]: N_range must be of type tuple[float, float], got [4]",
+                     id="short_N_range"),
+        pytest.param({"lemma": {"params": LEMMA_PARAMS, "sequence": {
+            "kind": "from_trajectory", "path": "run", "Ns": 16}}},
+                     "lemma.sequence: Ns must be of type list[float], got 16",
+                     id="scalar_sequence_Ns"),
+        pytest.param({"lemma": {"params": LEMMA_PARAMS, "sequence": {"kind": "file", "path": 5}}},
+                     "lemma.sequence: path must be of type str, got 5", id="number_path"),
+        pytest.param({"initial": {"kind": "file", "params": {"path": 5}}},
+                     "initial.params: path must be of type str, got 5", id="number_initial_path"),
+        pytest.param({"lemma": {"params": LEMMA_PARAMS, "sequence": {
+            "kind": "synthetic_power", "exponent": "1.5"}}},
+                     "lemma.sequence: exponent must be of type float, got '1.5'",
+                     id="string_exponent"),
         pytest.param({"grid": {"r_max": 15.0, "n": "128"}},
                      "grid: n must be of type int, got '128'", id="string_int"),
         pytest.param({"time": {"dt": 1e-3, "T": 0.02, "cadence": 1.0}},
@@ -471,7 +523,8 @@ class TestCli:
 
 
     @pytest.mark.parametrize("corrupt", [
-        pytest.param(lambda run: _edit_manifest(run, lambda m: m["config"].update(dt=2e-3)),
+        pytest.param(lambda run: _edit_json(run / "manifest.json",
+                                            lambda m: m["config"].update(dt=2e-3)),
                      id="edited_config"),
         pytest.param(lambda run: (run / "snapshots" / "000003.rfb").unlink(), id="deleted_snapshot"),
         pytest.param(lambda run: (run / "snapshots" / "999999.rfb").write_bytes(
@@ -496,10 +549,16 @@ class TestCli:
         assert capsys.readouterr().err.count("invalid_input") == 2
 
 
-def _edit_manifest(run, edit):
-    manifest = json.loads((run / "manifest.json").read_text())
-    edit(manifest)
-    (run / "manifest.json").write_text(json.dumps(manifest))
+def _edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _flip_bit(path, at):
+    blob = bytearray(path.read_bytes())
+    blob[at] ^= 1
+    path.write_bytes(bytes(blob))
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):
