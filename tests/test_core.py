@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,22 @@ from radnls import bands, core
 
 GAUSS_MASS_4D = (math.pi / 2) ** 2        # integral of e^{-2 r^2} over R^4
 GAUSS_KINETIC_4D = math.pi**2             # ||grad e^{-|x|^2}||_2^2 in d=4
+
+
+# sha256 of kernel products of the sw_dense diagnose shape, a stack of 251 fields
+# at n = 640, and of a real stack and a single field
+PRODUCTS = """
+import hashlib
+import numpy as np
+from radnls import core
+rng = np.random.default_rng(11)
+mat = rng.standard_normal((640, 640))
+stack = rng.standard_normal((251, 640)) + 1j * rng.standard_normal((251, 640))
+digest = hashlib.sha256()
+for vec in (stack, stack.real, stack[0]):
+    digest.update(core._real_matvec(mat, vec, rng.uniform(0.5, 2.0, 640)).tobytes())
+print(digest.hexdigest())
+"""
 
 
 def gaussian(grid, width=1.0):
@@ -130,7 +150,41 @@ class TestKernel:
         # rescale's kernel J_nu(scale j_m j_k / S), at radii inside and beyond the nodes
         for scale in (0.5, 2.0):
             arg = np.outer(zeros[:n], zeros[:n]) / (zeros[n] / scale)
-            assert np.array_equal(g._symmetric_kernel(nu, scale), special.jv(nu, arg) / jnext_sq)
+            full = special.jv(nu, arg) / jnext_sq
+            assert np.array_equal(g._symmetric_kernel(nu, scale), full)
+        # at scale 2 rescale builds only the rows with 2 r_m <= r_max; n - 50 rows
+        # end inside a block and mirror across a block boundary at n = 200
+        for rows in (int(np.count_nonzero(2.0 * g.r <= g.r_max)), n - 50):
+            assert np.array_equal(g._symmetric_kernel(nu, 2.0, rows), full[:rows])
+
+    @pytest.mark.parametrize("n", [600, 1000])
+    def test_blocked_product_matches_one_gemm(self, n):
+        # the product runs in row blocks; n is not a multiple of the block, so the
+        # last block is partial
+        assert n % core._KERNEL_BLOCK != 0
+        rng = np.random.default_rng(n)
+        scale = rng.uniform(0.5, 2.0, n)
+        for mat in (rng.standard_normal((n, n)), rng.standard_normal((n - 37, n))):
+            for shape in ((n,), (21, n), (251, n)):
+                real = rng.standard_normal(shape)
+                for vec in (real, real + 1j * rng.standard_normal(shape)):
+                    for s in (None, scale):
+                        got = core._real_matvec(mat, vec, s)
+                        ref = (mat @ (vec if s is None else vec * s).T).T
+                        assert got.shape == ref.shape and got.dtype == ref.dtype
+                        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_products_independent_of_blas_threads(self):
+        # with the kernel block as the first GEMM operand, the 251-field stack came
+        # out differently with two OpenBLAS threads
+        src = str(Path(core.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            digests.append(subprocess.run([sys.executable, "-c", PRODUCTS], env=env, check=True,
+                                          capture_output=True, text=True, timeout=120).stdout)
+        assert digests[0] == digests[1]
 
     def test_stack_transform_divides_in_place(self):
         # the scaled input and the GEMM output are the only (T, n) arrays a real
@@ -152,8 +206,9 @@ class TestKernel:
             tracemalloc.stop()
 
     def test_complex_stack_scaled_into_the_gemm_layout(self):
-        # the scaled input is written straight into the transposed copy the GEMM
-        # reads, so a complex stack needs that copy and the output: two stacks
+        # the scaled input is written straight into the rows of real and imaginary
+        # parts the GEMM reads, so a complex stack needs that copy and the output:
+        # two stacks
         # (and numpy's 8192-element casting buffer, small against 64 x 256)
         g = core.make_radial_grid(4, 15.0, 256)
         rng = np.random.default_rng(5)

@@ -562,30 +562,37 @@ def _flip_bit(path, at):
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):
-    """evolve + diagnose + lemma write byte-identical artifacts with one and two BLAS threads."""
-    cfg = write_cfg(tmp_path, {
-        "grid": {"r_max": 15.0, "n": 128},
-        "time": {"dt": 1e-3, "T": 0.02, "cadence": 1},
-        "initial": {"kind": "gaussian"},
-        "diagnostics": [{"kind": "virial"}, {"kind": "concentration"},
-                        {"kind": "spatial_decay"}, {"kind": "kinetic_localization"}],
-        "lemma": {"params": {"s": 1.25, "gamma": 0.2, "c1": 1.0, "m0": 1.0,
-                             "beta_prime": 1e-16, "a_bound": 1.0},
-                  "sequence": {"kind": "synthetic_power", "exponent": 1.25, "ladder": 240}},
-        "output_dir": "run", "format": "csv"})
+    """evolve + diagnose + lemma write byte-identical artifacts with one and two BLAS threads.
+
+    n = 128 is one row block of the kernel products; at n = 640 they run in five."""
     src = str(Path(radnls.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        root = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, RADNLS_OUTPUT_ROOT=str(root),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for command in (["evolve"], ["diagnose", str(root / "run" / "trajectory")], ["lemma"]):
-            subprocess.run([sys.executable, "-m", "radnls.cli", "--config", cfg, *command],
-                           env=env, check=True, capture_output=True, timeout=300)
-        outputs.append({p.relative_to(root): p.read_bytes()
-                        for p in sorted(root.rglob("*")) if p.is_file()})
-    assert {p.suffix for p in outputs[0]} == {".json", ".csv", ".rfb"}
-    assert Path("run", "lemma_report.json") in outputs[0]
-    assert outputs[0].keys() == outputs[1].keys()
-    for path, data in outputs[0].items():
-        assert outputs[1][path] == data, f"{path} differs between BLAS thread counts"
+    for n in (128, 640):
+        work = tmp_path / f"n{n}"
+        work.mkdir()
+        cfg = write_cfg(work, {
+            "grid": {"r_max": 15.0, "n": n},
+            "time": {"dt": 1e-3, "T": 0.02, "cadence": 1},
+            "initial": {"kind": "gaussian"},
+            "diagnostics": [{"kind": "virial"}, {"kind": "concentration"},
+                            {"kind": "spatial_decay"}, {"kind": "kinetic_localization"}],
+            "lemma": {"params": {"s": 1.25, "gamma": 0.2, "c1": 1.0, "m0": 1.0,
+                                 "beta_prime": 1e-16, "a_bound": 1.0},
+                      "sequence": {"kind": "synthetic_power", "exponent": 1.25,
+                                   "ladder": 240}},
+            "output_dir": "run", "format": "csv"})
+        outputs = []
+        for threads in ("1", "2"):
+            root = work / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, RADNLS_OUTPUT_ROOT=str(root),
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            for command in (["evolve"], ["diagnose", str(root / "run" / "trajectory")],
+                            ["lemma"]):
+                subprocess.run([sys.executable, "-m", "radnls.cli", "--config", cfg, *command],
+                               env=env, check=True, capture_output=True, timeout=300)
+            outputs.append({p.relative_to(root): p.read_bytes()
+                            for p in sorted(root.rglob("*")) if p.is_file()})
+        assert {p.suffix for p in outputs[0]} == {".json", ".csv", ".rfb"}
+        assert Path("run", "lemma_report.json") in outputs[0]
+        assert outputs[0].keys() == outputs[1].keys()
+        for path, data in outputs[0].items():
+            assert outputs[1][path] == data, f"n={n}: {path} differs between BLAS thread counts"
