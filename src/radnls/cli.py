@@ -257,6 +257,8 @@ def cmd_ground_state(cfg: dict) -> int:
         "gn_ratio": value["sharp_ratio"],
         "pohozaev_kinetic_ratio": value["pohozaev"],
         "iterations": gs.iterations,
+        "grid_roundtrip_error": grid.roundtrip_error,
+        "grid_quadrature_error": grid.quadrature_error,
     }
     write_json(cfg, out / "ground_state_certification.json", cert)
     print(f"ground state: M={gs.mass:.9g} residual={gs.residual:.3e} "

@@ -139,23 +139,62 @@ class TestKernel:
 
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("n", [64, 200])
-    def test_block_build_is_bitwise_full_evaluation(self, d, n):
+    def test_block_build_is_bitwise_full_evaluation(self, d, n, monkeypatch):
+        # blocks of the default size, and of 48 rows so that n = 64 crosses a block
+        # boundary too, against one block of all n rows, which evaluates every entry
+        # directly; orders nu and nu + 1, and rescale's kernel at radii inside and
+        # beyond the nodes
         g = core.make_radial_grid(d, 15.0, n)
-        nu = d // 2 - 1
-        zeros = special.jn_zeros(nu, n + 1)
-        arg = np.outer(zeros[:n], zeros[:n]) / zeros[n]
-        jnext_sq = special.jv(nu + 1, zeros[:n])[None, :] ** 2
-        assert np.array_equal(g._kernel, special.jv(nu, arg) / jnext_sq)
-        assert np.array_equal(g.derivative_kernel(), special.jv(nu + 1, arg) / jnext_sq)
-        # rescale's kernel J_nu(scale j_m j_k / S), at radii inside and beyond the nodes
-        for scale in (0.5, 2.0):
-            arg = np.outer(zeros[:n], zeros[:n]) / (zeros[n] / scale)
-            full = special.jv(nu, arg) / jnext_sq
-            assert np.array_equal(g._symmetric_kernel(nu, scale), full)
+        nu = g.nu
+        builds = [(nu, 1.0), (nu + 1, 1.0), (nu, 0.5), (nu, 2.0)]
         # at scale 2 rescale builds only the rows with 2 r_m <= r_max; n - 50 rows
-        # end inside a block and mirror across a block boundary at n = 200
-        for rows in (int(np.count_nonzero(2.0 * g.r <= g.r_max)), n - 50):
-            assert np.array_equal(g._symmetric_kernel(nu, 2.0, rows), full[:rows])
+        # end inside a block and mirror across a block boundary
+        prefixes = (int(np.count_nonzero(2.0 * g.r <= g.r_max)), n - 50)
+        blocked = []
+        for block in (core._KERNEL_BLOCK, 48):
+            monkeypatch.setattr(core, "_KERNEL_BLOCK", block)
+            blocked.append(([g._symmetric_kernel(*b) for b in builds],
+                            [g._symmetric_kernel(nu, 2.0, rows) for rows in prefixes]))
+        monkeypatch.setattr(core, "_KERNEL_BLOCK", n)
+        full = [g._symmetric_kernel(*b) for b in builds]
+        assert np.array_equal(g._kernel, full[0])
+        assert np.array_equal(g.derivative_kernel(), full[1])
+        for kernels, prefix_kernels in blocked:
+            for got, ref in zip(kernels, full):
+                assert np.array_equal(got, ref)
+            for rows, got in zip(prefixes, prefix_kernels):
+                assert np.array_equal(got, full[3][:rows])
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_kernel_entries_match_mpmath(self, d):
+        # J_order(scale j_m j_k / S) / J_{nu+1}(j_k)^2 with the zeros refined in
+        # mpmath, for the grid's kernel (order nu), the derivative kernel (nu + 1)
+        # and rescale's kernel at scale 1/2: orders 0-3 over d = 2, 4, 6.  The 100
+        # pairs (m, k) of ten nodes include the first rows and columns, which hold
+        # the entries with x < order.  J_order has no zero there, so those entries
+        # are held to a relative bound too, which the upward recurrence misses
+        mpmath = pytest.importorskip("mpmath")
+        n = 256
+        g = core.make_radial_grid(d, 15.0, n)
+        nu = g.nu
+        rng = np.random.default_rng(d)
+        nodes = [0, 1, 2, *map(int, rng.choice(np.arange(3, n), 7, replace=False))]
+        approx = special.jn_zeros(nu, n + 1)
+        with mpmath.workdps(30):
+            zero = {i: mpmath.findroot(lambda t: mpmath.besselj(nu, t), float(approx[i]))
+                    for i in nodes + [n]}
+            for mat, order, scale in ((g._kernel, nu, 1), (g.derivative_kernel(), nu + 1, 1),
+                                      (g._symmetric_kernel(nu, 0.5), nu, mpmath.mpf(0.5))):
+                err, rel_low = 0.0, 0.0
+                for m in nodes:
+                    for k in nodes:
+                        x = scale * zero[m] * zero[k] / zero[n]
+                        ref = mpmath.besselj(order, x) / mpmath.besselj(nu + 1, zero[k]) ** 2
+                        err = max(err, abs(float(mat[m, k] - ref)))
+                        if x < order:
+                            rel_low = max(rel_low, abs(float((mat[m, k] - ref) / ref)))
+                assert err <= 1e-13 * np.max(np.abs(mat)), (order, scale, err)
+                assert rel_low <= 1e-12, (order, scale, rel_low)
 
     @pytest.mark.parametrize("n", [600, 1000])
     def test_blocked_product_matches_one_gemm(self, n):

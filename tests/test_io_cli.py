@@ -109,6 +109,12 @@ class TestCli:
         assert abs(cert["gn_ratio"] - 1.0) < 1e-3
         assert cert["mass_agreement"] < 1e-4
         assert "config_hash" in cert and "artifact_version" in cert
+        # the grid's own certificate, measured on the certification Gaussian
+        grid = core.make_radial_grid(4, SMALL_GRID["r_max"], SMALL_GRID["n"])
+        assert cert["grid_roundtrip_error"] == grid.roundtrip_error
+        assert cert["grid_quadrature_error"] == grid.quadrature_error
+        assert 0 < cert["grid_roundtrip_error"] <= core.ROUNDTRIP_TOL
+        assert 0 <= cert["grid_quadrature_error"] <= core.QUADRATURE_TOL
 
     def test_ground_state_certifies_dimension_6(self, out_env, tmp_path, capsys):
         # Q(0) ~ 44 at d=6 lies above the initial shooting bracket [lo, 10 lo]
