@@ -21,7 +21,6 @@ Band projections multiply the spectral coefficients by symbols built from phi:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,40 +110,6 @@ def project_fat(f: RadialField, N: float) -> RadialField:
 def multiply_radial(f: RadialField, profile: np.ndarray) -> RadialField:
     """Pointwise multiplication by a radial profile sampled on the grid nodes."""
     return RadialField(f.grid, f.values * profile)
-
-
-# ---------------------------------------------------------------------------
-# tables
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BandNormTable:
-    """Measured norms indexed by a scale parameter (dyadic N or radius R).
-
-    scale_name labels the scale column: the key of each JSON row and the
-    column header of the CLI's CSV.
-    """
-
-    quantity: str
-    scales: tuple
-    values: tuple
-    annotation: str
-    scale_name: str = "N"
-
-    def __post_init__(self):
-        if len(self.scales) != len(self.values):
-            raise ValueError("scales and values length mismatch")
-        if any(s2 <= s1 for s1, s2 in zip(self.scales, self.scales[1:])):
-            raise ValueError("scales must be strictly increasing")
-        if not all(np.isfinite(v) for v in self.values):
-            raise ValueError("table values must be finite")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "annotation": self.annotation,
-            "rows": [{self.scale_name: s, "value": v} for s, v in zip(self.scales, self.values)],
-        }
 
 
 # ---------------------------------------------------------------------------

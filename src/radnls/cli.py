@@ -243,9 +243,9 @@ def cmd_ground_state(cfg: dict) -> int:
     out = output_dir(cfg)
     grid = core.make_radial_grid(cfg["dimension"], cfg["grid"]["r_max"], cfg["grid"]["n"])
     gs = groundstate.solve_ground_state(grid, tol=cfg["tol"])
-    fieldio.save_ground_state(gs, out / "ground_state_cache", cfg["tol"])
     fieldio.save_field_binary(gs.profile, out / "ground_state.rfb")
-    value = {key: v for key, (_, v) in selftest.check_ground_state(gs).items()}
+    checks = selftest.check_ground_state(gs)
+    value = {key: v for key, (_, v) in checks.items()}
     cert = {
         "dimension": gs.dimension,
         "mass": gs.mass,
@@ -261,6 +261,10 @@ def cmd_ground_state(cfg: dict) -> int:
         "grid_quadrature_error": grid.quadrature_error,
     }
     write_json(cfg, out / "ground_state_certification.json", cert)
+    failed = [key for key, (ok, _) in checks.items() if not ok]
+    if failed:
+        raise groundstate.GroundStateError(f"certificate checks failed: {failed}")
+    fieldio.save_ground_state(gs, out / "ground_state_cache", cfg["tol"])
     print(f"ground state: M={gs.mass:.9g} residual={gs.residual:.3e} "
           f"shooting agreement={cert['mass_agreement']:.3e}")
     return EXIT_OK
@@ -300,9 +304,9 @@ def cmd_evolve(cfg: dict) -> int:
 # Each runner is a pure function of (trajectory, spec holding its kind's PARAMS) returning
 # (passed, detail, JSON payload, CSV header, CSV rows); cmd_diagnose writes {kind}.json/.csv.
 
-def _table_csv(table) -> tuple[list[str], list]:
-    return (["quantity", table.scale_name, "value"],
-            [(table.quantity, s, v) for s, v in zip(table.scales, table.values)])
+def _table_csv(rep: diagnostics.DecayFitReport) -> tuple[list[str], list]:
+    return (["quantity", rep.scale_name, "value"],
+            [(rep.quantity, s, v) for s, v in zip(rep.scales, rep.values)])
 
 
 def _row_dicts(header: list[str], rows) -> list[dict]:
@@ -313,7 +317,7 @@ def _diag_frequency_decay(traj, spec):
     ns = spec["Ns"] or core.dyadic_scales(traj.grid)[-4:]
     rep = diagnostics.frequency_decay_fit(traj, spec["shell_cut"], ns)
     detail = {"exponent": rep.exponent, "threshold": rep.threshold, "note": rep.note}
-    return rep.passes, detail, rep.to_json_obj(), *_table_csv(rep.table)
+    return rep.passes, detail, rep.to_json_obj(), *_table_csv(rep)
 
 
 def _diag_spatial_decay(traj, spec):
@@ -321,7 +325,7 @@ def _diag_spatial_decay(traj, spec):
     n_range = spec["N_range"] or [scales[0], scales[-1]]
     rep = diagnostics.spatial_decay_scan(traj, tuple(n_range), spec["Rs"])
     detail = {"delta": rep.exponent, "note": rep.note}
-    return rep.passes, detail, rep.to_json_obj(), *_table_csv(rep.table)
+    return rep.passes, detail, rep.to_json_obj(), *_table_csv(rep)
 
 
 def _rows(*columns) -> list[tuple]:
@@ -350,8 +354,8 @@ def _diag_virial(traj, spec):
 def _diag_kinetic_localization(traj, spec):
     eta_frac = spec["eta_fraction"]
     grid = traj.grid
-    radii = diagnostics._kinetic_radius(grid, traj.coeffs,
-                                        eta_frac * core._kinetic_sum(grid, traj.coeffs))
+    radii = diagnostics.kinetic_localization_radius(
+        grid, traj.coeffs, eta_frac * core._kinetic_sum(grid, traj.coeffs))
     spread_cells = int(np.ptp(np.searchsorted(grid.r, radii)))
     header = ["t", "radius"]
     rows = _rows(traj.times, radii)
@@ -362,8 +366,8 @@ def _diag_kinetic_localization(traj, spec):
 def _diag_concentration(traj, spec):
     eta_frac = spec["eta_fraction"]
     grid = traj.grid
-    c_x, c_xi = diagnostics._concentration(grid, traj.values, traj.coeffs,
-                                           eta_frac * core._power_sum(grid, traj.values, 2))
+    c_x, c_xi = diagnostics.concentration_radii(
+        grid, traj.values, traj.coeffs, eta_frac * core._power_sum(grid, traj.values, 2))
     header = ["t", "c_x", "c_xi"]
     rows = _rows(traj.times, c_x, c_xi)
     return True, {"snapshots": len(rows)}, {"rows": _row_dicts(header, rows)}, header, rows

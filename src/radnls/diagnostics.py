@@ -1,6 +1,9 @@
 """Proof-side observables: truncated virial dynamics, kinetic-energy
 localization, concentration radii, and power-law decay fits of band norms.
 
+Each quantity has one public function, which works along the last axis of its
+arrays, so it takes one field or a (T, n) stack of a trajectory's snapshots.
+
 Decay fits are least squares on log2(scale) vs log2(norm); points under the
 1e-12 noise floor are discarded and the fit residual is always reported.  A
 table that sits entirely under the floor is reported as "superpolynomial,
@@ -14,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandNormTable, band_symbol, phi_gt, phi_le
+from .bands import band_symbol, phi_gt, phi_le
 from .core import (
-    RadialField,
     RadialGrid,
     _check_resolved,
     _derivative_values,
@@ -26,20 +28,22 @@ from .core import (
 from .evolution import Trajectory
 
 NOISE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    """Radii capturing all but eta of the mass in space and in frequency."""
-
-    eta: float
-    c_x: float
-    c_xi: float
+UNRESOLVABLE = "superpolynomial, exponent unresolvable (noise floor)"
 
 
 @dataclass(frozen=True)
 class DecayFitReport:
-    table: BandNormTable
+    """A table of band norms indexed by a scale (dyadic N or radius R) and its log-log fit.
+
+    scale_name labels the scale column: the key of each JSON row and the
+    column header of the CLI's CSV.
+    """
+
+    quantity: str
+    scale_name: str
+    scales: tuple
+    values: tuple
+    annotation: str
     exponent: float | None      # fitted log-log slope (None when unresolvable)
     residual: float | None      # rms residual of the fit in log2 units
     threshold: float | None     # slope the check is judged against (None: report-only)
@@ -47,21 +51,21 @@ class DecayFitReport:
     note: str
 
     def to_json_obj(self) -> dict:
-        return vars(self) | {"table": self.table.to_json_obj()}
+        table = {"quantity": self.quantity, "annotation": self.annotation,
+                 "rows": [{self.scale_name: s, "value": v}
+                          for s, v in zip(self.scales, self.values)]}
+        return {"table": table, "exponent": self.exponent, "residual": self.residual,
+                "threshold": self.threshold, "passes": self.passes, "note": self.note}
 
 
 # ---------------------------------------------------------------------------
 # virial
 # ---------------------------------------------------------------------------
 
-def _virial(grid: RadialGrid, values: np.ndarray, R: float) -> np.ndarray:
-    """V_R along the last axis of values."""
+def truncated_virial(grid: RadialGrid, values: np.ndarray, R: float) -> np.ndarray:
+    """V_R(u) = Integral phi_{<=R}(x) |x|^2 |u|^2 dx along the last axis of values
+    (R = inf drops the cutoff)."""
     return np.sum(grid.w * phi_le(grid.r, R) * grid.r**2 * np.abs(values) ** 2, axis=-1)
-
-
-def truncated_virial(f: RadialField, R: float) -> float:
-    """V_R(f) = Integral phi_{<=R}(x) |x|^2 |f|^2 dx (R = inf drops the cutoff)."""
-    return float(_virial(f.grid, f.values, R))
 
 
 def virial_acceleration(traj: Trajectory, R: float, t):
@@ -79,7 +83,7 @@ def virial_acceleration(traj: Trajectory, R: float, t):
     if np.any(np.max(np.abs(hs - hs[..., :1]), axis=-1) > 1e-9 * hs[..., 0]):
         raise ValueError("snapshot spacing is not uniform around t")
     h = hs[..., 0]
-    v = _virial(traj.grid, traj.values, R)
+    v = truncated_virial(traj.grid, traj.values, R)
     return (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12.0 * h * h)
 
 
@@ -99,31 +103,22 @@ def _check_eta(eta, total, name: str) -> None:
         raise ValueError(f"eta={eta} outside (0, {name}={total})")
 
 
-def _kinetic_radius(grid: RadialGrid, coeffs: np.ndarray, eta) -> np.ndarray:
-    """Kinetic localization radius along the last axis of the spectral coefficients."""
+def kinetic_localization_radius(grid: RadialGrid, coeffs: np.ndarray, eta) -> np.ndarray:
+    """Smallest grid radius R with Integral_{|x|>R} |grad u|^2 dx <= eta, along the last
+    axis of the spectral coefficients coeffs."""
     _check_resolved(grid, coeffs, "kinetic-localization argument")
-    _check_eta(eta, _kinetic_sum(grid, coeffs), "||grad f||^2")
+    _check_eta(eta, _kinetic_sum(grid, coeffs), "||grad u||^2")
     return _tail_radius(grid.w * np.abs(_derivative_values(grid, coeffs)) ** 2, grid.r, eta)
 
 
-def kinetic_localization_radius(f: RadialField, eta: float) -> float:
-    """Smallest grid radius R with Integral_{|x|>R} |grad f|^2 dx <= eta."""
-    return float(_kinetic_radius(f.grid, f.grid._forward_values(f.values), eta))
-
-
-def _concentration(grid: RadialGrid, values: np.ndarray, coeffs: np.ndarray,
-                   eta) -> tuple[np.ndarray, np.ndarray]:
-    """(c_x, c_xi) along the last axis of values and their spectral coefficients."""
+def concentration_radii(grid: RadialGrid, values: np.ndarray, coeffs: np.ndarray,
+                        eta) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest radii (c_x, c_xi) capturing all but eta of the mass in x and in xi, along
+    the last axis of values and of their spectral coefficients coeffs."""
     dens_x = grid.w * np.abs(values) ** 2
     _check_eta(eta, dens_x.sum(axis=-1), "mass")
     dens_k = grid.wrho * np.abs(coeffs) ** 2
     return _tail_radius(dens_x, grid.r, eta), _tail_radius(dens_k, grid.rho, eta)
-
-
-def concentration_radii(f: RadialField, eta: float) -> ConcentrationReport:
-    """Smallest radii capturing all but eta of the mass in x and in xi."""
-    c_x, c_xi = _concentration(f.grid, f.values, f.grid._forward_values(f.values), eta)
-    return ConcentrationReport(eta=eta, c_x=float(c_x), c_xi=float(c_xi))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +133,8 @@ def _shell_sup(grid: RadialGrid, coeffs: np.ndarray, symbol: np.ndarray, shells)
 
 
 def _fit_loglog(scales: np.ndarray, values: np.ndarray) -> tuple[float | None, float | None, int]:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("table values must be finite")
     keep = values > NOISE_FLOOR
     if keep.sum() < 2:
         return None, None, int(keep.sum())
@@ -158,6 +155,8 @@ def frequency_decay_fit(traj: Trajectory, shell_cut: float, Ns) -> DecayFitRepor
     Ns = sorted(float(N) for N in Ns)
     if len(Ns) < 4:
         raise ValueError("need at least 4 dyadic scales")
+    if len(set(Ns)) < len(Ns):
+        raise ValueError(f"scales must be strictly increasing, got Ns={Ns}")
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     grid = traj.grid
@@ -166,16 +165,13 @@ def frequency_decay_fit(traj: Trajectory, shell_cut: float, Ns) -> DecayFitRepor
     d = grid.d
     shell = phi_gt(grid.r, shell_cut)
     sups = [_shell_sup(grid, traj.coeffs, band_symbol(grid, N), [shell])[0] for N in Ns]
-    table = BandNormTable("shell_band_sup", tuple(Ns), tuple(sups),
-                          annotation=f"sup_t || phi_>({shell_cut}) P_N u ||_2 over {len(traj)} snapshots")
     threshold = -(1.0 + (d - 1.0) / d)
     slope, resid, kept = _fit_loglog(np.asarray(Ns), np.asarray(sups))
-    if slope is None:
-        return DecayFitReport(table, None, None, threshold, True,
-                              note="superpolynomial, exponent unresolvable (noise floor)")
-    passes = (slope - resid) <= threshold
-    note = f"fit over {kept}/{len(Ns)} scales"
-    return DecayFitReport(table, slope, resid, threshold, passes, note)
+    return DecayFitReport(
+        "shell_band_sup", "N", tuple(Ns), tuple(sups),
+        f"sup_t || phi_>({shell_cut}) P_N u ||_2 over {len(traj)} snapshots",
+        slope, resid, threshold, passes=slope is None or (slope - resid) <= threshold,
+        note=UNRESOLVABLE if slope is None else f"fit over {kept}/{len(Ns)} scales")
 
 
 def spatial_decay_scan(traj: Trajectory, n_range: tuple, Rs) -> DecayFitReport:
@@ -197,14 +193,12 @@ def spatial_decay_scan(traj: Trajectory, n_range: tuple, Rs) -> DecayFitReport:
     shells = [phi_gt(grid.r, R) for R in Rs]
     vals = np.max([_shell_sup(grid, traj.coeffs, band_symbol(grid, N), shells) for N in Ns],
                   axis=0).tolist()
-    table = BandNormTable("shell_radius_sup", tuple(Rs), tuple(vals),
-                          annotation=f"sup over t and N in [{n0},{n1}] of || phi_>R P_N u ||_2",
-                          scale_name="R")
     slope, resid, kept = _fit_loglog(np.asarray(Rs), np.asarray(vals))
-    if slope is None:
-        return DecayFitReport(table, None, None, None, True,
-                              note="superpolynomial, exponent unresolvable (noise floor)")
-    delta = -slope
-    return DecayFitReport(table, delta, resid, None, passes=delta > 0,
-                          note=f"fitted || phi_>R P_N u || ~ R^(-delta), {kept}/{len(Rs)} radii kept")
+    delta = None if slope is None else -slope
+    return DecayFitReport(
+        "shell_radius_sup", "R", tuple(Rs), tuple(vals),
+        f"sup over t and N in [{n0},{n1}] of || phi_>R P_N u ||_2", delta, resid, None,
+        passes=delta is None or delta > 0,
+        note=UNRESOLVABLE if delta is None
+        else f"fitted || phi_>R P_N u || ~ R^(-delta), {kept}/{len(Rs)} radii kept")
 

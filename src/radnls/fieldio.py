@@ -93,6 +93,10 @@ def load_trajectory(path) -> Trajectory:
     """Read a trajectory directory; ValueError if its manifest and snapshots disagree."""
     out = Path(path)
     manifest = json.loads((out / "manifest.json").read_text())
+    missing = [key for key in ("config", "config_hash", "times", "mass_log", "energy_log")
+               if not isinstance(manifest, dict) or key not in manifest]
+    if missing:
+        raise ValueError(f"{out}: manifest.json is not an object with the key(s) {missing}")
     config = manifest["config"]
     try:
         cfg = SimulationConfig(**config)
@@ -101,6 +105,8 @@ def load_trajectory(path) -> Trajectory:
     if _config_hash(config) != manifest["config_hash"]:
         raise ValueError(f"{out}: manifest config_hash does not match its config")
     times = manifest["times"]
+    if len(manifest["energy_log"]) != len(times) or not manifest["mass_log"]:
+        raise ValueError(f"{out}: manifest needs an energy_log entry per time and a mass_log")
     names = [f"{i:06d}.rfb" for i in range(len(times))]
     if sorted(p.name for p in (out / "snapshots").iterdir()) != names:
         raise ValueError(f"{out}: snapshots/ must hold exactly the {len(names)} files "

@@ -94,7 +94,7 @@ def check_virial_bound(grid: core.RadialGrid, values: np.ndarray,
                        R: float) -> tuple[bool, tuple[float, float]]:
     """V_R <= (25R/24)^2 M to round-off on every row of the (T, n) stack values; the
     (V_R, bound) pair nearest its bound.  R = inf and a zero-mass row have no bound."""
-    v = diagnostics._virial(grid, values, R)
+    v = diagnostics.truncated_virial(grid, values, R)
     m = core._power_sum(grid, values, 2)
     cap = np.multiply((25 * R / 24) ** 2, m, out=np.full_like(m, math.inf), where=m > 0)
     near = int(np.argmax(v / cap))
@@ -217,14 +217,15 @@ def suite_diagnostics() -> list[tuple[str, bool, str]]:
     cfg = evolution.SimulationConfig(dimension=4, mu=0, r_max=15.0, n=384,
                                      dt=1e-3, t_final=0.1, cadence=1)
     traj = evolution.evolve(cfg, f)
-    rep = diagnostics.concentration_radii(f, 0.5 * core.mass(f))
+    c_x, c_xi = map(float, diagnostics.concentration_radii(
+        g, f.values, g._forward_values(f.values), 0.5 * core.mass(f)))
     acc = diagnostics.virial_acceleration(traj, math.inf, 0.05)
     eight_k = 8 * core.gradient_norm_sq(traj.field(traj.index_at(0.05)))
     return [_line("diagnostics.free_virial", check_free_virial(acc, eight_k), "rel {:.2e}"),
             _line("diagnostics.virial_bound", check_virial_bound(g, f.values[None], 4.0),
                   "{0[0]:.4g} <= {0[1]:.4g}"),
-            ("diagnostics.concentration", 0.5 < rep.c_x < 1.5 and 1.0 < rep.c_xi < 3.0,
-             f"c_x={rep.c_x:.3f} c_xi={rep.c_xi:.3f}")]
+            ("diagnostics.concentration", 0.5 < c_x < 1.5 and 1.0 < c_xi < 3.0,
+             f"c_x={c_x:.3f} c_xi={c_xi:.3f}")]
 
 
 def suite_recurrence() -> list[tuple[str, bool, str]]:

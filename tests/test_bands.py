@@ -229,14 +229,3 @@ class TestFractionalChain:
             bands.fractional_chain_ratio(corpus[0], 0.0)
         with pytest.raises(ValueError):
             bands.fractional_chain_ratio(core.RadialField(grid, np.zeros(grid.n)), 1.5)
-
-
-class TestBandNormTable:
-    def test_rejects_disorder(self):
-        with pytest.raises(ValueError):
-            bands.BandNormTable("q", (2.0, 1.0), (0.1, 0.2), "")
-
-    def test_json(self):
-        tab = bands.BandNormTable("q", (1.0, 2.0), (0.5, 0.25), annotation="x")
-        obj = tab.to_json_obj()
-        assert obj["rows"][1] == {"N": 2.0, "value": 0.25}

@@ -12,19 +12,32 @@ from conftest import planted_band_field, single_snapshot_trajectory
 GAUSS_VIRIAL_4D = math.pi**2 / 4   # integral of |x|^2 e^{-2|x|^2} over R^4
 
 
+# the stacked diagnostics applied to one field
+def virial_of(f, R):
+    return diagnostics.truncated_virial(f.grid, f.values, R)
+
+
+def kinetic_radius_of(f, eta):
+    return diagnostics.kinetic_localization_radius(f.grid, core.transform_forward(f).values, eta)
+
+
+def radii_of(f, eta):
+    return diagnostics.concentration_radii(f.grid, f.values, core.transform_forward(f).values, eta)
+
+
 class TestTruncatedVirial:
     def test_zero_field(self, grid):
         zero = core.RadialField(grid, np.zeros(grid.n))
-        assert diagnostics.truncated_virial(zero, 4.0) == 0.0
+        assert virial_of(zero, 4.0) == 0.0
 
     def test_gaussian_moment(self, grid20):
         f = core.field_from_function(grid20, lambda r: np.exp(-(r**2)))
-        v = diagnostics.truncated_virial(f, 1e6)
+        v = virial_of(f, 1e6)
         assert abs(v - GAUSS_VIRIAL_4D) < 1e-8 * GAUSS_VIRIAL_4D
 
     def test_monotone_in_cutoff(self, grid, corpus):
         f = corpus[0]
-        assert diagnostics.truncated_virial(f, 4.0) >= diagnostics.truncated_virial(f, 2.0)
+        assert virial_of(f, 4.0) >= virial_of(f, 2.0)
 
     def test_bound_check_on_a_stack(self, grid, corpus):
         # V_R <= (25R/24)^2 M row by row, reporting the row nearest its bound; R = inf and
@@ -33,7 +46,7 @@ class TestTruncatedVirial:
         stack = np.stack([np.zeros(grid.n), f.values])
         ok, (v, cap) = selftest.check_virial_bound(grid, stack, 4.0)
         assert ok is True
-        assert v == pytest.approx(diagnostics.truncated_virial(f, 4.0), rel=1e-14)
+        assert v == pytest.approx(virial_of(f, 4.0), rel=1e-14)
         assert cap == pytest.approx((25 * 4.0 / 24) ** 2 * core.mass(f), rel=1e-14)
         assert selftest.check_virial_bound(grid, stack, math.inf)[0] is True
 
@@ -64,12 +77,12 @@ class TestVirialAcceleration:
 class TestKineticLocalization:
     def test_radius_finite_on_ground_state(self, ground):
         eta = 1e-2 * ground.kinetic
-        r_star = diagnostics.kinetic_localization_radius(ground.profile, eta)
+        r_star = kinetic_radius_of(ground.profile, eta)
         assert 0 < r_star < ground.grid.r_max / 2
 
     def test_eta_above_total_rejected(self, ground):
         with pytest.raises(ValueError):
-            diagnostics.kinetic_localization_radius(ground.profile, 2 * ground.kinetic)
+            kinetic_radius_of(ground.profile, 2 * ground.kinetic)
 
     def test_eta_near_total_gives_first_node(self, ground):
         # in the limit eta -> total the radius walks down to the first node;
@@ -78,15 +91,15 @@ class TestKineticLocalization:
         dens = ground.grid.w * np.abs(core.radial_derivative(ground.profile).values) ** 2
         tail_past_first = float(np.sum(dens[1:]))
         eta = 0.5 * (ground.kinetic + tail_past_first)
-        r = diagnostics.kinetic_localization_radius(ground.profile, eta)
+        r = kinetic_radius_of(ground.profile, eta)
         assert r == ground.grid.r[0]
 
     def test_rescaling_halves_radius(self, ground):
         eta_frac = 1e-2
-        base = diagnostics.kinetic_localization_radius(
+        base = kinetic_radius_of(
             ground.profile, eta_frac * ground.kinetic)
         resc = core.rescale(ground.profile, 2.0)
-        scaled = diagnostics.kinetic_localization_radius(
+        scaled = kinetic_radius_of(
             resc, eta_frac * core.gradient_norm_sq(resc))
         cell = ground.grid.r[1] - ground.grid.r[0]
         assert abs(scaled - base / 2) <= 1.5 * cell
@@ -95,43 +108,43 @@ class TestKineticLocalization:
 class TestConcentrationRadii:
     def test_gaussian_half_mass_quantiles(self, grid20):
         f = core.field_from_function(grid20, lambda r: np.exp(-(r**2)))
-        rep = diagnostics.concentration_radii(f, 0.5 * core.mass(f))
+        got_x, got_xi = radii_of(f, 0.5 * core.mass(f))
         c_x = brentq(lambda c: math.exp(-2 * c * c) * (1 + 2 * c * c) - 0.5, 0.1, 5.0)
         c_xi = brentq(lambda c: math.exp(-c * c / 2) * (1 + c * c / 2) - 0.5, 0.1, 10.0)
         cell_x = grid20.r[1] - grid20.r[0]
         cell_k = grid20.rho[1] - grid20.rho[0]
-        assert abs(rep.c_x - c_x) <= 1.5 * cell_x
-        assert abs(rep.c_xi - c_xi) <= 1.5 * cell_k
+        assert abs(got_x - c_x) <= 1.5 * cell_x
+        assert abs(got_xi - c_xi) <= 1.5 * cell_k
 
     def test_monotone_in_eta(self, ground):
         m = ground.mass
-        reports = [diagnostics.concentration_radii(ground.profile, frac * m)
-                   for frac in (1e-3, 1e-2, 1e-1)]
-        assert reports[0].c_x >= reports[1].c_x >= reports[2].c_x
-        assert reports[0].c_xi >= reports[1].c_xi >= reports[2].c_xi
+        (x0, k0), (x1, k1), (x2, k2) = [radii_of(ground.profile, frac * m)
+                                        for frac in (1e-3, 1e-2, 1e-1)]
+        assert x0 >= x1 >= x2
+        assert k0 >= k1 >= k2
 
     def test_uniform_along_solitary_wave(self, sw_dense, ground):
         m = ground.mass
         grid = ground.grid
         ix, ik = [], []
         for f in map(sw_dense.field, range(0, len(sw_dense), 100)):
-            rep = diagnostics.concentration_radii(f, 1e-2 * m)
-            ix.append(int(np.argmin(np.abs(grid.r - rep.c_x))))
-            ik.append(int(np.argmin(np.abs(grid.rho - rep.c_xi))))
+            c_x, c_xi = radii_of(f, 1e-2 * m)
+            ix.append(int(np.argmin(np.abs(grid.r - c_x))))
+            ik.append(int(np.argmin(np.abs(grid.rho - c_xi))))
         assert max(ix) - min(ix) <= 1
         assert max(ik) - min(ik) <= 1
 
     def test_rescaling_maps_radii(self, ground):
         grid = ground.grid
-        base = diagnostics.concentration_radii(ground.profile, 1e-2 * ground.mass)
+        base_x, base_xi = radii_of(ground.profile, 1e-2 * ground.mass)
         resc = core.rescale(ground.profile, 2.0)
-        scaled = diagnostics.concentration_radii(resc, 1e-2 * core.mass(resc))
-        assert abs(scaled.c_x - base.c_x / 2) <= 1.5 * (grid.r[1] - grid.r[0])
-        assert abs(scaled.c_xi - 2 * base.c_xi) <= 3.0 * (grid.rho[1] - grid.rho[0])
+        scaled_x, scaled_xi = radii_of(resc, 1e-2 * core.mass(resc))
+        assert abs(scaled_x - base_x / 2) <= 1.5 * (grid.r[1] - grid.r[0])
+        assert abs(scaled_xi - 2 * base_xi) <= 3.0 * (grid.rho[1] - grid.rho[0])
 
     def test_eta_out_of_range(self, ground):
         with pytest.raises(ValueError):
-            diagnostics.concentration_radii(ground.profile, 2 * ground.mass)
+            radii_of(ground.profile, 2 * ground.mass)
 
 
 class TestFrequencyDecayFit:
@@ -221,6 +234,7 @@ class TestReports:
         obj = rep.to_json_obj()
         assert set(obj) == {"table", "exponent", "residual", "threshold",
                             "passes", "note"}
+        assert obj["table"]["rows"][1] == {"N": 8.0, "value": rep.values[1]}
 
 
 def test_transform_count_independent_of_snapshot_count(sw_dense, monkeypatch):
@@ -245,7 +259,7 @@ def test_transform_count_independent_of_snapshot_count(sw_dense, monkeypatch):
 
 
 def test_runners_match_single_field_loop(sw_dense):
-    # reference: the single-field functions applied one snapshot at a time; the
+    # reference: the stacked functions applied one snapshot at a time; the
     # stacked transforms round differently, so values agree to round-off of the
     # field norm and the grid radii exactly
     traj = dataclasses.replace(sw_dense, times=sw_dense.times[:300],
@@ -255,15 +269,15 @@ def test_runners_match_single_field_loop(sw_dense):
     tol = 1e-12 * math.sqrt(core.mass(fields[0]))
 
     *_, rows = cli.DIAGNOSTIC_RUNNERS["kinetic_localization"](traj, {"eta_fraction": 1e-2})
-    assert [r for _, r in rows] == [diagnostics.kinetic_localization_radius(
+    assert [r for _, r in rows] == [kinetic_radius_of(
         f, 1e-2 * core.gradient_norm_sq(f)) for f in fields]
 
     *_, rows = cli.DIAGNOSTIC_RUNNERS["concentration"](traj, {"eta_fraction": 1e-2})
-    reports = [diagnostics.concentration_radii(f, 1e-2 * core.mass(f)) for f in fields]
-    assert [(c_x, c_xi) for _, c_x, c_xi in rows] == [(r.c_x, r.c_xi) for r in reports]
+    assert [(c_x, c_xi) for _, c_x, c_xi in rows] == [
+        radii_of(f, 1e-2 * core.mass(f)) for f in fields]
 
     *_, rows = cli.DIAGNOSTIC_RUNNERS["virial"](traj, {"R": 8.0})
-    v = [diagnostics.truncated_virial(f, 8.0) for f in fields]
+    v = [virial_of(f, 8.0) for f in fields]
     h = traj.times[1] - traj.times[0]
     for i, (t, acc, eight_k) in enumerate(rows, start=2):
         ref = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12 * h * h)
@@ -272,7 +286,7 @@ def test_runners_match_single_field_loop(sw_dense):
 
     shell = bands.phi_gt(grid.r, 1.0)
     rep = diagnostics.frequency_decay_fit(traj, 1.0, [4.0, 8.0, 16.0, 32.0])
-    for N, value in zip(rep.table.scales, rep.table.values):
+    for N, value in zip(rep.scales, rep.values):
         ref = max(math.sqrt(float(np.sum(grid.w * shell**2 * np.abs(
             core.apply_multiplier(f, bands.band_symbol(grid, N)).values) ** 2))) for f in fields)
         assert abs(value - ref) <= tol

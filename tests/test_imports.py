@@ -160,16 +160,14 @@ def test_no_default_is_overridden_by_every_call_in_the_package():
 
 
 # public module-level functions and classes that nothing in the package names, each with
-# why it stays: the paper's lemmas, which the acceptance suite measures, and the
-# single-field references test_runners_match_single_field_loop holds the stacked runners to
+# why it stays: the paper's lemmas and identities, which the acceptance suite measures, and
+# the reference test_runners_match_single_field_loop holds extract_A_sequence to
 UNREFERENCED_ALLOWED = {
     "bernstein_ratio": "Bernstein's inequality, measured by acceptance criterion 8",
     "radial_sobolev_ratio": "the radial Sobolev embedding, measured by criterion 8",
     "fractional_chain_ratio": "the fractional chain rule, measured by criterion 8",
     "strichartz_norm": "the S-norm of the Strichartz estimate, extract_A_sequence's reference",
     "duhamel_residual": "the Duhamel formula's defect, judged by criterion 9",
-    "kinetic_localization_radius": "single-field reference of the kinetic_localization runner",
-    "truncated_virial": "single-field reference of the virial runner",
 }
 
 
@@ -205,6 +203,44 @@ def test_guard_flags_a_public_name_nothing_references():
 
 def test_every_public_name_is_used_by_the_package():
     assert unreferenced_public([p.read_text() for p in SOURCES]) == sorted(UNREFERENCED_ALLOWED)
+
+
+# modules whose private names no other module may use: each quantity they compute has one
+# public function.  core is exempt, its private array primitives are shared by design
+GUARDED = {"diagnostics", "bands", "recurrence"}
+
+
+def private_reaches(module: str, source: str) -> list[str]:
+    """The private names of GUARDED modules other than module that its source uses, as
+    an attribute (`diagnostics._x`) or by `from .diagnostics import _x`, each given as
+    "line k: diagnostics._x"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            uses = [(node.value.id, node.attr)]
+        elif isinstance(node, ast.ImportFrom):
+            uses = [((node.module or "").rpartition(".")[2], alias.name) for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, f"{owner}.{name}") for owner, name in uses
+                  if owner in GUARDED - {module}
+                  and name.startswith("_") and not name.startswith("__")]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_guard_flags_a_private_name_reached_from_outside():
+    source = ("from . import bands, core, diagnostics\n"
+              "from .recurrence import ASequence, _s_norm\n"
+              "x = diagnostics._virial(g, v, 1.0) + core._power_sum(g, v, 2)\n"
+              "y = bands.phi_le(r, 1.0), diagnostics.__name__, fieldio._config_hash\n")
+    assert private_reaches("cli", source) == ["line 2: recurrence._s_norm",
+                                              "line 3: diagnostics._virial"]
+    assert private_reaches("recurrence", source) == ["line 3: diagnostics._virial"]
+
+
+def test_no_module_uses_another_modules_private_names():
+    found = {p.stem: private_reaches(p.stem, p.read_text()) for p in SOURCES}
+    assert {module: names for module, names in found.items() if names} == {}
 
 
 def test_cli_import_leaves_the_shooting_solvers_unloaded():

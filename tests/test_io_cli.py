@@ -125,6 +125,23 @@ class TestCli:
         assert cert["mass_agreement"] < 1e-4
         assert abs(cert["pohozaev_kinetic_ratio"] - 3 / 4) < 1e-4
 
+    def test_failed_certificate_exits_1_and_is_not_cached(self, out_env, tmp_path, capsys,
+                                                          monkeypatch):
+        # the artifacts stay for inspection; only a certified Q enters the cache
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128}, "output_dir": "gs"})
+        with monkeypatch.context() as patch:
+            patch.setattr(groundstate, "pohozaev_ratio", lambda gs: 0.1)
+            assert cli.main(["--config", cfg, "ground-state"]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "certification_failed" and "pohozaev" in error["detail"]
+        out = out_env / "gs"
+        assert (out / "ground_state.rfb").exists()
+        assert json.loads((out / "ground_state_certification.json").read_text())[
+            "pohozaev_kinetic_ratio"] == 0.1
+        assert not (out / "ground_state_cache").exists()
+        assert cli.main(["--config", cfg, "ground-state"]) == 0
+        assert len(list((out / "ground_state_cache").glob("*.json"))) == 1
+
     def test_dimension_out_of_range_exits_2(self, out_env, capsys):
         rc = cli.main(["--dimension", "1", "ground-state"])
         assert rc == 2
@@ -233,6 +250,16 @@ class TestCli:
         rc = cli.main(["--config", str(bad), "diagnose",
                        str(out_env / "run2" / "trajectory")])
         assert rc == 2
+
+    def test_repeated_decay_scale_exits_2(self, out_env, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "grid": SMALL_GRID, "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+            "diagnostics": [{"kind": "frequency_decay", "Ns": [4, 4, 8, 16]}],
+            "output_dir": "dup"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        assert cli.main(["--config", cfg, "diagnose", str(out_env / "dup" / "trajectory")]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "invalid_input" and "strictly increasing" in error["detail"]
 
     def test_guard_trip_exits_4(self, out_env, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
@@ -537,6 +564,13 @@ class TestCli:
             (run / "snapshots" / "000010.rfb").read_bytes()), id="extra_snapshot"),
         pytest.param(lambda run: (run / "snapshots" / "000005.rfb").write_bytes(
             (run / "snapshots" / "000005.rfb").read_bytes()[:-8]), id="truncated_rfb"),
+        pytest.param(lambda run: _edit_json(run / "manifest.json", lambda m: m.pop("times")),
+                     id="missing_times"),
+        pytest.param(lambda run: _edit_json(run / "manifest.json", lambda m: m.pop("mass_log")),
+                     id="missing_mass_log"),
+        pytest.param(lambda run: _edit_json(run / "manifest.json",
+                                            lambda m: m["energy_log"].pop()),
+                     id="short_energy_log"),
     ])
     def test_inconsistent_trajectory_exits_2(self, out_env, tmp_path, capsys, corrupt):
         # the window of N=4 is [0, 1/2], so lemma reads the whole trajectory
