@@ -211,10 +211,19 @@ def write_csv(cfg: dict, path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _require_certified(checks: dict) -> None:
+    """GroundStateError naming the failed checks of selftest.check_ground_state."""
+    failed = [key for key, (ok, _) in checks.items() if not ok]
+    if failed:
+        raise groundstate.GroundStateError(f"certificate checks failed: {failed}")
+
+
 def _ground_state(cfg: dict, grid: core.RadialGrid, cache: Path):
+    """Q from the cache, or solved and cached once it passes the ground-state checks."""
     gs = fieldio.load_ground_state(cache, grid, cfg["tol"])
     if gs is None:
         gs = groundstate.solve_ground_state(grid, tol=cfg["tol"])
+        _require_certified(selftest.check_ground_state(gs))
         fieldio.save_ground_state(gs, cache, cfg["tol"])
     return gs
 
@@ -261,9 +270,7 @@ def cmd_ground_state(cfg: dict) -> int:
         "grid_quadrature_error": grid.quadrature_error,
     }
     write_json(cfg, out / "ground_state_certification.json", cert)
-    failed = [key for key, (ok, _) in checks.items() if not ok]
-    if failed:
-        raise groundstate.GroundStateError(f"certificate checks failed: {failed}")
+    _require_certified(checks)
     fieldio.save_ground_state(gs, out / "ground_state_cache", cfg["tol"])
     print(f"ground state: M={gs.mass:.9g} residual={gs.residual:.3e} "
           f"shooting agreement={cert['mass_agreement']:.3e}")

@@ -89,14 +89,29 @@ def save_trajectory(traj: Trajectory, out_dir) -> Path:
     return out
 
 
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+
+
+# each key load_trajectory reads from the manifest, with the JSON type it must have
+_MANIFEST_KEYS = {
+    "config": ("an object", lambda value: isinstance(value, dict)),
+    "config_hash": ("a string", lambda value: isinstance(value, str)),
+    "times": ("a list of numbers", _numbers),
+    "mass_log": ("a list of numbers", _numbers),
+    "energy_log": ("a list of numbers", _numbers),
+}
+
+
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory directory; ValueError if its manifest and snapshots disagree."""
     out = Path(path)
     manifest = json.loads((out / "manifest.json").read_text())
-    missing = [key for key in ("config", "config_hash", "times", "mass_log", "energy_log")
-               if not isinstance(manifest, dict) or key not in manifest]
-    if missing:
-        raise ValueError(f"{out}: manifest.json is not an object with the key(s) {missing}")
+    bad = [f"{key} ({kind})" for key, (kind, fits) in _MANIFEST_KEYS.items()
+           if not isinstance(manifest, dict) or not fits(manifest.get(key))]
+    if bad:
+        raise ValueError(f"{out}: manifest.json must be an object with {', '.join(bad)}")
     config = manifest["config"]
     try:
         cfg = SimulationConfig(**config)

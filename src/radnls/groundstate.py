@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ from .core import (
 
 # fixed-point iterations before the solve gives up
 MAX_ITER = 400
+# DOP853 steps one shooting integration may take; d = 2..8 need at most 171
+NSTEPS = 10_000
 
 
 class GroundStateError(RuntimeError):
@@ -135,53 +138,70 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
 def shooting_mass(d: int) -> float:
     """Independent mass of the ground state from a 1D shooting integration.
 
-    Integrates Q'' + (d-1)/r Q' = Q - Q^p outward from a series start with
-    DOP853.  Overshooting Q(0) = a crosses zero, undershooting turns around
-    at a positive minimum, both at an exit radius r_exit.  Near the ground
-    state a* the deviation grows like (a - a*) e^{r} and exits where it meets
-    Q ~ e^{-r}, so Brent's method finds a* on the near-linear signed
-    exp(-2 r_exit); the bracket's upper end doubles until it overshoots.  The
-    mass integral rides along as an extra ODE component and is read off where
-    the converged trajectory decays below 1e-6.  That threshold sits above the
-    e^{+r} instability floor left by the root tolerance (~1e-13 * e^{r}), and
-    the abandoned exponential tail contributes O(1e-10) relative mass.
+    Integrates Q'' + (d-1)/r Q' = Q - Q^p outward from a series start with the
+    Fortran DOP853 behind scipy's `ode`.  Overshooting Q(0) = a crosses zero,
+    undershooting turns around at a positive minimum; a solout callback stops
+    the integration at the first step end past either, and the exit radius
+    r_exit is placed inside that last step by linear interpolation of the
+    component that changed sign (Q, resp. Q'), so that it moves continuously
+    with a.  Near the ground state a* the deviation grows like (a - a*) e^{r}
+    and exits where it meets Q ~ e^{-r}, so Brent's method finds a* on the
+    near-linear signed exp(-2 r_exit); the bracket's upper end doubles until
+    it overshoots.  The mass integral rides along as an extra ODE component
+    and is read off at the first step end where the converged trajectory has
+    decayed below 1e-6.  That threshold sits above the e^{+r} instability
+    floor left by the root tolerance (~1e-13 * e^{r}), and the abandoned
+    exponential tail contributes O(1e-10) relative mass.  GroundStateError if
+    an integration fails or exhausts its step budget.
     """
     # imported on first use: only ground-state and selftest shoot, and these
     # two packages are most of what a command would otherwise pay at start-up
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import ode
     from scipy.optimize import brentq
 
     p = 1.0 + 4.0 / d
     area = sphere_area(d)
     r0 = 1e-6
 
+    # Python floats throughout: the Fortran stepper calls this ~20 000 times
     def rhs(r, y):
-        q, dq, _ = y
-        return [dq, q - np.sign(q) * np.abs(q) ** p - (d - 1) / r * dq,
+        q, dq, _ = y.tolist()
+        return [dq, q - math.copysign(abs(q) ** p, q) - (d - 1) / r * dq,
                 area * r ** (d - 1) * q * q]
 
-    def start(a):
+    def integrate(a, stop):
+        """(previous, last) step ends (r, Q, Q', mass) of the run from Q(0) = a
+        that stops at the first step end where stop(Q, Q') holds, or at r = 40."""
         c = (a - a**p) / (2.0 * d)
-        return [a + c * r0**2, 2.0 * c * r0, 0.0]
+        ends = []  # solout sees r0 first, then every step end
 
-    def integrate(a, events):
-        return solve_ivp(rhs, (r0, 40.0), start(a), events=events,
-                         rtol=1e-11, atol=1e-13, method="DOP853")
+        def solout(r, y):
+            q, dq, m = y.tolist()
+            ends.append((r, q, dq, m))
+            return -1 if stop(q, dq) else 0
 
-    cross = lambda r, y: y[0]
-    cross.terminal = True
-    cross.direction = -1
-    turn = lambda r, y: y[1]
-    turn.terminal = True
-    turn.direction = 1
+        solver = ode(rhs).set_integrator("dop853", rtol=1e-11, atol=1e-13, nsteps=NSTEPS)
+        solver.set_solout(solout)
+        solver.set_initial_value([a + c * r0**2, 2.0 * c * r0, 0.0], r0)
+        with warnings.catch_warnings():  # a failed run warns; it is raised below
+            warnings.simplefilter("ignore", UserWarning)
+            solver.integrate(40.0)
+        if not solver.successful():
+            raise GroundStateError(f"shooting integration from Q(0)={a!r} failed: dop853 "
+                                   f"return code {solver.get_return_code()}")
+        return ends[-2], ends[-1]
 
     @functools.cache  # brentq re-evaluates the bracket ends checked below
     def exit_signed(a):
         """-exp(-2 r) if the trajectory crosses zero at r (a too big),
-        +exp(-2 r) if it turns around at r (a too small)."""
-        sol = integrate(a, (cross, turn))
-        crossed = sol.t_events[0].size or (not sol.t_events[1].size and sol.y[0, -1] < 0)
-        return (-1.0 if crossed else 1.0) * math.exp(-2.0 * sol.t[-1])
+        +exp(-2 r) if it turns around at r (a too small); r is interpolated
+        inside the step that exits, and is 40 if none does."""
+        (r_a, q_a, dq_a, _), (r_b, q_b, dq_b, _) = integrate(a, lambda q, dq: q < 0 or dq > 0)
+        if q_b < 0:
+            return -math.exp(-2.0 * (r_a + (r_b - r_a) * q_a / (q_a - q_b)))
+        if dq_b > 0:
+            return math.exp(-2.0 * (r_a + (r_b - r_a) * dq_a / (dq_a - dq_b)))
+        return math.exp(-2.0 * r_b)
 
     lo = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0)) + 1e-9
     hi = 10.0 * lo
@@ -193,12 +213,10 @@ def shooting_mass(d: int) -> float:
         raise GroundStateError("shooting bracket does not straddle the ground state")
     a_star = brentq(exit_signed, lo, hi, xtol=1e-13 * lo)
 
-    small = lambda r, y: abs(y[0]) - 1e-6
-    small.terminal = True
-    sol = integrate(a_star, (small,))
-    if not sol.t_events[0].size:
+    _, (_, q, _, m) = integrate(a_star, lambda q, dq: abs(q) < 1e-6)
+    if abs(q) >= 1e-6:
         raise GroundStateError("shooting trajectory never decayed below threshold")
-    return float(sol.y[2, -1])
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -52,18 +52,28 @@ class TestShooting:
         # d=2: the Townes soliton's critical mass 11.70089652...
         assert abs(groundstate.shooting_mass(2) - 11.70089652) < 1e-8
 
+    def test_shooting_mass_pinned(self):
+        ref = 408.856886662
+        assert abs(groundstate.shooting_mass(4) - ref) <= 1e-10 * ref
+
     def test_integration_count(self, monkeypatch):
-        # shooting_mass imports solve_ivp on first use, from the scipy module
+        # every shooting integration is one ode.integrate call
         calls = []
-        solve_ivp = integrate.solve_ivp
+        run = integrate.ode.integrate
 
-        def counting(*args, **kwargs):
+        def counting(self, *args, **kwargs):
             calls.append(1)
-            return solve_ivp(*args, **kwargs)
+            return run(self, *args, **kwargs)
 
-        monkeypatch.setattr(integrate, "solve_ivp", counting)
+        monkeypatch.setattr(integrate.ode, "integrate", counting)
         groundstate.shooting_mass(4)
-        assert len(calls) <= 30
+        assert 0 < len(calls) <= 21
+
+    def test_failed_integration_raises(self, monkeypatch):
+        # a run that exhausts its step budget is an error, not a mass
+        monkeypatch.setattr(groundstate, "NSTEPS", 5)
+        with pytest.raises(groundstate.GroundStateError, match="return code -2"):
+            groundstate.shooting_mass(4)
 
 
 class TestSharpRatio:

@@ -142,6 +142,19 @@ class TestCli:
         assert cli.main(["--config", cfg, "ground-state"]) == 0
         assert len(list((out / "ground_state_cache").glob("*.json"))) == 1
 
+    def test_evolve_caches_only_a_certified_ground_state(self, out_env, tmp_path, capsys,
+                                                          monkeypatch):
+        # evolve solves Q on a cache miss and must refuse it as ground-state would
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
+                                   "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+                                   "initial": {"kind": "sw"}, "output_dir": "run"})
+        monkeypatch.setattr(groundstate, "pohozaev_ratio", lambda gs: 0.1)
+        assert cli.main(["--config", cfg, "evolve"]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "certification_failed" and "pohozaev" in error["detail"]
+        cache = out_env / "run" / "ground_state_cache"
+        assert not cache.exists() or not any(cache.iterdir())
+
     def test_dimension_out_of_range_exits_2(self, out_env, capsys):
         rc = cli.main(["--dimension", "1", "ground-state"])
         assert rc == 2
@@ -554,6 +567,23 @@ class TestCli:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "invalid_input" and str(path.parent) in error["detail"]
 
+    @pytest.mark.parametrize("key, wrong", [
+        pytest.param("config", lambda m: list(m["config"].items()), id="config"),
+        pytest.param("config_hash", lambda m: 5, id="config_hash"),
+        pytest.param("times", lambda m: 5, id="times"),
+        pytest.param("mass_log", lambda m: [str(x) for x in m["mass_log"]], id="mass_log"),
+        pytest.param("energy_log", lambda m: [True] * len(m["energy_log"]), id="energy_log"),
+    ])
+    def test_manifest_key_of_wrong_type_exits_2(self, out_env, tmp_path, capsys, key, wrong):
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
+                                   "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+                                   "output_dir": "bad"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        path = out_env / "bad" / "trajectory" / "manifest.json"
+        _edit_json(path, lambda m: m.update({key: wrong(m)}))
+        assert cli.main(["--config", cfg, "diagnose", str(path.parent)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "invalid_input" and f"with {key} (" in error["detail"]
 
     @pytest.mark.parametrize("corrupt", [
         pytest.param(lambda run: _edit_json(run / "manifest.json",
