@@ -286,6 +286,87 @@ class TestKernel:
             tracemalloc.stop()
 
 
+class TestBessel:
+    # arguments from 1e-8 to 8000, dense on both sides of the switches at x = 2
+    # (series to Miller) and x = 25 (Miller to Hankel), and x < order
+    ARGS = np.unique(np.concatenate([
+        np.geomspace(1e-8, 8000.0, 120), np.linspace(1.9, 2.1, 9), np.linspace(24.0, 26.0, 17),
+        np.linspace(0.1, 5.5, 28), np.random.default_rng(0).uniform(25.0, 8000.0, 40),
+        [1e-6, 1e-3, 2.0, 25.0, 1280.0 * math.pi]]))
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_values_match_mpmath(self, order):
+        mpmath = pytest.importorskip("mpmath")
+        x = self.ARGS
+        got = core._bessel_j(order, x)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in x])
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        # below x = 2 and below the order J has no zero but 0, so the error is relative
+        low = x < max(order, 2.0)
+        assert np.max(np.abs(got[low] / ref[low] - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_tiny_arguments_stay_finite(self, order):
+        # Miller's recurrence from order 60 grows like (2/x)^60 60!, which overflows
+        # below x = 3e-9 even from 1e-300; the power series takes over below x = 2
+        mpmath = pytest.importorskip("mpmath")
+        x = np.array([0.0, 1e-30, 1e-12, 1e-8, 1e-6, 1e-3, 0.5, 1.999])
+        with np.errstate(all="raise"):
+            got = core._bessel_j(order, x)
+        assert got[0] == (1.0 if order == 0 else 0.0)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in x[1:]])
+        assert np.max(np.abs(got[1:] / ref - 1.0)) <= 1e-15
+
+    def test_values_independent_of_the_array_around_them(self):
+        # each value is the same bit for bit whether evaluated alone, in a short
+        # array or across the boundaries of the evaluator's chunks
+        rng = np.random.default_rng(1)
+        x = np.concatenate([rng.uniform(0.0, 40.0, 30000), rng.uniform(40.0, 4000.0, 20000)])
+        rng.shuffle(x)
+        for order in (0, 1, 3):
+            whole = core._bessel_j(order, x)
+            pieces = np.concatenate([core._bessel_j(order, x[i:i + 977])
+                                     for i in range(0, x.size, 977)])
+            assert np.array_equal(whole, pieces)
+            assert np.array_equal(whole.reshape(250, 200),
+                                  core._bessel_j(order, x.reshape(250, 200)))
+            for i in rng.choice(x.size, 20, replace=False):
+                assert core._bessel_j(order, x[i:i + 1])[0] == whole[i]
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    def test_grid_zeros_match_mpmath(self, d):
+        # the first two zeros j_1, j_2, the last node j_n and the edge S = j_{n+1}
+        mpmath = pytest.importorskip("mpmath")
+        n = 300
+        g = core.make_radial_grid(d, 15.0, n)
+        got = [g._bessel_zeros[0], g._bessel_zeros[1], g._bessel_zeros[n - 1], g._s_edge]
+        with mpmath.workdps(30):
+            ref = [float(mpmath.besseljzero(g.nu, k)) for k in (1, 2, n, n + 1)]
+        for z, r in zip(got, ref):
+            assert abs(z - r) <= 2 * np.spacing(r), (z, r)
+
+    @pytest.mark.parametrize("window", [(2.0, 0.0, 3.0), (2.0, 0.0, 5.0), (3.0, 1.0, 4.0)])
+    def test_concentrated_field_matches_scipy_eigh(self, grid20, window):
+        # the Cholesky reduction against scipy's generalised eigh, on windows whose
+        # smallest eigenvalue stands apart from the next, so that its eigenvector
+        # is determined: the eigenvalue is the field's outside-mass fraction
+        from scipy.linalg import eigh
+        g, (r_support, rho_lo, rho_hi) = grid20, window
+        f = core.concentrated_field(g, r_support, rho_lo, rho_hi)
+        idx = np.where((g.rho >= rho_lo) & (g.rho <= rho_hi))[0]
+        basis = g._inverse_values(np.eye(g.n)[idx] / np.sqrt(g.wrho[idx])[:, None]).T
+        outside = g.w * (g.r > r_support)
+        lams, vecs = eigh(basis.T @ (outside[:, None] * basis), basis.T @ (g.w[:, None] * basis))
+        assert lams[1] > 10.0 * lams[0]
+        power = np.abs(f.values) ** 2
+        assert abs(np.sum(outside * power) / np.sum(g.w * power) - lams[0]) <= 1e-12
+        ref = basis @ vecs[:, 0]
+        ref /= math.sqrt(np.sum(g.w * ref**2))
+        assert min(np.max(np.abs(f.values - ref)), np.max(np.abs(f.values + ref))) <= 1e-12
+
+
 class TestNorms:
     def test_mass_zero_field(self, grid):
         assert core.mass(core.RadialField(grid, np.zeros(grid.n))) == 0.0

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy.integrate import solve_bvp
 
 from radnls import core, groundstate
@@ -57,15 +56,15 @@ class TestShooting:
         assert abs(groundstate.shooting_mass(4) - ref) <= 1e-10 * ref
 
     def test_integration_count(self, monkeypatch):
-        # every shooting integration is one ode.integrate call
+        # every shooting integration is one _dop853 run
         calls = []
-        run = integrate.ode.integrate
+        run = groundstate._dop853
 
-        def counting(self, *args, **kwargs):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return run(self, *args, **kwargs)
+            return run(*args, **kwargs)
 
-        monkeypatch.setattr(integrate.ode, "integrate", counting)
+        monkeypatch.setattr(groundstate, "_dop853", counting)
         groundstate.shooting_mass(4)
         assert 0 < len(calls) <= 21
 

@@ -243,20 +243,50 @@ def test_no_module_uses_another_modules_private_names():
     assert {module: names for module, names in found.items() if names} == {}
 
 
-def test_cli_import_leaves_the_shooting_solvers_unloaded():
-    # only ground-state and selftest shoot; every other command starts without
-    # the ODE and root solvers and the scipy packages they pull in
+# one short sw session: every command, every diagnose kind, and lemma's extraction
+# from the stored trajectory
+SESSION_CONFIG = {
+    "grid": {"r_max": 15.0, "n": 640},
+    "time": {"dt": 1e-3, "T": 0.25, "cadence": 1},
+    "initial": {"kind": "sw", "params": {"t": 0.0}},
+    "diagnostics": [{"kind": "virial", "R": 8.0},
+                    {"kind": "kinetic_localization", "eta_fraction": 1e-2},
+                    {"kind": "concentration", "eta_fraction": 1e-2},
+                    {"kind": "frequency_decay", "shell_cut": 1.0, "Ns": [4, 8, 16, 32]},
+                    {"kind": "spatial_decay", "N_range": [4, 16], "Rs": [2.0, 3.0, 4.5]}],
+    "lemma": {"params": {"s": 1.25, "gamma": 0.2, "c1": 1.0, "m0": 8.0,
+                         "beta_prime": 1e-16, "a_bound": 1.0},
+              "sequence": {"kind": "from_trajectory", "path": "run/trajectory",
+                           "Ns": [16.0, 32.0]}},
+    "output_dir": "run",
+}
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # each command in a fresh process, as the CLI runs it; after the command, no
+    # module of scipy may be loaded
     src = str(Path(radnls.__file__).resolve().parents[1])
-    heavy = ["scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"]
-    code = ("import json, sys, radnls.cli; "
-            f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))")
-    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True, timeout=120)
-    assert json.loads(run.stdout) == []
+    cfg = tmp_path / "session.json"
+    cfg.write_text(json.dumps(SESSION_CONFIG))
+    code = ("import json, sys\nfrom radnls import cli\nrc = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy')]))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("RADNLS_OUTPUT_ROOT", None)     # the outputs go to tmp_path/run
+    found = {}
+    for command in (["ground-state"], ["evolve"], ["diagnose", "run/trajectory"], ["lemma"],
+                    ["selftest"]):
+        run = subprocess.run([sys.executable, "-c", code, "--config", str(cfg), *command],
+                             env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        found[command[0]] = json.loads(run.stdout.splitlines()[-1])
+    assert found == {name: [0, []] for name in found}
 
 
-# scipy.special's Bessel and modified Bessel functions (jn_zeros is a zero finder, not one)
-BESSEL = {"jv", "jve", "jn", "j0", "j1", "yv", "yve", "yn", "y0", "y1",
+# core's own J_nu evaluator, and scipy.special's Bessel and modified Bessel functions
+# (jn_zeros is a zero finder, not one)
+BESSEL = {"_bessel_j", "jv", "jve", "jn", "j0", "j1", "yv", "yve", "yn", "y0", "y1",
           "iv", "ive", "i0", "i0e", "i1", "i1e", "kv", "kve", "kn", "k0", "k0e", "k1", "k1e",
           "hankel1", "hankel1e", "hankel2", "hankel2e",
           "spherical_jn", "spherical_yn", "spherical_in", "spherical_kn"}
@@ -289,13 +319,15 @@ def test_guard_flags_a_bessel_call():
               "class G:\n    def build(self):\n"
               "        return special.jv(0, special.jn_zeros(0, 3))\n"
               "def helper(x):\n    return jv(1, x) + special.kve(0, x)\n"
-              "X = special.j1(2.0)\n")
-    assert bessel_calls(source) == ["G.build: jv", "helper: jv", "helper: kve", "<module>: j1"]
+              "X = special.j1(2.0) + core._bessel_j(0, 2.0)\n")
+    assert bessel_calls(source) == ["G.build: jv", "helper: jv", "helper: kve", "<module>: j1",
+                                    "<module>: _bessel_j"]
 
 
 def test_one_bessel_builder():
-    # the grid's constructor evaluates J_{nu+1}(j_k) and _symmetric_kernel every
-    # kernel, rescaling's included; nothing else evaluates a Bessel function
+    # the grid's constructor evaluates the zeros j_k and J_{nu+1}(j_k), and
+    # _symmetric_kernel every kernel, rescaling's included; nothing else evaluates
+    # a Bessel function
     calls = [c for p in SOURCES for c in bessel_calls(p.read_text())]
     assert calls and {c.split(":")[0] for c in calls} <= BESSEL_BUILDERS, calls
 
