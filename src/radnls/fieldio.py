@@ -101,6 +101,9 @@ _MANIFEST_KEYS = {
     "times": ("a list of numbers", _numbers),
     "mass_log": ("a list of numbers", _numbers),
     "energy_log": ("a list of numbers", _numbers),
+    "guard_event": ("null or an object", lambda value: value is None or isinstance(value, dict)),
+    "warnings": ("a list of strings",
+                 lambda value: isinstance(value, list) and all(isinstance(x, str) for x in value)),
 }
 
 
@@ -131,7 +134,7 @@ def load_trajectory(path) -> Trajectory:
     for row, path in zip(values, (out / "snapshots" / name for name in names)):
         row[:] = _samples(path, path.read_bytes(), grid)
     return Trajectory(cfg, grid, times, values, manifest["mass_log"], manifest["energy_log"],
-                      manifest.get("guard_event"), tuple(manifest.get("warnings", ())))
+                      manifest.get("guard_event"), tuple(manifest["warnings"]))
 
 
 # ---------------------------------------------------------------------------

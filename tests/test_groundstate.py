@@ -55,23 +55,15 @@ class TestShooting:
         ref = 408.856886662
         assert abs(groundstate.shooting_mass(4) - ref) <= 1e-10 * ref
 
-    def test_integration_count(self, monkeypatch):
-        # every shooting integration is one _dop853 run
-        calls = []
-        run = groundstate._dop853
+    @pytest.mark.parametrize("d, ref", [(6, 23721.953700304894), (8, 1925607.8911578788)])
+    def test_higher_dimensions_pinned(self, d, ref):
+        # collocation_mass fails its own check at d = 6, 8; these are DOP853 shooting masses
+        assert abs(groundstate.shooting_mass(d) - ref) <= 1e-9 * ref
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(groundstate, "_dop853", counting)
-        groundstate.shooting_mass(4)
-        assert 0 < len(calls) <= 21
-
-    def test_failed_integration_raises(self, monkeypatch):
-        # a run that exhausts its step budget is an error, not a mass
-        monkeypatch.setattr(groundstate, "NSTEPS", 5)
-        with pytest.raises(groundstate.GroundStateError, match="return code -2"):
+    def test_unconverged_collocation_raises(self, monkeypatch):
+        # an iteration cut short is an error, not a mass
+        monkeypatch.setattr(groundstate, "MAX_ITER", 5)
+        with pytest.raises(groundstate.GroundStateError, match="did not converge"):
             groundstate.shooting_mass(4)
 
 

@@ -117,7 +117,7 @@ class TestCli:
         assert 0 <= cert["grid_quadrature_error"] <= core.QUADRATURE_TOL
 
     def test_ground_state_certifies_dimension_6(self, out_env, tmp_path, capsys):
-        # Q(0) ~ 44 at d=6 lies above the initial shooting bracket [lo, 10 lo]
+        # a dimension other than the default 4, with Q(0) ~ 44
         cfg = write_cfg(tmp_path, {"output_dir": "gs6"})
         assert cli.main(["--config", cfg, "--dimension", "6", "--n", "384", "ground-state"]) == 0
         cert = json.loads((out_env / "gs6" / "ground_state_certification.json").read_text())
@@ -141,6 +141,21 @@ class TestCli:
         assert not (out / "ground_state_cache").exists()
         assert cli.main(["--config", cfg, "ground-state"]) == 0
         assert len(list((out / "ground_state_cache").glob("*.json"))) == 1
+
+    def test_shooting_gap_fails_certification_not_the_solve(self, out_env, tmp_path, capsys,
+                                                             monkeypatch):
+        # the gap is judged by check_ground_state alone, after the artifacts are written
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128}, "output_dir": "gs"})
+        shooting = groundstate.shooting_mass
+        monkeypatch.setattr(groundstate, "shooting_mass", lambda d: 1.01 * shooting(d))
+        assert cli.main(["--config", cfg, "ground-state"]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "certification_failed" and "shooting" in error["detail"]
+        out = out_env / "gs"
+        assert (out / "ground_state.rfb").exists()
+        cert = json.loads((out / "ground_state_certification.json").read_text())
+        assert abs(cert["mass_agreement"] - 1e-2) < 1e-4
+        assert not (out / "ground_state_cache").exists()
 
     def test_evolve_caches_only_a_certified_ground_state(self, out_env, tmp_path, capsys,
                                                           monkeypatch):
@@ -573,6 +588,9 @@ class TestCli:
         pytest.param("times", lambda m: 5, id="times"),
         pytest.param("mass_log", lambda m: [str(x) for x in m["mass_log"]], id="mass_log"),
         pytest.param("energy_log", lambda m: [True] * len(m["energy_log"]), id="energy_log"),
+        pytest.param("guard_event", lambda m: 7, id="guard_event"),
+        pytest.param("warnings", lambda m: 5, id="warnings"),
+        pytest.param("warnings", lambda m: [5], id="warning_not_a_string"),
     ])
     def test_manifest_key_of_wrong_type_exits_2(self, out_env, tmp_path, capsys, key, wrong):
         cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
@@ -632,7 +650,8 @@ def _flip_bit(path, at):
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):
-    """evolve + diagnose + lemma write byte-identical artifacts with one and two BLAS threads.
+    """ground-state + evolve + diagnose + lemma write byte-identical artifacts with one and
+    two BLAS threads.
 
     n = 128 is one row block of the kernel products; at n = 640 they run in five."""
     src = str(Path(radnls.__file__).resolve().parents[1])
@@ -655,14 +674,17 @@ def test_outputs_independent_of_blas_threads(tmp_path):
             root = work / f"threads{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, RADNLS_OUTPUT_ROOT=str(root),
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            for command in (["evolve"], ["diagnose", str(root / "run" / "trajectory")],
-                            ["lemma"]):
+            for command in (["ground-state"], ["evolve"],
+                            ["diagnose", str(root / "run" / "trajectory")], ["lemma"]):
                 subprocess.run([sys.executable, "-m", "radnls.cli", "--config", cfg, *command],
                                env=env, check=True, capture_output=True, timeout=300)
             outputs.append({p.relative_to(root): p.read_bytes()
                             for p in sorted(root.rglob("*")) if p.is_file()})
         assert {p.suffix for p in outputs[0]} == {".json", ".csv", ".rfb"}
         assert Path("run", "lemma_report.json") in outputs[0]
+        assert {Path("run", "ground_state.rfb"), Path("run", "ground_state_certification.json")
+                } <= outputs[0].keys()
+        assert any(p.parent.name == "ground_state_cache" for p in outputs[0])
         assert outputs[0].keys() == outputs[1].keys()
         for path, data in outputs[0].items():
             assert outputs[1][path] == data, f"n={n}: {path} differs between BLAS thread counts"
