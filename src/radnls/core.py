@@ -15,7 +15,12 @@ transforms, whose scalars are applied to the n-vector instead.  It is built
 from its symmetry, a block of rows at a time, and applied a block of rows at
 a time too: each block is read once and used while it sits in cache, where
 one GEMM of the whole kernel against a single field streams all 13 MB far
-below memory speed.  Its Bessel values, and the zeros j_k, come from one
+below memory speed.  Every kernel is zero-padded to a multiple of the block
+in both dimensions (no padding at n = 384, 640 or 1280), so each GEMM has
+the same shape at every n and its bits do not depend on the BLAS thread
+count.  A multiplied spectrum symbol * uhat is inverted from the kernel
+columns inside the symbol's support only: a dyadic band at n = 640 reads 10
+to 82 of the 640 columns.  Its Bessel values, and the zeros j_k, come from one
 numpy evaluator of J_nu(x) in this module: the Hankel asymptotic expansion
 (DLMF 10.17.3) for x >= 25, Miller's normalised backward recurrence below
 that, and the power series below x = 2.  Every order is evaluated directly,
@@ -57,10 +62,17 @@ _KERNEL_BLOCK = 128
 _NEWTON_STEPS = 5
 
 
+def _whole_blocks(count: int) -> int:
+    """count rounded up to a multiple of _KERNEL_BLOCK."""
+    return -(-count // _KERNEL_BLOCK) * _KERNEL_BLOCK
+
+
 def _real_matvec(mat: np.ndarray, vec: np.ndarray,
                  scale: np.ndarray | None = None) -> np.ndarray:
     """mat applied along the last axis of scale * vec, one field (n,) or a stack (T, n).
 
+    The product has one entry per row of mat.  mat may be zero-padded: the n
+    entries of each field fill the first n of its columns and the rest read 0.
     mat stays real: a complex vec is split into a row of real and a row of
     imaginary parts per field, written once with the scale (n,) applied, and
     the two result rows are joined back into complex values at the end.  The
@@ -68,21 +80,23 @@ def _real_matvec(mat: np.ndarray, vec: np.ndarray,
     output, so each block is applied to every field while it sits in cache.
     One GEMM of the whole kernel against a single field instead streams the
     kernel through memory far below memory speed, and takes twice as long at
-    n = 1280.  With the fields as the rows of each GEMM, the result is also the
-    same bit for bit with one or two BLAS threads at the grid sizes in use,
-    which a stack of 251 fields against the kernel's rows was not.
+    n = 1280.  With the fields as the rows of each GEMM, and a kernel padded to
+    whole blocks, the result is also the same bit for bit with one or two BLAS
+    threads, which a stack of 251 fields against the kernel's rows was not, nor
+    a partial last block or an inner dimension such as 600.
     """
     rows = vec.reshape(-1, vec.shape[-1])
+    n, width = rows.shape[1], mat.shape[1]
     split = np.iscomplexobj(rows)
-    if split:
-        parts = np.empty((len(rows), 2, rows.shape[1]))
+    if split or scale is not None or n < width:
+        parts = np.empty((len(rows), 1 + split, width))
+        parts[..., n:] = 0.0
         s = 1.0 if scale is None else scale
-        np.multiply(rows.real, s, out=parts[:, 0])
-        np.multiply(rows.imag, s, out=parts[:, 1])
-        rows = parts.reshape(-1, rows.shape[1])
+        np.multiply(rows.real, s, out=parts[:, 0, :n])
+        if split:
+            np.multiply(rows.imag, s, out=parts[:, 1, :n])
+        rows = parts.reshape(-1, width)
         del parts   # freed with rows before the complex result is allocated
-    elif scale is not None:
-        rows = rows * scale
     out = np.empty((len(rows), len(mat)))
     for i0 in range(0, len(mat), _KERNEL_BLOCK):
         np.matmul(rows, mat[i0:i0 + _KERNEL_BLOCK].T, out=out[:, i0:i0 + _KERNEL_BLOCK])
@@ -353,7 +367,8 @@ class RadialGrid:
     def _symmetric_kernel(self, order: int, scale: float = 1.0,
                           rows: int | None = None) -> np.ndarray:
         """J_order(scale j_m j_k / S) / J_{nu+1}(j_k)^2 for the first rows m (all n by
-        default), bitwise equal to the full build.
+        default), bitwise equal to the full build, zero-padded to whole
+        _KERNEL_BLOCKs of rows and of columns.
 
         J_order(scale j_m j_k / S) is symmetric in (m, k), so Bessel values are
         computed for the upper triangle only, one block of rows at a time, and
@@ -365,8 +380,9 @@ class RadialGrid:
         Against mpmath at the exact argument, sampled entries are within 3e-14 of
         the kernel's largest.
         """
-        j, rows = self._bessel_zeros, self.n if rows is None else rows
-        mat = np.empty((rows, self.n))
+        j, n, rows = self._bessel_zeros, self.n, self.n if rows is None else rows
+        padded = np.zeros((_whole_blocks(rows), _whole_blocks(n)))
+        mat = padded[:rows, :n]
         for i0 in range(0, rows, _KERNEL_BLOCK):
             i1 = min(i0 + _KERNEL_BLOCK, rows)
             x = np.outer(j[i0:i1], j[i0:]) / (self._s_edge / scale)
@@ -374,24 +390,24 @@ class RadialGrid:
             mat[i0:i1, i0:] = block
             mat[i1:, i0:i1] = block[:, i1 - i0:rows - i0].T
         mat /= self._jnext**2
-        mat.setflags(write=False)
-        return mat
+        padded.setflags(write=False)
+        return padded
 
     def _forward_values(self, values: np.ndarray) -> np.ndarray:
-        out = _real_matvec(self._kernel, values, self._fwd_in)
+        out = _real_matvec(self._kernel, values, self._fwd_in)[..., :self.n]
         out /= self._rho_nu
         return out
 
     def _inverse_values(self, coeffs: np.ndarray) -> np.ndarray:
-        out = _real_matvec(self._kernel, coeffs, self._inv_in)
+        out = _real_matvec(self._kernel, coeffs, self._inv_in)[..., :self.n]
         out /= self._r_nu
         return out
 
     def derivative_kernel(self) -> np.ndarray:
         """Kernel for the radial derivative: d/dr maps the J_nu series to a J_{nu+1} series.
 
-        Holds J_{nu+1}(j_m j_k / S) / J_{nu+1}(j_k)^2; the synthesis scalar 2/R^2
-        is applied to the coefficient vector.
+        Holds J_{nu+1}(j_m j_k / S) / J_{nu+1}(j_k)^2, zero-padded as the grid's
+        kernel; the synthesis scalar 2/R^2 is applied to the coefficient vector.
         """
         if self._deriv_kernel is None:
             self._deriv_kernel = self._symmetric_kernel(self.nu + 1)
@@ -466,10 +482,34 @@ def transform_inverse(F: SpectralField) -> RadialField:
     return RadialField(F.grid, F.grid._inverse_values(F.values))
 
 
+def _multiplier_inverse(grid: RadialGrid, symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The inverse transform of symbol * coeffs along the last axis, symbol (n,).
+
+    Only the kernel columns [k0, k1) spanning the symbol's nonzero entries
+    are read, through a view: a dyadic band at n = 640 spans 10 to 82 of the
+    640.  A span wider than one _KERNEL_BLOCK takes the whole padded kernel,
+    which is _inverse_values(symbol * coeffs) bit for bit.  The BLAS sums a
+    wide inner dimension in panels whose split depends on its length, and on
+    the thread count unless the length is whole blocks: at 600 columns one and
+    two OpenBLAS threads give different bits, at one block or less they do
+    not.  An all-zero symbol gives zeros without a product.
+    """
+    nonzero = np.flatnonzero(symbol)
+    if nonzero.size == 0:
+        return np.zeros(coeffs.shape, np.result_type(symbol, coeffs))
+    k0, k1 = int(nonzero[0]), int(nonzero[-1]) + 1
+    if k1 - k0 > _KERNEL_BLOCK:
+        k0, k1 = 0, grid._kernel.shape[1]
+    out = _real_matvec(grid._kernel[:, k0:k1], symbol[k0:k1] * coeffs[..., k0:k1],
+                       grid._inv_in[k0:k1])[..., :grid.n]
+    out /= grid._r_nu
+    return out
+
+
 def apply_multiplier(f: RadialField, symbol: np.ndarray) -> RadialField:
     """Return the field with Fourier coefficients symbol(rho_k) * uhat_k."""
     g = f.grid
-    return RadialField(g, g._inverse_values(symbol * g._forward_values(f.values)))
+    return RadialField(g, _multiplier_inverse(g, symbol, g._forward_values(f.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +610,9 @@ def radial_derivative(f: RadialField) -> RadialField:
 
 def _derivative_values(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
     """df/dr at the nodes from the spectral coefficients, along the last axis."""
-    return -_real_matvec(grid.derivative_kernel(), coeffs,
-                         (2.0 / grid.r_max**2) * grid._rho_nu * grid.rho) / grid._r_nu
+    out = _real_matvec(grid.derivative_kernel(), coeffs,
+                       (2.0 / grid.r_max**2) * grid._rho_nu * grid.rho)[..., :grid.n]
+    return -out / grid._r_nu
 
 
 def _rescaled_values(grid: RadialGrid, values: np.ndarray, lam: float) -> np.ndarray:
@@ -585,7 +626,7 @@ def _rescaled_values(grid: RadialGrid, values: np.ndarray, lam: float) -> np.nda
     kept = int(np.count_nonzero(lam * grid.r <= grid.r_max))
     out = np.zeros_like(coeffs)
     out[..., :kept] = (_real_matvec(grid._symmetric_kernel(grid.nu, lam, kept), coeffs,
-                                    grid._inv_in)
+                                    grid._inv_in)[..., :kept]
                        * (lam ** (grid.d / 2.0) / (lam * grid.r[:kept]) ** grid.nu))
     return out
 

@@ -23,6 +23,7 @@ from .core import (
     _check_resolved,
     _derivative_values,
     _kinetic_sum,
+    _multiplier_inverse,
     validate_scale,
 )
 from .evolution import Trajectory
@@ -126,8 +127,12 @@ def concentration_radii(grid: RadialGrid, values: np.ndarray, coeffs: np.ndarray
 # ---------------------------------------------------------------------------
 
 def _shell_sup(grid: RadialGrid, coeffs: np.ndarray, symbol: np.ndarray, shells) -> list:
-    """sup over the rows of || shell * P u ||_2 for each shell, P the multiplier symbol."""
-    dens = np.abs(grid._inverse_values(symbol * coeffs)) ** 2
+    """sup over the rows of || shell * P u ||_2 for each shell, P the multiplier symbol.
+
+    P u is one product for all rows, and reads only the kernel columns inside
+    the symbol's support: 10 to 82 of 640 for a dyadic band at n = 640.
+    """
+    dens = np.abs(_multiplier_inverse(grid, symbol, coeffs)) ** 2
     return [math.sqrt(float(np.max(np.sum(grid.w * shell**2 * dens, axis=-1))))
             for shell in shells]
 

@@ -24,6 +24,7 @@ from .core import (
     _frozen_values,
     _energy_sum,
     _kinetic_sum,
+    _multiplier_inverse,
     _power_sum,
     _tail_fraction,
     apply_multiplier,
@@ -153,7 +154,7 @@ def step(u: RadialField, dt: float, mu: int) -> RadialField:
         raise ResolutionLossError(
             f"spectral tail fraction {tail:.3e} exceeds {TAIL_GUARD_FRACTION:g}; "
             "use a smaller dt or a larger grid")
-    vals = g._inverse_values(np.exp(-1j * dt * g.rho**2) * coeffs)
+    vals = _multiplier_inverse(g, np.exp(-1j * dt * g.rho**2), coeffs)
     if mu != 0:
         vals = vals * np.exp(-1j * mu * 0.5 * dt * np.abs(vals) ** (4.0 / d))
     return RadialField(g, vals)
@@ -223,7 +224,7 @@ def duhamel_residual(traj: Trajectory, t0: float, t1: float) -> float:
     mu = traj.config.mu
     grid = traj.grid
     times = traj.times[i0:i1 + 1]
-    linear = grid._inverse_values(np.exp(-1j * (t1 - t0) * grid.rho**2) * traj.coeffs[i0])
+    linear = _multiplier_inverse(grid, np.exp(-1j * (t1 - t0) * grid.rho**2), traj.coeffs[i0])
     integral = np.zeros(grid.n, dtype=np.complex128)
     if mu != 0:
         propagator = np.exp(-1j * (t1 - times)[:, None] * grid.rho**2)

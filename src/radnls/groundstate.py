@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     RadialField,
     RadialGrid,
+    _multiplier_inverse,
     _power_sum,
     gradient_norm_sq,
     lebesgue_norm,
@@ -67,7 +68,7 @@ class GroundState:
 
 def _elliptic_residual(grid: RadialGrid, q: np.ndarray, p: float) -> float:
     coeffs = grid._forward_values(q)
-    lap = grid._inverse_values(-grid.rho**2 * coeffs)
+    lap = _multiplier_inverse(grid, -grid.rho**2, coeffs)
     res = lap - q + np.abs(q) ** (p - 1) * q
     return math.sqrt(float(np.sum(grid.w * np.abs(res) ** 2))
                      / float(np.sum(grid.w * np.abs(q) ** 2)))
@@ -100,7 +101,7 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
             raise GroundStateError("iteration collapsed (vanishing nonlinear pairing)")
         s_factor = num / den
         nl = grid._forward_values(q**p)
-        q_new = grid._inverse_values(inv_helmholtz * nl).real
+        q_new = _multiplier_inverse(grid, inv_helmholtz, nl).real
         q_new = np.abs(s_factor**gamma * q_new)
         step = math.sqrt(float(np.sum(grid.w * (q_new - q) ** 2))
                          / float(np.sum(grid.w * q**2)))

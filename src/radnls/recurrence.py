@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import high_symbol
-from .core import RadialGrid, _power_sum, validate_scale
+from .core import RadialGrid, _multiplier_inverse, _power_sum, validate_scale
 from .evolution import Trajectory
 
 CONCLUSION_SLACK = 1e-12
@@ -142,7 +142,11 @@ def strichartz_norm(traj: Trajectory, interval: tuple[float, float]) -> float:
 
 
 def extract_A_sequence(traj: Trajectory, Ns) -> ASequence:
-    """A_N = || P_{>=N} u ||_S on the shrinking window [t0, t0 + N^(-1/2)]."""
+    """A_N = || P_{>=N} u ||_S on the shrinking window [t0, t0 + N^(-1/2)].
+
+    P_{>=N} u is one product for the window's snapshots.  Its support, rho > N/2,
+    is wider than one kernel block, so the product reads the whole kernel.
+    """
     Ns = sorted(float(N) for N in Ns)
     grid = traj.grid
     t0 = traj.times[0]
@@ -150,7 +154,7 @@ def extract_A_sequence(traj: Trajectory, Ns) -> ASequence:
     for N in Ns:
         validate_scale(grid, N)
         sel = _window(traj, t0, t0 + N ** (-0.5))
-        high = grid._inverse_values(high_symbol(grid, N) * traj.coeffs[sel])
+        high = _multiplier_inverse(grid, high_symbol(grid, N), traj.coeffs[sel])
         values.append(_s_norm(grid, traj.times[sel], high))
     return ASequence(tuple(Ns), tuple(values), provenance="extracted-from-trajectory")
 

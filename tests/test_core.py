@@ -17,19 +17,22 @@ GAUSS_MASS_4D = (math.pi / 2) ** 2        # integral of e^{-2 r^2} over R^4
 GAUSS_KINETIC_4D = math.pi**2             # ||grad e^{-|x|^2}||_2^2 in d=4
 
 
-# sha256 of kernel products of the sw_dense diagnose shape, a stack of 251 fields
-# at n = 640, and of a real stack and a single field
+# sha256 of kernel products, per grid size: the sw_dense diagnose shape, a stack
+# of 251 fields, a real stack and a single field through the grid's kernel and
+# the derivative kernel, and the stack through the kernel columns of the bands
+# N = 4 and 32.  600 and 1000 are not whole kernel blocks
 PRODUCTS = """
 import hashlib
 import numpy as np
-from radnls import core
+from radnls import bands, core
 rng = np.random.default_rng(11)
-mat = rng.standard_normal((640, 640))
-stack = rng.standard_normal((251, 640)) + 1j * rng.standard_normal((251, 640))
-digest = hashlib.sha256()
-for vec in (stack, stack.real, stack[0]):
-    digest.update(core._real_matvec(mat, vec, rng.uniform(0.5, 2.0, 640)).tobytes())
-print(digest.hexdigest())
+for n in (640, 600, 1000):
+    g = core.make_radial_grid(4, 15.0, n)
+    stack = rng.standard_normal((251, n)) + 1j * rng.standard_normal((251, n))
+    products = [f(g, vec) for vec in (stack, stack.real, stack[0])
+                for f in (core.RadialGrid._inverse_values, core._derivative_values)]
+    products += [core._multiplier_inverse(g, bands.band_symbol(g, N), stack) for N in (4.0, 32.0)]
+    print(n, [hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:16] for x in products])
 """
 
 
@@ -150,20 +153,26 @@ class TestKernel:
         # at scale 2 rescale builds only the rows with 2 r_m <= r_max; n - 50 rows
         # end inside a block and mirror across a block boundary
         prefixes = (int(np.count_nonzero(2.0 * g.r <= g.r_max)), n - 50)
-        blocked = []
-        for block in (core._KERNEL_BLOCK, 48):
+        blocked, blocks = [], (core._KERNEL_BLOCK, 48)
+        for block in blocks:
             monkeypatch.setattr(core, "_KERNEL_BLOCK", block)
             blocked.append(([g._symmetric_kernel(*b) for b in builds],
                             [g._symmetric_kernel(nu, 2.0, rows) for rows in prefixes]))
         monkeypatch.setattr(core, "_KERNEL_BLOCK", n)
         full = [g._symmetric_kernel(*b) for b in builds]
-        assert np.array_equal(g._kernel, full[0])
-        assert np.array_equal(g.derivative_kernel(), full[1])
+        # every kernel is zero-padded to whole blocks of its build; the n x n block
+        # (its kept rows, for a prefix) carries the values
+        for block, (kernels, prefix_kernels) in zip(blocks, blocked):
+            for mat, rows in [(k, n) for k in kernels] + list(zip(prefix_kernels, prefixes)):
+                assert mat.shape == (-(-rows // block) * block, -(-n // block) * block)
+                assert not mat[rows:].any() and not mat[:, n:].any()
+        assert np.array_equal(g._kernel[:n, :n], full[0])
+        assert np.array_equal(g.derivative_kernel()[:n, :n], full[1])
         for kernels, prefix_kernels in blocked:
             for got, ref in zip(kernels, full):
-                assert np.array_equal(got, ref)
+                assert np.array_equal(got[:n, :n], ref)
             for rows, got in zip(prefixes, prefix_kernels):
-                assert np.array_equal(got, full[3][:rows])
+                assert np.array_equal(got[:rows, :n], full[3][:rows])
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_kernel_entries_match_mpmath(self, d):
@@ -215,7 +224,8 @@ class TestKernel:
 
     def test_products_independent_of_blas_threads(self):
         # with the kernel block as the first GEMM operand, the 251-field stack came
-        # out differently with two OpenBLAS threads
+        # out differently with two OpenBLAS threads, and so did a partial last block
+        # of kernel rows or an inner dimension of 600 or 1000 columns
         src = str(Path(core.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
@@ -282,6 +292,70 @@ class TestKernel:
                 base = tracemalloc.get_traced_memory()[0]
                 call()
                 assert tracemalloc.get_traced_memory()[1] - base < grid.n**2 * 8 / 4
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name", ["grid", "grid_double"])
+    def test_multiplier_inverse_is_the_full_product(self, name, request):
+        # stacks come out bit for bit as the whole kernel's product: a band, low or
+        # fat span of one block or less sums inside one panel of the BLAS's inner
+        # loop, and a wider one, every high span included, takes the whole kernel.
+        # A single field goes through the two-row GEMM, whose rounding depends on
+        # where the span starts
+        g = request.getfixturevalue(name)
+        rng = np.random.default_rng(g.n)
+        for shape in ((g.n,), (21, g.n), (251, g.n)):
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for symbol in (bands.band_symbol, bands.low_symbol, bands.fat_symbol,
+                           bands.high_symbol):
+                for N in core.dyadic_scales(g):
+                    got = core._multiplier_inverse(g, symbol(g, N), c)
+                    ref = g._inverse_values(symbol(g, N) * c)
+                    assert got.shape == ref.shape and got.dtype == ref.dtype
+                    if len(shape) == 2:
+                        assert np.array_equal(got, ref), (symbol.__name__, N, shape)
+                    else:
+                        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_multiplier_inverse_reads_the_symbol_support(self, grid, monkeypatch):
+        # the dyadic bands at n = 640 span 10, 21, 42 and 82 kernel columns, read
+        # as views of the kernel; a symbol wider than one block reads all of it,
+        # and an all-zero symbol none
+        c = core.random_smooth_field(grid, np.random.default_rng(1)).values
+        stack = np.stack([c, 2.0 * c])
+        real_matvec, widths = core._real_matvec, []
+
+        def spy(mat, vec, *scale):
+            assert np.shares_memory(mat, grid._kernel)
+            widths.append(mat.shape[1])
+            return real_matvec(mat, vec, *scale)
+
+        monkeypatch.setattr(core, "_real_matvec", spy)
+        for N in (4.0, 8.0, 16.0, 32.0):
+            core._multiplier_inverse(grid, bands.band_symbol(grid, N), stack)
+        assert widths == [10, 21, 42, 82]
+        widths.clear()
+        core._multiplier_inverse(grid, bands.high_symbol(grid, 4.0), stack)
+        core._multiplier_inverse(grid, np.exp(-1j * grid.rho**2), c)
+        assert widths == [grid.n, grid.n]
+        widths.clear()
+        for vec, dtype in ((c, np.complex128), (stack, np.complex128), (stack.real, np.float64)):
+            zero = core._multiplier_inverse(grid, np.zeros(grid.n), vec)
+            assert zero.shape == vec.shape and zero.dtype == dtype and not zero.any()
+        assert widths == []
+
+    def test_multiplier_inverse_does_not_copy_the_kernel(self, grid):
+        # a copy of the band's 82 kernel columns would be 420 kB; the product of one
+        # field needs a few kB
+        f = core.random_smooth_field(grid, np.random.default_rng(3))
+        coeffs = grid._forward_values(f.values)
+        symbol = bands.band_symbol(grid, 32.0)
+        span = np.count_nonzero(symbol)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            core._multiplier_inverse(grid, symbol, coeffs)
+            assert tracemalloc.get_traced_memory()[1] - base < grid.n * span * 8 / 4
         finally:
             tracemalloc.stop()
 

@@ -653,9 +653,10 @@ def test_outputs_independent_of_blas_threads(tmp_path):
     """ground-state + evolve + diagnose + lemma write byte-identical artifacts with one and
     two BLAS threads.
 
-    n = 128 is one row block of the kernel products; at n = 640 they run in five."""
+    n = 128 is one row block of the kernel products; at n = 640 they run in five, and
+    at n = 600 in five of the kernel zero-padded to 640."""
     src = str(Path(radnls.__file__).resolve().parents[1])
-    for n in (128, 640):
+    for n in (128, 640, 600):
         work = tmp_path / f"n{n}"
         work.mkdir()
         cfg = write_cfg(work, {
