@@ -682,34 +682,6 @@ def validate_scale(grid: RadialGrid, N: float) -> float:
 # randomized smooth corpus (shared by property tests and the selftest)
 # ---------------------------------------------------------------------------
 
-def concentrated_field(grid: RadialGrid, r_support: float, rho_lo: float,
-                       rho_hi: float) -> RadialField:
-    """Unit-mass field, spectrum inside [rho_lo, rho_hi], minimal mass outside r_support.
-
-    Solves the concentration eigenproblem on the span of the grid's spectral
-    modes in the window: minimize the outside-ball mass form.  The minimizer
-    is the prolate-type bump whose joint space/frequency tails decay like
-    exp(-2 r_support * rho_hi), far beyond what any Gaussian achieves; it is
-    the natural test field for cutoff-mismatch bounds.  Deterministic.
-
-    The generalised problem m_out v = lam gram v is reduced through the
-    Cholesky factor gram = L L^T to the symmetric (L^-1 m_out L^-T) y = lam y,
-    with v = L^-T y.
-    """
-    idx = np.where((grid.rho >= rho_lo) & (grid.rho <= rho_hi))[0]
-    if idx.size < 2:
-        raise ValueError("spectral window contains fewer than two grid modes")
-    basis = grid._inverse_values(np.eye(grid.n)[idx] / np.sqrt(grid.wrho[idx])[:, None]).T
-    outside = grid.w * (grid.r > r_support)
-    m_out = basis.T @ (outside[:, None] * basis)
-    gram = basis.T @ (grid.w[:, None] * basis)
-    chol = np.linalg.cholesky(gram)
-    reduced = np.linalg.solve(chol, np.linalg.solve(chol, m_out).T)
-    _, vecs = np.linalg.eigh(reduced)
-    f = RadialField(grid, (basis @ np.linalg.solve(chol.T, vecs[:, 0])).astype(np.complex128))
-    return RadialField(grid, f.values / math.sqrt(mass(f)))
-
-
 def random_smooth_field(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
     """Random smooth radial field, spatially localized, spectrum below the dyadic ladder's top.
 

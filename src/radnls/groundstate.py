@@ -27,6 +27,8 @@ import numpy as np
 from .core import (
     RadialField,
     RadialGrid,
+    _check_resolved,
+    _kinetic_sum,
     _multiplier_inverse,
     _power_sum,
     gradient_norm_sq,
@@ -221,10 +223,11 @@ def gn_ratio(f: RadialField, ground: GroundState) -> float:
     m = mass(f)
     if m == 0.0:
         raise ValueError("zero field")
-    require_resolved(f, "interpolation-ratio argument")
+    coeffs = f.grid._forward_values(f.values)
+    _check_resolved(f.grid, coeffs, "interpolation-ratio argument")
     pexp = 2.0 * (d + 2) / d
     num = lebesgue_norm(f, pexp) ** pexp
-    den = (d + 2) / d * (m / ground.mass) ** (2.0 / d) * gradient_norm_sq(f)
+    den = (d + 2) / d * (m / ground.mass) ** (2.0 / d) * float(_kinetic_sum(f.grid, coeffs))
     return num / den
 
 

@@ -1,10 +1,10 @@
 """Fast invariant suites for every module, runnable from the CLI.
 
 Each suite returns (name, ok, detail) tuples; the CLI prints one line per
-check and exits nonzero when anything fails.  All six take about 1 s, grid
-build and Q's solve included: two sets of 9 in-process runs had medians of
-0.88 and 1.21 s with one BLAS thread, on a 2-CPU host shared with other jobs.  The
-check_* functions are the one implementation of each verdict that the suites,
+check and exits nonzero when anything fails.  All six take about 0.27 s, grid build
+and Q's solve included: 0.21-0.33 s in 7 fresh processes with one BLAS thread, after
+0.10-0.15 s of import, on a 2-CPU host shared with other jobs.  The check_*
+functions are the one implementation of each verdict that the suites,
 the acceptance suite and the ground-state, evolve and diagnose commands share:
 each takes its data and returns (ok, value), or a dict of them by name, with
 ok a bool against the check's one bound.
@@ -66,10 +66,13 @@ def check_in_out_complete(fields) -> tuple[bool, float]:
     return worst < 1e-3, worst
 
 
-def check_mismatch_nr64(f: core.RadialField) -> tuple[bool, float]:
-    """The real-space mismatch at R = N = 8 (N R = 64), relative to ||f||_2."""
-    v = bands.mismatch_real(f, 8.0, 8.0) / math.sqrt(core.mass(f))
-    return v < 1e-8, v
+def check_mismatch_norm(grid: core.RadialGrid) -> tuple[bool, tuple[float, float]]:
+    """||A(R, N)|| = mismatch_norm depends on N R alone, ||A(4, 16)|| / ||A(8, 8)|| - 1,
+    and decays in it, ||A(8, 16)|| / ||A(8, 8)|| (N R 64 -> 128)."""
+    nr64 = bands.mismatch_norm(grid, 8.0, 8.0)
+    scaling = bands.mismatch_norm(grid, 4.0, 16.0) / nr64 - 1.0
+    decay = bands.mismatch_norm(grid, 8.0, 16.0) / nr64
+    return abs(scaling) < 2e-2 and decay < 0.7, (scaling, decay)
 
 
 def check_solitary_wave(traj: evolution.Trajectory, gs: groundstate.GroundState,
@@ -191,8 +194,8 @@ def suite_bands() -> list[tuple[str, bool, str]]:
             _line("bands.fat_idempotent",
                   check_fat_idempotent([f], scales[len(scales) // 2]), "{:.2e}"),
             _line("bands.in_out_complete", check_in_out_complete([f]), "{:.2e}"),
-            _line("bands.mismatch_nr64",
-                  check_mismatch_nr64(core.concentrated_field(g, 3.9, 0.0, 7.9)), "{:.2e}")]
+            _line("bands.mismatch_norm", check_mismatch_norm(g),
+                  "scaling {0[0]:.2e} decay {0[1]:.4f}")]
 
 
 def suite_evolution() -> list[tuple[str, bool, str]]:

@@ -121,12 +121,19 @@ def test_criterion_7_recursive_control_suite():
                   f"inadmissible->inapplicable={inad_ok} ({elapsed:.1f}s)")
 
 
-def test_criterion_8_harmonic_analysis_suite(grid, grid20, corpus, corpus_double):
+def test_criterion_8_harmonic_analysis_suite(grid, grid_double, corpus, corpus_double):
     t0 = time.monotonic()
     partition_ok, partition_worst = selftest.check_partition(corpus[:10])
     idem_ok, idem_worst = selftest.check_fat_idempotent(corpus, 8.0)
-    mismatch_ok, mismatch = selftest.check_mismatch_nr64(
-        core.concentrated_field(grid20, 3.9, 0.0, 7.9))
+    mismatch_ok, (scaling, decay) = selftest.check_mismatch_norm(grid_double)
+    # decay faster than any power of N R: the factor per doubling shrinks, here from
+    # N R 64 -> 128 to 128 -> 256 at R = 8 (N R = 512 needs more than MISMATCH_MAX_ITER steps)
+    nr128 = bands.mismatch_norm(grid_double, 8.0, 16.0)
+    decay_256 = bands.mismatch_norm(grid_double, 8.0, 32.0) / nr128
+    superpoly_ok = decay_256 < decay
+    nr64 = bands.mismatch_norm(grid_double, 8.0, 8.0)
+    field_worst = max(bands.mismatch_real(f, 8.0, 8.0) / math.sqrt(core.mass(f))
+                      for f in corpus_double)
     complete_ok, complete_worst = selftest.check_in_out_complete(corpus[:10])
 
     def corpus_max(fields, fn):
@@ -145,10 +152,13 @@ def test_criterion_8_harmonic_analysis_suite(grid, grid20, corpus, corpus_double
         stability[name] = (c1, c2, abs(c2 / c1 - 1.0) < band and np.isfinite(c1))
 
     elapsed = time.monotonic() - t0
-    ok = (partition_ok and idem_ok and mismatch_ok and complete_ok
+    ok = (partition_ok and idem_ok and mismatch_ok and superpoly_ok and field_worst <= nr64
+          and complete_ok
           and all(v[2] for v in stability.values()) and elapsed < 300.0)
     report(8, ok, f"partition={partition_worst:.2e} idempotence={idem_worst:.2e} "
-                  f"mismatch@NR64={mismatch:.2e} in/out={complete_worst:.2e} "
+                  f"mismatch scaling={scaling:.2e} decay={decay:.3f}->{decay_256:.3f} "
+                  f"fields={field_worst:.4f}<={nr64:.4f} "
+                  f"in/out={complete_worst:.2e} "
                   + " ".join(f"{k}:{a:.3g}->{b:.3g}" for k, (a, b, _) in stability.items())
                   + f" ({elapsed:.0f}s)")
 

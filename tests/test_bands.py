@@ -111,15 +111,50 @@ class TestMismatchReal:
         zero = core.RadialField(grid20, np.zeros(grid20.n))
         assert bands.mismatch_real(zero, 8.0, 8.0) == 0.0
 
-    def test_gradient_variant_also_small(self, grid20):
-        f = core.concentrated_field(grid20, 3.9, 0.0, 7.9)
-        v = bands.mismatch_real(f, 8.0, 8.0, with_gradient=True)
-        assert v < 1e-6 * math.sqrt(core.mass(f))
-
     def test_vacuous_regime_rejected(self, grid20):
         f = core.field_from_function(grid20, lambda r: np.exp(-(r**2)))
         with pytest.raises(ValueError):
             bands.mismatch_real(f, 0.5, 4.0)
+        with pytest.raises(ValueError):
+            bands.mismatch_norm(grid20, 0.5, 4.0)
+
+
+class TestMismatchNorm:
+    # ||A|| at (R, N) for d = 4, r_max 15.  It depends on the grid through the few nodes
+    # in each cutoff's transition annulus: (4, 16) reads 0.146475, 0.146489 and 0.146474
+    # at n = 384, 640 and 1280, so the bound is 2e-4 relative
+    REFERENCE = {(8.0, 8.0): 0.14542, (4.0, 16.0): 0.14647, (8.0, 16.0): 0.08410}
+
+    @pytest.mark.parametrize("n", [384, 640, 1280])
+    def test_reference_values(self, n):
+        g = core.make_radial_grid(4, 15.0, n)
+        for (R, N), ref in self.REFERENCE.items():
+            assert abs(bands.mismatch_norm(g, R, N) / ref - 1.0) < 2e-4, (R, N)
+
+    def test_matches_dense_singular_value(self):
+        # independent of the iteration: the largest singular value of A's n x n matrix,
+        # whose column j is A e_j, in the inner product of the quadrature weights
+        g = core.make_radial_grid(4, 15.0, 384)
+        sw = np.sqrt(g.w)
+        for R, N in self.REFERENCE:
+            rows = core._multiplier_inverse(g, bands.low_symbol(g, N),
+                                            g._forward_values(np.diag(bands.phi_le(g.r, R / 2))))
+            m = (rows * bands.phi_gt(g.r, R)).T
+            top = np.linalg.svd(sw[:, None] * m / sw, compute_uv=False)[0]
+            assert abs(bands.mismatch_norm(g, R, N) / top - 1.0) < 1e-9, (R, N)
+
+    def test_no_field_exceeds_it(self, grid, corpus):
+        # the corpus maximum is 0.0782 and the Gaussian's 1.2e-7, against the norm's 0.1454
+        norm = bands.mismatch_norm(grid, 8.0, 8.0)
+        gauss = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
+        worst = max(bands.mismatch_real(f, 8.0, 8.0) / math.sqrt(core.mass(f))
+                    for f in [*corpus, gauss])
+        assert worst <= norm
+
+    def test_unconverged_iteration_raises(self, grid, monkeypatch):
+        monkeypatch.setattr(bands, "MISMATCH_MAX_ITER", 3)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            bands.mismatch_norm(grid, 8.0, 8.0)
 
 
 class TestRadialSobolev:
@@ -204,7 +239,7 @@ class TestInOut:
             for f in corpus[:20]:
                 h = core.apply_multiplier(f, bands.high_symbol(grid, N))
                 p = bands.in_out(h, "+")
-                cut = bands.multiply_radial(p, bands.phi_gt(grid.r, 1.0 / N))
+                cut = p * bands.phi_gt(grid.r, 1.0 / N)
                 best = max(best, math.sqrt(core.mass(cut) / core.mass(f)))
             consts.append(best)
         assert all(np.isfinite(c) and c < 10 for c in consts)

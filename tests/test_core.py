@@ -421,25 +421,6 @@ class TestBessel:
         for z, r in zip(got, ref):
             assert abs(z - r) <= 2 * np.spacing(r), (z, r)
 
-    @pytest.mark.parametrize("window", [(2.0, 0.0, 3.0), (2.0, 0.0, 5.0), (3.0, 1.0, 4.0)])
-    def test_concentrated_field_matches_scipy_eigh(self, grid20, window):
-        # the Cholesky reduction against scipy's generalised eigh, on windows whose
-        # smallest eigenvalue stands apart from the next, so that its eigenvector
-        # is determined: the eigenvalue is the field's outside-mass fraction
-        from scipy.linalg import eigh
-        g, (r_support, rho_lo, rho_hi) = grid20, window
-        f = core.concentrated_field(g, r_support, rho_lo, rho_hi)
-        idx = np.where((g.rho >= rho_lo) & (g.rho <= rho_hi))[0]
-        basis = g._inverse_values(np.eye(g.n)[idx] / np.sqrt(g.wrho[idx])[:, None]).T
-        outside = g.w * (g.r > r_support)
-        lams, vecs = eigh(basis.T @ (outside[:, None] * basis), basis.T @ (g.w[:, None] * basis))
-        assert lams[1] > 10.0 * lams[0]
-        power = np.abs(f.values) ** 2
-        assert abs(np.sum(outside * power) / np.sum(g.w * power) - lams[0]) <= 1e-12
-        ref = basis @ vecs[:, 0]
-        ref /= math.sqrt(np.sum(g.w * ref**2))
-        assert min(np.max(np.abs(f.values - ref)), np.max(np.abs(f.values + ref))) <= 1e-12
-
 
 class TestNorms:
     def test_mass_zero_field(self, grid):
@@ -542,13 +523,3 @@ class TestEvaluationAndScales:
             core.validate_scale(grid, 4 * n_max)
         with pytest.raises(ValueError):
             core.validate_scale(grid, 3.0)
-
-    def test_concentrated_field_tails(self, grid20):
-        f = core.concentrated_field(grid20, 3.9, 0.0, 7.9)
-        spatial = float(np.sum(grid20.w[grid20.r > 4.0]
-                               * np.abs(f.values[grid20.r > 4.0]) ** 2))
-        coeffs = core.transform_forward(f)
-        spectral = float(np.sum(grid20.wrho[grid20.rho > 8.0]
-                                * np.abs(coeffs.values[grid20.rho > 8.0]) ** 2))
-        assert spatial < 1e-14
-        assert spectral < 1e-20

@@ -39,7 +39,6 @@ def test_no_unused_imports():
 # defaulted parameters that no call in the package sets, each with why it stays
 UNSET_DEFAULTS_ALLOWED = {
     "main(argv)": "the console entry point, which reads sys.argv when argv is None",
-    "mismatch_real(with_gradient)": "selects the quantity measured; oracle tests measure both",
 }
 
 
@@ -164,6 +163,7 @@ def test_no_default_is_overridden_by_every_call_in_the_package():
 # the reference test_runners_match_single_field_loop holds extract_A_sequence to
 UNREFERENCED_ALLOWED = {
     "bernstein_ratio": "Bernstein's inequality, measured by acceptance criterion 8",
+    "mismatch_real": "one field's real-space mismatch, bounded by mismatch_norm in criterion 8",
     "radial_sobolev_ratio": "the radial Sobolev embedding, measured by criterion 8",
     "fractional_chain_ratio": "the fractional chain rule, measured by criterion 8",
     "strichartz_norm": "the S-norm of the Strichartz estimate, extract_A_sequence's reference",
@@ -331,3 +331,43 @@ def test_one_bessel_builder():
     calls = [c for p in SOURCES for c in bessel_calls(p.read_text())]
     assert calls and {c.split(":")[0] for c in calls} <= BESSEL_BUILDERS, calls
 
+
+# numpy.linalg calls the package may make, as "where: name": the 2-column least-squares
+# fit of the decay slopes.  numpy.linalg runs on OpenBLAS, whose bits can depend on its
+# thread count, so no other solve or factorisation is allowed
+LINALG_ALLOWED = {"_fit_loglog: lstsq"}
+
+
+def linalg_calls(source: str) -> list[str]:
+    """Each call of a numpy.linalg function, as "where: name", where being the innermost
+    function around the call ("<module>" outside any)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                owner = child.func.value
+                if (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                        and isinstance(owner.value, ast.Name)
+                        and owner.value.id in ("np", "numpy")):
+                    found.append(f"{where}: {child.func.attr}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_guard_flags_a_linalg_call():
+    source = ("import numpy as np\nimport numpy\n"
+              "def fit(a, y):\n    return np.linalg.lstsq(a, y)\n"
+              "class K:\n    def solve(self, a):\n"
+              "        return numpy.linalg.eigh(np.linalg.cholesky(a))\n"
+              "X = np.linalg.norm([1.0]) + np.sum([np.linalg])\n")
+    assert linalg_calls(source) == ["fit: lstsq", "solve: eigh", "solve: cholesky",
+                                    "<module>: norm"]
+
+
+def test_no_linalg_beyond_the_loglog_fit():
+    calls = {f"{p.stem}.{c}" for p in SOURCES for c in linalg_calls(p.read_text())}
+    assert calls == {f"diagnostics.{c}" for c in LINALG_ALLOWED}

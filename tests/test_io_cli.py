@@ -349,7 +349,7 @@ class TestCli:
             "groundstate.residual", "groundstate.shooting", "groundstate.pohozaev",
             "groundstate.sharp_ratio", "groundstate.energy", "groundstate.ratio_below_one",
             "bands.partition", "bands.fat_idempotent", "bands.in_out_complete",
-            "bands.mismatch_nr64",
+            "bands.mismatch_norm",
             "evolution.solitary_wave", "evolution.mass", "evolution.free_gaussian",
             "diagnostics.free_virial", "diagnostics.virial_bound", "diagnostics.concentration",
             "recurrence.oracle_agreement"]
@@ -689,3 +689,17 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         assert outputs[0].keys() == outputs[1].keys()
         for path, data in outputs[0].items():
             assert outputs[1][path] == data, f"n={n}: {path} differs between BLAS thread counts"
+
+
+def test_selftest_stdout_independent_of_blas_threads():
+    """selftest prints byte-identical lines with one and two BLAS threads."""
+    src = str(Path(radnls.__file__).resolve().parents[1])
+    stdouts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "radnls.cli", "selftest"], env=env,
+                             check=True, capture_output=True, timeout=300)
+        stdouts.append(run.stdout)
+    assert stdouts[0].endswith(b"suites green\n")
+    assert stdouts[0] == stdouts[1]
