@@ -1,6 +1,8 @@
-"""Dyadic frequency projections, spatial cutoffs, and estimator ratios for the
-classical radial inequalities (Bernstein, radial Sobolev embedding, mismatch
-bounds, fractional chain rule), plus the incoming/outgoing wave decomposition.
+"""Dyadic frequency projections, spatial cutoffs, and the classical radial
+inequalities: Bernstein and the radial Sobolev embedding through the pointwise
+norm of P_N over all fields, the mismatch estimate through its operator norm,
+and the fractional chain rule's ratio on one field; plus the incoming/outgoing
+wave decomposition.
 
 The cutoff profile phi is fixed once and for all: a C-infinity radial bump
 equal to 1 on |x| <= 1 and supported in |x| <= 25/24, built from the standard
@@ -27,6 +29,7 @@ import numpy as np
 from .core import (
     RadialField,
     RadialGrid,
+    _multiplier_inverse,
     _real_matvec,
     apply_multiplier,
     field_from_function,
@@ -115,25 +118,19 @@ def project_fat(f: RadialField, N: float) -> RadialField:
 # inequality estimators
 # ---------------------------------------------------------------------------
 
-def _band_or_raise(f: RadialField, N: float) -> RadialField:
-    # round-off leaves band mass ~1e-26 of the total on fields with no true
-    # content there; anything under 1e-20 is treated as a vanishing band
-    g = project_band(f, N)
-    total = mass(f)
-    if mass(g) <= 1e-20 * max(total, 1e-300):
-        raise ValueError(f"band at N={N} vanishes for this field")
-    return g
+def pointwise_band_norm(grid: RadialGrid, N: float) -> np.ndarray:
+    """At each node r_m, the sup over fields f of |P_N f(r_m)| / ||f||_2.
 
-
-def bernstein_ratio(f: RadialField, N: float, p: float, q: float) -> float:
-    """||P_N f||_q / (N^{d/p - d/q} ||P_N f||_p); bounded uniformly in N and f."""
-    if p > q:
-        raise ValueError("need p <= q")
-    g = _band_or_raise(f, N)
-    d = f.grid.d
-    dp = 0.0 if p == math.inf else d / p
-    dq = 0.0 if q == math.inf else d / q
-    return lebesgue_norm(g, q) / (N ** (dp - dq) * lebesgue_norm(g, p))
+    P_N f(r_m) = sum_j f_j M[j, m], M[j] being P_N of the unit field at node j,
+    so by Cauchy-Schwarz in the quadrature's inner product the sup is
+    sqrt(sum_j M[j, m]^2 / w_j), exact on the grid.  Bernstein's constant is its
+    max over N^{d/2}, the radial Sobolev constant the max of r^{(d-1)/2} times it
+    over N^{1/2}.  At d = 4, r_max 15, N = 32 and n = 1280 these read 0.055228
+    and 0.123430, within 3.3e-5 and 7.1e-5 of the continuum values.
+    """
+    validate_scale(grid, N)
+    rows = _multiplier_inverse(grid, band_symbol(grid, N), grid._forward_values(np.eye(grid.n)))
+    return np.sqrt(np.sum(rows**2 / grid.w[:, None], axis=0))
 
 
 def _mismatch_cutoffs(grid: RadialGrid, R: float, N: float) -> tuple[np.ndarray, np.ndarray]:
@@ -174,14 +171,6 @@ def mismatch_norm(grid: RadialGrid, R: float, N: float) -> float:
             return norm
         v = _sandwich(av * norm**-2, outer, N, inner)
     raise RuntimeError(f"mismatch norm did not converge in {MISMATCH_MAX_ITER} steps")
-
-
-def radial_sobolev_ratio(f: RadialField, N: float) -> float:
-    """sup_r r^{(d-1)/2} |P_N f(r)| / (N^{1/2} ||P_N f||_2)."""
-    g = _band_or_raise(f, N)
-    d = f.grid.d
-    num = float(np.max(f.grid.r ** ((d - 1) / 2.0) * np.abs(g.values)))
-    return num / (math.sqrt(N) * math.sqrt(mass(g)))
 
 
 def fractional_chain_ratio(u: RadialField, s: float) -> float:

@@ -195,7 +195,7 @@ def output_dir(cfg: dict) -> Path:
 
 
 def _stamp(cfg: dict, payload: dict) -> dict:
-    return {"artifact_version": __version__, "config_hash": fieldio._config_hash(cfg),
+    return {"artifact_version": __version__, "config_hash": fieldio.config_hash(cfg),
             "seed": cfg["seed"], **payload}
 
 

@@ -350,13 +350,12 @@ class RadialGrid:
         f = np.exp(-((self.r / sigma) ** 2))
         coeffs = self._forward_values(f)
         back = self._inverse_values(coeffs)
-        err = math.sqrt(float(np.sum(self.w * np.abs(back - f) ** 2)
-                              / np.sum(self.w * f**2)))
+        quad = float(_power_sum(self, f, 2))
+        err = math.sqrt(float(_power_sum(self, back - f, 2)) / quad)
         if err > ROUNDTRIP_TOL:
             raise GridResolutionError(
                 f"resolution too low: round-trip error {err:.3e} on a width-{sigma:g} "
                 f"Gaussian exceeds {ROUNDTRIP_TOL:g} (d={self.d}, r_max={self.r_max}, n={self.n})")
-        quad = float(np.sum(self.w * f**2))
         exact = (math.pi / 2.0) ** (self.d / 2.0) * sigma**self.d
         quad_err = abs(quad - exact) / exact
         if quad_err > QUADRATURE_TOL:
@@ -701,7 +700,7 @@ def random_smooth_field(grid: RadialGrid, rng: np.random.Generator) -> RadialFie
     coeffs = envelope * (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
     f = transform_inverse(SpectralField(g, coeffs))
     vals = f.values * np.exp(-((g.r / (g.r_max / 6.0)) ** 2))
-    m = float(np.sum(g.w * np.abs(vals) ** 2))
+    m = float(_power_sum(g, vals, 2))
     if m == 0.0:
         return RadialField(g, vals)
     return RadialField(g, vals / math.sqrt(m))

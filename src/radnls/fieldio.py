@@ -50,7 +50,9 @@ def _samples(path, blob: bytes, grid: RadialGrid) -> np.ndarray:
     header names grid."""
     if blob[:8] != MAGIC:
         raise ValueError(f"{path}: not a radnls binary snapshot")
-    d, n, r_max = struct.unpack("<IQd", blob[8:8 + 20])
+    if len(blob) < 28:
+        raise ValueError(f"{path}: truncated snapshot")
+    d, n, r_max = struct.unpack("<IQd", blob[8:28])
     if len(blob) != 28 + 16 * n:
         raise ValueError(f"{path}: truncated snapshot")
     if grid.key != (d, n, r_max):
@@ -66,7 +68,7 @@ def load_field_binary(path, grid: RadialGrid) -> RadialField:
 # trajectories
 # ---------------------------------------------------------------------------
 
-def _config_hash(config: dict) -> str:
+def config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -77,7 +79,7 @@ def save_trajectory(traj: Trajectory, out_dir) -> Path:
         save_field_binary(traj.field(i), out / "snapshots" / f"{i:06d}.rfb")
     manifest = {
         "artifact_version": __version__,
-        "config_hash": _config_hash(vars(traj.config)),
+        "config_hash": config_hash(vars(traj.config)),
         "config": vars(traj.config) | {},
         "times": traj.times.tolist(),
         "mass_log": list(traj.mass_log),
@@ -120,7 +122,7 @@ def load_trajectory(path) -> Trajectory:
         cfg = SimulationConfig(**config)
     except TypeError as exc:
         raise ValueError(f"{out}: manifest config does not fit SimulationConfig: {exc}") from exc
-    if _config_hash(config) != manifest["config_hash"]:
+    if config_hash(config) != manifest["config_hash"]:
         raise ValueError(f"{out}: manifest config_hash does not match its config")
     times = manifest["times"]
     if len(manifest["energy_log"]) != len(times) or not manifest["mass_log"]:

@@ -72,8 +72,7 @@ def _elliptic_residual(grid: RadialGrid, q: np.ndarray, p: float) -> float:
     coeffs = grid._forward_values(q)
     lap = _multiplier_inverse(grid, -grid.rho**2, coeffs)
     res = lap - q + np.abs(q) ** (p - 1) * q
-    return math.sqrt(float(np.sum(grid.w * np.abs(res) ** 2))
-                     / float(np.sum(grid.w * np.abs(q) ** 2)))
+    return math.sqrt(float(_power_sum(grid, res, 2)) / float(_power_sum(grid, q, 2)))
 
 
 def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
@@ -98,15 +97,14 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
     for iterations in range(1, MAX_ITER + 1):
         coeffs = grid._forward_values(q)
         num = float(np.sum(grid.wrho * (1.0 + grid.rho**2) * np.abs(coeffs) ** 2))
-        den = float(np.sum(grid.w * q ** (p + 1.0)))
+        den = float(_power_sum(grid, q, p + 1.0))
         if den <= 0 or not np.isfinite(den):
             raise GroundStateError("iteration collapsed (vanishing nonlinear pairing)")
         s_factor = num / den
         nl = grid._forward_values(q**p)
         q_new = _multiplier_inverse(grid, inv_helmholtz, nl).real
         q_new = np.abs(s_factor**gamma * q_new)
-        step = math.sqrt(float(np.sum(grid.w * (q_new - q) ** 2))
-                         / float(np.sum(grid.w * q**2)))
+        step = math.sqrt(float(_power_sum(grid, q_new - q, 2)) / float(_power_sum(grid, q, 2)))
         q = q_new
         if step < 0.1 * tol:
             residual = _elliptic_residual(grid, q, p)

@@ -207,7 +207,7 @@ def suite_evolution() -> list[tuple[str, bool, str]]:
     f = core.field_from_function(g, lambda r: np.exp(-(r**2)))
     u = evolution.free_propagate(f, 0.3)
     exact = (1 + 4j * 0.3) ** (-2) * np.exp(-g.r**2 / (1 + 4j * 0.3))
-    ferr = math.sqrt(float(np.sum(g.w * np.abs(u.values - exact) ** 2)) / core.mass(f))
+    ferr = math.sqrt(float(core._power_sum(g, u.values - exact, 2)) / core.mass(f))
     run = check_solitary_wave(traj, q, 0.0)
     return [_line("evolution.solitary_wave", run["solitary_wave"], "L2 err {:.2e}"),
             _line("evolution.mass", run["mass"], "drift {:.2e}"),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -113,3 +114,69 @@ def planted_band_field(grid, scales, shell_values, shell_cut=1.0, seed=5):
         norm = math.sqrt(float(np.sum(grid.w * shell**2 * np.abs(f.values) ** 2)))
         total += (target / norm) * f.values
     return core.RadialField(grid, total)
+
+
+# ---------------------------------------------------------------------------
+# mpmath oracles for the harmonic-analysis constants; they share no transform,
+# kernel, quadrature or bump code with radnls
+# ---------------------------------------------------------------------------
+
+def _mp_sphere_area(d):
+    return 2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+
+
+def _mp_bump(x):
+    """The frozen bump of radnls.bands' docstring: 1 on [0, 1], 0 beyond 25/24."""
+    support = mp.mpf(25) / 24
+    if x <= 1:
+        return mp.mpf(1)
+    if x >= support:
+        return mp.mpf(0)
+    t = (support - x) / (support - 1)
+    return mp.exp(-1 / t) / (mp.exp(-1 / t) + mp.exp(-1 / (1 - t)))
+
+
+def mp_pointwise_band_norm(d, N, r):
+    """sup |P_N f(r)| / ||f||_2 over radial f on R^d: the L^2 norm of the kernel row at r,
+    (r^{-(d-2)} / |S^{d-1}| int psi_N(rho)^2 J_nu(r rho)^2 rho drho)^{1/2} with
+    psi_N(rho) = phi(rho / N) - phi(2 rho / N) and nu = d/2 - 1."""
+    N, r = mp.mpf(N), mp.mpf(r)
+    nu = mp.mpf(d) / 2 - 1
+    integrand = lambda rho: ((_mp_bump(rho / N) - _mp_bump(2 * rho / N)) ** 2
+                             * mp.besselj(nu, r * rho) ** 2 * rho)
+    # the bump's two transition annuli and its plateau, each cut into pieces about
+    # half a period of J_nu(r rho)^2 long
+    corners = [N / 2, 25 * N / 48, N, 25 * N / 24]
+    points = [corners[0]]
+    for a, b in zip(corners, corners[1:]):
+        k = int(mp.ceil((b - a) * r / mp.pi))
+        points += [a + (b - a) * i / k for i in range(1, k + 1)]
+    return float(mp.sqrt(mp.quad(integrand, points) / (r ** (d - 2) * _mp_sphere_area(d))))
+
+
+def _mp_frac_gaussian_norm(d, s, b, q):
+    """|| |grad|^s e^{-b r^2} ||_{L^q(R^d)}, from
+    |grad|^s e^{-b r^2} = b^{s/2} 2^s Gamma((d+s)/2) / Gamma(d/2) 1F1((d+s)/2; d/2; -b r^2).
+    The 1F1 changes sign, so the quadrature is split at its zeros."""
+    d, s, b, q = (mp.mpf(x) for x in (d, s, b, q))
+    c = b ** (s / 2) * 2**s * mp.gamma((d + s) / 2) / mp.gamma(d / 2)
+    profile = lambda x: mp.hyp1f1((d + s) / 2, d / 2, -x)
+    mesh = [mp.mpf(k) / 8 for k in range(321)]
+    zeros = [mp.findroot(profile, (x0, x1), solver="anderson")
+             for x0, x1 in zip(mesh, mesh[1:]) if profile(x0) * profile(x1) < 0]
+    points = sorted({mp.mpf(0), *(mp.sqrt(x / b) for x in [*zeros, 1, 4, 16, 64])}) + [mp.inf]
+    integral = mp.quad(lambda r: abs(c * profile(b * r**2)) ** q * r ** (d - 1), points)
+    return (_mp_sphere_area(d) * integral) ** (1 / q)
+
+
+def mp_fractional_chain_ratio(d, s, a):
+    """radnls.bands.fractional_chain_ratio's value for u = e^{-a r^2} in the continuum: for
+    d = 4, F(u) = |u|^{4/d} u is e^{-2a r^2}, and every norm is a 1-D quadrature."""
+    if d != 4:
+        raise ValueError("F(e^{-a r^2}) is a Gaussian only for d = 4")
+    q_num, q_den = mp.mpf(2 * (d + 2)) / (d + 4), mp.mpf(2 * (d + 2)) / d
+    a = mp.mpf(a)
+    gauss = (_mp_sphere_area(d) * mp.quad(lambda r: mp.exp(-q_den * a * r**2) * r ** (d - 1),
+                                          [0, mp.inf])) ** (1 / q_den)
+    num = _mp_frac_gaussian_norm(d, s, 2 * a, q_num)
+    return float(num / (_mp_frac_gaussian_norm(d, s, a, q_den) * gauss ** (mp.mpf(4) / d)))

@@ -15,7 +15,8 @@ import pytest
 
 from radnls import bands, cli, core, diagnostics, evolution, groundstate, recurrence, selftest
 
-from conftest import planted_band_field, single_snapshot_trajectory
+from conftest import (mp_fractional_chain_ratio, mp_pointwise_band_norm, planted_band_field,
+                      single_snapshot_trajectory)
 
 
 def report(criterion, ok, detail):
@@ -136,30 +137,29 @@ def test_criterion_8_harmonic_analysis_suite(grid, grid_double, corpus, corpus_d
                       for f in corpus_double)
     complete_ok, complete_worst = selftest.check_in_out_complete(corpus[:10])
 
-    def corpus_max(fields, fn):
-        return max(fn(f) for f in fields)
-
-    stability = {}
-    for name, fn, band in (
-        ("bernstein", lambda f: max(bands.bernstein_ratio(f, N, 2.0, math.inf)
-                                    for N in (4.0, 8.0, 16.0, 32.0)), 0.2),
-        ("radial_sobolev", lambda f: max(bands.radial_sobolev_ratio(f, N)
-                                         for N in (4.0, 8.0, 16.0, 32.0)), 0.2),
-        ("fractional_chain", lambda f: bands.fractional_chain_ratio(f, 1.5), 0.3),
-    ):
-        c1 = corpus_max(corpus, fn)
-        c2 = corpus_max(corpus_double, fn)
-        stability[name] = (c1, c2, abs(c2 / c1 - 1.0) < band and np.isfinite(c1))
+    # Bernstein and radial Sobolev against the continuum kernel row at the argmax node,
+    # the chain rule against the 1F1 closed form of |grad|^s of a Gaussian
+    N, d = 32.0, grid_double.d
+    norm = bands.pointwise_band_norm(grid_double, N)
+    gaps = {}   # name: (relative gap, bound)
+    for name, weight in (("bernstein", 1.0),
+                         ("radial_sobolev", grid_double.r ** ((d - 1) / 2))):
+        m = int(np.argmax(weight * norm))
+        gaps[name] = (abs(norm[m] / mp_pointwise_band_norm(d, N, grid_double.r[m]) - 1.0), 2e-4)
+    for a in (1.0, 2.0):
+        u = core.field_from_function(grid_double, lambda r: np.exp(-a * r**2))
+        gaps[f"chain_a{a:g}"] = (abs(bands.fractional_chain_ratio(u, 1.5)
+                                     / mp_fractional_chain_ratio(d, 1.5, a) - 1.0), 1e-4)
+    oracle_ok = all(gap < bound for gap, bound in gaps.values())
 
     elapsed = time.monotonic() - t0
     ok = (partition_ok and idem_ok and mismatch_ok and superpoly_ok and field_worst <= nr64
-          and complete_ok
-          and all(v[2] for v in stability.values()) and elapsed < 300.0)
+          and complete_ok and oracle_ok and elapsed < 300.0)
     report(8, ok, f"partition={partition_worst:.2e} idempotence={idem_worst:.2e} "
                   f"mismatch scaling={scaling:.2e} decay={decay:.3f}->{decay_256:.3f} "
                   f"fields={field_worst:.4f}<={nr64:.4f} "
-                  f"in/out={complete_worst:.2e} "
-                  + " ".join(f"{k}:{a:.3g}->{b:.3g}" for k, (a, b, _) in stability.items())
+                  f"in/out={complete_worst:.2e} against mpmath: "
+                  + " ".join(f"{k}={gap:.1e}" for k, (gap, _) in gaps.items())
                   + f" ({elapsed:.0f}s)")
 
 

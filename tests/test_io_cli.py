@@ -262,6 +262,17 @@ class TestCli:
         assert summary["results"]["virial"]["passed"]
         assert summary["results"]["virial"]["worst_rel"] < 0.05
 
+    def test_initial_file_shorter_than_header_exits_2(self, out_env, tmp_path, capsys):
+        snapshot = tmp_path / "short.rfb"
+        snapshot.write_bytes(fieldio.MAGIC + b"\0\0")
+        cfg = write_cfg(tmp_path, {"grid": SMALL_GRID,
+                                   "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+                                   "initial": {"kind": "file", "params": {"path": str(snapshot)}},
+                                   "output_dir": "short"})
+        assert cli.main(["--config", cfg, "evolve"]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error == {"error": "invalid_input", "detail": f"{snapshot}: truncated snapshot"}
+
     def test_missing_trajectory_exits_3(self, out_env, tmp_path):
         cfg = write_cfg(tmp_path, {"output_dir": "x"})
         rc = cli.main(["--config", cfg, "diagnose", str(out_env / "nowhere")])
@@ -576,7 +587,7 @@ class TestCli:
         manifest = json.loads(path.read_text())
         edit(manifest["config"])
         if rehash:
-            manifest["config_hash"] = fieldio._config_hash(manifest["config"])
+            manifest["config_hash"] = fieldio.config_hash(manifest["config"])
         path.write_text(json.dumps(manifest))
         assert cli.main(["--config", cfg, "diagnose", str(path.parent)]) == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -612,6 +623,8 @@ class TestCli:
             (run / "snapshots" / "000010.rfb").read_bytes()), id="extra_snapshot"),
         pytest.param(lambda run: (run / "snapshots" / "000005.rfb").write_bytes(
             (run / "snapshots" / "000005.rfb").read_bytes()[:-8]), id="truncated_rfb"),
+        pytest.param(lambda run: (run / "snapshots" / "000005.rfb").write_bytes(
+            fieldio.MAGIC + b"\0\0"), id="rfb_shorter_than_header"),
         pytest.param(lambda run: _edit_json(run / "manifest.json", lambda m: m.pop("times")),
                      id="missing_times"),
         pytest.param(lambda run: _edit_json(run / "manifest.json", lambda m: m.pop("mass_log")),
