@@ -6,8 +6,11 @@ override config fields.  Exit codes (ERRORS): 0 ok, 1 a diagnostic check failed,
 
 Outputs are deterministic for a fixed (config, seed): every JSON/CSV file
 embeds the config hash, the artifact version, and the seed, and contains no
-timestamps.  The environment variable RADNLS_OUTPUT_ROOT prefixes relative
-output directories.
+timestamps.  JSON is written compact with sorted keys.  The environment
+variable RADNLS_OUTPUT_ROOT prefixes relative output directories.
+
+Each command imports the modules it runs when it runs, so lemma on a
+synthetic or file sequence loads recurrence alone of the numerics.
 """
 
 from __future__ import annotations
@@ -18,12 +21,21 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import __version__, core, diagnostics, evolution, fieldio, groundstate
-from . import recurrence, selftest
+from . import __version__, config_hash
+from .errors import (
+    CheckFailed,
+    ConfigError,
+    GroundStateError,
+    GuardTripped,
+    ResolutionLossError,
+)
+
+if TYPE_CHECKING:
+    from . import core, diagnostics, groundstate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,18 +84,6 @@ DEFAULTS = {
     "seed": 0,
     "format": "json",
 }
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class CheckFailed(RuntimeError):
-    pass
-
-
-class GuardTripped(RuntimeError):
-    pass
 
 
 def _merge(base: dict, over: dict) -> dict:
@@ -167,8 +167,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
         for key, default in DEFAULTS.items():
             if isinstance(default, dict):
                 _object(key, cfg[key], default)
+        from .recurrence import RecurrenceParams
+
         _object("lemma.params", cfg["lemma"]["params"],
-                dict.fromkeys(recurrence.RecurrenceParams.__dataclass_fields__))
+                dict.fromkeys(RecurrenceParams.__dataclass_fields__))
         diagnostic_params(cfg)
         kind_params("lemma.sequence", cfg["lemma"]["sequence"])
     cfg = _merge(cfg, overrides)
@@ -195,13 +197,12 @@ def output_dir(cfg: dict) -> Path:
 
 
 def _stamp(cfg: dict, payload: dict) -> dict:
-    return {"artifact_version": __version__, "config_hash": fieldio.config_hash(cfg),
+    return {"artifact_version": __version__, "config_hash": config_hash(cfg),
             "seed": cfg["seed"], **payload}
 
 
 def write_json(cfg: dict, path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_stamp(cfg, payload), sort_keys=True, indent=1,
-                               default=float) + "\n")
+    path.write_text(json.dumps(_stamp(cfg, payload), sort_keys=True, default=float) + "\n")
 
 
 def write_csv(cfg: dict, path: Path, header: list[str], rows) -> None:
@@ -215,11 +216,13 @@ def _require_certified(checks: dict) -> None:
     """GroundStateError naming the failed checks of selftest.check_ground_state."""
     failed = [key for key, (ok, _) in checks.items() if not ok]
     if failed:
-        raise groundstate.GroundStateError(f"certificate checks failed: {failed}")
+        raise GroundStateError(f"certificate checks failed: {failed}")
 
 
 def _ground_state(cfg: dict, grid: core.RadialGrid, cache: Path):
     """Q from the cache, or solved and cached once it passes the ground-state checks."""
+    from . import fieldio, groundstate, selftest
+
     gs = fieldio.load_ground_state(cache, grid, cfg["tol"])
     if gs is None:
         gs = groundstate.solve_ground_state(grid, tol=cfg["tol"])
@@ -231,6 +234,8 @@ def _ground_state(cfg: dict, grid: core.RadialGrid, cache: Path):
 def _initial_field(cfg: dict, kind: str, params: dict, grid: core.RadialGrid,
                    cache: Path) -> tuple[core.RadialField, groundstate.GroundState | None]:
     """The initial field, and the ground state it is built from (None for gaussian and file)."""
+    from . import core, fieldio, groundstate
+
     if kind == "gaussian":
         a, w = params["amplitude"], params["width"]
         return core.field_from_function(grid, lambda r: a * np.exp(-((r / w) ** 2))), None
@@ -249,6 +254,8 @@ def _initial_field(cfg: dict, kind: str, params: dict, grid: core.RadialGrid,
 # ---------------------------------------------------------------------------
 
 def cmd_ground_state(cfg: dict) -> int:
+    from . import core, fieldio, groundstate, selftest
+
     out = output_dir(cfg)
     grid = core.make_radial_grid(cfg["dimension"], cfg["grid"]["r_max"], cfg["grid"]["n"])
     gs = groundstate.solve_ground_state(grid, tol=cfg["tol"])
@@ -278,6 +285,8 @@ def cmd_ground_state(cfg: dict) -> int:
 
 
 def cmd_evolve(cfg: dict) -> int:
+    from . import evolution, fieldio
+
     out = output_dir(cfg)
     sim = evolution.SimulationConfig(
         dimension=cfg["dimension"], mu=cfg["mu"], r_max=cfg["grid"]["r_max"],
@@ -297,6 +306,8 @@ def cmd_evolve(cfg: dict) -> int:
         "warnings": traj.warnings,
     }
     if kind == "sw":
+        from . import selftest
+
         summary["sw_final_l2_error"] = selftest.check_solitary_wave(
             traj, gs, params["t"])["solitary_wave"][1]
     write_json(cfg, out / "evolve_summary.json", summary)
@@ -321,6 +332,8 @@ def _row_dicts(header: list[str], rows) -> list[dict]:
 
 
 def _diag_frequency_decay(traj, spec):
+    from . import core, diagnostics
+
     ns = spec["Ns"] or core.dyadic_scales(traj.grid)[-4:]
     rep = diagnostics.frequency_decay_fit(traj, spec["shell_cut"], ns)
     detail = {"exponent": rep.exponent, "threshold": rep.threshold, "note": rep.note}
@@ -328,6 +341,8 @@ def _diag_frequency_decay(traj, spec):
 
 
 def _diag_spatial_decay(traj, spec):
+    from . import core, diagnostics
+
     scales = core.dyadic_scales(traj.grid)
     n_range = spec["N_range"] or [scales[0], scales[-1]]
     rep = diagnostics.spatial_decay_scan(traj, tuple(n_range), spec["Rs"])
@@ -341,6 +356,8 @@ def _rows(*columns) -> list[tuple]:
 
 
 def _diag_virial(traj, spec):
+    from . import core, diagnostics, selftest
+
     r_cut = spec["R"]
     if len(traj) < 5:
         raise ConfigError("trajectory too short for the virial stencil")
@@ -359,6 +376,8 @@ def _diag_virial(traj, spec):
 
 
 def _diag_kinetic_localization(traj, spec):
+    from . import core, diagnostics
+
     eta_frac = spec["eta_fraction"]
     grid = traj.grid
     radii = diagnostics.kinetic_localization_radius(
@@ -371,6 +390,8 @@ def _diag_kinetic_localization(traj, spec):
 
 
 def _diag_concentration(traj, spec):
+    from . import core, diagnostics
+
     eta_frac = spec["eta_fraction"]
     grid = traj.grid
     c_x, c_xi = diagnostics.concentration_radii(
@@ -390,6 +411,8 @@ DIAGNOSTIC_RUNNERS = {
 
 
 def cmd_diagnose(cfg: dict, trajectory_path: str) -> int:
+    from . import fieldio
+
     out = output_dir(cfg)
     try:
         traj = fieldio.load_trajectory(trajectory_path)
@@ -413,6 +436,8 @@ def cmd_diagnose(cfg: dict, trajectory_path: str) -> int:
 
 
 def cmd_lemma(cfg: dict) -> int:
+    from . import recurrence
+
     out = output_dir(cfg)
     try:
         params = recurrence.RecurrenceParams(**cfg["lemma"]["params"])
@@ -425,6 +450,8 @@ def cmd_lemma(cfg: dict) -> int:
         seq = recurrence.ASequence(scales, tuple(min(params.a_bound, float(N) ** (-expo))
                                                  for N in scales), "synthetic")
     elif kind == "from_trajectory":
+        from . import fieldio
+
         traj = fieldio.load_trajectory(seq_spec["path"])
         seq = recurrence.extract_A_sequence(traj, seq_spec["Ns"])
     else:
@@ -460,6 +487,8 @@ def cmd_lemma(cfg: dict) -> int:
 
 
 def cmd_selftest(cfg: dict) -> int:
+    from . import selftest
+
     results = selftest.run_all()
     width = max(len(name) for name, _, _ in results)
     for name, ok, detail in results:
@@ -531,11 +560,11 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 ERRORS = {  # exception -> (error kind, exit code); the first class that matches wins
-    ValueError: ("invalid_input", EXIT_INVALID),  # ConfigError, core.GridResolutionError, ...
+    ValueError: ("invalid_input", EXIT_INVALID),  # ConfigError, GridResolutionError, ...
     GuardTripped: ("numerical_guard", EXIT_GUARD),
-    evolution.ResolutionLossError: ("numerical_guard", EXIT_GUARD),
+    ResolutionLossError: ("numerical_guard", EXIT_GUARD),
     CheckFailed: ("check_failed", EXIT_CHECK_FAILED),
-    groundstate.GroundStateError: ("certification_failed", EXIT_CHECK_FAILED),
+    GroundStateError: ("certification_failed", EXIT_CHECK_FAILED),
     OSError: ("io_error", EXIT_IO),
 }
 

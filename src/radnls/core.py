@@ -49,6 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridMismatchError, GridResolutionError, UnresolvedFieldError
+
 RESOLVED_TAIL_FRACTION = 1e-6
 ROUNDTRIP_TOL = 1e-9
 QUADRATURE_TOL = 1e-8
@@ -230,18 +232,6 @@ def _bessel_miller(order: int, x: np.ndarray) -> np.ndarray:
     return want / (b + 2.0 * even_sum)
 
 
-class GridResolutionError(ValueError):
-    """Grid cannot represent the certification field to tolerance."""
-
-
-class GridMismatchError(ValueError):
-    """Operation mixes fields living on different grids."""
-
-
-class UnresolvedFieldError(ValueError):
-    """Too much spectral mass sits in the top half of the frequency range."""
-
-
 def sphere_area(d: int) -> float:
     """Surface measure of the unit sphere in R^d."""
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
@@ -392,9 +382,13 @@ class RadialGrid:
         padded.setflags(write=False)
         return padded
 
-    def _forward_values(self, values: np.ndarray) -> np.ndarray:
-        out = _real_matvec(self._kernel, values, self._fwd_in)[..., :self.n]
-        out /= self._rho_nu
+    def _forward_values(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """The coefficients along the last axis, or those of the kernel rows in rows only.
+        Rows that start and end on whole _KERNEL_BLOCKs run the full transform's GEMMs,
+        so their coefficients are the full transform's bit for bit; others need not be."""
+        rho_nu = self._rho_nu[rows]
+        out = _real_matvec(self._kernel[rows], values, self._fwd_in)[..., :len(rho_nu)]
+        out /= rho_nu
         return out
 
     def _inverse_values(self, coeffs: np.ndarray) -> np.ndarray:
@@ -481,34 +475,58 @@ def transform_inverse(F: SpectralField) -> RadialField:
     return RadialField(F.grid, F.grid._inverse_values(F.values))
 
 
-def _multiplier_inverse(grid: RadialGrid, symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The inverse transform of symbol * coeffs along the last axis, symbol (n,).
+def _symbol_span(symbol: np.ndarray) -> slice | None:
+    """The coefficients a multiplier by symbol reads: the span [k0, k1) of its nonzero
+    entries, all of them (slice(None)) if that is wider than one _KERNEL_BLOCK, and
+    None if there are none.
 
-    Only the kernel columns [k0, k1) spanning the symbol's nonzero entries
-    are read, through a view: a dyadic band at n = 640 spans 10 to 82 of the
-    640.  A span wider than one _KERNEL_BLOCK takes the whole padded kernel,
-    which is _inverse_values(symbol * coeffs) bit for bit.  The BLAS sums a
-    wide inner dimension in panels whose split depends on its length, and on
-    the thread count unless the length is whole blocks: at 600 columns one and
-    two OpenBLAS threads give different bits, at one block or less they do
-    not.  An all-zero symbol gives zeros without a product.
+    A dyadic band at n = 640 spans 10 to 82 of the 640.  A wider span takes the
+    whole padded kernel, so its products are the full transforms bit for bit.
+    The BLAS sums a wide inner dimension in panels whose split depends on its
+    length, and on the thread count unless the length is whole blocks: at 600
+    columns one and two OpenBLAS threads give different bits, at one block or
+    less they do not.
     """
     nonzero = np.flatnonzero(symbol)
     if nonzero.size == 0:
-        return np.zeros(coeffs.shape, np.result_type(symbol, coeffs))
+        return None
     k0, k1 = int(nonzero[0]), int(nonzero[-1]) + 1
-    if k1 - k0 > _KERNEL_BLOCK:
-        k0, k1 = 0, grid._kernel.shape[1]
-    out = _real_matvec(grid._kernel[:, k0:k1], symbol[k0:k1] * coeffs[..., k0:k1],
-                       grid._inv_in[k0:k1])[..., :grid.n]
+    return slice(None) if k1 - k0 > _KERNEL_BLOCK else slice(k0, k1)
+
+
+def _span_inverse(grid: RadialGrid, span: slice, spectrum: np.ndarray) -> np.ndarray:
+    """The inverse transform of a spectrum that is 0 outside span, from its entries in
+    span along the last axis, through a view of those kernel columns."""
+    out = _real_matvec(grid._kernel[:, span], spectrum, grid._inv_in[span])[..., :grid.n]
     out /= grid._r_nu
     return out
 
 
+def _multiplier_inverse(grid: RadialGrid, symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The inverse transform of symbol * coeffs along the last axis, symbol (n,), from
+    the kernel columns of _symbol_span only.  A zero symbol gives zeros without a product."""
+    span = _symbol_span(symbol)
+    if span is None:
+        return np.zeros(coeffs.shape, np.result_type(symbol, coeffs))
+    return _span_inverse(grid, span, symbol[span] * coeffs[..., span])
+
+
+def _multiplier_values(grid: RadialGrid, symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """_multiplier_inverse(grid, symbol, grid._forward_values(values)), bit for bit, with
+    only the whole kernel blocks of rows around the symbol's span transformed forward:
+    one or two of the ten at n = 1280 for a band, low or fat symbol that narrow."""
+    span = _symbol_span(symbol)
+    if span is None:
+        return np.zeros(values.shape, np.result_type(symbol, values))
+    k0, k1, _ = span.indices(grid.n)
+    b0 = k0 - k0 % _KERNEL_BLOCK
+    coeffs = grid._forward_values(values, slice(b0, _whole_blocks(k1)))
+    return _span_inverse(grid, span, symbol[span] * coeffs[..., k0 - b0:k1 - b0])
+
+
 def apply_multiplier(f: RadialField, symbol: np.ndarray) -> RadialField:
     """Return the field with Fourier coefficients symbol(rho_k) * uhat_k."""
-    g = f.grid
-    return RadialField(g, _multiplier_inverse(g, symbol, g._forward_values(f.values)))
+    return RadialField(f.grid, _multiplier_values(f.grid, symbol, f.values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,37 @@
+"""The exceptions that cli.ERRORS maps to an error kind and an exit code.
+
+They live here, apart from the numerics that raise them, so that the command
+line can name every one without importing the modules that raise them.
+"""
+
+
+class ConfigError(ValueError):
+    """The config, a flag or an input file is invalid."""
+
+
+class CheckFailed(RuntimeError):
+    """A diagnostic, lemma or selftest check failed."""
+
+
+class GuardTripped(RuntimeError):
+    """evolve's blowup guard stopped the run."""
+
+
+class GridResolutionError(ValueError):
+    """Grid cannot represent the certification field to tolerance."""
+
+
+class GridMismatchError(ValueError):
+    """Operation mixes fields living on different grids."""
+
+
+class UnresolvedFieldError(ValueError):
+    """Too much spectral mass sits in the top half of the frequency range."""
+
+
+class GroundStateError(RuntimeError):
+    """Iteration failed to converge or certification failed."""
+
+
+class ResolutionLossError(RuntimeError):
+    """Spectral tail grew past the guard; smaller dt or a larger grid is needed."""

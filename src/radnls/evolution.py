@@ -31,13 +31,10 @@ from .core import (
     make_radial_grid,
     mass,
 )
+from .errors import ResolutionLossError
 
 TAIL_GUARD_FRACTION = 1e-4
 GRADIENT_GUARD_RATIO = 1e3
-
-
-class ResolutionLossError(RuntimeError):
-    """Spectral tail grew past the guard; smaller dt or a larger grid is needed."""
 
 
 @dataclass(frozen=True)

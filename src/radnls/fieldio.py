@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, config_hash
 from .core import RadialField, RadialGrid
 from .evolution import SimulationConfig, Trajectory
 from .groundstate import GroundState
@@ -67,10 +67,6 @@ def load_field_binary(path, grid: RadialGrid) -> RadialField:
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
-
-def config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
-
 
 def save_trajectory(traj: Trajectory, out_dir) -> Path:
     out = Path(out_dir)

@@ -38,17 +38,13 @@ from .core import (
     rescale,
     sphere_area,
 )
-
+from .errors import GroundStateError
 
 # fixed-point iterations before the solve, or the collocation cross-check, gives up
 MAX_ITER = 400
 # Chebyshev nodes and truncation radius of the cross-check's collocation (shooting_mass)
 COLLOCATION_NODES = 201
 COLLOCATION_R_END = 18.0
-
-
-class GroundStateError(RuntimeError):
-    """Iteration failed to converge or certification failed."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bands import high_symbol
-from .core import RadialGrid, _multiplier_inverse, _power_sum, validate_scale
-from .evolution import Trajectory
+if TYPE_CHECKING:  # the verifier runs on numpy alone; extraction imports core and bands
+    from .core import RadialGrid
+    from .evolution import Trajectory
 
 CONCLUSION_SLACK = 1e-12
 
@@ -126,6 +127,8 @@ def _window(traj: Trajectory, t0: float, t1: float) -> np.ndarray:
 
 def _s_norm(grid: RadialGrid, times: np.ndarray, values: np.ndarray) -> float:
     """max of sup_t ||u||_2 and the trapezoid L^2_t L^{2d/(d-2)}_x norm over the rows of values."""
+    from .core import _power_sum
+
     d = grid.d
     if d < 3:
         raise ValueError("the admissible-pair norm needs d >= 3")
@@ -147,6 +150,9 @@ def extract_A_sequence(traj: Trajectory, Ns) -> ASequence:
     P_{>=N} u is one product for the window's snapshots.  Its support, rho > N/2,
     is wider than one kernel block, so the product reads the whole kernel.
     """
+    from .bands import high_symbol
+    from .core import _multiplier_inverse, validate_scale
+
     Ns = sorted(float(N) for N in Ns)
     grid = traj.grid
     t0 = traj.times[0]
@@ -168,7 +174,10 @@ def _rhs_weights(scales, params: RecurrenceParams) -> np.ndarray:
     1e-12), else 0; (W * A).sum(axis=1)[k] is sum of (M/N_k)^s A_M over that range."""
     M = np.asarray(scales, dtype=float)
     inside = (M > params.m0) & (M <= 2.0 * params.beta_prime * M[:, None] * (1.0 + 1e-12))
-    return np.where(inside, M / M[:, None], 0.0) ** params.s
+    k, i = np.nonzero(inside)
+    weights = np.zeros(inside.shape)
+    weights[k, i] = (M[i] / M[k]) ** params.s
+    return weights
 
 
 def _base_terms(scales, params: RecurrenceParams) -> np.ndarray:
@@ -269,7 +278,7 @@ def iterate_induction(params: RecurrenceParams, n_max: float) -> InductionTable:
         bounds.append(tuple(limit + beta_j))
         capped = np.minimum(limit + beta_j, params.a_bound)
         nxt = limit + params.beta_prime ** (j + 1)
-        rhs = base + (weights * capped).sum(axis=1)
+        rhs = base + np.einsum("ki,i->k", weights, capped)
         verified.append(bool(np.all(rhs <= nxt + CONCLUSION_SLACK * np.maximum(1.0, nxt))))
         if beta_j < 1e-12 * float(limit.min()) or j > 100000:
             break

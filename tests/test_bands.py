@@ -100,6 +100,17 @@ class TestPointwiseBandNorm:
                 assert np.all(np.abs(bands.project_band(f, N).values)
                               <= norm * math.sqrt(core.mass(f)))
 
+    @pytest.mark.parametrize("n", [384, 640])
+    def test_reads_the_unit_spectra_off_the_kernel(self, n):
+        # the unit fields' spectra, read off the kernel without a product, give the
+        # bits of the forward product of the identity at every scale
+        g = core.make_radial_grid(4, 15.0, n)
+        spectra = g._forward_values(np.eye(n))
+        for N in core.dyadic_scales(g):
+            rows = core._multiplier_inverse(g, bands.band_symbol(g, N), spectra)
+            ref = np.sqrt(np.sum(rows**2 / g.w[:, None], axis=0))
+            assert np.array_equal(bands.pointwise_band_norm(g, N), ref), N
+
     def test_scale_must_be_dyadic_and_in_range(self, grid):
         n_min, n_max = core.dyadic_range(grid)
         for N in (12.0, 2 * n_max, n_min / 2):

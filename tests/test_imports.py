@@ -264,26 +264,49 @@ SESSION_CONFIG = {
 }
 
 
+# the radnls modules each command loads: a command imports the modules it runs when it
+# runs, so a synthetic lemma loads the verifier alone of the numerics, and a lemma
+# extracted from a trajectory neither diagnostics nor selftest
+EVERY_MODULE = {"radnls", "radnls.bands", "radnls.cli", "radnls.core", "radnls.diagnostics",
+                "radnls.errors", "radnls.evolution", "radnls.fieldio", "radnls.groundstate",
+                "radnls.recurrence", "radnls.selftest"}
+LOADED = {
+    "ground-state": EVERY_MODULE,
+    "evolve": EVERY_MODULE,
+    "diagnose": EVERY_MODULE,
+    "lemma": EVERY_MODULE - {"radnls.diagnostics", "radnls.selftest"},
+    "lemma synthetic_power": {"radnls", "radnls.cli", "radnls.errors", "radnls.recurrence"},
+    "selftest": EVERY_MODULE - {"radnls.fieldio"},
+}
+
+
 def test_no_command_loads_scipy(tmp_path):
     # each command in a fresh process, as the CLI runs it; after the command, no
-    # module of scipy may be loaded
+    # module of scipy may be loaded, and the radnls modules are those of LOADED
     src = str(Path(radnls.__file__).resolve().parents[1])
     cfg = tmp_path / "session.json"
     cfg.write_text(json.dumps(SESSION_CONFIG))
+    synthetic = tmp_path / "synthetic.json"
+    synthetic.write_text(json.dumps(SESSION_CONFIG | {"lemma": {
+        "params": SESSION_CONFIG["lemma"]["params"] | {"m0": 1.0},
+        "sequence": {"kind": "synthetic_power", "ladder": 600}}}))
     code = ("import json, sys\nfrom radnls import cli\nrc = cli.main(sys.argv[1:])\n"
             "print(json.dumps([rc, sorted(m for m in sys.modules "
-            "if m.partition('.')[0] == 'scipy')]))\n")
+            "if m.partition('.')[0] in ('scipy', 'radnls'))]))\n")
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("RADNLS_OUTPUT_ROOT", None)     # the outputs go to tmp_path/run
     found = {}
-    for command in (["ground-state"], ["evolve"], ["diagnose", "run/trajectory"], ["lemma"],
-                    ["selftest"]):
-        run = subprocess.run([sys.executable, "-c", code, "--config", str(cfg), *command],
+    for name, config, command in (
+            ("ground-state", cfg, ["ground-state"]), ("evolve", cfg, ["evolve"]),
+            ("diagnose", cfg, ["diagnose", "run/trajectory"]), ("lemma", cfg, ["lemma"]),
+            ("lemma synthetic_power", synthetic, ["lemma"]), ("selftest", cfg, ["selftest"])):
+        run = subprocess.run([sys.executable, "-c", code, "--config", str(config), *command],
                              env=env, cwd=tmp_path,
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
-        found[command[0]] = json.loads(run.stdout.splitlines()[-1])
-    assert found == {name: [0, []] for name in found}
+        rc, modules = json.loads(run.stdout.splitlines()[-1])
+        found[name] = [rc, set(modules)]
+    assert found == {name: [0, modules] for name, modules in LOADED.items()}
 
 
 # core's own J_nu evaluator, and scipy.special's Bessel and modified Bessel functions
