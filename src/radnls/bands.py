@@ -39,6 +39,7 @@ from .core import (
     radial_derivative,
     validate_scale,
 )
+from .errors import NumericalFailure
 
 BUMP_SUPPORT = 25.0 / 24.0
 # mismatch_norm's relative stopping change and step budget
@@ -179,7 +180,7 @@ def mismatch_norm(grid: RadialGrid, R: float, N: float) -> float:
         if abs(norm - prev) <= MISMATCH_TOL * norm:
             return norm
         v = _sandwich(av * norm**-2, outer, N, inner)
-    raise RuntimeError(f"mismatch norm did not converge in {MISMATCH_MAX_ITER} steps")
+    raise NumericalFailure(f"mismatch norm did not converge in {MISMATCH_MAX_ITER} steps")
 
 
 def fractional_chain_ratio(u: RadialField, s: float) -> float:

@@ -2,7 +2,8 @@
 
 Configuration is JSON with the keys of DEFAULTS and PARAMS and no others; flags
 override config fields.  Exit codes (ERRORS): 0 ok, 1 a diagnostic check failed,
-2 invalid input, 3 I/O error, 4 numerical guard tripped.
+2 invalid input, 3 I/O error, 4 numerical guard tripped or numerical failure (an
+iteration or root-finder that did not converge).
 
 Outputs are deterministic for a fixed (config, seed): every JSON/CSV file
 embeds the config hash, the artifact version, and the seed, and contains no
@@ -31,6 +32,7 @@ from .errors import (
     ConfigError,
     GroundStateError,
     GuardTripped,
+    NumericalFailure,
     ResolutionLossError,
 )
 
@@ -41,7 +43,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_IO = 3
-EXIT_GUARD = 4
+EXIT_NUMERICAL = 4
 
 REQUIRED = object()  # the default of a Param the config must give
 
@@ -561,8 +563,9 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 ERRORS = {  # exception -> (error kind, exit code); the first class that matches wins
     ValueError: ("invalid_input", EXIT_INVALID),  # ConfigError, GridResolutionError, ...
-    GuardTripped: ("numerical_guard", EXIT_GUARD),
-    ResolutionLossError: ("numerical_guard", EXIT_GUARD),
+    GuardTripped: ("numerical_guard", EXIT_NUMERICAL),
+    ResolutionLossError: ("numerical_guard", EXIT_NUMERICAL),
+    NumericalFailure: ("numerical_failure", EXIT_NUMERICAL),
     CheckFailed: ("check_failed", EXIT_CHECK_FAILED),
     GroundStateError: ("certification_failed", EXIT_CHECK_FAILED),
     OSError: ("io_error", EXIT_IO),

@@ -49,7 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, GridResolutionError, UnresolvedFieldError
+from .errors import (
+    GridMismatchError,
+    GridResolutionError,
+    NumericalFailure,
+    UnresolvedFieldError,
+)
 
 RESOLVED_TAIL_FRACTION = 1e-6
 ROUNDTRIP_TOL = 1e-9
@@ -270,7 +275,7 @@ class RadialGrid:
             step = value / (self.nu / zeros * value - _bessel_j(self.nu + 1, zeros))
             zeros = zeros - step
         if not np.max(np.abs(step) / zeros) < 1e-13:
-            raise RuntimeError(f"Bessel zeros of order {self.nu} did not converge")
+            raise NumericalFailure(f"Bessel zeros of order {self.nu} did not converge")
         j = zeros[: self.n]
         s_edge = zeros[self.n]
         self._bessel_zeros = j

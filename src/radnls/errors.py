@@ -35,3 +35,7 @@ class GroundStateError(RuntimeError):
 
 class ResolutionLossError(RuntimeError):
     """Spectral tail grew past the guard; smaller dt or a larger grid is needed."""
+
+
+class NumericalFailure(RuntimeError):
+    """An iteration or root-finder did not converge within its step budget."""

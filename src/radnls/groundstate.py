@@ -5,9 +5,10 @@ The profile Q is the positive radial decaying solution of
     Lap Q - Q + Q^(1+4/d) = 0,
 
 computed by a normalized fixed-point iteration (spectral inverse of (1 - Lap)
-applied to the nonlinearity, with the standard stabilizing power).  Its mass
-is cross-checked by shooting_mass, the same iteration on an independent
-Chebyshev collocation of the radial ODE in s = r^2.
+applied to the nonlinearity, with the standard stabilizing power), run first
+on a coarse grid with the same r_max and then, from its Q, on the requested
+grid.  Its mass is cross-checked by shooting_mass, the same iteration on an
+independent Chebyshev collocation of the radial ODE in s = r^2.
 
 Certification facts used here all follow from the elliptic equation by
 multiplying with Q resp. x . grad Q and integrating:
@@ -45,6 +46,14 @@ MAX_ITER = 400
 # Chebyshev nodes and truncation radius of the cross-check's collocation (shooting_mass)
 COLLOCATION_NODES = 201
 COLLOCATION_R_END = 18.0
+# spectral reach rho_max of the coarse grid, which resolves Q at d = 2-8: 128 nodes at
+# r_max 15 and 384 at r_max 45, where 128 nodes do not converge
+COARSE_REACH = 26.8
+# a grid starts from the coarse grid's Q only if it has more than COARSE_MARGIN nodes
+# beyond it: at d = 4 the coarse stage cost 2-5 ms more than it saved at n = 192-256
+# (r_max 15), 384 (r_max 30) and 512 (r_max 45), broke even at n = 320 (r_max 15) and
+# saved 8-30 ms at n = 512 (r_max 30) and 640-768 (r_max 45)
+COARSE_MARGIN = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,25 +80,16 @@ def _elliptic_residual(grid: RadialGrid, q: np.ndarray, p: float) -> float:
     return math.sqrt(float(_power_sum(grid, res, 2)) / float(_power_sum(grid, q, 2)))
 
 
-def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
-    """Normalized fixed-point iteration for the ground state.
+def _fixed_point(grid: RadialGrid, q: np.ndarray, tol: float) -> tuple[np.ndarray, float, int]:
+    """The normalized iteration on grid from q: (Q, residual, iterations).
 
-    Each step maps Q -> S^gamma (1 - Lap)^(-1) Q^(1+4/d) with the normalization
-    S = <(1-Lap)Q, Q> / <Q^(1+4/d), Q> and gamma = p/(p-1) for nonlinearity
-    power p = 1 + 4/d (the standard stabilizing exponent), starting from
-    2 exp(-r^2).  Positivity is enforced by taking the modulus each step; the
-    fixed point must be resolved, positive, decreasing and an elliptic solution
-    to the requested tolerance.  Its energy and its mass against shooting_mass
-    are judged by selftest.check_ground_state, not here.
+    It stops once a step moves q by less than 0.1 tol relative and the elliptic
+    residual is below tol; GroundStateError after MAX_ITER steps.
     """
-    d = grid.d
-    p = 1.0 + 4.0 / d
+    p = 1.0 + 4.0 / grid.d
     gamma = p / (p - 1.0)
-    q = 2.0 * np.exp(-grid.r**2)
-
     inv_helmholtz = 1.0 / (1.0 + grid.rho**2)
     residual = math.inf
-    iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         coeffs = grid._forward_values(q)
         num = float(np.sum(grid.wrho * (1.0 + grid.rho**2) * np.abs(coeffs) ** 2))
@@ -105,10 +105,52 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
         if step < 0.1 * tol:
             residual = _elliptic_residual(grid, q, p)
             if residual < tol:
-                break
-    else:
-        raise GroundStateError(
-            f"no convergence after {MAX_ITER} iterations (last residual {residual:.3e})")
+                return q, residual, iterations
+    raise GroundStateError(
+        f"no convergence after {MAX_ITER} iterations (last residual {residual:.3e})")
+
+
+def _coarse_nodes(r_max: float) -> int:
+    """Nodes of the coarse grid on [0, r_max] whose spectrum reaches COARSE_REACH."""
+    return max(16, math.ceil(COARSE_REACH * r_max / math.pi))
+
+
+def _start(grid: RadialGrid, tol: float) -> np.ndarray:
+    """The fine iteration's start: 2 exp(-r^2), or on a grid of more than
+    _coarse_nodes(r_max) + COARSE_MARGIN nodes the coarse grid's Q at grid's nodes.
+
+    Both grids have the frequencies j_k / r_max and the synthesis scalars
+    (2 / r_max^2) rho^nu, so the coarse coefficients zero-padded to n and
+    inverse-transformed on grid evaluate the coarse Fourier-Bessel series
+    exactly at grid's nodes.
+    """
+    n_c = _coarse_nodes(grid.r_max)
+    if grid.n <= n_c + COARSE_MARGIN:
+        return 2.0 * np.exp(-grid.r**2)
+    coarse = RadialGrid(grid.d, grid.r_max, n_c)
+    q, _, _ = _fixed_point(coarse, 2.0 * np.exp(-coarse.r**2), tol)
+    coeffs = np.zeros(grid.n)
+    coeffs[:n_c] = coarse._forward_values(q)
+    return np.abs(grid._inverse_values(coeffs))
+
+
+def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
+    """Normalized fixed-point iteration for the ground state.
+
+    Each step maps Q -> S^gamma (1 - Lap)^(-1) Q^(1+4/d) with the normalization
+    S = <(1-Lap)Q, Q> / <Q^(1+4/d), Q> and gamma = p/(p-1) for nonlinearity
+    power p = 1 + 4/d (the standard stabilizing exponent).  A grid of up to
+    _coarse_nodes(r_max) + COARSE_MARGIN nodes starts from 2 exp(-r^2); a finer one
+    starts from the Q that the same iteration reaches from there on the coarse
+    grid, synthesized at its nodes.  The iteration's rate is set by the
+    linearization at Q, not by the grid, so the fine grid then needs one or two
+    steps instead of about 66 (at d = 4, tol 1e-8); iterations counts the steps
+    on grid only.  Positivity is enforced by taking the modulus each step; the
+    fixed point must be resolved, positive, decreasing and an elliptic solution
+    to the requested tolerance.  Its energy and its mass against shooting_mass
+    are judged by selftest.check_ground_state, not here.
+    """
+    q, residual, iterations = _fixed_point(grid, _start(grid, tol), tol)
 
     profile = RadialField(grid, q.astype(np.complex128))
     require_resolved(profile, "ground state")
@@ -117,29 +159,37 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
     if np.any(np.diff(q) > 1e-10 * q[0]):
         raise GroundStateError("converged profile is not decreasing")
 
-    return GroundState(profile=profile, dimension=d, mass=mass(profile),
+    return GroundState(profile=profile, dimension=grid.d, mass=mass(profile),
                        kinetic=gradient_norm_sq(profile), residual=residual,
-                       mass_shooting=shooting_mass(d), iterations=iterations)
+                       mass_shooting=shooting_mass(grid.d), iterations=iterations)
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
     """a^(-1) by Gauss-Jordan elimination with partial pivoting, on numpy ufuncs only.
 
+    The elimination runs in place on a copy of a: column k, once eliminated,
+    holds the inverse's column for the row swapped into place k, and the row
+    swaps are undone as column swaps in reverse order at the end.
     np.linalg.inv, np.linalg.solve and matrix products at this size go through
     OpenBLAS, whose last bits change with its thread count; ufuncs (and
     np.einsum) keep shooting_mass, and so every ground-state artifact, the same
     under any BLAS thread count.
     """
-    n = len(a)
-    m = np.concatenate([a, np.eye(n)], axis=1)
-    for k in range(n):
+    m = np.array(a, dtype=float)
+    swaps = []
+    for k in range(len(m)):
         pivot = k + int(np.argmax(np.abs(m[k:, k])))
         m[[k, pivot]] = m[[pivot, k]]
-        m[k] /= m[k, k]
+        swaps.append(pivot)
         col = m[:, k].copy()
-        col[k] = 0.0
-        m[:, k:] -= np.multiply.outer(col, m[k, k:])    # columns < k are already unit
-    return m[:, n:]
+        scale, col[k] = col[k], 0.0
+        m[:, k] = 0.0
+        m[k, k] = 1.0
+        m[k] /= scale
+        m -= np.multiply.outer(col, m[k])
+    for k in reversed(range(len(m))):
+        m[:, [k, swaps[k]]] = m[:, [swaps[k], k]]
+    return m
 
 
 def shooting_mass(d: int) -> float:

@@ -205,15 +205,21 @@ class RecurrenceReport:
         }
 
 
-def check_recurrence(seq: ASequence, params: RecurrenceParams) -> RecurrenceReport:
-    """Evaluate the recurrence inequality per scale and the smallest workable C1."""
+def check_recurrence(seq: ASequence, params: RecurrenceParams,
+                     weights: np.ndarray | None = None) -> RecurrenceReport:
+    """Evaluate the recurrence inequality per scale and the smallest workable C1.
+
+    weights is _rhs_weights(seq.scales, params), computed here when not given.
+    """
     if seq.scales[0] > params.m0 * 2.0:
         raise ValueError("sequence must cover the ladder from M0 up (sequence gap)")
     scales, a = np.asarray(seq.scales), np.asarray(seq.values)
     keep = scales >= params.m0
     if not keep.any():
         raise ValueError("no scales at or above M0 in the sequence")
-    ssum = (_rhs_weights(scales, params) * a).sum(axis=1)[keep]
+    if weights is None:
+        weights = _rhs_weights(scales, params)
+    ssum = (weights * a).sum(axis=1)[keep]
     scales, a = scales[keep], a[keep]
     base = _base_terms(scales, params)
     rhs = params.c1 * base + ssum
@@ -245,8 +251,8 @@ class InductionTable:
         return 2.0 * p.c1 * p.m0**p.s * N ** (-p.s + p.gamma)
 
 
-def iterate_induction(params: RecurrenceParams, n_max: float) -> InductionTable:
-    """Replay the bootstrap induction numerically over the ladder [M0, n_max].
+def iterate_induction(params: RecurrenceParams, scales, weights: np.ndarray) -> InductionTable:
+    """Replay the bootstrap induction numerically over the ladder's scales N >= M0.
 
     Row j tabulates the claimed bound B_j(N); each step is verified by
     plugging min(B_j, A) into the recurrence right-hand side and checking it
@@ -258,17 +264,15 @@ def iterate_induction(params: RecurrenceParams, n_max: float) -> InductionTable:
     steps all verify proves the bound for the tabulated ladder even when the
     (very conservative) closed-form admissibility caps are not met; the caps
     remain the published applicability gate for verify_recursive_control.
+    weights is _rhs_weights(scales, params), which verify_recursive_control
+    shares with check_recurrence.
     """
-    scales = []
-    N = params.m0
-    while N <= n_max * (1.0 + 1e-12):
-        scales.append(N)
-        N *= 2.0
-    if not scales:
-        raise ValueError("empty ladder: n_max below M0")
-    scales = np.asarray(scales)
+    scales = np.asarray(scales, dtype=float)
+    keep = scales >= params.m0
+    if not keep.any():
+        raise ValueError("empty ladder: no scale at or above M0")
+    scales, weights = scales[keep], weights[np.ix_(keep, keep)]
     limit = 2.0 * params.c1 * params.m0**params.s * scales ** (-params.s + params.gamma)
-    weights = _rhs_weights(scales, params)
     base = params.c1 * _base_terms(scales, params)
     js, bounds, verified = [], [], []
     j = 1
@@ -318,7 +322,9 @@ def verify_recursive_control(seq: ASequence, params: RecurrenceParams) -> Contro
     """Check hypotheses, admissibility, the replayed induction, and the conclusion.
 
     Inadmissible beta' or failed hypotheses yield applicable=False with the
-    violated constraint named (the bound is then not claimed either way).
+    violated constraint named (the bound is then not claimed either way).  The
+    induction replays the sequence's own scales N >= M0, which the conclusion
+    rows check, and reuses the recurrence check's weight matrix.
     """
     violated = []
     adm = admissibility(params)
@@ -327,7 +333,8 @@ def verify_recursive_control(seq: ASequence, params: RecurrenceParams) -> Contro
     tol = CONCLUSION_SLACK
     if any(v > params.a_bound * (1.0 + tol) for v in seq.values):
         violated.append("trivial_bound")
-    rec = check_recurrence(seq, params)
+    weights = _rhs_weights(seq.scales, params)
+    rec = check_recurrence(seq, params, weights)
     if not rec.holds_with_given_c1:
         violated.append("recurrence_with_given_c1")
 
@@ -336,7 +343,7 @@ def verify_recursive_control(seq: ASequence, params: RecurrenceParams) -> Contro
                              admissibility=adm, induction_steps=0, induction_verified=False,
                              conclusion_rows=(), overall_pass=None, recurrence=rec)
 
-    table = iterate_induction(params, seq.scales[-1])
+    table = iterate_induction(params, seq.scales, weights)
     rows = []
     overall = table.all_steps_verified
     for N, a in zip(seq.scales, seq.values):

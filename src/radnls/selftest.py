@@ -1,8 +1,8 @@
 """Fast invariant suites for every module, runnable from the CLI.
 
 Each suite returns (name, ok, detail) tuples; the CLI prints one line per
-check and exits nonzero when anything fails.  All six take about 0.27 s, grid build
-and Q's solve included: 0.21-0.33 s in 7 fresh processes with one BLAS thread, after
+check and exits nonzero when anything fails.  All six take about 0.24 s, grid build
+and Q's solve included: 0.20-0.27 s in 7 fresh processes with one BLAS thread, after
 0.10-0.15 s of import, on a 2-CPU host shared with other jobs.  The check_*
 functions are the one implementation of each verdict that the suites,
 the acceptance suite and the ground-state, evolve and diagnose commands share:

@@ -60,11 +60,52 @@ class TestShooting:
         # collocation_mass fails its own check at d = 6, 8; these are DOP853 shooting masses
         assert abs(groundstate.shooting_mass(d) - ref) <= 1e-9 * ref
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_inverse_matches_linalg(self, monkeypatch, d):
+        # on the collocation matrix itself, whose condition number is about 4e6
+        seen = []
+        invert = groundstate._inverse
+        monkeypatch.setattr(groundstate, "_inverse", lambda a: seen.append(a.copy()) or invert(a))
+        groundstate.shooting_mass(d)
+        (a,) = seen
+        ref = np.linalg.inv(a)
+        assert np.max(np.abs(invert(a) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_unconverged_collocation_raises(self, monkeypatch):
         # an iteration cut short is an error, not a mass
         monkeypatch.setattr(groundstate, "MAX_ITER", 5)
         with pytest.raises(groundstate.GroundStateError, match="did not converge"):
             groundstate.shooting_mass(4)
+
+
+class TestCoarseStart:
+    @pytest.mark.parametrize("d", [2, 4, 6, 8])
+    def test_fine_grid_takes_at_most_two_steps(self, grid, d):
+        fine = grid if d == 4 else core.make_radial_grid(d, 15.0, 640)
+        assert groundstate.solve_ground_state(fine, tol=1e-8).iterations <= 2
+
+    def test_at_most_two_steps_at_n1280_and_r_max_45(self, ground_double, grid45):
+        assert ground_double.iterations <= 2
+        # the fixed point alone: Q's tail at r_max 45 is below round-off, so one node reads 0
+        start = groundstate._start(grid45, 1e-8)
+        assert groundstate._fixed_point(grid45, start, 1e-8)[2] <= 2
+
+    def test_matches_the_direct_start(self, ground, ground_double):
+        for gs in (ground, ground_double):
+            g = gs.grid
+            direct, _, steps = groundstate._fixed_point(g, 2.0 * np.exp(-g.r**2), 1e-8)
+            assert steps > 50
+            gap = core._power_sum(g, gs.profile.values.real - direct, 2)
+            assert math.sqrt(gap / core._power_sum(g, direct, 2)) < 1e-8
+
+    def test_coarse_grid_only_above_the_cutoff(self, monkeypatch):
+        assert (groundstate._coarse_nodes(15.0), groundstate._coarse_nodes(45.0)) == (128, 384)
+        built = []
+        monkeypatch.setattr(groundstate, "RadialGrid",
+                            lambda *args: built.append(args) or core.RadialGrid(*args))
+        for n in (128 + groundstate.COARSE_MARGIN, 320):
+            groundstate.solve_ground_state(core.make_radial_grid(4, 15.0, n), tol=1e-8)
+        assert built == [(4, 15.0, 128)]
 
 
 class TestSharpRatio:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import radnls
-from radnls import cli, core, evolution, fieldio, groundstate, recurrence, selftest
+from radnls import bands, cli, core, errors, evolution, fieldio, groundstate, recurrence, selftest
 
 
 class TestFieldFormats:
@@ -90,6 +90,7 @@ EXIT_CASES = [
     (core.GridResolutionError("boom"), "invalid_input", 2),
     (cli.GuardTripped("boom"), "numerical_guard", 4),
     (evolution.ResolutionLossError("boom"), "numerical_guard", 4),
+    (errors.NumericalFailure("boom"), "numerical_failure", 4),
     (cli.CheckFailed("boom"), "check_failed", 1),
     (groundstate.GroundStateError("boom"), "certification_failed", 1),
     (OSError("boom"), "io_error", 3),
@@ -336,6 +337,19 @@ class TestCli:
         report = json.loads((out_env / "lem1" / "lemma_report.json").read_text())
         assert report["recurrence"] == json.loads(json.dumps(check(*calls[0]).to_json_obj()))
 
+    def test_lemma_builds_the_weight_matrix_once(self, out_env, tmp_path, monkeypatch):
+        # check_recurrence and iterate_induction share one (L, L) matrix
+        build = recurrence._rhs_weights
+        calls = []
+        monkeypatch.setattr(recurrence, "_rhs_weights",
+                            lambda *args: calls.append(len(args[0])) or build(*args))
+        cfg = write_cfg(tmp_path, {"lemma": {"params": LEMMA_PARAMS,
+                                             "sequence": {"kind": "synthetic_power",
+                                                          "ladder": 600}},
+                                   "output_dir": "lem600"})
+        assert cli.main(["--config", cfg, "lemma"]) == 0
+        assert calls == [600]
+
     def test_selftest_solves_the_ground_state_once(self, monkeypatch, capsys):
         calls = []
 
@@ -518,6 +532,19 @@ class TestCli:
         monkeypatch.setitem(cli.COMMANDS, "selftest", (fail, "fails", ()))
         assert cli.main(["selftest"]) == code
         assert json.loads(capsys.readouterr().err) == {"error": kind, "detail": "boom"}
+
+    def test_unconverged_mismatch_norm_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(bands, "MISMATCH_MAX_ITER", 1)
+        assert cli.main(["selftest"]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical_failure" and "mismatch norm" in err["detail"]
+
+    def test_unconverged_bessel_zeros_exit_4(self, out_env, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(core, "_NEWTON_STEPS", 1)
+        cfg = write_cfg(tmp_path, {"grid": SMALL_GRID, "output_dir": "zeros"})
+        assert cli.main(["--config", cfg, "ground-state"]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical_failure" and "Bessel zeros" in err["detail"]
 
     def test_exit_cases_cover_every_table_entry(self):
         assert set(cli.ERRORS) <= {type(exc) for exc, _, _ in EXIT_CASES}

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import re
 
@@ -15,6 +17,15 @@ LADDER = tuple(2.0**k for k in range(0, 12))
 def power_sequence(exponent, ladder=LADDER, cap=math.inf):
     return recurrence.ASequence(ladder, tuple(min(cap, N**exponent) for N in ladder),
                                 "synthetic")
+
+
+def dyadic_ladder(n_max):
+    """1, 2, 4, ..., n_max."""
+    return tuple(2.0**k for k in range(round(math.log2(n_max)) + 1))
+
+
+def induction(params, ladder):
+    return recurrence.iterate_induction(params, ladder, recurrence._rhs_weights(ladder, params))
 
 
 def make_params(**kw):
@@ -231,9 +242,34 @@ class TestRecursiveControl:
         for _ in range(400):
             vals = np.array([min(params.a_bound, params.c1 * N**-params.s + ssum)
                              for N, ssum in zip(ladder, (weights * vals).sum(axis=1))])
-        table = recurrence.iterate_induction(params, ladder[-1])
+        table = induction(params, ladder)
         assert all(v <= table.limit_bound(N) * (1 + 1e-9)
                    for N, v in zip(ladder, vals))
+
+    @pytest.mark.parametrize("m0", [1.0, 2.0])
+    def test_induction_replays_the_sequences_own_scales(self, monkeypatch, m0):
+        # on a 1.5 * 2^j ladder the table once sat on M0 2^k while the rows sat on 1.5 * 2^j
+        tables = []
+        replay = recurrence.iterate_induction
+        monkeypatch.setattr(recurrence, "iterate_induction",
+                            lambda *args: tables.append(replay(*args)) or tables[-1])
+        seq = power_sequence(-1.25, tuple(1.5 * 2.0**j for j in range(12)))
+        rep = recurrence.verify_recursive_control(seq, make_params(m0=m0, beta_prime=1e-16))
+        assert rep.applicable and rep.overall_pass and rep.induction_verified
+        rows = tuple(N for N, *_ in rep.conclusion_rows)
+        assert tables[0].scales == rows == tuple(N for N in seq.scales if N >= m0)
+        assert rep.induction_steps == len(tables[0].js)
+
+    def test_600_rung_ladder_report_pinned(self):
+        # the benchmark's lemma ladder starts at M0, so its report kept every bit when the
+        # induction moved from the ladder M0 2^k to the sequence's own scales
+        rep = recurrence.verify_recursive_control(
+            power_sequence(-1.25, dyadic_ladder(2.0**599), cap=1.0), make_params(beta_prime=1e-16))
+        blob = json.dumps({"control": rep.to_json_obj(),
+                           "recurrence": rep.recurrence.to_json_obj()}, sort_keys=True)
+        assert rep.overall_pass and rep.induction_steps == 13
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "5283c7cee12e28b05160ffb41f8df2e6d857a5e614ade3887b15c7a01fe11a09")
 
     def test_planted_conclusion_violation_never_passes(self):
         # a sequence that breaks the final bound must break a hypothesis;
@@ -275,19 +311,19 @@ class TestRecursiveControl:
 class TestIterateInduction:
     def test_first_row_is_base_case_bound(self):
         params = make_params(beta_prime=1e-6)
-        table = recurrence.iterate_induction(params, 1024.0)
+        table = induction(params, dyadic_ladder(1024.0))
         expected = [2 * params.c1 * N ** (-params.s + params.gamma) + params.beta_prime
                     for N in table.scales]
         assert np.allclose(table.bounds[0], expected, rtol=1e-14)
 
     def test_bounds_strictly_decrease_in_j(self):
-        table = recurrence.iterate_induction(make_params(beta_prime=1e-4), 256.0)
+        table = induction(make_params(beta_prime=1e-4), dyadic_ladder(256.0))
         for i in range(len(table.js) - 1):
             assert all(b2 < b1 for b1, b2 in zip(table.bounds[i], table.bounds[i + 1]))
 
     def test_limit_is_geometric_vanishing(self):
         params = make_params(beta_prime=1e-4)
-        table = recurrence.iterate_induction(params, 256.0)
+        table = induction(params, dyadic_ladder(256.0))
         final = np.asarray(table.bounds[-1])
         limit = np.asarray([table.limit_bound(N) for N in table.scales])
         assert np.max(np.abs(final - limit) / limit) < 1e-10
@@ -297,7 +333,7 @@ class TestIterateInduction:
                                                 (1.25, 0.2, 0.02), (2.0, 0.5, 0.02)])
     def test_steps_match_loop_replay(self, s, gamma, beta):
         params = make_params(s=s, gamma=gamma, beta_prime=beta)
-        table = recurrence.iterate_induction(params, 2.0**30)
+        table = induction(params, dyadic_ladder(2.0**30))
         scales = np.asarray(table.scales)
         limit = 2.0 * params.c1 * params.m0**params.s * scales ** (-params.s + params.gamma)
         for j, ok in zip(table.js, table.steps_verified):
@@ -310,7 +346,7 @@ class TestIterateInduction:
 
     def test_steps_verify_for_admissible_params(self):
         params = make_params(s=1.5, gamma=0.3, beta_prime=1e-8, a_bound=2.0)
-        table = recurrence.iterate_induction(params, 2.0**30)
+        table = induction(params, dyadic_ladder(2.0**30))
         assert table.all_steps_verified
 
 
