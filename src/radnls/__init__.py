@@ -13,7 +13,8 @@ errors      the exception classes the command line maps to exit codes
 cli         ground-state / evolve / diagnose / lemma / selftest commands
 
 Each command imports only the modules it runs, so importing radnls.cli loads
-none of the numerics.
+none of the numerics and no numpy, and lemma on a synthetic or file sequence
+loads recurrence alone, whose verifier runs on Python floats.
 """
 
 import hashlib

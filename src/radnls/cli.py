@@ -11,7 +11,7 @@ timestamps.  JSON is written compact with sorted keys.  The environment
 variable RADNLS_OUTPUT_ROOT prefixes relative output directories.
 
 Each command imports the modules it runs when it runs, so lemma on a
-synthetic or file sequence loads recurrence alone of the numerics.
+synthetic or file sequence loads recurrence alone of the numerics, and no numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
-
-import numpy as np
 
 from . import __version__, config_hash
 from .errors import (
@@ -236,6 +234,8 @@ def _ground_state(cfg: dict, grid: core.RadialGrid, cache: Path):
 def _initial_field(cfg: dict, kind: str, params: dict, grid: core.RadialGrid,
                    cache: Path) -> tuple[core.RadialField, groundstate.GroundState | None]:
     """The initial field, and the ground state it is built from (None for gaussian and file)."""
+    import numpy as np
+
     from . import core, fieldio, groundstate
 
     if kind == "gaussian":
@@ -354,6 +354,8 @@ def _diag_spatial_decay(traj, spec):
 
 def _rows(*columns) -> list[tuple]:
     """CSV rows of Python floats from equal-length array columns."""
+    import numpy as np
+
     return list(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
@@ -378,6 +380,8 @@ def _diag_virial(traj, spec):
 
 
 def _diag_kinetic_localization(traj, spec):
+    import numpy as np
+
     from . import core, diagnostics
 
     eta_frac = spec["eta_fraction"]

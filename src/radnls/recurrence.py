@@ -14,6 +14,9 @@ C(s) = 1 / (1 - 2^(1-s)) (an upper bound for sum_{k>=0} 2^(-k(s-1))):
 
 The verifier never trusts the bootstrap algebra: it replays the induction
 numerically (iterate_induction) and checks the conclusion directly per scale.
+It runs on Python floats, one O(L) pass over an L-rung ladder per recurrence
+sum, so a verify loads no numpy; the extraction half imports numpy, core and
+bands inside its functions.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # the verifier runs on floats alone; extraction imports these when it runs
+    import numpy as np
 
-if TYPE_CHECKING:  # the verifier runs on numpy alone; extraction imports core and bands
     from .core import RadialGrid
     from .evolution import Trajectory
 
@@ -104,7 +107,7 @@ class ASequence:
         for a, b in zip(self.scales, self.scales[1:]):
             if abs(b - 2.0 * a) > 1e-9 * b:
                 raise ValueError("scales must be a contiguous dyadic ladder (sequence gap)")
-        if any(v < 0 or not np.isfinite(v) for v in self.values):
+        if any(v < 0 or not math.isfinite(v) for v in self.values):
             raise ValueError("values must be finite and nonnegative")
 
 
@@ -127,6 +130,8 @@ def _window(traj: Trajectory, t0: float, t1: float) -> np.ndarray:
 
 def _s_norm(grid: RadialGrid, times: np.ndarray, values: np.ndarray) -> float:
     """max of sup_t ||u||_2 and the trapezoid L^2_t L^{2d/(d-2)}_x norm over the rows of values."""
+    import numpy as np
+
     from .core import _power_sum
 
     d = grid.d
@@ -169,23 +174,34 @@ def extract_A_sequence(traj: Trajectory, Ns) -> ASequence:
 # recurrence inequality and bootstrap verification
 # ---------------------------------------------------------------------------
 
-def _rhs_weights(scales, params: RecurrenceParams) -> np.ndarray:
-    """W[k, i] = (M_i/N_k)^s where M0 < M_i <= 2 beta' N_k (inclusive up to a relative
-    1e-12), else 0; (W * A).sum(axis=1)[k] is sum of (M/N_k)^s A_M over that range."""
-    M = np.asarray(scales, dtype=float)
-    inside = (M > params.m0) & (M <= 2.0 * params.beta_prime * M[:, None] * (1.0 + 1e-12))
-    k, i = np.nonzero(inside)
-    weights = np.zeros(inside.shape)
-    weights[k, i] = (M[i] / M[k]) ** params.s
-    return weights
+def _window_sums(scales, values, params: RecurrenceParams) -> list[float]:
+    """Per rung N_k of an increasing ladder, the sum of (M_i/N_k)^s values[i] over
+    M0 < M_i <= 2 beta' N_k (inclusive up to a relative 1e-12).
+
+    The window's lower end is the first M_i > M0 and its upper end only moves up the
+    ladder, so each row carries the last row's total by (N_{k-1}/N_k)^s and adds the
+    rungs that enter: one O(L) pass.
+    """
+    s, count = params.s, len(scales)
+    top = next((i for i, M in enumerate(scales) if M > params.m0), count)
+    total, sums = 0.0, []
+    for k, N in enumerate(scales):
+        if total:
+            total *= (scales[k - 1] / N) ** s
+        edge = 2.0 * params.beta_prime * N * (1.0 + 1e-12)
+        while top < count and scales[top] <= edge:
+            total += (scales[top] / N) ** s * values[top]
+            top += 1
+        sums.append(total)
+    return sums
 
 
-def _base_terms(scales, params: RecurrenceParams) -> np.ndarray:
+def _base_terms(scales, params: RecurrenceParams) -> list[float]:
     """M0^s N^(-s) per scale; raises if it underflows to 0 (the ladder is too long)."""
-    base = np.array([params.m0**params.s * float(N) ** (-params.s) for N in scales])
-    if not base.all():
+    base = [params.m0**params.s * float(N) ** (-params.s) for N in scales]
+    if 0.0 in base:
         raise ValueError("base term M0^s N^(-s) underflows to 0 at "
-                         f"N = {scales[int(np.argmin(base))]:g}")
+                         f"N = {scales[base.index(0.0)]:g}")
     return base
 
 
@@ -205,31 +221,22 @@ class RecurrenceReport:
         }
 
 
-def check_recurrence(seq: ASequence, params: RecurrenceParams,
-                     weights: np.ndarray | None = None) -> RecurrenceReport:
-    """Evaluate the recurrence inequality per scale and the smallest workable C1.
-
-    weights is _rhs_weights(seq.scales, params), computed here when not given.
-    """
+def check_recurrence(seq: ASequence, params: RecurrenceParams) -> RecurrenceReport:
+    """Evaluate the recurrence inequality per scale N >= M0 and the smallest workable C1."""
     if seq.scales[0] > params.m0 * 2.0:
         raise ValueError("sequence must cover the ladder from M0 up (sequence gap)")
-    scales, a = np.asarray(seq.scales), np.asarray(seq.values)
-    keep = scales >= params.m0
-    if not keep.any():
+    kept = [(float(N), float(a)) for N, a in zip(seq.scales, seq.values) if N >= params.m0]
+    if not kept:
         raise ValueError("no scales at or above M0 in the sequence")
-    if weights is None:
-        weights = _rhs_weights(scales, params)
-    ssum = (weights * a).sum(axis=1)[keep]
-    scales, a = scales[keep], a[keep]
-    base = _base_terms(scales, params)
-    rhs = params.c1 * base + ssum
-    slack = rhs - a
-    needed = np.maximum(0.0, (a - ssum) / base)
-    rows = tuple(tuple(map(float, r)) for r in zip(scales, a, ssum, rhs, slack, needed))
-    minimal = float(needed.max())
-    holds = bool(np.all(slack >= -CONCLUSION_SLACK * np.maximum(1.0, a)))
-    return RecurrenceReport(params=params, rows=rows, minimal_c1=minimal,
-                            holds_with_given_c1=holds)
+    scales, a = zip(*kept)
+    rows = []
+    for N, a_n, ssum, base in zip(scales, a, _window_sums(scales, a, params),
+                                  _base_terms(scales, params)):
+        rhs = params.c1 * base + ssum
+        rows.append((N, a_n, ssum, rhs, rhs - a_n, max(0.0, (a_n - ssum) / base)))
+    holds = all(slack >= -CONCLUSION_SLACK * max(1.0, a_n) for _, a_n, _, _, slack, _ in rows)
+    return RecurrenceReport(params=params, rows=tuple(rows),
+                            minimal_c1=max(r[5] for r in rows), holds_with_given_c1=holds)
 
 
 @dataclass(frozen=True)
@@ -251,7 +258,7 @@ class InductionTable:
         return 2.0 * p.c1 * p.m0**p.s * N ** (-p.s + p.gamma)
 
 
-def iterate_induction(params: RecurrenceParams, scales, weights: np.ndarray) -> InductionTable:
+def iterate_induction(params: RecurrenceParams, scales) -> InductionTable:
     """Replay the bootstrap induction numerically over the ladder's scales N >= M0.
 
     Row j tabulates the claimed bound B_j(N); each step is verified by
@@ -264,32 +271,30 @@ def iterate_induction(params: RecurrenceParams, scales, weights: np.ndarray) -> 
     steps all verify proves the bound for the tabulated ladder even when the
     (very conservative) closed-form admissibility caps are not met; the caps
     remain the published applicability gate for verify_recursive_control.
-    weights is _rhs_weights(scales, params), which verify_recursive_control
-    shares with check_recurrence.
     """
-    scales = np.asarray(scales, dtype=float)
-    keep = scales >= params.m0
-    if not keep.any():
+    p = params
+    scales = [float(N) for N in scales if N >= p.m0]
+    if not scales:
         raise ValueError("empty ladder: no scale at or above M0")
-    scales, weights = scales[keep], weights[np.ix_(keep, keep)]
-    limit = 2.0 * params.c1 * params.m0**params.s * scales ** (-params.s + params.gamma)
-    base = params.c1 * _base_terms(scales, params)
+    limit = [2.0 * p.c1 * p.m0**p.s * N ** (-p.s + p.gamma) for N in scales]
+    base = [p.c1 * b for b in _base_terms(scales, p)]
+    floor = 1e-12 * min(limit)
     js, bounds, verified = [], [], []
     j = 1
     while True:
-        beta_j = params.beta_prime**j
+        beta_j = p.beta_prime**j
+        bound = [lim + beta_j for lim in limit]
+        sums = _window_sums(scales, [min(b, p.a_bound) for b in bound], p)
+        nxt = [lim + p.beta_prime ** (j + 1) for lim in limit]
         js.append(j)
-        bounds.append(tuple(limit + beta_j))
-        capped = np.minimum(limit + beta_j, params.a_bound)
-        nxt = limit + params.beta_prime ** (j + 1)
-        rhs = base + np.einsum("ki,i->k", weights, capped)
-        verified.append(bool(np.all(rhs <= nxt + CONCLUSION_SLACK * np.maximum(1.0, nxt))))
-        if beta_j < 1e-12 * float(limit.min()) or j > 100000:
+        bounds.append(tuple(bound))
+        verified.append(all(b + ssum <= n + CONCLUSION_SLACK * max(1.0, n)
+                            for b, ssum, n in zip(base, sums, nxt)))
+        if beta_j < floor or j > 100000:
             break
         j += 1
-    return InductionTable(params=params, scales=tuple(float(N) for N in scales),
-                          js=tuple(js), bounds=tuple(bounds),
-                          steps_verified=tuple(verified))
+    return InductionTable(params=params, scales=tuple(scales), js=tuple(js),
+                          bounds=tuple(bounds), steps_verified=tuple(verified))
 
 
 @dataclass(frozen=True)
@@ -324,7 +329,7 @@ def verify_recursive_control(seq: ASequence, params: RecurrenceParams) -> Contro
     Inadmissible beta' or failed hypotheses yield applicable=False with the
     violated constraint named (the bound is then not claimed either way).  The
     induction replays the sequence's own scales N >= M0, which the conclusion
-    rows check, and reuses the recurrence check's weight matrix.
+    rows check.
     """
     violated = []
     adm = admissibility(params)
@@ -333,8 +338,7 @@ def verify_recursive_control(seq: ASequence, params: RecurrenceParams) -> Contro
     tol = CONCLUSION_SLACK
     if any(v > params.a_bound * (1.0 + tol) for v in seq.values):
         violated.append("trivial_bound")
-    weights = _rhs_weights(seq.scales, params)
-    rec = check_recurrence(seq, params, weights)
+    rec = check_recurrence(seq, params)
     if not rec.holds_with_given_c1:
         violated.append("recurrence_with_given_c1")
 
@@ -343,7 +347,7 @@ def verify_recursive_control(seq: ASequence, params: RecurrenceParams) -> Contro
                              admissibility=adm, induction_steps=0, induction_verified=False,
                              conclusion_rows=(), overall_pass=None, recurrence=rec)
 
-    table = iterate_induction(params, seq.scales, weights)
+    table = iterate_induction(params, seq.scales)
     rows = []
     overall = table.all_steps_verified
     for N, a in zip(seq.scales, seq.values):

@@ -1,9 +1,9 @@
 """Fast invariant suites for every module, runnable from the CLI.
 
 Each suite returns (name, ok, detail) tuples; the CLI prints one line per
-check and exits nonzero when anything fails.  All six take about 0.24 s, grid build
-and Q's solve included: 0.20-0.27 s in 7 fresh processes with one BLAS thread, after
-0.10-0.15 s of import, on a 2-CPU host shared with other jobs.  The check_*
+check and exits nonzero when anything fails.  All six take about 0.22 s, grid build
+and Q's solve included: 0.18-0.25 s in 7 fresh processes with one BLAS thread, after
+0.13-0.16 s of import, on a 2-CPU host shared with other jobs.  The check_*
 functions are the one implementation of each verdict that the suites,
 the acceptance suite and the ground-state, evolve and diagnose commands share:
 each takes its data and returns (ok, value), or a dict of them by name, with
@@ -104,33 +104,48 @@ def check_virial_bound(grid: core.RadialGrid, values: np.ndarray,
     return bool(np.all(v <= cap * (1 + 1e-12))), (float(v[near]), float(cap[near]))
 
 
-def oracle_trial(seq: recurrence.ASequence, s: float, gamma: float, beta: float,
-                 a_bound: float) -> bool:
-    """Calibrate C1 on seq and verify: applicable, and agrees with A_N <= 2 C1 N^(-s+gamma)."""
-    c1 = max(recurrence.check_recurrence(
-        seq, recurrence.RecurrenceParams(s, gamma, 1.0, 1.0, beta, a_bound)).minimal_c1, 1e-6)
-    report = recurrence.verify_recursive_control(
-        seq, recurrence.RecurrenceParams(s, gamma, c1, 1.0, beta, a_bound))
-    brute = all(a <= 2 * c1 * N ** (-s + gamma) * (1 + 1e-12) + 1e-12
-                for N, a in zip(seq.scales, seq.values))
-    return bool(report.applicable and report.overall_pass == brute)
+def check_recurrence_cases() -> dict[str, tuple[bool, float]]:
+    """Three verifier cases whose answers are known without it, at the admissible
+    s = 2.5, gamma = 1, beta' = 5e-3, C1 = M0 = A = 1, on the ladder N = 2^k, k < 40, where
+    the window M0 < M <= 2 beta' N of N = 2^k holds the rungs 2^1 ... 2^(k-7).
 
+    saturating: A_N = min(A, C1 N^-s + the window's sum), built rung by rung, meets every
+      hypothesis, so the verifier must apply and pass it.  Value: A_N N^s / C1 at the top
+      rung, above 1 by what the windows added.
+    planted_violation: A_N = min(A, 5 N^(-s+gamma)) breaks A_N <= 2 C1 N^(-s+gamma), so
+      it must not pass.  Value: its worst A_N / (2 C1 N^(-s+gamma)).
+    geometric_sum: for A_M = 1/M, each sum_term against the closed geometric sum
+      N^-s r (r^(k-7) - 1) / (r - 1), r = 2^(s-1).  Value: the worst relative gap.
+    """
+    p = recurrence.RecurrenceParams(s=2.5, gamma=1.0, c1=1.0, m0=1.0, beta_prime=5e-3,
+                                    a_bound=1.0)
+    ladder = tuple(2.0**k for k in range(40))
 
-def check_recurrence_oracle(rng: np.random.Generator, trials: int) -> tuple[bool, int]:
-    """Random admissible trials (gamma < 0.9 (s - 1)) that oracle_trial agrees on."""
-    agree = 0
-    for _ in range(trials):
-        s = float(rng.uniform(1.1, 2.5))
-        gamma = float(rng.uniform(0.05, (s - 1.0) * 0.9))
-        a_bound = float(rng.uniform(1.0, 20.0))
-        probe = recurrence.RecurrenceParams(s, gamma, 1.0, 1.0, 0.5, a_bound)
-        beta = recurrence.admissibility(probe)["threshold"] * float(rng.uniform(0.05, 0.9))
-        ladder = tuple(2.0**k for k in range(int(rng.integers(20, 50))))
-        vals = tuple(min(a_bound, a_bound * N ** (-float(rng.uniform(0.0, s))))
-                     for N in ladder)
-        agree += oracle_trial(recurrence.ASequence(ladder, vals, "synthetic"),
-                              s, gamma, beta, a_bound)
-    return agree == trials, agree
+    def passes(values):
+        rep = recurrence.verify_recursive_control(
+            recurrence.ASequence(ladder, tuple(values), "synthetic"), p)
+        return rep.applicable and rep.overall_pass
+
+    saturating = []
+    for N in ladder:
+        window = sum((M / N) ** p.s * a for M, a in zip(ladder, saturating)
+                     if p.m0 < M <= 2.0 * p.beta_prime * N)
+        saturating.append(min(p.a_bound, p.c1 * N**-p.s + window))
+    gain = saturating[-1] * ladder[-1] ** p.s / p.c1
+    planted = [min(p.a_bound, 5.0 * N ** (p.gamma - p.s)) for N in ladder]
+    worst = max(a / (2.0 * p.c1 * N ** (p.gamma - p.s)) for N, a in zip(ladder, planted))
+
+    rows = recurrence.check_recurrence(
+        recurrence.ASequence(ladder, tuple(1.0 / N for N in ladder), "synthetic"), p).rows
+    r = 2.0 ** (p.s - 1.0)
+    gap = 0.0
+    for k, (N, _, ssum, *_) in enumerate(rows):
+        closed = N**-p.s * r * (r ** max(0, k - 7) - 1.0) / (r - 1.0)
+        if ssum != closed:
+            gap = max(gap, abs(ssum - closed) / closed if closed else math.inf)
+    return {"saturating": (passes(saturating) and gain > 1.0, gain),
+            "planted_violation": (not passes(planted) and worst > 1.0, worst),
+            "geometric_sum": (gap < 1e-13, gap)}
 
 
 @functools.cache
@@ -232,8 +247,11 @@ def suite_diagnostics() -> list[tuple[str, bool, str]]:
 
 
 def suite_recurrence() -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(SEED + 3)
-    return [_line("recurrence.oracle_agreement", check_recurrence_oracle(rng, 100), "{}/100")]
+    cases = check_recurrence_cases()
+    return [_line("recurrence.saturating", cases["saturating"], "top A_N N^s/C1 {:.6g}"),
+            _line("recurrence.planted_violation", cases["planted_violation"],
+                  "A_N/bound {:.3f}"),
+            _line("recurrence.geometric_sum", cases["geometric_sum"], "rel {:.2e}")]
 
 
 ALL_SUITES = (suite_core, suite_groundstate, suite_bands, suite_evolution, suite_diagnostics,

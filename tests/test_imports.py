@@ -264,12 +264,12 @@ SESSION_CONFIG = {
 }
 
 
-# the radnls modules each command loads: a command imports the modules it runs when it
-# runs, so a synthetic lemma loads the verifier alone of the numerics, and a lemma
-# extracted from a trajectory neither diagnostics nor selftest
+# the radnls modules each command loads, and numpy: a command imports the modules it
+# runs when it runs, so a synthetic lemma loads the verifier alone of the numerics and
+# no numpy, and a lemma extracted from a trajectory neither diagnostics nor selftest
 EVERY_MODULE = {"radnls", "radnls.bands", "radnls.cli", "radnls.core", "radnls.diagnostics",
                 "radnls.errors", "radnls.evolution", "radnls.fieldio", "radnls.groundstate",
-                "radnls.recurrence", "radnls.selftest"}
+                "radnls.recurrence", "radnls.selftest", "numpy"}
 LOADED = {
     "ground-state": EVERY_MODULE,
     "evolve": EVERY_MODULE,
@@ -280,10 +280,29 @@ LOADED = {
 }
 
 
+def loaded_after(code: str, *args: str, cwd=None) -> list:
+    """The last line that code prints, as JSON, after it ran in a fresh process with args."""
+    env = dict(os.environ, PYTHONPATH=str(Path(radnls.__file__).resolve().parents[1]))
+    env.pop("RADNLS_OUTPUT_ROOT", None)     # outputs go under cwd
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+# the modules of scipy and radnls, and numpy itself, that the process has loaded
+MODULES = ("sorted(m for m in sys.modules if m == 'numpy' "
+           "or m.partition('.')[0] in ('scipy', 'radnls'))")
+
+
+def test_importing_the_cli_loads_no_numpy():
+    code = f"import json, sys\nimport radnls.cli\nprint(json.dumps({MODULES}))\n"
+    assert loaded_after(code) == ["radnls", "radnls.cli", "radnls.errors"]
+
+
 def test_no_command_loads_scipy(tmp_path):
     # each command in a fresh process, as the CLI runs it; after the command, no
-    # module of scipy may be loaded, and the radnls modules are those of LOADED
-    src = str(Path(radnls.__file__).resolve().parents[1])
+    # module of scipy may be loaded, and the radnls modules and numpy are those of LOADED
     cfg = tmp_path / "session.json"
     cfg.write_text(json.dumps(SESSION_CONFIG))
     synthetic = tmp_path / "synthetic.json"
@@ -291,20 +310,13 @@ def test_no_command_loads_scipy(tmp_path):
         "params": SESSION_CONFIG["lemma"]["params"] | {"m0": 1.0},
         "sequence": {"kind": "synthetic_power", "ladder": 600}}}))
     code = ("import json, sys\nfrom radnls import cli\nrc = cli.main(sys.argv[1:])\n"
-            "print(json.dumps([rc, sorted(m for m in sys.modules "
-            "if m.partition('.')[0] in ('scipy', 'radnls'))]))\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("RADNLS_OUTPUT_ROOT", None)     # the outputs go to tmp_path/run
+            f"print(json.dumps([rc, {MODULES}]))\n")
     found = {}
     for name, config, command in (
             ("ground-state", cfg, ["ground-state"]), ("evolve", cfg, ["evolve"]),
             ("diagnose", cfg, ["diagnose", "run/trajectory"]), ("lemma", cfg, ["lemma"]),
             ("lemma synthetic_power", synthetic, ["lemma"]), ("selftest", cfg, ["selftest"])):
-        run = subprocess.run([sys.executable, "-c", code, "--config", str(config), *command],
-                             env=env, cwd=tmp_path,
-                             capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        rc, modules = json.loads(run.stdout.splitlines()[-1])
+        rc, modules = loaded_after(code, "--config", str(config), *command, cwd=tmp_path)
         found[name] = [rc, set(modules)]
     assert found == {name: [0, modules] for name, modules in LOADED.items()}
 

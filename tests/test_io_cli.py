@@ -337,19 +337,6 @@ class TestCli:
         report = json.loads((out_env / "lem1" / "lemma_report.json").read_text())
         assert report["recurrence"] == json.loads(json.dumps(check(*calls[0]).to_json_obj()))
 
-    def test_lemma_builds_the_weight_matrix_once(self, out_env, tmp_path, monkeypatch):
-        # check_recurrence and iterate_induction share one (L, L) matrix
-        build = recurrence._rhs_weights
-        calls = []
-        monkeypatch.setattr(recurrence, "_rhs_weights",
-                            lambda *args: calls.append(len(args[0])) or build(*args))
-        cfg = write_cfg(tmp_path, {"lemma": {"params": LEMMA_PARAMS,
-                                             "sequence": {"kind": "synthetic_power",
-                                                          "ladder": 600}},
-                                   "output_dir": "lem600"})
-        assert cli.main(["--config", cfg, "lemma"]) == 0
-        assert calls == [600]
-
     def test_selftest_solves_the_ground_state_once(self, monkeypatch, capsys):
         calls = []
 
@@ -377,7 +364,8 @@ class TestCli:
             "bands.mismatch_norm",
             "evolution.solitary_wave", "evolution.mass", "evolution.free_gaussian",
             "diagnostics.free_virial", "diagnostics.virial_bound", "diagnostics.concentration",
-            "recurrence.oracle_agreement"]
+            "recurrence.saturating", "recurrence.planted_violation",
+            "recurrence.geometric_sum"]
 
     def test_lemma_inapplicable_is_not_failure(self, out_env, tmp_path):
         cfg = write_cfg(tmp_path, {

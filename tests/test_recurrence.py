@@ -3,13 +3,15 @@ import hashlib
 import json
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radnls import core, evolution, recurrence, selftest
+from radnls import core, evolution, recurrence
 
 LADDER = tuple(2.0**k for k in range(0, 12))
 
@@ -22,10 +24,6 @@ def power_sequence(exponent, ladder=LADDER, cap=math.inf):
 def dyadic_ladder(n_max):
     """1, 2, 4, ..., n_max."""
     return tuple(2.0**k for k in range(round(math.log2(n_max)) + 1))
-
-
-def induction(params, ladder):
-    return recurrence.iterate_induction(params, ladder, recurrence._rhs_weights(ladder, params))
 
 
 def make_params(**kw):
@@ -47,6 +45,17 @@ def sums_matching_loop(seq, params):
         expected = loop_rhs_sum(seq.scales, seq.values, params, N)
         assert ssum == pytest.approx(expected, rel=1e-13, abs=0.0), N
     return sums
+
+
+def oracle_trial(seq, s, gamma, beta, a_bound):
+    """Calibrate C1 on seq and verify: applicable, and agrees with A_N <= 2 C1 N^(-s+gamma)."""
+    c1 = max(recurrence.check_recurrence(
+        seq, recurrence.RecurrenceParams(s, gamma, 1.0, 1.0, beta, a_bound)).minimal_c1, 1e-6)
+    report = recurrence.verify_recursive_control(
+        seq, recurrence.RecurrenceParams(s, gamma, c1, 1.0, beta, a_bound))
+    brute = all(a <= 2 * c1 * N ** (-s + gamma) * (1 + 1e-12) + 1e-12
+                for N, a in zip(seq.scales, seq.values))
+    return bool(report.applicable and report.overall_pass == brute)
 
 
 def zero_trajectory(grid, n_snaps=51, dt=1e-3):
@@ -202,6 +211,35 @@ class TestCheckRecurrence:
         assume(scales[-1] >= m0)
         sums_matching_loop(recurrence.ASequence(tuple(scales), values, "synthetic"), params)
 
+    # up to 860 rungs, the longest ladder whose base term M0^s N^(-s) stays nonzero at
+    # s = 1.25; a = N^(-s) keeps every sum a normal float up to 818 rungs
+    @pytest.mark.parametrize("rungs, beta, values", [
+        (860, 0.25, "constant"), (860, 1e-16, "constant"), (860, 0.25, "uniform"),
+        (860, 0.25, "growing"), (818, 0.25, "power_s"), (818, 1e-16, "power_s")])
+    def test_sums_match_loop_on_long_dyadic_ladders(self, rungs, beta, values):
+        ladder = dyadic_ladder(2.0 ** (rungs - 1))
+        vals = {"constant": [1.0] * rungs,
+                "uniform": np.random.default_rng(rungs).uniform(0.0, 2.0, rungs).tolist(),
+                "growing": list(ladder),
+                "power_s": [N**-1.25 for N in ladder]}[values]
+        sums_matching_loop(recurrence.ASequence(ladder, tuple(vals), "synthetic"),
+                           make_params(beta_prime=beta))
+
+    def test_subnormal_sums_within_the_rounding_of_their_terms(self):
+        # past 2^817 at s = 1.25 the sums of a = N^(-s) are subnormal, where each of the
+        # loop's terms and each carry rounds to a multiple of 2^-1074: the two differ by
+        # at most one such step per rung, not by a relative bound
+        ladder = dyadic_ladder(2.0**859)
+        vals = tuple(N**-1.25 for N in ladder)
+        params = make_params(beta_prime=0.25)
+        rows = recurrence.check_recurrence(recurrence.ASequence(ladder, vals, "synthetic"),
+                                           params).rows
+        loops = [loop_rhs_sum(ladder, vals, params, N) for N, *_ in rows]
+        tiny = [(row[2], loop) for row, loop in zip(rows, loops)
+                if 0.0 < loop < sys.float_info.min]
+        assert len(tiny) > 30
+        assert all(abs(ssum - loop) <= len(ladder) * 2.0**-1074 for ssum, loop in tiny)
+
     def test_underflowing_base_term_rejected(self):
         params = make_params()
         long_ladder = tuple(2.0**k for k in range(900))
@@ -237,12 +275,11 @@ class TestRecursiveControl:
         params = recurrence.RecurrenceParams(s=1.25, gamma=0.2, c1=1.0, m0=1.0,
                                              beta_prime=1e-3, a_bound=10.0)
         ladder = tuple(2.0**k for k in range(0, 21))
-        vals = np.full(len(ladder), params.a_bound)
-        weights = recurrence._rhs_weights(ladder, params)
+        vals = [params.a_bound] * len(ladder)
         for _ in range(400):
-            vals = np.array([min(params.a_bound, params.c1 * N**-params.s + ssum)
-                             for N, ssum in zip(ladder, (weights * vals).sum(axis=1))])
-        table = induction(params, ladder)
+            vals = [min(params.a_bound, params.c1 * N**-params.s
+                        + loop_rhs_sum(ladder, vals, params, N)) for N in ladder]
+        table = recurrence.iterate_induction(params, ladder)
         assert all(v <= table.limit_bound(N) * (1 + 1e-9)
                    for N, v in zip(ladder, vals))
 
@@ -261,15 +298,32 @@ class TestRecursiveControl:
         assert rep.induction_steps == len(tables[0].js)
 
     def test_600_rung_ladder_report_pinned(self):
-        # the benchmark's lemma ladder starts at M0, so its report kept every bit when the
-        # induction moved from the ladder M0 2^k to the sequence's own scales
+        # the benchmark's lemma ladder: A_M = M^(-s), so each window term (M/N)^s A_M is
+        # N^(-s) and sum_term is N^(-s) times the number of rungs 1 < M <= 2 beta' N (1 + 1e-12)
+        params = make_params(beta_prime=1e-16)
         rep = recurrence.verify_recursive_control(
-            power_sequence(-1.25, dyadic_ladder(2.0**599), cap=1.0), make_params(beta_prime=1e-16))
+            power_sequence(-1.25, dyadic_ladder(2.0**599), cap=1.0), params)
+        shift = math.floor(math.log2(2.0 * params.beta_prime * (1.0 + 1e-12)))
+        for k, (N, _, ssum, *_) in enumerate(rep.recurrence.rows):
+            assert ssum == pytest.approx(max(0, k + shift) * N**-params.s, rel=1e-12, abs=0.0)
+        assert rep.recurrence.minimal_c1 == 1.0 and rep.recurrence.holds_with_given_c1
+        assert rep.overall_pass and rep.induction_steps == 13
         blob = json.dumps({"control": rep.to_json_obj(),
                            "recurrence": rep.recurrence.to_json_obj()}, sort_keys=True)
-        assert rep.overall_pass and rep.induction_steps == 13
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "5283c7cee12e28b05160ffb41f8df2e6d857a5e614ade3887b15c7a01fe11a09")
+            "97fcae180d35bcf2aca4cf2777372b3afd8eabf6622230d884c0acf19617980b")
+
+    def test_verify_holds_no_ladder_square_matrix(self):
+        # the sums once came from an (L, L) float matrix, 5.8 MB at L = 850
+        ladder = dyadic_ladder(2.0**849)
+        seq = power_sequence(-1.25, ladder, cap=1.0)
+        tracemalloc.start()
+        try:
+            recurrence.verify_recursive_control(seq, make_params(beta_prime=1e-16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(ladder) ** 2 * 8 / 4
 
     def test_planted_conclusion_violation_never_passes(self):
         # a sequence that breaks the final bound must break a hypothesis;
@@ -305,25 +359,25 @@ class TestRecursiveControl:
         vals = tuple(min(a_bound, a_bound * N ** (-decay * float(rng.uniform(0, 1))))
                      for N in ladder)
         seq = recurrence.ASequence(ladder, vals, "synthetic")
-        assert selftest.oracle_trial(seq, s, gamma, beta, a_bound)
+        assert oracle_trial(seq, s, gamma, beta, a_bound)
 
 
 class TestIterateInduction:
     def test_first_row_is_base_case_bound(self):
         params = make_params(beta_prime=1e-6)
-        table = induction(params, dyadic_ladder(1024.0))
+        table = recurrence.iterate_induction(params, dyadic_ladder(1024.0))
         expected = [2 * params.c1 * N ** (-params.s + params.gamma) + params.beta_prime
                     for N in table.scales]
         assert np.allclose(table.bounds[0], expected, rtol=1e-14)
 
     def test_bounds_strictly_decrease_in_j(self):
-        table = induction(make_params(beta_prime=1e-4), dyadic_ladder(256.0))
+        table = recurrence.iterate_induction(make_params(beta_prime=1e-4), dyadic_ladder(256.0))
         for i in range(len(table.js) - 1):
             assert all(b2 < b1 for b1, b2 in zip(table.bounds[i], table.bounds[i + 1]))
 
     def test_limit_is_geometric_vanishing(self):
         params = make_params(beta_prime=1e-4)
-        table = induction(params, dyadic_ladder(256.0))
+        table = recurrence.iterate_induction(params, dyadic_ladder(256.0))
         final = np.asarray(table.bounds[-1])
         limit = np.asarray([table.limit_bound(N) for N in table.scales])
         assert np.max(np.abs(final - limit) / limit) < 1e-10
@@ -333,7 +387,7 @@ class TestIterateInduction:
                                                 (1.25, 0.2, 0.02), (2.0, 0.5, 0.02)])
     def test_steps_match_loop_replay(self, s, gamma, beta):
         params = make_params(s=s, gamma=gamma, beta_prime=beta)
-        table = induction(params, dyadic_ladder(2.0**30))
+        table = recurrence.iterate_induction(params, dyadic_ladder(2.0**30))
         scales = np.asarray(table.scales)
         limit = 2.0 * params.c1 * params.m0**params.s * scales ** (-params.s + params.gamma)
         for j, ok in zip(table.js, table.steps_verified):
@@ -346,7 +400,7 @@ class TestIterateInduction:
 
     def test_steps_verify_for_admissible_params(self):
         params = make_params(s=1.5, gamma=0.3, beta_prime=1e-8, a_bound=2.0)
-        table = induction(params, dyadic_ladder(2.0**30))
+        table = recurrence.iterate_induction(params, dyadic_ladder(2.0**30))
         assert table.all_steps_verified
 
 
