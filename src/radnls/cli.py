@@ -1,9 +1,10 @@
 """Command-line entry points: ground-state, evolve, diagnose, lemma, selftest.
 
-Configuration is JSON with the keys of DEFAULTS and PARAMS and no others; flags
-override config fields.  Exit codes (ERRORS): 0 ok, 1 a diagnostic check failed,
-2 invalid input, 3 I/O error, 4 numerical guard tripped or numerical failure (an
-iteration or root-finder that did not converge).
+Configuration is JSON with the keys of DEFAULTS and PARAMS and no others (lemma
+checks lemma.params itself); flags override config fields.  Exit codes (ERRORS):
+0 ok, 1 a diagnostic check failed, 2 invalid input, 3 I/O error, 4 numerical
+guard tripped or numerical failure (an iteration or root-finder that did not
+converge).
 
 Outputs are deterministic for a fixed (config, seed): every JSON/CSV file
 embeds the config hash, the artifact version, and the seed, and contains no
@@ -11,7 +12,8 @@ timestamps.  JSON is written compact with sorted keys.  The environment
 variable RADNLS_OUTPUT_ROOT prefixes relative output directories.
 
 Each command imports the modules it runs when it runs, so lemma on a
-synthetic or file sequence loads recurrence alone of the numerics, and no numpy.
+synthetic or file sequence loads recurrence alone of the numerics, and no numpy,
+and diagnose loads neither recurrence nor selftest.
 """
 
 from __future__ import annotations
@@ -167,10 +169,6 @@ def load_config(path: str | None, overrides: dict) -> dict:
         for key, default in DEFAULTS.items():
             if isinstance(default, dict):
                 _object(key, cfg[key], default)
-        from .recurrence import RecurrenceParams
-
-        _object("lemma.params", cfg["lemma"]["params"],
-                dict.fromkeys(RecurrenceParams.__dataclass_fields__))
         diagnostic_params(cfg)
         kind_params("lemma.sequence", cfg["lemma"]["sequence"])
     cfg = _merge(cfg, overrides)
@@ -360,23 +358,19 @@ def _rows(*columns) -> list[tuple]:
 
 
 def _diag_virial(traj, spec):
-    from . import core, diagnostics, selftest
+    from . import core, diagnostics
 
-    r_cut = spec["R"]
     if len(traj) < 5:
         raise ConfigError("trajectory too short for the virial stencil")
-    grid, times = traj.grid, traj.times[2:-2]
-    acc = diagnostics.virial_acceleration(traj, r_cut, times)
-    eight_k = 8 * core._kinetic_sum(grid, traj.coeffs[2:-2])
-    free = traj.config.mu == 0
-    ok, worst = selftest.check_free_virial(acc, eight_k) if free else (True, 0.0)
-    bound_ok, _ = selftest.check_virial_bound(grid, traj.values, r_cut)
+    times = traj.times[2:-2]
+    residual = float(diagnostics.virial_residual(traj, times).max())
     header = ["t", "d2_virial", "eight_kinetic"]
-    rows = _rows(times, acc, eight_k)
-    payload = {"rows": _row_dicts(header, rows),
-               "free_flow_worst_rel": worst if free else None,
-               "cutoff_bound_ok": bound_ok}
-    return ok and bound_ok, {"worst_rel": worst}, payload, header, rows
+    rows = _rows(times, diagnostics.virial_acceleration(traj, spec["R"], times),
+                 8 * core._kinetic_sum(traj.grid, traj.coeffs[2:-2]))
+    payload = {"rows": _row_dicts(header, rows), "identity_residual": residual,
+               "identity_bound": diagnostics.VIRIAL_TOL}
+    ok = residual <= diagnostics.VIRIAL_TOL
+    return ok, {"identity_residual": residual}, payload, header, rows
 
 
 def _diag_kinetic_localization(traj, spec):

@@ -1,4 +1,4 @@
-"""Proof-side observables: truncated virial dynamics, kinetic-energy
+"""Proof-side observables: virial dynamics and its identity, kinetic-energy
 localization, concentration radii, and power-law decay fits of band norms.
 
 Each quantity has one public function, which works along the last axis of its
@@ -22,6 +22,7 @@ from .core import (
     RadialGrid,
     _check_resolved,
     _derivative_values,
+    _energy_sum,
     _kinetic_sum,
     _multiplier_inverse,
     validate_scale,
@@ -29,6 +30,10 @@ from .core import (
 from .evolution import Trajectory
 
 NOISE_FLOOR = 1e-12
+# virial_residual's bound: correct runs at d = 4 read at most 2.3e-5, 4.4x under it (pc
+# blowup, n = 640, snapshots 25 steps of 1e-3 apart), sw 2.3e-6, Gaussians 1e-7; a step whose
+# nonlinear half-phases take 0.51 dt reads 1.5e-3 to 2.0e-2, 15x to 200x over it
+VIRIAL_TOL = 1e-4
 UNRESOLVABLE = "superpolynomial, exponent unresolvable (noise floor)"
 
 
@@ -74,8 +79,8 @@ def virial_acceleration(traj: Trajectory, R: float, t):
 
     Five-point centered stencil at the snapshot spacing; needs two snapshots
     on each side of t.  For R beyond the localization radius this approaches
-    d^2/dt^2 of the full variance, which the free flow pins at
-    8 ||grad u||^2 exactly.
+    d^2/dt^2 of the full variance, which the flow pins at 16 E(u) (see
+    virial_residual).
     """
     i = traj.index_at(t)
     if np.any(i < 2) or np.any(i > len(traj) - 3):
@@ -86,6 +91,19 @@ def virial_acceleration(traj: Trajectory, R: float, t):
     h = hs[..., 0]
     v = truncated_virial(traj.grid, traj.values, R)
     return (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12.0 * h * h)
+
+
+def virial_residual(traj: Trajectory, t):
+    """|V'' - 16 E(u)| / (8 ||grad u||^2) at a snapshot time (or an array of them), 0 where
+    grad u = 0, with V'' the virial_acceleration of the untruncated variance.  The flow
+    obeys V'' = 16 E (Glassey 1977); V'' comes from snapshots across time and E from
+    each snapshot alone, so they agree only if the integrator solves the equation."""
+    i = traj.index_at(t)
+    coeffs = traj.coeffs[i]
+    gap = np.abs(virial_acceleration(traj, math.inf, t)
+                 - 16 * _energy_sum(traj.grid, traj.values[i], coeffs, traj.config.mu))
+    eight_k = 8 * _kinetic_sum(traj.grid, coeffs)
+    return np.divide(gap, eight_k, out=np.zeros_like(gap), where=eight_k > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -71,12 +71,15 @@ def load_field_binary(path, grid: RadialGrid) -> RadialField:
 def save_trajectory(traj: Trajectory, out_dir) -> Path:
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
-    for i in range(len(traj)):
-        save_field_binary(traj.field(i), out / "snapshots" / f"{i:06d}.rfb")
+    paths = [out / "snapshots" / f"{i:06d}.rfb" for i in range(len(traj))]
+    for i, path in enumerate(paths):
+        save_field_binary(traj.field(i), path)
+    for stale in set((out / "snapshots").glob("*.rfb")).difference(paths):  # an earlier run's
+        stale.unlink()
     manifest = {
         "artifact_version": __version__,
         "config_hash": config_hash(vars(traj.config)),
-        "config": vars(traj.config) | {},
+        "config": vars(traj.config),
         "times": traj.times.tolist(),
         "mass_log": list(traj.mass_log),
         "energy_log": list(traj.energy_log),

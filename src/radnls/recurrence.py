@@ -22,6 +22,7 @@ bands inside its functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -197,11 +198,12 @@ def _window_sums(scales, values, params: RecurrenceParams) -> list[float]:
 
 
 def _base_terms(scales, params: RecurrenceParams) -> list[float]:
-    """M0^s N^(-s) per scale; raises if it underflows to 0 (the ladder is too long)."""
+    """M0^s N^(-s) per scale; raises if it is subnormal or 0 (the ladder is too long)."""
     base = [params.m0**params.s * float(N) ** (-params.s) for N in scales]
-    if 0.0 in base:
-        raise ValueError("base term M0^s N^(-s) underflows to 0 at "
-                         f"N = {scales[base.index(0.0)]:g}")
+    tiny = [N for N, b in zip(scales, base) if b < sys.float_info.min]
+    if tiny:
+        raise ValueError("base term M0^s N^(-s) underflows below the smallest normal float "
+                         f"at N = {tiny[0]:g}")
     return base
 
 

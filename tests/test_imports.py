@@ -266,14 +266,15 @@ SESSION_CONFIG = {
 
 # the radnls modules each command loads, and numpy: a command imports the modules it
 # runs when it runs, so a synthetic lemma loads the verifier alone of the numerics and
-# no numpy, and a lemma extracted from a trajectory neither diagnostics nor selftest
+# no numpy, a lemma extracted from a trajectory neither diagnostics nor selftest, and
+# diagnose neither selftest nor the verifier
 EVERY_MODULE = {"radnls", "radnls.bands", "radnls.cli", "radnls.core", "radnls.diagnostics",
                 "radnls.errors", "radnls.evolution", "radnls.fieldio", "radnls.groundstate",
                 "radnls.recurrence", "radnls.selftest", "numpy"}
 LOADED = {
     "ground-state": EVERY_MODULE,
     "evolve": EVERY_MODULE,
-    "diagnose": EVERY_MODULE,
+    "diagnose": EVERY_MODULE - {"radnls.selftest", "radnls.recurrence"},
     "lemma": EVERY_MODULE - {"radnls.diagnostics", "radnls.selftest"},
     "lemma synthetic_power": {"radnls", "radnls.cli", "radnls.errors", "radnls.recurrence"},
     "selftest": EVERY_MODULE - {"radnls.fieldio"},

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import radnls
-from radnls import bands, cli, core, errors, evolution, fieldio, groundstate, recurrence, selftest
+from radnls import (bands, cli, core, diagnostics, errors, evolution, fieldio, groundstate,
+                    recurrence, selftest)
 
 
 class TestFieldFormats:
@@ -205,7 +206,7 @@ class TestCli:
         assert cli.main(["--config", cfg, "evolve"]) == 0
         summary = json.loads((out_env / "zero" / "evolve_summary.json").read_text())
         assert summary["mass_drift"] == 0.0
-        # the default virial diagnostic has R = inf, where a zero field has no bound to fail
+        # the default virial diagnostic reads a residual of 0 where grad u = 0
         assert cli.main(["--config", cfg, "diagnose", str(out_env / "zero" / "trajectory")]) == 0
 
     def test_sw_evolve_reads_the_ground_state_once(self, out_env, tmp_path, monkeypatch,
@@ -261,7 +262,44 @@ class TestCli:
                          str(out_env / "free" / "trajectory")]) == 0
         summary = json.loads((out_env / "free" / "diagnose_summary.json").read_text())
         assert summary["results"]["virial"]["passed"]
-        assert summary["results"]["virial"]["worst_rel"] < 0.05
+        assert summary["results"]["virial"]["identity_residual"] <= diagnostics.VIRIAL_TOL
+
+    def test_virial_identity_fails_a_too_strong_nonlinearity(self, out_env, tmp_path,
+                                                            monkeypatch, capsys):
+        # each nonlinear half-phase of the step turned from 0.5 dt into 0.51 dt: the run
+        # still conserves mass, but V'' no longer meets 16 E
+        step = evolution.step
+
+        def mutated(u, dt, mu):
+            def kick(values):
+                return values * np.exp(-1j * mu * 0.01 * dt * np.abs(values) ** (4.0 / u.grid.d))
+
+            return core.RadialField(u.grid, kick(step(core.RadialField(
+                u.grid, kick(u.values)), dt, mu).values))
+
+        monkeypatch.setattr(evolution, "step", mutated)
+        cfg = write_cfg(tmp_path, {
+            "grid": SMALL_GRID, "time": {"dt": 1e-3, "T": 0.05, "cadence": 1},
+            "initial": {"kind": "gaussian", "params": {"amplitude": 2.0}},
+            "output_dir": "mutated"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        assert cli.main(["--config", cfg, "diagnose",
+                         str(out_env / "mutated" / "trajectory")]) == 1
+        summary = json.loads((out_env / "mutated" / "diagnose_summary.json").read_text())
+        assert "virial" in summary["failures"]
+        assert summary["results"]["virial"]["identity_residual"] > 10 * diagnostics.VIRIAL_TOL
+
+    def test_shorter_rerun_leaves_no_stale_snapshots(self, out_env, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"grid": SMALL_GRID,
+                                   "time": {"dt": 1e-3, "T": 0.02, "cadence": 1},
+                                   "output_dir": "rerun"})
+        run = out_env / "rerun" / "trajectory"
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        assert len(list((run / "snapshots").iterdir())) == 21
+        assert cli.main(["--config", cfg, "--T", "0.01", "evolve"]) == 0
+        assert sorted(p.name for p in (run / "snapshots").iterdir()) == [
+            f"{i:06d}.rfb" for i in range(11)]
+        assert cli.main(["--config", cfg, "diagnose", str(run)]) == 0
 
     def test_initial_file_shorter_than_header_exits_2(self, out_env, tmp_path, capsys):
         snapshot = tmp_path / "short.rfb"
@@ -363,7 +401,7 @@ class TestCli:
             "bands.partition", "bands.fat_idempotent", "bands.in_out_complete",
             "bands.mismatch_norm",
             "evolution.solitary_wave", "evolution.mass", "evolution.free_gaussian",
-            "diagnostics.free_virial", "diagnostics.virial_bound", "diagnostics.concentration",
+            "diagnostics.virial_identity", "diagnostics.concentration",
             "recurrence.saturating", "recurrence.planted_violation",
             "recurrence.geometric_sum"]
 
@@ -383,7 +421,8 @@ class TestCli:
                      id="nan_scale"),
         pytest.param({"rows": "0.0,1.0\n0.0,0.5\n"}, "finite and positive", id="zero_scale"),
         pytest.param({"rows": "1.0,1.0\n2.0\n4.0,0.25\n"}, "line 3", id="missing_column"),
-        pytest.param({"kind": "synthetic_power", "ladder": 900}, "underflows to 0",
+        pytest.param({"kind": "synthetic_power", "ladder": 900},
+                     "underflows below the smallest normal float",
                      id="underflowing_base_term"),
     ])
     def test_bad_lemma_sequence_exits_2(self, out_env, tmp_path, capsys, sequence, detail):
@@ -398,6 +437,22 @@ class TestCli:
         assert cli.main(["--config", cfg, "lemma"]) == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "invalid_input" and detail in error["detail"]
+
+    @pytest.mark.parametrize("params, detail", [
+        pytest.param(LEMMA_PARAMS | {"gama": 0.2}, "unexpected keyword argument 'gama'",
+                     id="unknown_key"),
+        pytest.param({k: v for k, v in LEMMA_PARAMS.items() if k != "s"}, "missing",
+                     id="missing_key"),
+        pytest.param(LEMMA_PARAMS | {"s": 0.5}, "need s > 1", id="bad_value"),
+        pytest.param(5, "must be a mapping", id="not_an_object"),
+    ])
+    def test_bad_lemma_params_exit_2(self, out_env, tmp_path, capsys, params, detail):
+        # lemma.params is RecurrenceParams' to check, when lemma runs
+        cfg = write_cfg(tmp_path, {"lemma": {"params": params}, "output_dir": "lem_params"})
+        assert cli.main(["--config", cfg, "lemma"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "invalid_input"
+        assert error["detail"].startswith("bad lemma.params") and detail in error["detail"]
 
     def test_unknown_config_key_exits_2(self, out_env, tmp_path):
         cfg = write_cfg(tmp_path, {"no_such_key": 1})
@@ -564,7 +619,7 @@ class TestCli:
                    "concentration": "t,c_x,c_xi"}
         decay = {"table", "exponent", "residual", "threshold", "passes", "note"}
         keys = {"frequency_decay": decay, "spatial_decay": decay,
-                "virial": {"rows", "free_flow_worst_rel", "cutoff_bound_ok"},
+                "virial": {"rows", "identity_residual", "identity_bound"},
                 "kinetic_localization": {"rows", "spread_cells"}, "concentration": {"rows"}}
         cfg = write_cfg(tmp_path, {
             "grid": SMALL_GRID, "mu": 0,

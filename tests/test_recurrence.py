@@ -211,11 +211,11 @@ class TestCheckRecurrence:
         assume(scales[-1] >= m0)
         sums_matching_loop(recurrence.ASequence(tuple(scales), values, "synthetic"), params)
 
-    # up to 860 rungs, the longest ladder whose base term M0^s N^(-s) stays nonzero at
-    # s = 1.25; a = N^(-s) keeps every sum a normal float up to 818 rungs
+    # up to 818 rungs, the longest ladder whose base term M0^s N^(-s) stays a normal float
+    # at s = 1.25
     @pytest.mark.parametrize("rungs, beta, values", [
-        (860, 0.25, "constant"), (860, 1e-16, "constant"), (860, 0.25, "uniform"),
-        (860, 0.25, "growing"), (818, 0.25, "power_s"), (818, 1e-16, "power_s")])
+        (818, 0.25, "constant"), (818, 1e-16, "constant"), (818, 0.25, "uniform"),
+        (818, 0.25, "growing"), (818, 0.25, "power_s"), (818, 1e-16, "power_s")])
     def test_sums_match_loop_on_long_dyadic_ladders(self, rungs, beta, values):
         ladder = dyadic_ladder(2.0 ** (rungs - 1))
         vals = {"constant": [1.0] * rungs,
@@ -225,29 +225,25 @@ class TestCheckRecurrence:
         sums_matching_loop(recurrence.ASequence(ladder, tuple(vals), "synthetic"),
                            make_params(beta_prime=beta))
 
-    def test_subnormal_sums_within_the_rounding_of_their_terms(self):
-        # past 2^817 at s = 1.25 the sums of a = N^(-s) are subnormal, where each of the
-        # loop's terms and each carry rounds to a multiple of 2^-1074: the two differ by
-        # at most one such step per rung, not by a relative bound
-        ladder = dyadic_ladder(2.0**859)
-        vals = tuple(N**-1.25 for N in ladder)
-        params = make_params(beta_prime=0.25)
-        rows = recurrence.check_recurrence(recurrence.ASequence(ladder, vals, "synthetic"),
-                                           params).rows
-        loops = [loop_rhs_sum(ladder, vals, params, N) for N, *_ in rows]
-        tiny = [(row[2], loop) for row, loop in zip(rows, loops)
-                if 0.0 < loop < sys.float_info.min]
-        assert len(tiny) > 30
-        assert all(abs(ssum - loop) <= len(ladder) * 2.0**-1074 for ssum, loop in tiny)
+    def test_819_rung_ladder_rejected(self):
+        # at N = 2^818 the base term N^(-1.25) is subnormal, and so would be the sums of
+        # a = N^(-s), keeping only a few bits each
+        ladder = dyadic_ladder(2.0**818)
+        assert ladder[-1] ** -1.25 < sys.float_info.min <= ladder[-2] ** -1.25
+        seq = recurrence.ASequence(ladder, tuple(N**-1.25 for N in ladder), "synthetic")
+        with pytest.raises(ValueError, match=re.escape(
+                f"below the smallest normal float at N = {2.0**818:g}")):
+            recurrence.check_recurrence(seq, make_params(beta_prime=0.25))
 
     def test_underflowing_base_term_rejected(self):
         params = make_params()
         long_ladder = tuple(2.0**k for k in range(900))
         seq = recurrence.ASequence(long_ladder, tuple(0.0 for _ in long_ladder), "synthetic")
-        with pytest.raises(ValueError, match=re.escape(f"underflows to 0 at N = {2.0**860:g}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"underflows below the smallest normal float at N = {2.0**818:g}")):
             recurrence.check_recurrence(seq, params)
         rep = recurrence.check_recurrence(
-            dataclasses.replace(seq, scales=long_ladder[:860], values=seq.values[:860]), params)
+            dataclasses.replace(seq, scales=long_ladder[:818], values=seq.values[:818]), params)
         assert rep.holds_with_given_c1 and rep.rows[-1][5] == 0.0
 
 
@@ -314,8 +310,8 @@ class TestRecursiveControl:
             "97fcae180d35bcf2aca4cf2777372b3afd8eabf6622230d884c0acf19617980b")
 
     def test_verify_holds_no_ladder_square_matrix(self):
-        # the sums once came from an (L, L) float matrix, 5.8 MB at L = 850
-        ladder = dyadic_ladder(2.0**849)
+        # the sums once came from an (L, L) float matrix, 5.4 MB at L = 818
+        ladder = dyadic_ladder(2.0**817)
         seq = power_sequence(-1.25, ladder, cap=1.0)
         tracemalloc.start()
         try:
