@@ -12,8 +12,11 @@ timestamps.  JSON is written compact with sorted keys.  The environment
 variable RADNLS_OUTPUT_ROOT prefixes relative output directories.
 
 Each command imports the modules it runs when it runs, so lemma on a
-synthetic or file sequence loads recurrence alone of the numerics, and no numpy,
-and diagnose loads neither recurrence nor selftest.
+synthetic or file sequence loads recurrence alone of the numerics, and no numpy;
+ground-state loads core, groundstate and fieldio, evolve adds evolution, and
+diagnose loads neither groundstate, recurrence nor selftest.  Only the selftest
+command loads selftest: Q's certificate (groundstate.check_ground_state) is
+what ground-state and evolve judge Q by.
 """
 
 from __future__ import annotations
@@ -210,21 +213,14 @@ def write_csv(cfg: dict, path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _require_certified(checks: dict) -> None:
-    """GroundStateError naming the failed checks of selftest.check_ground_state."""
-    failed = [key for key, (ok, _) in checks.items() if not ok]
-    if failed:
-        raise GroundStateError(f"certificate checks failed: {failed}")
-
-
 def _ground_state(cfg: dict, grid: core.RadialGrid, cache: Path):
-    """Q from the cache, or solved and cached once it passes the ground-state checks."""
-    from . import fieldio, groundstate, selftest
+    """Q from the cache, or solved and cached once it passes its certificate."""
+    from . import fieldio, groundstate
 
     gs = fieldio.load_ground_state(cache, grid, cfg["tol"])
     if gs is None:
         gs = groundstate.solve_ground_state(grid, tol=cfg["tol"])
-        _require_certified(selftest.check_ground_state(gs))
+        groundstate.require_certified(groundstate.check_ground_state(gs))
         fieldio.save_ground_state(gs, cache, cfg["tol"])
     return gs
 
@@ -254,13 +250,13 @@ def _initial_field(cfg: dict, kind: str, params: dict, grid: core.RadialGrid,
 # ---------------------------------------------------------------------------
 
 def cmd_ground_state(cfg: dict) -> int:
-    from . import core, fieldio, groundstate, selftest
+    from . import core, fieldio, groundstate
 
     out = output_dir(cfg)
     grid = core.make_radial_grid(cfg["dimension"], cfg["grid"]["r_max"], cfg["grid"]["n"])
     gs = groundstate.solve_ground_state(grid, tol=cfg["tol"])
     fieldio.save_field_binary(gs.profile, out / "ground_state.rfb")
-    checks = selftest.check_ground_state(gs)
+    checks = groundstate.check_ground_state(gs)
     value = {key: v for key, (_, v) in checks.items()}
     cert = {
         "dimension": gs.dimension,
@@ -272,12 +268,14 @@ def cmd_ground_state(cfg: dict) -> int:
         "energy_over_kinetic": value["energy"],
         "gn_ratio": value["sharp_ratio"],
         "pohozaev_kinetic_ratio": value["pohozaev"],
+        "min_over_max": value["positivity"],
+        "max_rise_over_q0": value["monotonicity"],
         "iterations": gs.iterations,
         "grid_roundtrip_error": grid.roundtrip_error,
         "grid_quadrature_error": grid.quadrature_error,
     }
     write_json(cfg, out / "ground_state_certification.json", cert)
-    _require_certified(checks)
+    groundstate.require_certified(checks)
     fieldio.save_ground_state(gs, out / "ground_state_cache", cfg["tol"])
     print(f"ground state: M={gs.mass:.9g} residual={gs.residual:.3e} "
           f"shooting agreement={cert['mass_agreement']:.3e}")
@@ -306,9 +304,9 @@ def cmd_evolve(cfg: dict) -> int:
         "warnings": traj.warnings,
     }
     if kind == "sw":
-        from . import selftest
+        from . import groundstate
 
-        summary["sw_final_l2_error"] = selftest.check_solitary_wave(
+        summary["sw_final_l2_error"] = groundstate.check_solitary_wave(
             traj, gs, params["t"])["solitary_wave"][1]
     write_json(cfg, out / "evolve_summary.json", summary)
     print(f"evolve: {len(traj)} snapshots to t={traj.times[-1]:g}, "

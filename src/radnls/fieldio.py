@@ -12,6 +12,11 @@ Binary snapshot layout (little endian):
 A load takes the grid the caller expects and checks the header's
 (d, n, r_max), which determines a grid exactly, against it; a load-save cycle
 is bit-exact on the samples and metadata.
+
+evolution is imported inside load_trajectory and groundstate inside
+load_ground_state, the functions that build their classes, so ground-state
+loads no evolution, and diagnose and a lemma on a stored trajectory load no
+groundstate.
 """
 
 from __future__ import annotations
@@ -22,13 +27,16 @@ import os
 import struct
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__, config_hash
 from .core import RadialField, RadialGrid
-from .evolution import SimulationConfig, Trajectory
-from .groundstate import GroundState
+
+if TYPE_CHECKING:
+    from .evolution import Trajectory
+    from .groundstate import GroundState
 
 MAGIC = b"RNLSFLD1"
 
@@ -36,13 +44,14 @@ MAGIC = b"RNLSFLD1"
 _GROUND_STATE_META = ("dimension", "mass", "kinetic", "residual", "mass_shooting", "iterations")
 
 
-def _field_bytes(f: RadialField) -> bytes:
-    g = f.grid
-    return MAGIC + struct.pack("<IQd", g.d, g.n, g.r_max) + np.ascontiguousarray(f.values).tobytes()
+def _field_bytes(grid: RadialGrid, values: np.ndarray) -> bytes:
+    """The binary snapshot of the complex128 samples values on grid."""
+    header = MAGIC + struct.pack("<IQd", grid.d, grid.n, grid.r_max)
+    return header + np.ascontiguousarray(values).tobytes()
 
 
 def save_field_binary(f: RadialField, path) -> None:
-    Path(path).write_bytes(_field_bytes(f))
+    Path(path).write_bytes(_field_bytes(f.grid, f.values))
 
 
 def _samples(path, blob: bytes, grid: RadialGrid) -> np.ndarray:
@@ -72,8 +81,8 @@ def save_trajectory(traj: Trajectory, out_dir) -> Path:
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
     paths = [out / "snapshots" / f"{i:06d}.rfb" for i in range(len(traj))]
-    for i, path in enumerate(paths):
-        save_field_binary(traj.field(i), path)
+    for row, path in zip(traj.values, paths):  # rows the Trajectory checked and froze
+        path.write_bytes(_field_bytes(traj.grid, row))
     for stale in set((out / "snapshots").glob("*.rfb")).difference(paths):  # an earlier run's
         stale.unlink()
     manifest = {
@@ -110,6 +119,8 @@ _MANIFEST_KEYS = {
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory directory; ValueError if its manifest and snapshots disagree."""
+    from .evolution import SimulationConfig, Trajectory
+
     out = Path(path)
     manifest = json.loads((out / "manifest.json").read_text())
     bad = [f"{key} ({kind})" for key, (kind, fits) in _MANIFEST_KEYS.items()
@@ -174,7 +185,7 @@ def save_ground_state(gs: GroundState, cache_dir, tol: float) -> Path:
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     key = ground_state_key(gs.grid, tol)
-    blob = _field_bytes(gs.profile)
+    blob = _field_bytes(gs.grid, gs.profile.values)
     _replace_atomically(cache / f"{key}.rfb", lambda tmp: tmp.write_bytes(blob))
     meta = {k: getattr(gs, k) for k in _GROUND_STATE_META} | {
         "tol": tol, "sha256": hashlib.sha256(blob).hexdigest(), "artifact_version": __version__}
@@ -191,6 +202,8 @@ def load_ground_state(cache_dir, grid: RadialGrid, tol: float) -> GroundState | 
     miss too, reported with one line on stderr; the caller solves again and
     rewrites it.
     """
+    from .groundstate import GroundState
+
     key = ground_state_key(grid, tol)
     cache = Path(cache_dir)
     fld, meta = cache / f"{key}.rfb", cache / f"{key}.json"

@@ -10,7 +10,9 @@ on a coarse grid with the same r_max and then, from its Q, on the requested
 grid.  Its mass is cross-checked by shooting_mass, the same iteration on an
 independent Chebyshev collocation of the radial ODE in s = r^2.
 
-Certification facts used here all follow from the elliptic equation by
+check_ground_state is Q's one certificate: every check that accepts a computed
+Q is made there, and ground-state, evolve, selftest and the acceptance suite
+judge Q through it.  Its identities all follow from the elliptic equation by
 multiplying with Q resp. x . grad Q and integrating:
 
     ||grad Q||^2 / ||Q||^{2(d+2)/d}_{2(d+2)/d} = d / (d+2)
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .core import (
     _kinetic_sum,
     _multiplier_inverse,
     _power_sum,
+    energy,
     gradient_norm_sq,
     lebesgue_norm,
     mass,
@@ -40,6 +44,9 @@ from .core import (
     sphere_area,
 )
 from .errors import GroundStateError
+
+if TYPE_CHECKING:
+    from .evolution import Trajectory
 
 # fixed-point iterations before the solve, or the collocation cross-check, gives up
 MAX_ITER = 400
@@ -54,6 +61,8 @@ COARSE_REACH = 26.8
 # (r_max 15), 384 (r_max 30) and 512 (r_max 45), broke even at n = 320 (r_max 15) and
 # saved 8-30 ms at n = 512 (r_max 30) and 640-768 (r_max 45)
 COARSE_MARGIN = 128
+# unit round-off; n EPS max |Q| is the floor below which a sample of Q is round-off
+EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,20 +154,15 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
     grid, synthesized at its nodes.  The iteration's rate is set by the
     linearization at Q, not by the grid, so the fine grid then needs one or two
     steps instead of about 66 (at d = 4, tol 1e-8); iterations counts the steps
-    on grid only.  Positivity is enforced by taking the modulus each step; the
-    fixed point must be resolved, positive, decreasing and an elliptic solution
-    to the requested tolerance.  Its energy and its mass against shooting_mass
-    are judged by selftest.check_ground_state, not here.
+    on grid only.  Positivity is enforced by taking the modulus each step.  The
+    fixed point must be an elliptic solution to the requested tolerance
+    (GroundStateError otherwise) and resolved; whether it is accepted as Q is
+    check_ground_state's verdict, not this function's.
     """
     q, residual, iterations = _fixed_point(grid, _start(grid, tol), tol)
 
     profile = RadialField(grid, q.astype(np.complex128))
     require_resolved(profile, "ground state")
-    if np.any(q <= 0):
-        raise GroundStateError("converged profile is not strictly positive")
-    if np.any(np.diff(q) > 1e-10 * q[0]):
-        raise GroundStateError("converged profile is not decreasing")
-
     return GroundState(profile=profile, dimension=grid.d, mass=mass(profile),
                        kinetic=gradient_norm_sq(profile), residual=residual,
                        mass_shooting=shooting_mass(grid.d), iterations=iterations)
@@ -247,7 +251,7 @@ def shooting_mass(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sharp interpolation-inequality ratio and the explicit solutions
+# the sharp ratios, Q's certificate and the explicit solutions
 # ---------------------------------------------------------------------------
 
 def pohozaev_ratio(ground: GroundState) -> float:
@@ -275,9 +279,52 @@ def gn_ratio(f: RadialField, ground: GroundState) -> float:
     return num / den
 
 
+def check_ground_state(ground: GroundState) -> dict[str, tuple[bool, float]]:
+    """Q's certificate, each check by name as (ok, value), ok a bool against its one bound:
+    the fixed point's residual (< 1e-8), |M - mass_shooting| / M (< 1e-4), pohozaev_ratio
+    (within 1e-4 of d/(d+2)), gn_ratio (within 1e-3 of 1), E(Q) / ||grad Q||^2 (within
+    1e-4 of 0), positivity and monotonicity.  Positivity, min Q / max |Q| >= -n EPS, is
+    judged above the round-off floor n EPS max |Q| only: Q must be positive above it and
+    within it of 0 below it, where Q's tail sits at r_max 45.  Monotonicity: no sample
+    exceeds the one before it by more than 1e-10 Q(0); value the largest rise / Q(0).
+    """
+    d = ground.grid.d
+    q = ground.profile.values.real
+    shooting = abs(ground.mass_shooting - ground.mass) / ground.mass
+    pohozaev = pohozaev_ratio(ground)
+    sharp = gn_ratio(ground.profile, ground)
+    energy_ratio = energy(ground.profile, -1) / ground.kinetic
+    peak = float(np.max(np.abs(q)))
+    lowest = float(np.min(q))
+    rise, top = float(np.max(np.diff(q))), float(q[0])
+    return {"residual": (ground.residual < 1e-8, ground.residual),
+            "shooting": (shooting < 1e-4, shooting),
+            "pohozaev": (abs(pohozaev - d / (d + 2)) < 1e-4, pohozaev),
+            "sharp_ratio": (abs(sharp - 1.0) < 1e-3, sharp),
+            "energy": (abs(energy_ratio) < 1e-4, energy_ratio),
+            "positivity": (lowest >= -ground.grid.n * EPS * peak, lowest / peak),
+            "monotonicity": (rise <= 1e-10 * top, rise / top)}
+
+
+def require_certified(checks: dict[str, tuple[bool, float]]) -> None:
+    """GroundStateError naming the failed checks of check_ground_state."""
+    failed = [key for key, (ok, _) in checks.items() if not ok]
+    if failed:
+        raise GroundStateError(f"certificate checks failed: {failed}")
+
+
 def make_sw(ground: GroundState, t: float) -> RadialField:
     """The solitary wave e^{it} Q at time t."""
     return RadialField(ground.grid, np.exp(1j * t) * ground.profile.values)
+
+
+def check_solitary_wave(traj: Trajectory, ground: GroundState,
+                        t0: float) -> dict[str, tuple[bool, float]]:
+    """A run from e^{i t0} Q: its last snapshot's L^2 error against e^{i(t0 + t)} Q relative
+    to ||Q||_2, and its mass drift."""
+    target = make_sw(ground, t0 + traj.times[-1])
+    err = math.sqrt(mass(traj.field(-1) - target) / ground.mass)
+    return {"solitary_wave": (err < 1e-4, err), "mass": (traj.mass_drift < 1e-8, traj.mass_drift)}
 
 
 def make_pc(ground: GroundState, t: float) -> RadialField:

@@ -4,12 +4,14 @@ Each suite returns (name, ok, detail) tuples; the CLI prints one line per
 check and exits nonzero when anything fails.  All six take about 0.22 s, grid build
 and Q's solve included: 0.18-0.25 s in 7 fresh processes with one BLAS thread, after
 0.13-0.16 s of import, on a 2-CPU host shared with other jobs.  The check_*
-functions are the one implementation of each verdict that the suites,
-the acceptance suite and the ground-state and evolve commands share: each
-takes its data and returns (ok, value), or a dict of them by name, with ok a
-bool against the check's one bound.  The virial identity is judged as diagnose
-judges it, by diagnostics.virial_residual against diagnostics.VIRIAL_TOL, here
-on a focusing run from 2 e^(-r^2).
+functions here are the one implementation of each verdict that the suites and
+the acceptance suite share: each takes its data and returns (ok, value), or a
+dict of them by name, with ok a bool against the check's one bound.  Q's
+certificate and the solitary-wave check live beside Q, in groundstate, which
+the ground-state and evolve commands judge through without loading this
+module.  The virial identity is judged as diagnose judges it, by
+diagnostics.virial_residual against diagnostics.VIRIAL_TOL, here on a focusing
+run from 2 e^(-r^2).
 """
 
 from __future__ import annotations
@@ -27,22 +29,6 @@ SEED = 20260808
 def _rel(a: core.RadialField, b: core.RadialField) -> float:
     """Relative L^2 distance ||a - b|| / ||b||."""
     return math.sqrt(core.mass(a - b) / core.mass(b))
-
-
-def check_ground_state(gs: groundstate.GroundState) -> dict[str, tuple[bool, float]]:
-    """Q's certificate: fixed-point residual, relative gap to the shooting mass,
-    ||grad Q||^2 / ||Q||_p^p against its Pohozaev value d/(d+2), sharp GN ratio,
-    and E(Q) / ||grad Q||^2, which vanishes."""
-    d = gs.grid.d
-    shooting = abs(gs.mass_shooting - gs.mass) / gs.mass
-    pohozaev = groundstate.pohozaev_ratio(gs)
-    sharp = groundstate.gn_ratio(gs.profile, gs)
-    energy = core.energy(gs.profile, -1) / gs.kinetic
-    return {"residual": (gs.residual < 1e-8, gs.residual),
-            "shooting": (shooting < 1e-4, shooting),
-            "pohozaev": (abs(pohozaev - d / (d + 2)) < 1e-4, pohozaev),
-            "sharp_ratio": (abs(sharp - 1.0) < 1e-3, sharp),
-            "energy": (abs(energy) < 1e-4, energy)}
 
 
 def check_partition(fields) -> tuple[bool, float]:
@@ -75,15 +61,6 @@ def check_mismatch_norm(grid: core.RadialGrid) -> tuple[bool, tuple[float, float
     scaling = bands.mismatch_norm(grid, 4.0, 16.0) / nr64 - 1.0
     decay = bands.mismatch_norm(grid, 8.0, 16.0) / nr64
     return abs(scaling) < 2e-2 and decay < 0.7, (scaling, decay)
-
-
-def check_solitary_wave(traj: evolution.Trajectory, gs: groundstate.GroundState,
-                        t0: float) -> dict[str, tuple[bool, float]]:
-    """A run from e^{i t0} Q: its last snapshot's L^2 error against e^{i(t0 + t)} Q relative
-    to ||Q||_2, and its mass drift."""
-    target = groundstate.make_sw(gs, t0 + traj.times[-1])
-    err = math.sqrt(core.mass(traj.field(-1) - target) / gs.mass)
-    return {"solitary_wave": (err < 1e-4, err), "mass": (traj.mass_drift < 1e-8, traj.mass_drift)}
 
 
 def check_recurrence_cases() -> dict[str, tuple[bool, float]]:
@@ -171,7 +148,7 @@ def suite_core() -> list[tuple[str, bool, str]]:
 def suite_groundstate() -> list[tuple[str, bool, str]]:
     g = _grid()
     q = _ground()
-    cert = check_ground_state(q)
+    cert = groundstate.check_ground_state(q)
     rng = np.random.default_rng(SEED + 1)
     jmax = max(groundstate.gn_ratio(core.random_smooth_field(g, rng), q) for _ in range(25))
     return [_line("groundstate.residual", cert["residual"], "{:.2e}"),
@@ -179,6 +156,8 @@ def suite_groundstate() -> list[tuple[str, bool, str]]:
             _line("groundstate.pohozaev", cert["pohozaev"], "{:.8f}"),
             _line("groundstate.sharp_ratio", cert["sharp_ratio"], "{:.6f}"),
             _line("groundstate.energy", cert["energy"], "E/K {:.2e}"),
+            _line("groundstate.positivity", cert["positivity"], "min/max {:.2e}"),
+            _line("groundstate.monotonicity", cert["monotonicity"], "rise/Q(0) {:.2e}"),
             ("groundstate.ratio_below_one", jmax <= 1.0 + 1e-3, f"max {jmax:.6f}")]
 
 
@@ -205,7 +184,7 @@ def suite_evolution() -> list[tuple[str, bool, str]]:
     u = evolution.free_propagate(f, 0.3)
     exact = (1 + 4j * 0.3) ** (-2) * np.exp(-g.r**2 / (1 + 4j * 0.3))
     ferr = math.sqrt(float(core._power_sum(g, u.values - exact, 2)) / core.mass(f))
-    run = check_solitary_wave(traj, q, 0.0)
+    run = groundstate.check_solitary_wave(traj, q, 0.0)
     return [_line("evolution.solitary_wave", run["solitary_wave"], "L2 err {:.2e}"),
             _line("evolution.mass", run["mass"], "drift {:.2e}"),
             ("evolution.free_gaussian", ferr < 1e-6, f"{ferr:.2e}")]

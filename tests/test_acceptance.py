@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Every tolerance is fixed, here, in the radnls.selftest check a
-criterion shares with `radnls selftest` and the commands, or in the diagnose
+lines.  Every tolerance is fixed, here, in the check a criterion shares with
+`radnls selftest` and the commands (Q's certificate and the solitary-wave check
+in radnls.groundstate, the others in radnls.selftest), or in the diagnose
 runner it calls; nothing is calibrated at runtime.
 """
 
@@ -28,7 +29,7 @@ def test_criterion_1_ground_state_certification(grid):
     t0 = time.monotonic()
     gs = groundstate.solve_ground_state(grid, tol=1e-8)
     elapsed = time.monotonic() - t0
-    cert = selftest.check_ground_state(gs)
+    cert = groundstate.check_ground_state(gs)
     value = {key: v for key, (_, v) in cert.items()}
     ok = all(passed for passed, _ in cert.values()) and elapsed < 60.0
     report(1, ok, f"residual={value['residual']:.2e} pohozaev={value['pohozaev']:.6f} "
@@ -37,7 +38,7 @@ def test_criterion_1_ground_state_certification(grid):
 
 
 def test_criterion_2_solitary_wave_propagation(sw_dense, ground):
-    run = selftest.check_solitary_wave(sw_dense, ground, 0.0)
+    run = groundstate.check_solitary_wave(sw_dense, ground, 0.0)
     (err_ok, err), (mass_ok, mass_drift) = run["solitary_wave"], run["mass"]
     e0 = sw_dense.energy_log[0]
     energy_drift = max(abs(e - e0) for e in sw_dense.energy_log) / ground.kinetic

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,19 @@ class TestSolve:
 
     def test_grid_doubling_stability(self, ground, ground_double):
         assert abs(ground_double.mass - ground.mass) < 1e-6 * ground.mass
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("floors, ok", [(0.5, True), (2.0, False)])
+    def test_positivity_holds_to_the_round_off_floor(self, ground, floors, ok):
+        # a last node below 0 by half the floor n eps max Q is round-off; by twice, not
+        q = ground.profile.values.real.copy()
+        q[-1] = -floors * ground.grid.n * groundstate.EPS * q.max()
+        dipped = dataclasses.replace(ground, profile=core.RadialField(ground.grid, q))
+        checks = groundstate.check_ground_state(dipped)
+        assert checks["positivity"] == (ok, q[-1] / q.max())
+        assert [key for key, (passed, _) in checks.items() if not passed] == (
+            [] if ok else ["positivity"])
 
 
 def collocation_mass(d: int, r_end: float = 30.0) -> float:
@@ -86,9 +100,13 @@ class TestCoarseStart:
 
     def test_at_most_two_steps_at_n1280_and_r_max_45(self, ground_double, grid45):
         assert ground_double.iterations <= 2
-        # the fixed point alone: Q's tail at r_max 45 is below round-off, so one node reads 0
-        start = groundstate._start(grid45, 1e-8)
-        assert groundstate._fixed_point(grid45, start, 1e-8)[2] <= 2
+        # Q's tail at r_max 45 is below the round-off floor, and one node reads 0; the
+        # certificate judges positivity above the floor only, so Q is certified
+        gs = groundstate.solve_ground_state(grid45, tol=1e-8)
+        assert gs.iterations <= 2
+        checks = groundstate.check_ground_state(gs)
+        assert np.min(gs.profile.values.real) == 0.0
+        assert all(ok for ok, _ in checks.values()), checks
 
     def test_matches_the_direct_start(self, ground, ground_double):
         for gs in (ground, ground_double):

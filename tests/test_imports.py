@@ -266,17 +266,20 @@ SESSION_CONFIG = {
 
 # the radnls modules each command loads, and numpy: a command imports the modules it
 # runs when it runs, so a synthetic lemma loads the verifier alone of the numerics and
-# no numpy, a lemma extracted from a trajectory neither diagnostics nor selftest, and
-# diagnose neither selftest nor the verifier
+# no numpy, ground-state judges Q by groundstate's certificate without selftest, and
+# diagnose and a lemma extracted from a trajectory load no groundstate
 EVERY_MODULE = {"radnls", "radnls.bands", "radnls.cli", "radnls.core", "radnls.diagnostics",
                 "radnls.errors", "radnls.evolution", "radnls.fieldio", "radnls.groundstate",
                 "radnls.recurrence", "radnls.selftest", "numpy"}
+CLI = {"radnls", "radnls.cli", "radnls.errors"}
+GROUND_STATE = CLI | {"radnls.core", "radnls.groundstate", "radnls.fieldio", "numpy"}
+TRAJECTORY = CLI | {"radnls.core", "radnls.evolution", "radnls.fieldio", "radnls.bands", "numpy"}
 LOADED = {
-    "ground-state": EVERY_MODULE,
-    "evolve": EVERY_MODULE,
-    "diagnose": EVERY_MODULE - {"radnls.selftest", "radnls.recurrence"},
-    "lemma": EVERY_MODULE - {"radnls.diagnostics", "radnls.selftest"},
-    "lemma synthetic_power": {"radnls", "radnls.cli", "radnls.errors", "radnls.recurrence"},
+    "ground-state": GROUND_STATE,
+    "evolve": GROUND_STATE | {"radnls.evolution"},
+    "diagnose": TRAJECTORY | {"radnls.diagnostics"},
+    "lemma": TRAJECTORY | {"radnls.recurrence"},
+    "lemma synthetic_power": CLI | {"radnls.recurrence"},
     "selftest": EVERY_MODULE - {"radnls.fieldio"},
 }
 
@@ -298,7 +301,53 @@ MODULES = ("sorted(m for m in sys.modules if m == 'numpy' "
 
 def test_importing_the_cli_loads_no_numpy():
     code = f"import json, sys\nimport radnls.cli\nprint(json.dumps({MODULES}))\n"
-    assert loaded_after(code) == ["radnls", "radnls.cli", "radnls.errors"]
+    assert loaded_after(code) == sorted(CLI)
+
+
+def _package_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The radnls modules an import statement imports, without the package prefix."""
+    if isinstance(node, ast.Import):
+        return [a.name.removeprefix("radnls.") for a in node.names if a.name.startswith("radnls.")]
+    if node.level == 0 and (node.module or "").partition(".")[0] != "radnls":
+        return []
+    module = (node.module or "").removeprefix("radnls").lstrip(".")
+    return [module] if module else [alias.name for alias in node.names]
+
+
+def imports_of(module: str, source: str, target: str) -> list[str]:
+    """Where source, the package module of that name, imports the package module target,
+    as the dotted names of the classes and functions around each import (the module's
+    own name outside any)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and target in _package_modules(child):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_guard_finds_each_import_of_a_module():
+    source = ("from . import core, selftest\n"
+              "def f():\n    from .selftest import run_all\n    return run_all\n"
+              "class K:\n    def m(self):\n        import radnls.selftest\n"
+              "        from radnls import selftest\n        from .selftests import x\n"
+              "        from . import groundstate\n")
+    assert imports_of("m", source, "selftest") == ["m", "m.f", "m.K.m", "m.K.m"]
+    assert imports_of("m", source, "groundstate") == ["m.K.m"]
+
+
+def test_only_the_selftest_command_imports_selftest():
+    # Q's certificate and the solitary-wave check live in groundstate, so no command
+    # but selftest, and no module, loads selftest and the modules it pulls in
+    found = [where for p in SOURCES for where in imports_of(p.stem, p.read_text(), "selftest")]
+    assert found == ["cli.cmd_selftest"]
 
 
 def test_no_command_loads_scipy(tmp_path):

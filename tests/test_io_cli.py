@@ -159,6 +159,30 @@ class TestCli:
         assert abs(cert["mass_agreement"] - 1e-2) < 1e-4
         assert not (out / "ground_state_cache").exists()
 
+    def test_non_positive_profile_fails_certification_not_the_solve(self, out_env, tmp_path,
+                                                                     capsys, monkeypatch):
+        # a Q whose last node dips to -1e-6 Q(0), far below the round-off floor, is
+        # written and certified, and refused only by the certificate
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128}, "output_dir": "gs"})
+        fixed_point = groundstate._fixed_point
+
+        def dipped(grid, q, tol):
+            q, residual, steps = fixed_point(grid, q, tol)
+            q = q.copy()
+            q[-1] = -1e-6 * q[0]
+            return q, residual, steps
+
+        monkeypatch.setattr(groundstate, "_fixed_point", dipped)
+        assert cli.main(["--config", cfg, "ground-state"]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "certification_failed"
+        assert error["detail"] == "certificate checks failed: ['positivity']"
+        out = out_env / "gs"
+        assert (out / "ground_state.rfb").exists()
+        cert = json.loads((out / "ground_state_certification.json").read_text())
+        assert abs(cert["min_over_max"] + 1e-6) < 1e-12
+        assert not (out / "ground_state_cache").exists()
+
     def test_evolve_caches_only_a_certified_ground_state(self, out_env, tmp_path, capsys,
                                                           monkeypatch):
         # evolve solves Q on a cache miss and must refuse it as ground-state would
@@ -397,7 +421,8 @@ class TestCli:
         assert names == [
             "core.roundtrip", "core.gaussian_mass", "core.plancherel", "core.scaling",
             "groundstate.residual", "groundstate.shooting", "groundstate.pohozaev",
-            "groundstate.sharp_ratio", "groundstate.energy", "groundstate.ratio_below_one",
+            "groundstate.sharp_ratio", "groundstate.energy", "groundstate.positivity",
+            "groundstate.monotonicity", "groundstate.ratio_below_one",
             "bands.partition", "bands.fat_idempotent", "bands.in_out_complete",
             "bands.mismatch_norm",
             "evolution.solitary_wave", "evolution.mass", "evolution.free_gaussian",
