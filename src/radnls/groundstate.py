@@ -61,7 +61,8 @@ COARSE_REACH = 26.8
 # (r_max 15), 384 (r_max 30) and 512 (r_max 45), broke even at n = 320 (r_max 15) and
 # saved 8-30 ms at n = 512 (r_max 30) and 640-768 (r_max 45)
 COARSE_MARGIN = 128
-# unit round-off; n EPS max |Q| is the floor below which a sample of Q is round-off
+# float64's machine epsilon; n EPS max |Q| is the floor below which a sample of Q is
+# round-off
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -283,10 +284,10 @@ def check_ground_state(ground: GroundState) -> dict[str, tuple[bool, float]]:
     """Q's certificate, each check by name as (ok, value), ok a bool against its one bound:
     the fixed point's residual (< 1e-8), |M - mass_shooting| / M (< 1e-4), pohozaev_ratio
     (within 1e-4 of d/(d+2)), gn_ratio (within 1e-3 of 1), E(Q) / ||grad Q||^2 (within
-    1e-4 of 0), positivity and monotonicity.  Positivity, min Q / max |Q| >= -n EPS, is
-    judged above the round-off floor n EPS max |Q| only: Q must be positive above it and
-    within it of 0 below it, where Q's tail sits at r_max 45.  Monotonicity: no sample
-    exceeds the one before it by more than 1e-10 Q(0); value the largest rise / Q(0).
+    1e-4 of 0), positivity and monotonicity.  Positivity, min Q / max |Q| >= -n EPS,
+    judges the sign of Q only above the round-off floor n EPS max |Q|; below it, where
+    Q's tail lies at r_max 45, Q must be within the floor of 0.  Monotonicity: no sample
+    exceeds the one before it by more than 1e-10 Q(0); its value is the largest rise / Q(0).
     """
     d = ground.grid.d
     q = ground.profile.values.real

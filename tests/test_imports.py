@@ -325,7 +325,8 @@ def imports_of(module: str, source: str, target: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if isinstance(child, (ast.Import, ast.ImportFrom)) and target in _package_modules(child):
+            if (isinstance(child, (ast.Import, ast.ImportFrom))
+                    and target in _package_modules(child)):
                 found.append(where)
             visit(child, where)
 

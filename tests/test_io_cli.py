@@ -162,7 +162,7 @@ class TestCli:
     def test_non_positive_profile_fails_certification_not_the_solve(self, out_env, tmp_path,
                                                                      capsys, monkeypatch):
         # a Q whose last node dips to -1e-6 Q(0), far below the round-off floor, is
-        # written and certified, and refused only by the certificate
+        # written with its certificate, and refused by the certificate alone
         cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128}, "output_dir": "gs"})
         fixed_point = groundstate._fixed_point
 
