@@ -43,7 +43,7 @@ from .core import (
     rescale,
     sphere_area,
 )
-from .errors import GroundStateError
+from .errors import GroundStateError, NumericalFailure
 
 if TYPE_CHECKING:
     from .evolution import Trajectory
@@ -94,7 +94,7 @@ def _fixed_point(grid: RadialGrid, q: np.ndarray, tol: float) -> tuple[np.ndarra
     """The normalized iteration on grid from q: (Q, residual, iterations).
 
     It stops once a step moves q by less than 0.1 tol relative and the elliptic
-    residual is below tol; GroundStateError after MAX_ITER steps.
+    residual is below tol; NumericalFailure after MAX_ITER steps.
     """
     p = 1.0 + 4.0 / grid.d
     gamma = p / (p - 1.0)
@@ -116,7 +116,7 @@ def _fixed_point(grid: RadialGrid, q: np.ndarray, tol: float) -> tuple[np.ndarra
             residual = _elliptic_residual(grid, q, p)
             if residual < tol:
                 return q, residual, iterations
-    raise GroundStateError(
+    raise NumericalFailure(
         f"no convergence after {MAX_ITER} iterations (last residual {residual:.3e})")
 
 
@@ -157,8 +157,8 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
     steps instead of about 66 (at d = 4, tol 1e-8); iterations counts the steps
     on grid only.  Positivity is enforced by taking the modulus each step.  The
     fixed point must be an elliptic solution to the requested tolerance
-    (GroundStateError otherwise) and resolved; whether it is accepted as Q is
-    check_ground_state's verdict, not this function's.
+    (NumericalFailure if MAX_ITER steps do not reach one) and resolved; whether
+    it is accepted as Q is check_ground_state's verdict, not this function's.
     """
     q, residual, iterations = _fixed_point(grid, _start(grid, tol), tol)
 
@@ -211,8 +211,9 @@ def shooting_mass(d: int) -> float:
     decaying solution it reaches is Q.  M = |S^(d-1)|/2 int s^(d/2-1) F^2 ds by
     Clenshaw-Curtis quadrature.  No grid, transform, quadrature or truncation
     radius is shared with core.  The certificate, the cache and perfbench
-    read it under this name and as mass_shooting.  GroundStateError after
-    MAX_ITER steps, or if the collocated equation misses by more than 1e-8 Q(0).
+    read it under this name and as mass_shooting.  NumericalFailure after
+    MAX_ITER steps; GroundStateError if the collocated equation misses by more
+    than 1e-8 Q(0).
     """
     n = COLLOCATION_NODES - 1           # even, as the Clenshaw-Curtis weights assume
     s_end = COLLOCATION_R_END**2
@@ -244,7 +245,7 @@ def shooting_mass(d: int) -> float:
         if step < 1e-13:
             break
     else:
-        raise GroundStateError(f"collocation iteration did not converge in {MAX_ITER} steps")
+        raise NumericalFailure(f"collocation iteration did not converge in {MAX_ITER} steps")
     miss = np.max(np.abs(np.einsum("ij,j->i", helmholtz, f) - f**p)) / f[-1]
     if not miss < 1e-8:
         raise GroundStateError(f"collocated equation misses by {miss:.3e} Q(0)")

@@ -88,7 +88,7 @@ class TestShooting:
     def test_unconverged_collocation_raises(self, monkeypatch):
         # an iteration cut short is an error, not a mass
         monkeypatch.setattr(groundstate, "MAX_ITER", 5)
-        with pytest.raises(groundstate.GroundStateError, match="did not converge"):
+        with pytest.raises(groundstate.NumericalFailure, match="did not converge"):
             groundstate.shooting_mass(4)
 
 

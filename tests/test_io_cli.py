@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import radnls
-from radnls import (bands, cli, core, diagnostics, errors, evolution, fieldio, groundstate,
-                    recurrence, selftest)
+from radnls import (cli, core, diagnostics, errors, evolution, fieldio, groundstate, recurrence,
+                    selftest)
 
 
 class TestFieldFormats:
@@ -601,11 +601,12 @@ class TestCli:
         assert cli.main(["selftest"]) == code
         assert json.loads(capsys.readouterr().err) == {"error": kind, "detail": "boom"}
 
-    def test_unconverged_mismatch_norm_exits_4(self, monkeypatch, capsys):
-        monkeypatch.setattr(bands, "MISMATCH_MAX_ITER", 1)
-        assert cli.main(["selftest"]) == 4
+    def test_unconverged_ground_state_exits_4(self, out_env, tmp_path, capsys):
+        # a residual of 1e-18 is below round-off: the fixed point stops at about 1e-12
+        cfg = write_cfg(tmp_path, {"output_dir": "tight"})
+        assert cli.main(["--config", cfg, "--n", "128", "--tol", "1e-18", "ground-state"]) == 4
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "numerical_failure" and "mismatch norm" in err["detail"]
+        assert err["error"] == "numerical_failure" and "no convergence" in err["detail"]
 
     def test_unconverged_bessel_zeros_exit_4(self, out_env, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(core, "_NEWTON_STEPS", 1)
