@@ -478,7 +478,8 @@ def cmd_lemma(cfg: dict) -> int:
                   [(r[0], r[1], r[3], r[4]) for r in rec.rows])
     verdict = ("inapplicable" if not ctrl.applicable
                else "pass" if ctrl.overall_pass else "FAIL")
-    print(f"lemma: {verdict} (minimal C1 = {rec.minimal_c1:.6g})")
+    vacuous = "; recurrence vacuous: every window is empty" if not rec.nonempty_windows else ""
+    print(f"lemma: {verdict} (minimal C1 = {rec.minimal_c1:.6g}){vacuous}")
     if ctrl.applicable and not ctrl.overall_pass:
         raise CheckFailed("recursive-control conclusion failed on an applicable instance")
     return EXIT_OK

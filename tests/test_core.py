@@ -35,6 +35,34 @@ for n in (640, 600, 1000):
     print(n, [hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:16] for x in products])
 """
 
+# one GEMM against the whole kernel, which _real_matvec runs for 128 real rows or
+# more, against the 128-row blocks it runs for fewer; the complex stacks are the
+# ones in use: evolve's blocks of 64 snapshots, sw_dense's 251 and 178 snapshot
+# windows, selftest's 64 and 100 at n = 384
+ONE_GEMM = """
+import numpy as np
+from radnls import core
+def blocked(mat, vec, scale):
+    n, width = vec.shape[-1], mat.shape[1]
+    parts = np.zeros((len(vec), 2, width))
+    parts[:, 0, :n] = vec.real * scale
+    parts[:, 1, :n] = vec.imag * scale
+    rows = parts.reshape(-1, width)
+    out = np.empty((len(rows), len(mat)))
+    for i0 in range(0, len(mat), 128):
+        np.matmul(rows, mat[i0:i0 + 128].T, out=out[:, i0:i0 + 128])
+    pairs = out.reshape(-1, 2, len(mat))
+    return pairs[:, 0] + 1j * pairs[:, 1]
+rng = np.random.default_rng(5)
+for n, sizes in ((640, (64, 178, 251)), (1280, (64,)), (384, (64, 100))):
+    g = core.make_radial_grid(4, 15.0, n)
+    for T in sizes:
+        stack = rng.standard_normal((T, n)) + 1j * rng.standard_normal((T, n))
+        for mat, scale in ((g._kernel, g._fwd_in), (g._kernel, g._inv_in)):
+            print(n, T, np.array_equal(core._real_matvec(mat, stack, scale),
+                                       blocked(mat, stack, scale)))
+"""
+
 
 def gaussian(grid, width=1.0):
     return core.field_from_function(grid, lambda r: np.exp(-((r / width) ** 2)))
@@ -234,6 +262,15 @@ class TestKernel:
             digests.append(subprocess.run([sys.executable, "-c", PRODUCTS], env=env, check=True,
                                           capture_output=True, text=True, timeout=120).stdout)
         assert digests[0] == digests[1]
+
+    def test_one_gemm_matches_row_blocks(self):
+        src = str(Path(core.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            lines = subprocess.run([sys.executable, "-c", ONE_GEMM], env=env, check=True,
+                                   capture_output=True, text=True, timeout=120).stdout.splitlines()
+            assert len(lines) == 12 and all(ln.endswith(" True") for ln in lines), (threads, lines)
 
     def test_stack_transform_divides_in_place(self):
         # the scaled input and the GEMM output are the only (T, n) arrays a real

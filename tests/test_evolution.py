@@ -143,6 +143,116 @@ class TestEvolve:
         assert relative_l2(short_run.field(-1), rescaled_final) < 1e-4
 
 
+def per_snapshot_evolve(cfg, u0):
+    """evolve as one loop that transforms each snapshot when it is stored and stops at
+    the first guard trip: the reference for the blocked snapshot transforms."""
+    grid = u0.grid
+    coeffs0 = grid._forward_values(u0.values)
+    grad0 = math.sqrt(core._kinetic_sum(grid, coeffs0))
+    u, t = u0, 0.0
+    times, rows, mass_log = [t], [u.values], [core.mass(u)]
+    energy_log = [float(core._energy_sum(grid, u.values, coeffs0, cfg.mu))]
+    guard_event = None
+    for k in range(1, cfg.n_steps + 1):
+        try:
+            u = evolution.step(u, cfg.dt, cfg.mu)
+        except evolution.ResolutionLossError as exc:
+            guard_event = {"kind": "resolution_loss", "time": t, "detail": str(exc)}
+            break
+        t = k * cfg.dt
+        mass_log.append(core.mass(u))
+        if k % cfg.cadence == 0:
+            times.append(t)
+            rows.append(u.values)
+            coeffs = grid._forward_values(u.values)
+            energy_log.append(float(core._energy_sum(grid, u.values, coeffs, cfg.mu)))
+            ratio = math.sqrt(core._kinetic_sum(grid, coeffs)) / grad0
+            if ratio > evolution.GRADIENT_GUARD_RATIO:
+                guard_event = {"kind": "blowup_guard", "time": t, "gradient_ratio": ratio}
+                break
+    return times, np.array(rows), mass_log, energy_log, guard_event
+
+
+def run_config(grid, t_final, cadence):
+    return evolution.SimulationConfig(dimension=4, mu=-1, r_max=grid.r_max, n=grid.n,
+                                      dt=1e-3, t_final=t_final, cadence=cadence)
+
+
+class TestBlockedSnapshots:
+    # 20 e^{-r^2} loses resolution at step 233, with the gradient ratio at 7.5, and
+    # 40 snapshots waiting at cadence 1.  A guard ratio of 1.3 trips in a full block
+    # (cadence 1); one of 2.5 trips in the block still waiting when resolution is lost
+    @pytest.mark.parametrize("cadence, guard_ratio, kind, lost", [
+        (10, 1e3, "resolution_loss", True), (1, 1e3, "resolution_loss", True),
+        (1, 1.3, "blowup_guard", False), (1, 2.5, "blowup_guard", True),
+        (10, 2.5, "blowup_guard", True)])
+    def test_matches_per_snapshot_loop(self, grid, monkeypatch, cadence, guard_ratio, kind,
+                                       lost):
+        monkeypatch.setattr(evolution, "GRADIENT_GUARD_RATIO", guard_ratio)
+        big = core.field_from_function(grid, lambda r: 20.0 * np.exp(-(r**2)))
+        cfg = run_config(grid, 0.3, cadence)
+        times, values, mass_log, energy_log, event = per_snapshot_evolve(cfg, big)
+
+        step = evolution.step
+        losses = []
+
+        def watched(u, dt, mu):
+            try:
+                return step(u, dt, mu)
+            except evolution.ResolutionLossError:
+                losses.append(True)
+                raise
+
+        monkeypatch.setattr(evolution, "step", watched)
+        traj = evolution.evolve(cfg, big)
+        # a blowup trip in a waiting block wins over the resolution loss after it
+        assert losses == [True] * lost
+        assert event["kind"] == traj.guard_event["kind"] == kind
+        assert traj.guard_event["time"] == event["time"]
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.values, values)
+        assert traj.mass_log == mass_log
+        kinetic = core._kinetic_sum(grid, grid._forward_values(values))
+        assert np.all(np.abs(np.array(traj.energy_log) - energy_log) <= 1e-12 * kinetic)
+        if kind == "blowup_guard":
+            assert traj.guard_event["gradient_ratio"] == pytest.approx(
+                event["gradient_ratio"], rel=1e-12, abs=0.0)
+        else:
+            assert traj.guard_event["detail"] == event["detail"]
+
+    def test_products_per_snapshot_block(self, grid, monkeypatch):
+        # 2 products per step, 1 per block of at most 64 stored snapshots and 1 for
+        # the initial condition: halving the cadence adds 1 product per 64 snapshots
+        real_matvec = core._real_matvec
+        calls = []
+        monkeypatch.setattr(core, "_real_matvec",
+                            lambda mat, vec, *scale: calls.append(vec.shape)
+                            or real_matvec(mat, vec, *scale))
+        u0 = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
+
+        def count(cadence):
+            calls.clear()
+            cfg = run_config(grid, 0.192, cadence)
+            assert evolution.evolve(cfg, u0).guard_event is None
+            return len(calls)
+
+        assert count(1) == 2 * 192 + 3 + 1
+        assert count(2) == 2 * 192 + 2 + 1
+        assert count(3) == 2 * 192 + 1 + 1
+
+    def test_calls_step_once_per_step(self, grid, monkeypatch):
+        # the benchmark's traced replay and the mutated-step virial test wrap the
+        # module's step; evolve must call it through the module, once per step
+        step = evolution.step
+        calls = []
+        monkeypatch.setattr(evolution, "step",
+                            lambda u, dt, mu: calls.append(dt) or step(u, dt, mu))
+        u0 = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
+        cfg = run_config(grid, 0.07, 1)
+        assert len(evolution.evolve(cfg, u0)) == 71
+        assert calls == [cfg.dt] * cfg.n_steps
+
+
 class TestDuhamel:
     def test_solitary_wave_residual_scale(self, sw_dense, ground):
         res = evolution.duhamel_residual(sw_dense, 0.0, 0.2)

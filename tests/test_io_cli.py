@@ -385,6 +385,24 @@ class TestCli:
         assert report["control"]["overall_pass"] is True
         assert (out_env / "lem" / "lemma_table.csv").exists()
 
+    @pytest.mark.parametrize("beta_prime, vacuous", [(1e-16, True), (0.5, False)])
+    def test_lemma_says_when_the_recurrence_is_vacuous(self, out_env, tmp_path, capsys,
+                                                      beta_prime, vacuous):
+        # the default 12-rung ladder: at beta' = 1e-16 no window M0 < M <= 2 beta' N
+        # holds a rung; at 0.5 each row N holds the rungs 1 < M <= N
+        cfg = write_cfg(tmp_path, {
+            "lemma": {"params": {"s": 1.25, "gamma": 0.2, "c1": 1.0, "m0": 1.0,
+                                 "beta_prime": beta_prime, "a_bound": 10.0}},
+            "output_dir": "vac"})
+        assert cli.main(["--config", cfg, "lemma"]) == 0
+        report = json.loads((out_env / "vac" / "lemma_report.json").read_text())["recurrence"]
+        rungs = [row["window_rungs"] for row in report["rows"]]
+        assert rungs == ([0] * 12 if vacuous else list(range(12)))
+        assert report["nonempty_windows"] == (0 if vacuous else 11)
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("lemma: ")
+        assert line.endswith("; recurrence vacuous: every window is empty") == vacuous
+
     def test_lemma_checks_the_recurrence_once(self, out_env, tmp_path, monkeypatch):
         check = recurrence.check_recurrence
         calls = []

@@ -38,12 +38,23 @@ def loop_rhs_sum(scales, values, params, N):
     return sum((M / N) ** params.s * a for M, a in zip(scales, values) if params.m0 < M <= top)
 
 
+def loop_window_rungs(scales, params, N):
+    """The rungs of loop_rhs_sum's window, counted by hand."""
+    top = 2.0 * params.beta_prime * N * (1.0 + 1e-12)
+    return sum(1 for M in scales if params.m0 < M <= top)
+
+
 def sums_matching_loop(seq, params):
-    """check_recurrence's sum_term per N, each checked against loop_rhs_sum at 1e-13."""
-    sums = {N: ssum for N, _, ssum, *_ in recurrence.check_recurrence(seq, params).rows}
+    """check_recurrence's sum_term per N, each checked against loop_rhs_sum at 1e-13,
+    and its window_rungs against loop_window_rungs."""
+    rep = recurrence.check_recurrence(seq, params)
+    sums = {N: ssum for N, _, ssum, *_ in rep.rows}
     for N, ssum in sums.items():
         expected = loop_rhs_sum(seq.scales, seq.values, params, N)
         assert ssum == pytest.approx(expected, rel=1e-13, abs=0.0), N
+    rungs = [loop_window_rungs(seq.scales, params, N) for N in sums]
+    assert [r[6] for r in rep.rows] == rungs
+    assert rep.nonempty_windows == sum(1 for r in rungs if r)
     return sums
 
 
@@ -140,7 +151,7 @@ class TestCheckRecurrence:
         seq = recurrence.ASequence(LADDER, tuple(0.0 for _ in LADDER), "synthetic")
         rep = recurrence.check_recurrence(seq, params)
         assert rep.holds_with_given_c1
-        for (N, _, _, _, slack, _) in rep.rows:
+        for (N, _, _, _, slack, *_) in rep.rows:
             assert slack == pytest.approx(params.c1 * N**-params.s, rel=1e-12)
 
     def test_power_sequence_first_term_dominates(self):
@@ -300,12 +311,19 @@ class TestRecursiveControl:
         rep = recurrence.verify_recursive_control(
             power_sequence(-1.25, dyadic_ladder(2.0**599), cap=1.0), params)
         shift = math.floor(math.log2(2.0 * params.beta_prime * (1.0 + 1e-12)))
-        for k, (N, _, ssum, *_) in enumerate(rep.recurrence.rows):
+        for k, (N, _, ssum, *_, rungs) in enumerate(rep.recurrence.rows):
             assert ssum == pytest.approx(max(0, k + shift) * N**-params.s, rel=1e-12, abs=0.0)
+            assert rungs == max(0, k + shift)
+        assert rep.recurrence.nonempty_windows == 546
         assert rep.recurrence.minimal_c1 == 1.0 and rep.recurrence.holds_with_given_c1
         assert rep.overall_pass and rep.induction_steps == 13
+        # the pinned hash is of the report without the window counts checked above
+        recurrence_obj = rep.recurrence.to_json_obj()
+        del recurrence_obj["nonempty_windows"]
+        for row in recurrence_obj["rows"]:
+            del row["window_rungs"]
         blob = json.dumps({"control": rep.to_json_obj(),
-                           "recurrence": rep.recurrence.to_json_obj()}, sort_keys=True)
+                           "recurrence": recurrence_obj}, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
             "97fcae180d35bcf2aca4cf2777372b3afd8eabf6622230d884c0acf19617980b")
 
