@@ -14,7 +14,7 @@ class CheckFailed(RuntimeError):
 
 
 class GuardTripped(RuntimeError):
-    """evolve's blowup guard stopped the run."""
+    """A step of evolve lost resolution and ended the run."""
 
 
 class GridResolutionError(ValueError):

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _KERNEL_BLOCK,
     RadialField,
     RadialGrid,
     _check_resolved,
     _frozen_values,
     _energy_sum,
-    _kinetic_sum,
     _multiplier_inverse,
     _power_sum,
     _span_inverse,
@@ -36,7 +34,6 @@ from .core import (
 from .errors import ResolutionLossError
 
 TAIL_GUARD_FRACTION = 1e-4
-GRADIENT_GUARD_RATIO = 1e3
 
 
 @dataclass(frozen=True)
@@ -165,13 +162,11 @@ def step(u: RadialField, dt: float, mu: int) -> RadialField:
 def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
     """Run the split-step integrator, storing snapshots every cadence steps.
 
-    Each step is one call of the module's step.  Stored snapshots wait in a
-    block of up to _KERNEL_BLOCK // 2 and are transformed as one stack; their
-    energies are then logged and their gradient ratios checked in order.
-    Returns a partial trajectory with guard_event set when the blowup guard
-    (gradient norm ratio) trips or a step loses resolution; the run ends at the
-    first trip, and a trip in a waiting block comes before a later resolution
-    loss.  Guard trips are reported, never silently clipped.
+    Each step is one call of the module's step.  When a step loses resolution
+    the run ends there, and the partial trajectory comes back with guard_event
+    set: a guard trip is reported, never silently clipped.  After the loop the
+    stored snapshots past the initial one are transformed as one stack for the
+    energy log.
     """
     grid = u0.grid
     if grid.key != (cfg.dimension, cfg.n, cfg.r_max):
@@ -185,51 +180,29 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
             f"dt * rho_max^2 = {cfg.dt * grid.rho_max**2:.3g} > pi: the linear phase "
             "wraps within one step (accuracy, not stability, may suffer)")
 
-    # the energy log skips the resolvedness gate: near a guard trip the tail can
-    # sit between the strict threshold and the guard's, and the log still wants a number
-    grad0 = math.sqrt(_kinetic_sum(grid, coeffs0))
     u = u0
     t = 0.0
     times, rows, mass_log = [t], [u.values], [mass(u)]
-    energy_log = [float(_energy_sum(grid, u.values, coeffs0, cfg.mu))]
-
-    def settle() -> dict | None:
-        """Log the waiting snapshots' energies up to the first blowup trip, if any,
-        and cut the run back to that snapshot."""
-        first = len(energy_log)
-        if first == len(rows):
-            return None
-        block = np.array(rows[first:])
-        coeffs = grid._forward_values(block)
-        energies = _energy_sum(grid, block, coeffs, cfg.mu)
-        ratios = (np.sqrt(_kinetic_sum(grid, coeffs)) / grad0 if grad0 > 0
-                  else np.zeros(len(block)))
-        for i, (energy, ratio) in enumerate(zip(energies, ratios), first):
-            energy_log.append(float(energy))
-            if ratio > GRADIENT_GUARD_RATIO:
-                del times[i + 1:], rows[i + 1:], mass_log[i * cfg.cadence + 1:]
-                return {"kind": "blowup_guard", "time": times[i], "gradient_ratio": float(ratio)}
-        return None
-
     guard_event = None
     for k in range(1, cfg.n_steps + 1):
         try:
             u = step(u, cfg.dt, cfg.mu)
         except ResolutionLossError as exc:
-            guard_event = settle() or {"kind": "resolution_loss", "time": t, "detail": str(exc)}
+            guard_event = {"kind": "resolution_loss", "time": t, "detail": str(exc)}
             break
         t = k * cfg.dt
         mass_log.append(mass(u))
         if k % cfg.cadence == 0:
             times.append(t)
             rows.append(u.values)
-            if len(rows) - len(energy_log) == _KERNEL_BLOCK // 2:
-                guard_event = settle()
-                if guard_event:
-                    break
-    else:
-        guard_event = settle()
-    return Trajectory(cfg, grid, times, rows, mass_log, energy_log, guard_event, tuple(warnings))
+    # the energy log skips the resolvedness gate: near a guard trip the tail can
+    # sit between the strict threshold and the guard's, and the log still wants a number
+    energy0 = float(_energy_sum(grid, u0.values, coeffs0, cfg.mu))
+    traj = Trajectory(cfg, grid, times, rows, mass_log, [energy0], guard_event, tuple(warnings))
+    later = traj.values[1:]
+    energies = _energy_sum(grid, later, grid._forward_values(later), cfg.mu)
+    traj.energy_log.extend(map(float, energies))
+    return traj
 
 
 def duhamel_residual(traj: Trajectory, t0: float, t1: float) -> float:

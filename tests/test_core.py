@@ -36,8 +36,8 @@ for n in (640, 600, 1000):
 """
 
 # one GEMM against the whole kernel, which _real_matvec runs for 128 real rows or
-# more, against the 128-row blocks it runs for fewer; the complex stacks are the
-# ones in use: evolve's blocks of 64 snapshots, sw_dense's 251 and 178 snapshot
+# more, against the 128-row blocks it runs for fewer; the complex stacks are 64, the
+# smallest that runs as one GEMM, and ones in use: sw_dense's 251 and 178 snapshot
 # windows, selftest's 64 and 100 at n = 384
 ONE_GEMM = """
 import numpy as np

@@ -101,17 +101,16 @@ class TestEvolve:
         assert traj.guard_event is None
         assert traj.mass_drift < 1e-8
 
-    def test_blowup_guard_reported(self, grid):
-        # supercritical mass concentrates and trips a guard; the partial
+    def test_concentration_ends_in_resolution_loss(self, grid):
+        # supercritical mass concentrates until step 233 loses resolution; the partial
         # trajectory is returned with the event, not an exception
         big = core.field_from_function(grid, lambda r: 20.0 * np.exp(-(r**2)))
         cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=grid.r_max,
                                          n=grid.n, dt=1e-3, t_final=1.0, cadence=10)
         traj = evolution.evolve(cfg, big)
-        assert traj.guard_event is not None
-        assert traj.guard_event["kind"] in ("blowup_guard", "resolution_loss")
-        assert traj.times[-1] < 1.0
-        assert "time" in traj.guard_event
+        assert traj.guard_event["kind"] == "resolution_loss"
+        assert traj.guard_event["time"] == pytest.approx(0.232, rel=1e-12)
+        assert len(traj) == 24 and len(traj.mass_log) == 233
 
     def test_grid_mismatch_rejected(self, grid20):
         f = core.field_from_function(grid20, lambda r: np.exp(-(r**2)))
@@ -144,14 +143,12 @@ class TestEvolve:
 
 
 def per_snapshot_evolve(cfg, u0):
-    """evolve as one loop that transforms each snapshot when it is stored and stops at
-    the first guard trip: the reference for the blocked snapshot transforms."""
+    """evolve as one loop that transforms each snapshot when it is stored: the
+    reference for the stacked energy log."""
     grid = u0.grid
-    coeffs0 = grid._forward_values(u0.values)
-    grad0 = math.sqrt(core._kinetic_sum(grid, coeffs0))
     u, t = u0, 0.0
     times, rows, mass_log = [t], [u.values], [core.mass(u)]
-    energy_log = [float(core._energy_sum(grid, u.values, coeffs0, cfg.mu))]
+    energy_log = [float(core._energy_sum(grid, u.values, grid._forward_values(u.values), cfg.mu))]
     guard_event = None
     for k in range(1, cfg.n_steps + 1):
         try:
@@ -166,10 +163,6 @@ def per_snapshot_evolve(cfg, u0):
             rows.append(u.values)
             coeffs = grid._forward_values(u.values)
             energy_log.append(float(core._energy_sum(grid, u.values, coeffs, cfg.mu)))
-            ratio = math.sqrt(core._kinetic_sum(grid, coeffs)) / grad0
-            if ratio > evolution.GRADIENT_GUARD_RATIO:
-                guard_event = {"kind": "blowup_guard", "time": t, "gradient_ratio": ratio}
-                break
     return times, np.array(rows), mass_log, energy_log, guard_event
 
 
@@ -178,51 +171,26 @@ def run_config(grid, t_final, cadence):
                                       dt=1e-3, t_final=t_final, cadence=cadence)
 
 
-class TestBlockedSnapshots:
-    # 20 e^{-r^2} loses resolution at step 233, with the gradient ratio at 7.5, and
-    # 40 snapshots waiting at cadence 1.  A guard ratio of 1.3 trips in a full block
-    # (cadence 1); one of 2.5 trips in the block still waiting when resolution is lost
-    @pytest.mark.parametrize("cadence, guard_ratio, kind, lost", [
-        (10, 1e3, "resolution_loss", True), (1, 1e3, "resolution_loss", True),
-        (1, 1.3, "blowup_guard", False), (1, 2.5, "blowup_guard", True),
-        (10, 2.5, "blowup_guard", True)])
-    def test_matches_per_snapshot_loop(self, grid, monkeypatch, cadence, guard_ratio, kind,
-                                       lost):
-        monkeypatch.setattr(evolution, "GRADIENT_GUARD_RATIO", guard_ratio)
+class TestStackedEnergyLog:
+    # 20 e^{-r^2} loses resolution at step 233, with 24 snapshots stored at cadence 10
+    # and 233 at cadence 1
+    @pytest.mark.parametrize("cadence", [10, 1])
+    def test_matches_per_snapshot_loop(self, grid, cadence):
         big = core.field_from_function(grid, lambda r: 20.0 * np.exp(-(r**2)))
         cfg = run_config(grid, 0.3, cadence)
         times, values, mass_log, energy_log, event = per_snapshot_evolve(cfg, big)
-
-        step = evolution.step
-        losses = []
-
-        def watched(u, dt, mu):
-            try:
-                return step(u, dt, mu)
-            except evolution.ResolutionLossError:
-                losses.append(True)
-                raise
-
-        monkeypatch.setattr(evolution, "step", watched)
         traj = evolution.evolve(cfg, big)
-        # a blowup trip in a waiting block wins over the resolution loss after it
-        assert losses == [True] * lost
-        assert event["kind"] == traj.guard_event["kind"] == kind
-        assert traj.guard_event["time"] == event["time"]
+        assert event["kind"] == "resolution_loss"
+        assert traj.guard_event == event
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.values, values)
         assert traj.mass_log == mass_log
         kinetic = core._kinetic_sum(grid, grid._forward_values(values))
         assert np.all(np.abs(np.array(traj.energy_log) - energy_log) <= 1e-12 * kinetic)
-        if kind == "blowup_guard":
-            assert traj.guard_event["gradient_ratio"] == pytest.approx(
-                event["gradient_ratio"], rel=1e-12, abs=0.0)
-        else:
-            assert traj.guard_event["detail"] == event["detail"]
 
-    def test_products_per_snapshot_block(self, grid, monkeypatch):
-        # 2 products per step, 1 per block of at most 64 stored snapshots and 1 for
-        # the initial condition: halving the cadence adds 1 product per 64 snapshots
+    def test_products_per_run(self, grid, monkeypatch):
+        # 2 products per step, 1 for the initial condition and 1 for the stack of the
+        # other stored snapshots, whatever the cadence
         real_matvec = core._real_matvec
         calls = []
         monkeypatch.setattr(core, "_real_matvec",
@@ -236,9 +204,7 @@ class TestBlockedSnapshots:
             assert evolution.evolve(cfg, u0).guard_event is None
             return len(calls)
 
-        assert count(1) == 2 * 192 + 3 + 1
-        assert count(2) == 2 * 192 + 2 + 1
-        assert count(3) == 2 * 192 + 1 + 1
+        assert count(1) == count(2) == count(3) == 2 * 192 + 2
 
     def test_calls_step_once_per_step(self, grid, monkeypatch):
         # the benchmark's traced replay and the mutated-step virial test wrap the

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_bvp
 
-from radnls import core, groundstate
+from radnls import core, evolution, groundstate
 
 
 class TestSolve:
@@ -174,3 +174,45 @@ class TestExplicitSolutions:
     def test_pc_rejects_unresolvable_time(self, ground):
         with pytest.raises(core.UnresolvedFieldError):
             groundstate.make_pc(ground, -0.01)
+
+
+def lambda_q_run(ground, lam, t_final):
+    """The focusing run from lam Q at n = 640, dt 1e-3 and cadence 10."""
+    grid = ground.grid
+    cfg = evolution.SimulationConfig(dimension=grid.d, mu=-1, r_max=grid.r_max, n=grid.n,
+                                     dt=1e-3, t_final=t_final, cadence=10)
+    return evolution.evolve(cfg, core.RadialField(grid, lam * ground.profile.values))
+
+
+class TestMassThreshold:
+    # M(Q) is the threshold between global runs and blowup; both sides have a sharp
+    # bound from the initial data alone, and both hold on the ball (H^1_0 extends by 0)
+
+    def test_gradient_bounded_below_the_threshold(self, ground):
+        # Weinstein's sharp Gagliardo-Nirenberg inequality (CMP 87 (1983) 567) with
+        # E = K/2 - d/(2(d+2)) ||u||_p^p gives K(t) <= 2E / (1 - (M/M(Q))^{2/d}), which
+        # lam Q with lam < 1 attains at t = 0.  Tolerance: the energy drift of the split
+        # step, gated at 1e-5 (7.2e-6 measured over T = 2), plus the grid's sharp-ratio
+        # error |gn_ratio(Q) - 1| (1.3e-9) amplified by m / (1 - m) = 9, m = (M/M(Q))^{1/2}
+        traj = lambda_q_run(ground, 0.9, 2.0)
+        assert traj.guard_event is None
+        energy, m = traj.energy_log[0], math.sqrt(traj.mass_log[0] / ground.mass)
+        drift = max(abs(e - energy) for e in traj.energy_log) / energy
+        assert drift < 1e-5
+        sharp = abs(groundstate.gn_ratio(ground.profile, ground) - 1.0)
+        tau = 1e-5 + m / (1.0 - m) * sharp
+        kinetic = core._kinetic_sum(ground.grid, traj.coeffs)
+        assert kinetic.max() <= 2.0 * energy / (1.0 - m) * (1.0 + tau)
+
+    def test_blowup_before_glassey_time_above_the_threshold(self, ground):
+        # E < 0 and real data: V(t) <= V(0) + 8 E t^2 (Glassey, J. Math. Phys. 18 (1977)
+        # 1794; the Dirichlet wall keeps V'' <= 16E, Kavian, Trans. AMS 302 (1987) 489), so
+        # the run cannot outlive T_G = (V(0) / (8|E|))^{1/2}: 1.685 here; it loses
+        # resolution at 1.539
+        grid = ground.grid
+        traj = lambda_q_run(ground, 1.1, 2.0)
+        energy = traj.energy_log[0]
+        assert traj.mass_log[0] > ground.mass and energy < 0
+        variance = float(np.sum(grid.w * grid.r**2 * np.abs(traj.values[0]) ** 2))
+        assert traj.guard_event["kind"] == "resolution_loss"
+        assert traj.guard_event["time"] < math.sqrt(variance / (8.0 * abs(energy)))

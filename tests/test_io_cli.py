@@ -372,7 +372,9 @@ class TestCli:
         rc = cli.main(["--config", cfg, "evolve"])
         assert rc == 4
         manifest = json.loads((out_env / "blow" / "trajectory" / "manifest.json").read_text())
-        assert manifest["guard_event"] is not None
+        assert manifest["guard_event"]["kind"] == "resolution_loss"
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "numerical_guard"
 
     def test_lemma_reports(self, out_env, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
