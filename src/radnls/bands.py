@@ -30,7 +30,6 @@ from .core import (
     RadialField,
     RadialGrid,
     _real_matvec,
-    _span_inverse,
     _symbol_span,
     apply_multiplier,
     lebesgue_norm,
@@ -141,7 +140,7 @@ def pointwise_band_norm(grid: RadialGrid, N: float) -> np.ndarray:
     span = _symbol_span(symbol)
     spectra = _kernel_rows(grid, span) * grid._fwd_in[:, None]
     spectra /= grid._rho_nu[span]
-    rows = _span_inverse(grid, span, symbol[span] * spectra)
+    rows = grid._inverse_values(symbol[span] * spectra, span)
     return np.sqrt(np.sum(rows**2 / grid.w[:, None], axis=0))
 
 

@@ -34,7 +34,6 @@ from .errors import (
     CheckFailed,
     ConfigError,
     GroundStateError,
-    GuardTripped,
     NumericalFailure,
     ResolutionLossError,
 )
@@ -313,7 +312,7 @@ def cmd_evolve(cfg: dict) -> int:
           f"mass drift {summary['mass_drift']:.3e}")
     if traj.guard_event is not None:
         print(f"guard tripped: {traj.guard_event}")
-        raise GuardTripped(str(traj.guard_event))
+        raise ResolutionLossError(str(traj.guard_event))
     return EXIT_OK
 
 
@@ -560,7 +559,6 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 ERRORS = {  # exception -> (error kind, exit code); the first class that matches wins
     ValueError: ("invalid_input", EXIT_INVALID),  # ConfigError, GridResolutionError, ...
-    GuardTripped: ("numerical_guard", EXIT_NUMERICAL),
     ResolutionLossError: ("numerical_guard", EXIT_NUMERICAL),
     NumericalFailure: ("numerical_failure", EXIT_NUMERICAL),
     CheckFailed: ("check_failed", EXIT_CHECK_FAILED),

@@ -396,17 +396,15 @@ class RadialGrid:
         padded.setflags(write=False)
         return padded
 
-    def _forward_values(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """The coefficients along the last axis, or those of the kernel rows in rows only.
-        Rows that start and end on whole _KERNEL_BLOCKs run the full transform's GEMMs,
-        so their coefficients are the full transform's bit for bit; others need not be."""
-        rho_nu = self._rho_nu[rows]
-        out = _real_matvec(self._kernel[rows], values, self._fwd_in)[..., :len(rho_nu)]
-        out /= rho_nu
+    def _forward_values(self, values: np.ndarray) -> np.ndarray:
+        out = _real_matvec(self._kernel, values, self._fwd_in)[..., :self.n]
+        out /= self._rho_nu
         return out
 
-    def _inverse_values(self, coeffs: np.ndarray) -> np.ndarray:
-        out = _real_matvec(self._kernel, coeffs, self._inv_in)[..., :self.n]
+    def _inverse_values(self, coeffs: np.ndarray, span: slice = slice(None)) -> np.ndarray:
+        """The inverse transform along the last axis of a spectrum that is 0 outside span,
+        from its entries in span only, through a view of those kernel columns."""
+        out = _real_matvec(self._kernel[:, span], coeffs, self._inv_in[span])[..., :self.n]
         out /= self._r_nu
         return out
 
@@ -516,39 +514,19 @@ def _symbol_span(symbol: np.ndarray) -> slice | None:
     return slice(None) if k1 - k0 > _KERNEL_BLOCK else slice(k0, k1)
 
 
-def _span_inverse(grid: RadialGrid, span: slice, spectrum: np.ndarray) -> np.ndarray:
-    """The inverse transform of a spectrum that is 0 outside span, from its entries in
-    span along the last axis, through a view of those kernel columns."""
-    out = _real_matvec(grid._kernel[:, span], spectrum, grid._inv_in[span])[..., :grid.n]
-    out /= grid._r_nu
-    return out
-
-
 def _multiplier_inverse(grid: RadialGrid, symbol: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The inverse transform of symbol * coeffs along the last axis, symbol (n,), from
     the kernel columns of _symbol_span only.  A zero symbol gives zeros without a product."""
     span = _symbol_span(symbol)
     if span is None:
         return np.zeros(coeffs.shape, np.result_type(symbol, coeffs))
-    return _span_inverse(grid, span, symbol[span] * coeffs[..., span])
-
-
-def _multiplier_values(grid: RadialGrid, symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """_multiplier_inverse(grid, symbol, grid._forward_values(values)), bit for bit, with
-    only the whole kernel blocks of rows around the symbol's span transformed forward:
-    one or two of the ten at n = 1280 for a band, low or fat symbol that narrow."""
-    span = _symbol_span(symbol)
-    if span is None:
-        return np.zeros(values.shape, np.result_type(symbol, values))
-    k0, k1, _ = span.indices(grid.n)
-    b0 = k0 - k0 % _KERNEL_BLOCK
-    coeffs = grid._forward_values(values, slice(b0, _whole_blocks(k1)))
-    return _span_inverse(grid, span, symbol[span] * coeffs[..., k0 - b0:k1 - b0])
+    return grid._inverse_values(symbol[span] * coeffs[..., span], span)
 
 
 def apply_multiplier(f: RadialField, symbol: np.ndarray) -> RadialField:
     """Return the field with Fourier coefficients symbol(rho_k) * uhat_k."""
-    return RadialField(f.grid, _multiplier_values(f.grid, symbol, f.values))
+    coeffs = f.grid._forward_values(f.values)
+    return RadialField(f.grid, _multiplier_inverse(f.grid, symbol, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +576,20 @@ def _energy_sum(grid: RadialGrid, values: np.ndarray, coeffs: np.ndarray, mu: in
 
 
 def _tail_fraction(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Fraction of the spectral mass at rho > rho_max / 2 (0 for zero coefficients)."""
+    """Fraction of the spectral mass at rho > rho_max / 2 (0 for zero coefficients, NaN
+    where the spectral mass is not finite)."""
     power = grid.wrho * np.abs(coeffs) ** 2
     total = power.sum(axis=-1)
     high = power[..., grid._high_rho].sum(axis=-1)
-    return high / np.where(total == 0.0, 1.0, total)
+    return np.where(np.isfinite(total), high, np.nan) / np.where(total == 0.0, 1.0, total)
 
 
 def _check_resolved(grid: RadialGrid, coeffs: np.ndarray, what: str) -> None:
-    """Raise UnresolvedFieldError unless every row's tail fraction is under the threshold."""
+    """Raise UnresolvedFieldError unless every row's spectral mass is finite and its tail
+    fraction under the threshold."""
     frac = np.max(_tail_fraction(grid, coeffs))
+    if np.isnan(frac):
+        raise UnresolvedFieldError(f"{what} has a non-finite spectral mass")
     if frac >= RESOLVED_TAIL_FRACTION:
         raise UnresolvedFieldError(
             f"{what} is under-resolved: {frac:.3e} of its mass lies above rho_max/2")

@@ -13,10 +13,6 @@ class CheckFailed(RuntimeError):
     """A diagnostic, lemma or selftest check failed."""
 
 
-class GuardTripped(RuntimeError):
-    """A step of evolve lost resolution and ended the run."""
-
-
 class GridResolutionError(ValueError):
     """Grid cannot represent the certification field to tolerance."""
 

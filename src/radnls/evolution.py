@@ -25,7 +25,6 @@ from .core import (
     _energy_sum,
     _multiplier_inverse,
     _power_sum,
-    _span_inverse,
     _tail_fraction,
     apply_multiplier,
     make_radial_grid,
@@ -136,7 +135,7 @@ def step(u: RadialField, dt: float, mu: int) -> RadialField:
     """One symmetric split step (exact half phases around the exact free flow).
 
     The free phase exp(-i dt rho^2) is built once per grid and dt.  It is
-    nowhere zero, so its product reads the whole kernel without a span search.
+    nowhere zero, so its product is the grid's full inverse, with no span search.
     Raises ResolutionLossError when the spectral tail fraction passes the
     guard; the caller decides whether that aborts the run.
     """
@@ -153,7 +152,7 @@ def step(u: RadialField, dt: float, mu: int) -> RadialField:
             f"spectral tail fraction {tail:.3e} exceeds {TAIL_GUARD_FRACTION:g}; "
             "use a smaller dt or a larger grid")
     # free * coeffs, in this order: coeffs * free rounds differently
-    vals = _span_inverse(g, slice(None), g._free_phase(dt) * coeffs)
+    vals = g._inverse_values(g._free_phase(dt) * coeffs)
     if mu != 0:
         vals = vals * np.exp(-1j * mu * 0.5 * dt * np.abs(vals) ** (4.0 / d))
     return RadialField(g, vals)
@@ -173,6 +172,11 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
         raise ValueError("initial condition grid does not match the config grid spec")
     coeffs0 = grid._forward_values(u0.values)
     _check_resolved(grid, coeffs0, "initial condition")
+    # the energy log skips the resolvedness gate: near a guard trip the tail can
+    # sit between the strict threshold and the guard's, and the log still wants a number
+    energy0 = float(_energy_sum(grid, u0.values, coeffs0, cfg.mu))
+    if not math.isfinite(energy0):
+        raise ValueError(f"initial condition energy is not finite ({energy0})")
 
     warnings = []
     if cfg.dt * grid.rho_max**2 > math.pi:
@@ -195,9 +199,6 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
         if k % cfg.cadence == 0:
             times.append(t)
             rows.append(u.values)
-    # the energy log skips the resolvedness gate: near a guard trip the tail can
-    # sit between the strict threshold and the guard's, and the log still wants a number
-    energy0 = float(_energy_sum(grid, u0.values, coeffs0, cfg.mu))
     traj = Trajectory(cfg, grid, times, rows, mass_log, [energy0], guard_event, tuple(warnings))
     later = traj.values[1:]
     energies = _energy_sum(grid, later, grid._forward_values(later), cfg.mu)

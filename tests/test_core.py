@@ -381,42 +381,6 @@ class TestKernel:
             assert zero.shape == vec.shape and zero.dtype == dtype and not zero.any()
         assert widths == []
 
-    @pytest.mark.parametrize("n", [384, 640, 1280])
-    def test_multiplier_forward_reads_whole_blocks_around_the_span(self, n, monkeypatch):
-        # a multiplier forward-transforms only the kernel blocks of rows around its
-        # symbol's span, with the full transform's GEMMs, so a band, low or fat
-        # symbol gives the bits of the full forward product, on one field and on a
-        # stack; a span wider than one block, such as low(32) at n = 1280, is the
-        # full product itself
-        g = core.make_radial_grid(4, 15.0, n)
-        rng = np.random.default_rng(n)
-        stack = np.array([core.random_smooth_field(g, rng).values for _ in range(21)])
-        real_matvec, rows = core._real_matvec, []
-
-        def spy(mat, vec, *scale):
-            rows.append(len(mat))
-            return real_matvec(mat, vec, *scale)
-
-        for symbol in (bands.band_symbol, bands.low_symbol, bands.fat_symbol):
-            for N in core.dyadic_scales(g):
-                sym = symbol(g, N)
-                nonzero = np.flatnonzero(sym)
-                k0, k1 = nonzero[0], nonzero[-1] + 1
-                blocks = (g._kernel.shape[0] if k1 - k0 > core._KERNEL_BLOCK
-                          else core._whole_blocks(k1) - k0 // core._KERNEL_BLOCK
-                          * core._KERNEL_BLOCK)
-                for vec in (stack, stack[0]):
-                    ref = core._multiplier_inverse(g, sym, g._forward_values(vec))
-                    monkeypatch.setattr(core, "_real_matvec", spy)
-                    rows.clear()
-                    got = core._multiplier_values(g, sym, vec)
-                    monkeypatch.setattr(core, "_real_matvec", real_matvec)
-                    assert rows[0] == blocks, (symbol.__name__, N)
-                    assert got.dtype == ref.dtype and np.array_equal(got, ref), (
-                        symbol.__name__, N, vec.shape)
-                field = core.RadialField(g, stack[0])
-                assert np.array_equal(core.apply_multiplier(field, sym).values, ref)
-
     def test_multiplier_inverse_does_not_copy_the_kernel(self, grid):
         # a copy of the band's 82 kernel columns would be 420 kB; the product of one
         # field needs a few kB

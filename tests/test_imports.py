@@ -419,6 +419,47 @@ def test_one_bessel_builder():
     assert calls and {c.split(":")[0] for c in calls} <= BESSEL_BUILDERS, calls
 
 
+# the functions that may read the grid's kernel, as "module.where": its two products,
+# the forward and the (span) inverse transform, and mismatch_norm's and
+# pointwise_band_norm's view of its rows; the constructor builds it
+KERNEL_READERS = {"core.RadialGrid.__init__", "core.RadialGrid._forward_values",
+                  "core.RadialGrid._inverse_values", "bands._kernel_rows"}
+
+
+def kernel_loads(source: str) -> list[str]:
+    """Each load of an attribute named _kernel, as "where", the dotted names of the
+    classes and functions around it ("<module>" outside any)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "_kernel"
+                    and isinstance(child.ctx, ast.Load)):
+                found.append(where or "<module>")
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_guard_flags_a_kernel_load():
+    source = ("class G:\n    def __init__(self):\n        self._kernel = k\n"
+              "    def apply(self, v):\n        return self._kernel @ v\n"
+              "def helper(g, span):\n    return g._kernel[:, span], g._deriv_kernel\n"
+              "X = grid._kernel\n")
+    assert kernel_loads(source) == ["G.apply", "helper", "<module>"]
+
+
+def test_two_kernel_products():
+    # every product with the grid's kernel goes through _forward_values or
+    # _inverse_values; _kernel_rows hands bands the kernel's rows with no product
+    loads = {f"{p.stem}.{where}" for p in SOURCES for where in kernel_loads(p.read_text())}
+    assert loads and loads <= KERNEL_READERS, loads
+
+
 # numpy.linalg calls the package may make, as "module.where: name": the 2-column
 # least-squares fit of the decay slopes, and mismatch_norm's thin QR factors and K x K
 # SVD, whose bits test_bands.py::TestMismatchNorm::test_independent_of_blas_threads

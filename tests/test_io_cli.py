@@ -89,7 +89,6 @@ EXIT_CASES = [
     (ValueError("boom"), "invalid_input", 2),
     (cli.ConfigError("boom"), "invalid_input", 2),
     (core.GridResolutionError("boom"), "invalid_input", 2),
-    (cli.GuardTripped("boom"), "numerical_guard", 4),
     (evolution.ResolutionLossError("boom"), "numerical_guard", 4),
     (errors.NumericalFailure("boom"), "numerical_failure", 4),
     (cli.CheckFailed("boom"), "check_failed", 1),
@@ -375,6 +374,24 @@ class TestCli:
         assert manifest["guard_event"]["kind"] == "resolution_loss"
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "numerical_guard"
+
+    @pytest.mark.parametrize("amplitude, detail", [
+        pytest.param(1e160, "non-finite spectral mass", id="mass_overflows"),
+        pytest.param(1e110, "energy is not finite", id="energy_overflows")])
+    def test_overflowing_initial_condition_exits_2(self, out_env, tmp_path, capsys,
+                                                   amplitude, detail):
+        # at 1e160 the spectral mass is inf, so its tail fraction read 0 and passed; at
+        # 1e110 the mass is finite but |u|^3 overflows E(u0)
+        cfg = write_cfg(tmp_path, {
+            "grid": {"r_max": 15.0, "n": 128},
+            "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+            "initial": {"kind": "gaussian", "params": {"amplitude": amplitude}},
+            "output_dir": "huge"})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["--config", cfg, "evolve"]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "invalid_input" and detail in error["detail"]
+        assert not any((out_env / "huge").iterdir())
 
     def test_lemma_reports(self, out_env, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
