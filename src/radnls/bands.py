@@ -114,31 +114,23 @@ def project_fat(f: RadialField, N: float) -> RadialField:
 # inequality estimators
 # ---------------------------------------------------------------------------
 
-def _kernel_rows(grid: RadialGrid, span: slice) -> np.ndarray:
-    """The kernel's rows in span as columns over the n nodes, (n, K), a view: column k
-    times _fwd_in / rho_k^nu is coefficient k's analysis row, and times _inv_in[k] / r^nu
-    and J_{nu+1}(j_m)^2 / J_{nu+1}(j_k)^2 at node m its synthesis column."""
-    k0, k1, _ = span.indices(grid.n)
-    return grid._kernel[k0:k1, :grid.n].T
-
-
 def pointwise_band_norm(grid: RadialGrid, N: float) -> np.ndarray:
     """At each node r_m, the sup over fields f of |P_N f(r_m)| / ||f||_2.
 
     P_N f(r_m) = sum_j f_j M[j, m], M[j] being P_N of the unit field at node j,
     so by Cauchy-Schwarz in the quadrature's inner product the sup is
     sqrt(sum_j M[j, m]^2 / w_j), exact on the grid.  The spectrum of the unit
-    field at node j is kernel[k, j] fwd_in[j] / rho_nu[k], read off the kernel's
-    rows in the band's span: a product against the identity adds only exact
-    zeros to those entries.  Bernstein's constant is its
-    max over N^{d/2}, the radial Sobolev constant the max of r^{(d-1)/2} times it
-    over N^{1/2}.  At d = 4, r_max 15, N = 32 and n = 1280 these read 0.055228
-    and 0.123430, within 3.3e-5 and 7.1e-5 of the continuum values.
+    field at node j is kernel[k, j] fwd_in[j] / rho_nu[k], read off the grid's
+    _kernel_rows in the band's span: a product against the identity adds only
+    exact zeros to those entries.  Bernstein's constant is its max over N^{d/2},
+    the radial Sobolev constant the max of r^{(d-1)/2} times it over N^{1/2}.  At
+    d = 4, r_max 15, N = 32 and n = 1280 these read 0.055228 and 0.123430, within
+    3.3e-5 and 7.1e-5 of the continuum values.
     """
     validate_scale(grid, N)
     symbol = band_symbol(grid, N)
     span = _symbol_span(symbol)
-    spectra = _kernel_rows(grid, span) * grid._fwd_in[:, None]
+    spectra = grid._kernel_rows(span) * grid._fwd_in[:, None]
     spectra /= grid._rho_nu[span]
     rows = grid._inverse_values(symbol[span] * spectra, span)
     return np.sqrt(np.sum(rows**2 / grid.w[:, None], axis=0))
@@ -148,10 +140,10 @@ def mismatch_norm(grid: RadialGrid, R: float, N: float) -> float:
     """||A|| over all fields, A = phi_{>R} P_{<=N} phi_{<=R/2}, exact on the grid.
 
     P_{<=N} reads only the K coefficients where phi(rho_k / N) != 0.  In the quadrature
-    weights A = B diag(g) C^T, B and C being _kernel_rows in that span with each node's
-    row scaled by a cutoff, sqrt(w)^{+-1} and the transform's factors, so ||A|| is the top
-    singular value of the K x K matrix R_B diag(g) R_C^T of their thin QR factors.  N R
-    < 4 is vacuous at this resolution.  At d = 4, r_max 15, n = 1280 and R = 8 it reads
+    weights A = B diag(g) C^T, B and C being the grid's _kernel_rows in that span, one
+    view for both, with each node's row scaled by a cutoff, sqrt(w)^{+-1} and the
+    transforms' own scalars, so ||A|| is the top singular value of the K x K matrix
+    R_B diag(g) R_C^T of their thin QR factors.  N R < 4 is vacuous at this resolution.  At d = 4, r_max 15, n = 1280 and R = 8 it reads
     0.14542, 0.08410, 0.02592 and 0.0042866 at N R = 64, 128, 256 and 512 (K = 39 to 318).
     """
     if N * R < 4.0:
@@ -162,12 +154,11 @@ def mismatch_norm(grid: RadialGrid, R: float, N: float) -> float:
     # K rounded up to whole 16-row panels, past which g is 0, keeps the bits under one and
     # two OpenBLAS threads; K = 318 alone did not
     span = slice(0, -(-np.count_nonzero(symbol) // 16) * 16)
-    rows = _kernel_rows(grid, span)
+    rows = grid._kernel_rows(span)
     sw = np.sqrt(grid.w)
-    jnext2 = grid._jnext**2
-    r_b = np.linalg.qr((sw * outer * jnext2 / grid._r_nu)[:, None] * rows, mode="r")
+    r_b = np.linalg.qr((sw * outer / grid._r_nu)[:, None] * rows, mode="r")
     r_c = np.linalg.qr((grid._fwd_in * inner / sw)[:, None] * rows, mode="r")
-    g = symbol[span] * grid._inv_in[span] / (grid._rho_nu[span] * jnext2[span])
+    g = symbol[span] * grid._inv_in[span] / grid._rho_nu[span]
     return float(np.linalg.svd((r_b * g) @ r_c.T, compute_uv=False)[0])
 
 

@@ -9,24 +9,24 @@ this on the positive zeros j_1 < ... < j_n of J_nu scaled into [0, r_max],
 which makes the transform matrix symmetric and quasi-unitary and supplies a
 companion quadrature rule for integrals against r^(d-1) dr.
 
-Each grid stores one real n x n kernel J_nu(j_m j_k / S) / J_{nu+1}(j_k)^2
+Each grid stores one real n x n kernel J_nu(j_m j_k / S), exactly symmetric
 (8 n^2 bytes, 13 MB at n = 1280), shared by the forward and inverse
-transforms, whose scalars are applied to the n-vector instead.  It is built
-from its symmetry, a block of rows at a time, and applied a block of rows at
-a time too: each block is read once and used while it sits in cache, where
-one GEMM of the whole kernel against a single field streams all 13 MB far
-below memory speed.  Every kernel is zero-padded to a multiple of the block
-in both dimensions (no padding at n = 384, 640 or 1280), so each GEMM has
-the same shape at every n and its bits do not depend on the BLAS thread
-count.  A multiplied spectrum symbol * uhat is inverted from the kernel
-columns inside the symbol's support only: a dyadic band at n = 640 reads 10
-to 82 of the 640 columns.  Its Bessel values, and the zeros j_k, come from one
-numpy evaluator of J_nu(x) in this module: the Hankel asymptotic expansion
-(DLMF 10.17.3) for x >= 25, Miller's normalised backward recurrence below
-that, and the power series below x = 2.  Every order is evaluated directly,
-to within 5e-16 absolute of mpmath at orders 0-5.  Complex fields go
-through the real kernel as rows of real and imaginary parts rather than a
-complex copy of it.
+transforms, whose scalars, J_{nu+1}(j_k)^-2 among them, are applied to the
+n-vector instead.  It is built from its symmetry, a block of rows at a time,
+and applied a block of rows at a time too: each block is read once and used
+while it sits in cache, where one GEMM of the whole kernel against a single
+field streams all 13 MB far below memory speed.  Every kernel is zero-padded
+to a multiple of the block in both dimensions (no padding at n = 384, 640 or
+1280), so each GEMM has the same shape at every n and its bits do not depend
+on the BLAS thread count.  A multiplied spectrum symbol * uhat is inverted
+from the kernel columns inside the symbol's support only: a dyadic band at
+n = 640 reads 10 to 82 of the 640 columns.  Its Bessel values, and the zeros
+j_k, come from one numpy evaluator of J_nu(x) in this module: the Hankel
+asymptotic expansion (DLMF 10.17.3) for x >= 25, Miller's normalised backward
+recurrence below that, and the power series below x = 2.  Every order is
+evaluated directly, to within 5e-16 absolute of mpmath at orders 0-5.
+Complex fields go through the real kernel as rows of real and imaginary parts
+rather than a complex copy of it.
 Transforms and private sums work along the last axis, so a (T, n) stack of
 snapshots takes the same code as one field, with one product for all T.
 
@@ -294,21 +294,21 @@ class RadialGrid:
         self._high_rho = self.rho > 0.5 * self.rho_max
 
         jnext = _bessel_j(self.nu + 1, j)
-        self._jnext = jnext
+        # 1D weights: Integral_0^R h(r) r dr ~= sum w1_k h(r_k), same on the rho side
+        self.w1 = 2.0 * self.r_max**2 / (s_edge**2 * jnext**2)
+        self.wrho1 = 2.0 / (self.r_max**2 * jnext**2)
         self._r_nu = self.r**self.nu
         self._rho_nu = self.rho**self.nu
-        # the one kernel C[m, k] = J_nu(j_m j_k / S) / J_{nu+1}(j_k)^2; the forward
-        # and inverse transforms differ only by scalars, folded into the input vectors
+        # the one kernel K[m, k] = J_nu(j_m j_k / S), symmetric; the forward and inverse
+        # transforms differ only by scalars, the 1D weights with their J_{nu+1}(j_k)^-2
+        # among them, folded into the input vectors
         self._kernel = self._symmetric_kernel(self.nu)
-        self._fwd_in = (2.0 * self.r_max**2 / s_edge**2) * self._r_nu
-        self._inv_in = (2.0 / self.r_max**2) * self._rho_nu
+        self._fwd_in = self.w1 * self._r_nu
+        self._inv_in = self.wrho1 * self._rho_nu
         self._deriv_kernel = None
         self._pv_parts = None
         self._free_phases = {}
 
-        # 1D weights: Integral_0^R h(r) r dr ~= sum w1_k h(r_k), same on the rho side
-        self.w1 = 2.0 * self.r_max**2 / (s_edge**2 * jnext**2)
-        self.wrho1 = 2.0 / (self.r_max**2 * jnext**2)
         area = sphere_area(self.d)
         # full-measure weights: Integral_{R^d} h dx ~= sum w_k h(r_k)
         self.w = area * self.r ** (self.d - 2) * self.w1
@@ -369,18 +369,18 @@ class RadialGrid:
 
     def _symmetric_kernel(self, order: int, scale: float = 1.0,
                           rows: int | None = None) -> np.ndarray:
-        """J_order(scale j_m j_k / S) / J_{nu+1}(j_k)^2 for the first rows m (all n by
-        default), bitwise equal to the full build, zero-padded to whole
-        _KERNEL_BLOCKs of rows and of columns.
+        """J_order(scale j_m j_k / S) for the first rows m (all n by default), bitwise
+        equal to the full build, zero-padded to whole _KERNEL_BLOCKs of rows and of
+        columns.
 
-        J_order(scale j_m j_k / S) is symmetric in (m, k), so Bessel values are
-        computed for the upper triangle only, one block of rows at a time, and
-        mirrored inside the rows kept; the columns beyond them are computed
-        directly.  Dividing by S / scale keeps the scale-1 argument j_m j_k / S
-        bit for bit.
+        The matrix is symmetric in (m, k), and a full build is so exactly: Bessel
+        values are computed for the upper triangle only, one block of rows at a
+        time, and mirrored inside the rows kept; the columns beyond them are
+        computed directly.  Dividing by S / scale keeps the scale-1 argument
+        j_m j_k / S bit for bit.
 
         Every entry, at any order, is one value of _bessel_j at its argument.
-        Against mpmath at the exact argument, sampled entries are within 3e-14 of
+        Against mpmath at the exact argument, sampled entries are within 6e-15 of
         the kernel's largest.
         """
         j, n, rows = self._bessel_zeros, self.n, self.n if rows is None else rows
@@ -392,7 +392,6 @@ class RadialGrid:
             block = _bessel_j(order, x)
             mat[i0:i1, i0:] = block
             mat[i1:, i0:i1] = block[:, i1 - i0:rows - i0].T
-        mat /= self._jnext**2
         padded.setflags(write=False)
         return padded
 
@@ -408,11 +407,18 @@ class RadialGrid:
         out /= self._r_nu
         return out
 
+    def _kernel_rows(self, span: slice) -> np.ndarray:
+        """The kernel's rows in span as columns over the n nodes, (n, K), a view.  By
+        symmetry these are also its columns: column k times _fwd_in / rho_k^nu is
+        coefficient k's analysis row, and times _inv_in[k] / r^nu its synthesis column."""
+        k0, k1, _ = span.indices(self.n)
+        return self._kernel[k0:k1, :self.n].T
+
     def derivative_kernel(self) -> np.ndarray:
         """Kernel for the radial derivative: d/dr maps the J_nu series to a J_{nu+1} series.
 
-        Holds J_{nu+1}(j_m j_k / S) / J_{nu+1}(j_k)^2, zero-padded as the grid's
-        kernel; the synthesis scalar 2/R^2 is applied to the coefficient vector.
+        Holds J_{nu+1}(j_m j_k / S), symmetric and zero-padded as the grid's kernel;
+        the synthesis scalars _inv_in are applied to the coefficient vector.
         """
         if self._deriv_kernel is None:
             self._deriv_kernel = self._symmetric_kernel(self.nu + 1)
@@ -631,17 +637,16 @@ def radial_derivative(f: RadialField) -> RadialField:
 
 def _derivative_values(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
     """df/dr at the nodes from the spectral coefficients, along the last axis."""
-    out = _real_matvec(grid.derivative_kernel(), coeffs,
-                       (2.0 / grid.r_max**2) * grid._rho_nu * grid.rho)[..., :grid.n]
+    out = _real_matvec(grid.derivative_kernel(), coeffs, grid._inv_in * grid.rho)[..., :grid.n]
     return -out / grid._r_nu
 
 
 def _rescaled_values(grid: RadialGrid, values: np.ndarray, lam: float) -> np.ndarray:
     """lam^{d/2} f(lam r) at the nodes, along the last axis; 0 where lam r > r_max.
 
-    The inverse transform at the radii lam r_m has the kernel
-    J_nu(lam j_m j_k / S) / J_{nu+1}(j_k)^2, the grid's own at scale lam.  Only
-    its rows with lam r_m <= r_max, a prefix of the nodes, are built.
+    The inverse transform at the radii lam r_m has the kernel J_nu(lam j_m j_k / S),
+    the grid's own at scale lam, with the same scalars _inv_in.  Only its rows with
+    lam r_m <= r_max, a prefix of the nodes, are built.
     """
     coeffs = grid._forward_values(values)
     kept = int(np.count_nonzero(lam * grid.r <= grid.r_max))

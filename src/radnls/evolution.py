@@ -171,10 +171,12 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
     if grid.key != (cfg.dimension, cfg.n, cfg.r_max):
         raise ValueError("initial condition grid does not match the config grid spec")
     coeffs0 = grid._forward_values(u0.values)
-    _check_resolved(grid, coeffs0, "initial condition")
-    # the energy log skips the resolvedness gate: near a guard trip the tail can
-    # sit between the strict threshold and the guard's, and the log still wants a number
-    energy0 = float(_energy_sum(grid, u0.values, coeffs0, cfg.mu))
+    # a field whose sums overflow is refused here, as an error and not a numpy warning
+    with np.errstate(over="ignore"):
+        _check_resolved(grid, coeffs0, "initial condition")
+        # the energy log skips the resolvedness gate: near a guard trip the tail can sit
+        # between the strict threshold and the guard's, and the log still wants a number
+        energy0 = float(_energy_sum(grid, u0.values, coeffs0, cfg.mu))
     if not math.isfinite(energy0):
         raise ValueError(f"initial condition energy is not finite ({energy0})")
 

@@ -204,8 +204,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_kernel_entries_match_mpmath(self, d):
-        # J_order(scale j_m j_k / S) / J_{nu+1}(j_k)^2 with the zeros refined in
-        # mpmath, for the grid's kernel (order nu), the derivative kernel (nu + 1)
+        # J_order(scale j_m j_k / S) with the zeros refined in mpmath, the stored entry
+        # itself, for the grid's kernel (order nu), the derivative kernel (nu + 1)
         # and rescale's kernel at scale 1/2: orders 0-3 over d = 2, 4, 6.  The 100
         # pairs (m, k) of ten nodes include the first rows and columns, which hold
         # the entries with x < order.  J_order has no zero there, so those entries
@@ -226,12 +226,21 @@ class TestKernel:
                 for m in nodes:
                     for k in nodes:
                         x = scale * zero[m] * zero[k] / zero[n]
-                        ref = mpmath.besselj(order, x) / mpmath.besselj(nu + 1, zero[k]) ** 2
+                        ref = mpmath.besselj(order, x)
                         err = max(err, abs(float(mat[m, k] - ref)))
                         if x < order:
                             rel_low = max(rel_low, abs(float((mat[m, k] - ref) / ref)))
                 assert err <= 1e-13 * np.max(np.abs(mat)), (order, scale, err)
                 assert rel_low <= 1e-12, (order, scale, rel_low)
+
+    @pytest.mark.parametrize("n", [384, 600, 1280])
+    def test_kernels_are_exactly_symmetric(self, n):
+        # J_order(j_m j_k / S) is built on the upper triangle and mirrored, padding
+        # included, so the stored kernels, which carry no column scaling, are symmetric
+        # bit for bit
+        g = core.make_radial_grid(4, 15.0, n)
+        for mat in (g._kernel, g.derivative_kernel()):
+            assert np.array_equal(mat, mat.T)
 
     @pytest.mark.parametrize("n", [600, 1000])
     def test_blocked_product_matches_one_gemm(self, n):
@@ -299,7 +308,7 @@ class TestKernel:
         g = core.make_radial_grid(4, 15.0, 256)
         rng = np.random.default_rng(5)
         stack = rng.standard_normal((64, g.n)) + 1j * rng.standard_normal((64, g.n))
-        scale = (2.0 / g.r_max**2) * g._rho_nu * g.rho
+        scale = g._inv_in * g.rho
         assert np.array_equal(core._derivative_values(g, stack),
                               -core._real_matvec(g.derivative_kernel(), stack * scale) / g._r_nu)
         tracemalloc.start()

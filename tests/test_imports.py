@@ -420,14 +420,14 @@ def test_one_bessel_builder():
 
 
 # the functions that may read the grid's kernel, as "module.where": its two products,
-# the forward and the (span) inverse transform, and mismatch_norm's and
-# pointwise_band_norm's view of its rows; the constructor builds it
+# the forward and the (span) inverse transform, and the view of its rows that
+# mismatch_norm and pointwise_band_norm take; the constructor builds it
 KERNEL_READERS = {"core.RadialGrid.__init__", "core.RadialGrid._forward_values",
-                  "core.RadialGrid._inverse_values", "bands._kernel_rows"}
+                  "core.RadialGrid._inverse_values", "core.RadialGrid._kernel_rows"}
 
 
-def kernel_loads(source: str) -> list[str]:
-    """Each load of an attribute named _kernel, as "where", the dotted names of the
+def attribute_loads(source: str, attr: str = "_kernel") -> list[str]:
+    """Each load of an attribute named attr, as "where", the dotted names of the
     classes and functions around it ("<module>" outside any)."""
     found = []
 
@@ -436,7 +436,7 @@ def kernel_loads(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}" if where else child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "_kernel"
+            if (isinstance(child, ast.Attribute) and child.attr == attr
                     and isinstance(child.ctx, ast.Load)):
                 found.append(where or "<module>")
             visit(child, where)
@@ -450,14 +450,23 @@ def test_guard_flags_a_kernel_load():
               "    def apply(self, v):\n        return self._kernel @ v\n"
               "def helper(g, span):\n    return g._kernel[:, span], g._deriv_kernel\n"
               "X = grid._kernel\n")
-    assert kernel_loads(source) == ["G.apply", "helper", "<module>"]
+    assert attribute_loads(source) == ["G.apply", "helper", "<module>"]
+    assert attribute_loads(source, "_deriv_kernel") == ["helper"]
 
 
 def test_two_kernel_products():
     # every product with the grid's kernel goes through _forward_values or
     # _inverse_values; _kernel_rows hands bands the kernel's rows with no product
-    loads = {f"{p.stem}.{where}" for p in SOURCES for where in kernel_loads(p.read_text())}
+    loads = {f"{p.stem}.{where}" for p in SOURCES for where in attribute_loads(p.read_text())}
     assert loads and loads <= KERNEL_READERS, loads
+
+
+def test_kernel_normalisation_stays_in_the_grid():
+    # the kernel is J_nu(j_m j_k / S) itself; J_{nu+1}(j_k)^-2 lives in the grid's
+    # weights and transform scalars, so no code reads the values J_{nu+1}(j_k)
+    loads = [f"{p.stem}.{where}" for p in SOURCES
+             for where in attribute_loads(p.read_text(), "_jnext")]
+    assert loads == [], loads
 
 
 # numpy.linalg calls the package may make, as "module.where: name": the 2-column

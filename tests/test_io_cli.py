@@ -378,18 +378,23 @@ class TestCli:
     @pytest.mark.parametrize("amplitude, detail", [
         pytest.param(1e160, "non-finite spectral mass", id="mass_overflows"),
         pytest.param(1e110, "energy is not finite", id="energy_overflows")])
-    def test_overflowing_initial_condition_exits_2(self, out_env, tmp_path, capsys,
-                                                   amplitude, detail):
+    def test_overflowing_initial_condition_exits_2(self, out_env, tmp_path, amplitude, detail):
         # at 1e160 the spectral mass is inf, so its tail fraction read 0 and passed; at
-        # 1e110 the mass is finite but |u|^3 overflows E(u0)
+        # 1e110 the mass is finite but |u|^3 overflows E(u0).  Run as its own process, so
+        # stderr holds exactly what a user sees: the JSON error line, no numpy warning
         cfg = write_cfg(tmp_path, {
             "grid": {"r_max": 15.0, "n": 128},
             "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
             "initial": {"kind": "gaussian", "params": {"amplitude": amplitude}},
             "output_dir": "huge"})
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["--config", cfg, "evolve"]) == 2
-        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        src = str(Path(radnls.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "radnls.cli", "--config", cfg, "evolve"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2
+        (line,) = run.stderr.splitlines()
+        error = json.loads(line)
         assert error["error"] == "invalid_input" and detail in error["detail"]
         assert not any((out_env / "huge").iterdir())
 
