@@ -28,7 +28,6 @@ from .core import (
     _tail_fraction,
     apply_multiplier,
     make_radial_grid,
-    mass,
 )
 from .errors import ResolutionLossError
 
@@ -131,31 +130,28 @@ def _nonlinearity(grid: RadialGrid, values: np.ndarray, mu: int) -> np.ndarray:
     return mu * np.abs(values) ** (4.0 / grid.d) * values
 
 
-def step(u: RadialField, dt: float, mu: int) -> RadialField:
-    """One symmetric split step (exact half phases around the exact free flow).
+def step(grid: RadialGrid, values: np.ndarray, dt: float, mu: int) -> np.ndarray:
+    """One symmetric split step of the (n,) complex samples values on grid (exact half
+    phases around the exact free flow); returns the new samples.
 
     The free phase exp(-i dt rho^2) is built once per grid and dt.  It is
     nowhere zero, so its product is the grid's full inverse, with no span search.
     Raises ResolutionLossError when the spectral tail fraction passes the
-    guard; the caller decides whether that aborts the run.
+    guard or is not finite; the caller decides whether that aborts the run.
     """
-    g = u.grid
-    d = g.d
-    if mu == 0:
-        vals = u.values
-    else:
-        vals = u.values * np.exp(-1j * mu * 0.5 * dt * np.abs(u.values) ** (4.0 / d))
-    coeffs = g._forward_values(vals)
-    tail = _tail_fraction(g, coeffs)
-    if tail > TAIL_GUARD_FRACTION:
+    if mu != 0:
+        values = values * np.exp(-1j * mu * 0.5 * dt * np.abs(values) ** (4.0 / grid.d))
+    coeffs = grid._forward_values(values)
+    tail = _tail_fraction(grid, coeffs)
+    if not tail <= TAIL_GUARD_FRACTION:
         raise ResolutionLossError(
             f"spectral tail fraction {tail:.3e} exceeds {TAIL_GUARD_FRACTION:g}; "
             "use a smaller dt or a larger grid")
     # free * coeffs, in this order: coeffs * free rounds differently
-    vals = g._inverse_values(g._free_phase(dt) * coeffs)
+    values = grid._inverse_values(grid._free_phase(dt) * coeffs)
     if mu != 0:
-        vals = vals * np.exp(-1j * mu * 0.5 * dt * np.abs(vals) ** (4.0 / d))
-    return RadialField(g, vals)
+        values = values * np.exp(-1j * mu * 0.5 * dt * np.abs(values) ** (4.0 / grid.d))
+    return values
 
 
 def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
@@ -163,9 +159,9 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
 
     Each step is one call of the module's step.  When a step loses resolution
     the run ends there, and the partial trajectory comes back with guard_event
-    set: a guard trip is reported, never silently clipped.  After the loop the
-    stored snapshots past the initial one are transformed as one stack for the
-    energy log.
+    set: a guard trip is reported, never silently clipped.  The loop carries the
+    samples as an array; after it, the energy log past the initial entry reads the
+    Trajectory's coefficient stack, the one diagnose and duhamel_residual read.
     """
     grid = u0.grid
     if grid.key != (cfg.dimension, cfg.n, cfg.r_max):
@@ -186,24 +182,23 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
             f"dt * rho_max^2 = {cfg.dt * grid.rho_max**2:.3g} > pi: the linear phase "
             "wraps within one step (accuracy, not stability, may suffer)")
 
-    u = u0
+    values = u0.values
     t = 0.0
-    times, rows, mass_log = [t], [u.values], [mass(u)]
+    times, rows, mass_log = [t], [values], [float(_power_sum(grid, values, 2))]
     guard_event = None
     for k in range(1, cfg.n_steps + 1):
         try:
-            u = step(u, cfg.dt, cfg.mu)
+            values = step(grid, values, cfg.dt, cfg.mu)
         except ResolutionLossError as exc:
             guard_event = {"kind": "resolution_loss", "time": t, "detail": str(exc)}
             break
         t = k * cfg.dt
-        mass_log.append(mass(u))
+        mass_log.append(float(_power_sum(grid, values, 2)))
         if k % cfg.cadence == 0:
             times.append(t)
-            rows.append(u.values)
+            rows.append(values)
     traj = Trajectory(cfg, grid, times, rows, mass_log, [energy0], guard_event, tuple(warnings))
-    later = traj.values[1:]
-    energies = _energy_sum(grid, later, grid._forward_values(later), cfg.mu)
+    energies = _energy_sum(grid, traj.values[1:], traj.coeffs[1:], cfg.mu)
     traj.energy_log.extend(map(float, energies))
     return traj
 

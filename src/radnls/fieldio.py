@@ -11,7 +11,9 @@ Binary snapshot layout (little endian):
 
 A load takes the grid the caller expects and checks the header's
 (d, n, r_max), which determines a grid exactly, against it; a load-save cycle
-is bit-exact on the samples and metadata.
+is bit-exact on the samples and metadata.  A trajectory's manifest stores
+samples_sha256, the sha256 of its (T, n) sample stack, and a load whose
+snapshots hash otherwise is refused.
 
 evolution is imported inside load_trajectory and groundstate inside
 load_ground_state, the functions that build their classes, so ground-state
@@ -77,6 +79,11 @@ def load_field_binary(path, grid: RadialGrid) -> RadialField:
 # trajectories
 # ---------------------------------------------------------------------------
 
+def _samples_sha256(values: np.ndarray) -> str:
+    """sha256 of the (T, n) complex128 sample stack, row after row."""
+    return hashlib.sha256(np.ascontiguousarray(values).data).hexdigest()
+
+
 def save_trajectory(traj: Trajectory, out_dir) -> Path:
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
@@ -94,6 +101,7 @@ def save_trajectory(traj: Trajectory, out_dir) -> Path:
         "energy_log": list(traj.energy_log),
         "guard_event": traj.guard_event,
         "warnings": list(traj.warnings),
+        "samples_sha256": _samples_sha256(traj.values),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return out
@@ -114,6 +122,7 @@ _MANIFEST_KEYS = {
     "guard_event": ("null or an object", lambda value: value is None or isinstance(value, dict)),
     "warnings": ("a list of strings",
                  lambda value: isinstance(value, list) and all(isinstance(x, str) for x in value)),
+    "samples_sha256": ("a string", lambda value: isinstance(value, str)),
 }
 
 
@@ -145,6 +154,8 @@ def load_trajectory(path) -> Trajectory:
     values = np.empty((len(times), grid.n), dtype=np.complex128)
     for row, path in zip(values, (out / "snapshots" / name for name in names)):
         row[:] = _samples(path, path.read_bytes(), grid)
+    if _samples_sha256(values) != manifest["samples_sha256"]:
+        raise ValueError(f"{out}: snapshot samples do not match the manifest's samples_sha256")
     return Trajectory(cfg, grid, times, values, manifest["mass_log"], manifest["energy_log"],
                       manifest.get("guard_event"), tuple(manifest["warnings"]))
 

@@ -64,6 +64,14 @@ COARSE_MARGIN = 128
 # float64's machine epsilon; n EPS max |Q| is the floor below which a sample of Q is
 # round-off
 EPS = float(np.finfo(np.float64).eps)
+# the elliptic residual has a round-off floor TOL_FLOOR * n EPS rho_max^2, since rho^2
+# multiplies the round-off of Q's coefficients.  Held past convergence at d = 4, r_max 15,
+# the residual stalls at 0.050, 0.046 and 0.044 times n EPS rho_max^2 for n = 384, 640 and
+# 1280 (2.8e-11, 1.19e-10 and 9.0e-10), and at 0.031 and 0.051 at d = 2 and 6, n = 640;
+# each of these grids certified a tol of 0.05 times it.  TOL_FLOOR is 0.045 times a
+# margin of 4/3.  At r_max 30 and 45 the residual stalls lower (0.024 and 0.017 times
+# it), so there the refusal is stricter than it needs to be
+TOL_FLOOR = 0.06
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +167,13 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
     fixed point must be an elliptic solution to the requested tolerance
     (NumericalFailure if MAX_ITER steps do not reach one) and resolved; whether
     it is accepted as Q is check_ground_state's verdict, not this function's.
+    A tol under the grid's round-off floor TOL_FLOOR * n EPS rho_max^2 is refused
+    with ValueError before any step.
     """
+    floor = TOL_FLOOR * grid.n * EPS * grid.rho_max**2
+    if not tol >= floor:
+        raise ValueError(f"tol {tol:g} is below the elliptic residual's round-off floor "
+                         f"{floor:.3g} on this grid (n = {grid.n}, rho_max = {grid.rho_max:.4g})")
     q, residual, iterations = _fixed_point(grid, _start(grid, tol), tol)
 
     profile = RadialField(grid, q.astype(np.complex128))

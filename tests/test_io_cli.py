@@ -126,6 +126,28 @@ class TestCli:
         assert cert["mass_agreement"] < 1e-4
         assert abs(cert["pohozaev_kinetic_ratio"] - 3 / 4) < 1e-4
 
+    @pytest.mark.parametrize("n", [640, 1280])
+    def test_tol_under_the_round_off_floor_exits_2_at_once(self, out_env, tmp_path, capsys,
+                                                           monkeypatch, n):
+        # the residual stalls at 1.19e-10 (n = 640) and 9.0e-10 (n = 1280): 1e-10 would
+        # run all MAX_ITER steps and exit 4
+        steps = []
+        fixed_point = groundstate._fixed_point
+        monkeypatch.setattr(groundstate, "_fixed_point",
+                            lambda *args: steps.append(args) or fixed_point(*args))
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": n}, "output_dir": "gs"})
+        assert cli.main(["--config", cfg, "--tol", "1e-10", "ground-state"]) == 2
+        assert steps == []
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "invalid_input" and "round-off floor" in error["detail"]
+
+    def test_tol_above_the_round_off_floor_certifies(self, out_env, tmp_path, capsys):
+        # at n = 384 the residual stalls at 2.8e-11, under 1e-10
+        cfg = write_cfg(tmp_path, {"grid": SMALL_GRID, "output_dir": "gs"})
+        assert cli.main(["--config", cfg, "--tol", "1e-10", "ground-state"]) == 0
+        cert = json.loads((out_env / "gs" / "ground_state_certification.json").read_text())
+        assert cert["residual"] < 1e-10
+
     def test_failed_certificate_exits_1_and_is_not_cached(self, out_env, tmp_path, capsys,
                                                           monkeypatch):
         # the artifacts stay for inspection; only a certified Q enters the cache
@@ -293,12 +315,11 @@ class TestCli:
         # still conserves mass, but V'' no longer meets 16 E
         step = evolution.step
 
-        def mutated(u, dt, mu):
+        def mutated(grid, values, dt, mu):
             def kick(values):
-                return values * np.exp(-1j * mu * 0.01 * dt * np.abs(values) ** (4.0 / u.grid.d))
+                return values * np.exp(-1j * mu * 0.01 * dt * np.abs(values) ** (4.0 / grid.d))
 
-            return core.RadialField(u.grid, kick(step(core.RadialField(
-                u.grid, kick(u.values)), dt, mu).values))
+            return kick(step(grid, kick(values), dt, mu))
 
         monkeypatch.setattr(evolution, "step", mutated)
         cfg = write_cfg(tmp_path, {
@@ -643,10 +664,12 @@ class TestCli:
         assert cli.main(["selftest"]) == code
         assert json.loads(capsys.readouterr().err) == {"error": kind, "detail": "boom"}
 
-    def test_unconverged_ground_state_exits_4(self, out_env, tmp_path, capsys):
-        # a residual of 1e-18 is below round-off: the fixed point stops at about 1e-12
+    def test_unconverged_ground_state_exits_4(self, out_env, tmp_path, capsys, monkeypatch):
+        # a reachable tol that the fixed point, from 2 exp(-r^2) at n = 128, needs about
+        # 66 steps for; a tol under the round-off floor is refused with exit 2 instead
+        monkeypatch.setattr(groundstate, "MAX_ITER", 5)
         cfg = write_cfg(tmp_path, {"output_dir": "tight"})
-        assert cli.main(["--config", cfg, "--n", "128", "--tol", "1e-18", "ground-state"]) == 4
+        assert cli.main(["--config", cfg, "--n", "128", "ground-state"]) == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical_failure" and "no convergence" in err["detail"]
 
@@ -740,6 +763,7 @@ class TestCli:
         pytest.param("guard_event", lambda m: 7, id="guard_event"),
         pytest.param("warnings", lambda m: 5, id="warnings"),
         pytest.param("warnings", lambda m: [5], id="warning_not_a_string"),
+        pytest.param("samples_sha256", lambda m: None, id="samples_sha256"),
     ])
     def test_manifest_key_of_wrong_type_exits_2(self, out_env, tmp_path, capsys, key, wrong):
         cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
@@ -770,6 +794,12 @@ class TestCli:
         pytest.param(lambda run: _edit_json(run / "manifest.json",
                                             lambda m: m["energy_log"].pop()),
                      id="short_energy_log"),
+        # the lowest mantissa bit of one sample's real part: the header still fits
+        pytest.param(lambda run: _flip_bit(run / "snapshots" / "000003.rfb", 28 + 16 * 10),
+                     id="flipped_sample_bit"),
+        pytest.param(lambda run: _edit_json(run / "manifest.json",
+                                            lambda m: m.pop("samples_sha256")),
+                     id="missing_samples_sha256"),
     ])
     def test_inconsistent_trajectory_exits_2(self, out_env, tmp_path, capsys, corrupt):
         # the window of N=4 is [0, 1/2], so lemma reads the whole trajectory
