@@ -17,7 +17,8 @@ Band projections multiply the spectral coefficients by symbols built from phi:
     low(N)  : phi(rho / N)
     band(N) : phi(rho / N) - phi(2 rho / N)
     high(N) : 1 - phi(2 rho / N)          (the sum of all bands >= N)
-    fat(N)  : phi(rho / 2N) - phi(4 rho / N)   (bands N/2, N, 2N together)
+
+P_N f is apply_multiplier(f, band_symbol(grid, N)).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def phi_gt(x, cut: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# band projections
+# band symbols
 # ---------------------------------------------------------------------------
 
 def band_symbol(grid: RadialGrid, N: float) -> np.ndarray:
@@ -86,28 +87,6 @@ def low_symbol(grid: RadialGrid, N: float) -> np.ndarray:
 
 def high_symbol(grid: RadialGrid, N: float) -> np.ndarray:
     return 1.0 - phi_le(grid.rho, N / 2.0)
-
-
-def fat_symbol(grid: RadialGrid, N: float) -> np.ndarray:
-    return phi_le(grid.rho, 2.0 * N) - phi_le(grid.rho, N / 4.0)
-
-
-def project_band(f: RadialField, N: float) -> RadialField:
-    """P_N f: the dyadic band at scale N."""
-    validate_scale(f.grid, N)
-    return apply_multiplier(f, band_symbol(f.grid, N))
-
-
-def project_low(f: RadialField, N: float) -> RadialField:
-    """P_{<= N} f."""
-    validate_scale(f.grid, N)
-    return apply_multiplier(f, low_symbol(f.grid, N))
-
-
-def project_fat(f: RadialField, N: float) -> RadialField:
-    """The fattened band P_{N/2} + P_N + P_{2N}."""
-    validate_scale(f.grid, N)
-    return apply_multiplier(f, fat_symbol(f.grid, N))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +206,7 @@ def in_out(f: RadialField, sign) -> RadialField:
 
     The two kernels are complex conjugates, so P^+ f + P^- f = f identically.
     """
-    if sign in ("+", 1, +1.0):
-        sgn = 1.0
-    elif sign in ("-", -1, -1.0):
-        sgn = -1.0
-    else:
+    if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     grid = f.grid
     d = grid.d
@@ -240,5 +215,6 @@ def in_out(f: RadialField, sign) -> RadialField:
     fprime = radial_derivative(f).values
     gprime = fprime * grid.r ** (d - 1) + (d - 1) * grid.r ** (d - 2) * f.values
     integral = _real_matvec(off, g) - g * row_sum + diag_coef * gprime + g * pv_log
+    sgn = 1.0 if sign == "+" else -1.0
     out = 0.5 * f.values + sgn * (1j / math.pi) * grid.r ** (2 - d) * integral
     return RadialField(grid, out)

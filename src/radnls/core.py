@@ -553,9 +553,7 @@ def mass(f: RadialField) -> float:
 
 
 def lebesgue_norm(f: RadialField, p: float) -> float:
-    """||f||_{L^p}; p = inf gives the sup over grid nodes."""
-    if p == math.inf:
-        return float(np.max(np.abs(f.values)))
+    """||f||_{L^p}, p >= 1."""
     if p < 1:
         raise ValueError(f"Lebesgue exponent p={p} out of range (need p >= 1)")
     return float(_power_sum(f.grid, f.values, p) ** (1.0 / p))

@@ -64,14 +64,14 @@ COARSE_MARGIN = 128
 # float64's machine epsilon; n EPS max |Q| is the floor below which a sample of Q is
 # round-off
 EPS = float(np.finfo(np.float64).eps)
-# the elliptic residual has a round-off floor TOL_FLOOR * n EPS rho_max^2, since rho^2
-# multiplies the round-off of Q's coefficients.  Held past convergence at d = 4, r_max 15,
-# the residual stalls at 0.050, 0.046 and 0.044 times n EPS rho_max^2 for n = 384, 640 and
-# 1280 (2.8e-11, 1.19e-10 and 9.0e-10), and at 0.031 and 0.051 at d = 2 and 6, n = 640;
-# each of these grids certified a tol of 0.05 times it.  TOL_FLOOR is 0.045 times a
-# margin of 4/3.  At r_max 30 and 45 the residual stalls lower (0.024 and 0.017 times
-# it), so there the refusal is stricter than it needs to be
-TOL_FLOOR = 0.06
+# the elliptic residual has a round-off floor TOL_FLOOR * EPS rho_max^3, since rho^2
+# multiplies the round-off of Q's coefficients.  Held past convergence it stalls at 0.21-0.24
+# times EPS rho_max^3 at d = 4 on every grid measured: r_max 15 at n = 384, 640 and 1280
+# (2.8e-11, 1.19e-10 and 9.0e-10), r_max 30 at n = 1280 (1.21e-10) and r_max 45 at n = 768
+# (8.4e-12); at d = 2 and 6 (r_max 15, n = 640) it stalls at 0.15 and 0.24.  Against
+# n EPS rho_max^2 the same stalls spread over 0.017-0.050.  TOL_FLOOR is 0.24 times a
+# margin of 4/3
+TOL_FLOOR = 0.32
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +167,10 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
     fixed point must be an elliptic solution to the requested tolerance
     (NumericalFailure if MAX_ITER steps do not reach one) and resolved; whether
     it is accepted as Q is check_ground_state's verdict, not this function's.
-    A tol under the grid's round-off floor TOL_FLOOR * n EPS rho_max^2 is refused
+    A tol under the grid's round-off floor TOL_FLOOR * EPS rho_max^3 is refused
     with ValueError before any step.
     """
-    floor = TOL_FLOOR * grid.n * EPS * grid.rho_max**2
+    floor = TOL_FLOOR * EPS * grid.rho_max**3
     if not tol >= floor:
         raise ValueError(f"tol {tol:g} is below the elliptic residual's round-off floor "
                          f"{floor:.3g} on this grid (n = {grid.n}, rho_max = {grid.rho_max:.4g})")

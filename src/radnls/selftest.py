@@ -1,7 +1,8 @@
 """Fast invariant suites for every module, runnable from the CLI.
 
 Each suite returns (name, ok, detail) tuples; the CLI prints one line per
-check and exits nonzero when anything fails.  All six take about 0.22 s, grid build
+check and exits nonzero when anything fails.  Each suite's docstring names
+the oracle of each of its lines.  All six take about 0.22 s, grid build
 and Q's solve included: 0.18-0.25 s in 7 fresh processes with one BLAS thread, after
 0.13-0.16 s of import, on a 2-CPU host shared with other jobs.  The check_*
 functions here are the one implementation of each verdict that the suites and
@@ -24,6 +25,9 @@ import numpy as np
 from . import bands, core, diagnostics, evolution, groundstate, recurrence
 
 SEED = 20260808
+# the d = 4 half-mass radius of 2 e^(-r^2): sqrt(y/2), where (1 + y) e^(-y) = 1/2; the
+# spectrum's is twice it
+GAUSS_HALF_MASS_RADIUS = 0.9160641325847936
 
 
 def _rel(a: core.RadialField, b: core.RadialField) -> float:
@@ -31,31 +35,18 @@ def _rel(a: core.RadialField, b: core.RadialField) -> float:
     return math.sqrt(core.mass(a - b) / core.mass(b))
 
 
-def check_partition(fields) -> tuple[bool, float]:
-    """Worst relative error of P_{<=N_min} f plus every dyadic band P_N f against f."""
-    def rebuilt(f):
-        low, *rest = core.dyadic_scales(f.grid)
-        return sum((bands.project_band(f, N) for N in rest), bands.project_low(f, low))
-
-    worst = max(_rel(rebuilt(f), f) for f in fields)
-    return worst < 1e-8, worst
-
-
-def check_fat_idempotent(fields, N: float) -> tuple[bool, float]:
-    """Worst relative error of P_N P_fat(N) f against P_N f."""
-    worst = max(_rel(bands.project_band(bands.project_fat(f, N), N), bands.project_band(f, N))
-                for f in fields)
-    return worst < 1e-10, worst
-
-
 def check_in_out_complete(fields) -> tuple[bool, float]:
-    """Worst relative error of P^+ f + P^- f against f."""
+    """Worst relative error of P^+ f + P^- f against f.  No oracle: the two kernels are
+    complex conjugates, so the identity holds by construction.  It is the one such check
+    kept, and the one call of bands.in_out that the traced benchmark times, until the
+    decomposition is rebuilt against a closed form or deleted."""
     worst = max(_rel(bands.in_out(f, "+") + bands.in_out(f, "-"), f) for f in fields)
     return worst < 1e-3, worst
 
 
 def check_mismatch_norm(grid: core.RadialGrid) -> tuple[bool, tuple[float, float]]:
-    """||A(R, N)|| = mismatch_norm depends on N R alone, ||A(4, 16)|| / ||A(8, 8)|| - 1,
+    """Two theorems on A = phi_{>R} P_{<=N} phi_{<=R/2}: by dilation
+    ||A(R, N)|| = mismatch_norm depends on N R alone, ||A(4, 16)|| / ||A(8, 8)|| - 1,
     and decays in it, ||A(8, 16)|| / ||A(8, 8)|| (N R 64 -> 128).  The Dirichlet wall at
     r_max reflects A's slow tail, less for smaller R, hence the scaling bound 2e-2: at
     r_max 15 (n = 640) (8, 8) reads 0.145421 and (4, 16) 0.146489, against 0.146968 on
@@ -67,7 +58,8 @@ def check_mismatch_norm(grid: core.RadialGrid) -> tuple[bool, tuple[float, float
 
 
 def check_recurrence_cases() -> dict[str, tuple[bool, float]]:
-    """Three verifier cases whose answers are known without it, at the admissible
+    """Three verifier cases whose answers are known without it (built to meet or break a
+    hypothesis, or a closed geometric sum), at the admissible
     s = 2.5, gamma = 1, beta' = 5e-3, C1 = M0 = A = 1, on the ladder N = 2^k, k < 40, where
     the window M0 < M <= 2 beta' N of N = 2^k holds the rungs 2^1 ... 2^(k-7).
 
@@ -126,6 +118,11 @@ def _line(name: str, result: tuple, fmt: str) -> tuple[str, bool, str]:
 
 
 def suite_core() -> list[tuple[str, bool, str]]:
+    """roundtrip: Hankel inversion, which the quasi-discrete kernel meets only to its
+    quadrature error.  gaussian_mass: the closed form (pi/2)^2 of ||e^(-r^2)||^2 in R^4.
+    plancherel: Plancherel's theorem, ||fhat|| = ||f||, with the two sides summed on
+    different quadratures.  scaling: lam^(d/2) f(lam r) keeps the mass and multiplies
+    ||grad f|| by lam, through rescale's kernel at scale lam."""
     g = _grid()
     f = core.field_from_function(g, lambda r: np.exp(-(r**2)))
     err = _rel(core.transform_inverse(core.transform_forward(f)), f)
@@ -149,6 +146,13 @@ def suite_core() -> list[tuple[str, bool, str]]:
 
 
 def suite_groundstate() -> list[tuple[str, bool, str]]:
+    """Q's certificate (groundstate.check_ground_state): shooting, an independent solver
+    (the Chebyshev collocation of Q's radial ODE); pohozaev, energy and sharp_ratio, the
+    Pohozaev identity, E(Q) = 0 and equality in Weinstein's sharp Gagliardo-Nirenberg
+    inequality; monotonicity, Q decreasing (Gidas-Ni-Nirenberg).  residual and positivity
+    hold here by construction, since the fixed point returns only below its tol, the
+    bound of residual, and takes the modulus each step; the certificate keeps them for
+    the Q it is handed.  ratio_below_one: Weinstein's inequality on 25 random fields."""
     g = _grid()
     q = _ground()
     cert = groundstate.check_ground_state(q)
@@ -165,19 +169,19 @@ def suite_groundstate() -> list[tuple[str, bool, str]]:
 
 
 def suite_bands() -> list[tuple[str, bool, str]]:
+    """in_out_complete, by construction (check_in_out_complete); mismatch_norm, its
+    scaling and decay theorems (check_mismatch_norm)."""
     g = _grid()
-    rng = np.random.default_rng(SEED + 2)
-    *fields, f = (core.random_smooth_field(g, rng) for _ in range(6))
-    scales = core.dyadic_scales(g)
-    return [_line("bands.partition", check_partition(fields), "worst {:.2e}"),
-            _line("bands.fat_idempotent",
-                  check_fat_idempotent([f], scales[len(scales) // 2]), "{:.2e}"),
-            _line("bands.in_out_complete", check_in_out_complete([f]), "{:.2e}"),
+    f = core.random_smooth_field(g, np.random.default_rng(SEED + 2))
+    return [_line("bands.in_out_complete", check_in_out_complete([f]), "{:.2e}"),
             _line("bands.mismatch_norm", check_mismatch_norm(g),
                   "scaling {0[0]:.2e} decay {0[1]:.4f}")]
 
 
 def suite_evolution() -> list[tuple[str, bool, str]]:
+    """solitary_wave: the exact solution e^(it) Q (groundstate.check_solitary_wave).
+    mass: conservation of mass on the same run.  free_gaussian: the closed form
+    (1 + 4it)^(-2) e^(-r^2 / (1 + 4it)) of the free flow of e^(-r^2) in R^4."""
     g = _grid()
     q = _ground()
     cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=15.0, n=384,
@@ -194,6 +198,9 @@ def suite_evolution() -> list[tuple[str, bool, str]]:
 
 
 def suite_diagnostics() -> list[tuple[str, bool, str]]:
+    """virial_identity: the virial theorem V'' = 16 E on a focusing run from 2 e^(-r^2).
+    concentration: the closed-form half-mass radii of 2 e^(-r^2), GAUSS_HALF_MASS_RADIUS
+    in x and twice it in xi; the radii are nodes, so each may miss by one cell."""
     g = _grid()
     f = core.field_from_function(g, lambda r: 2 * np.exp(-(r**2)))
     cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=15.0, n=384,
@@ -202,13 +209,15 @@ def suite_diagnostics() -> list[tuple[str, bool, str]]:
     residual = float(diagnostics.virial_residual(traj, traj.times[2:-2]).max())
     c_x, c_xi = map(float, diagnostics.concentration_radii(
         g, f.values, g._forward_values(f.values), 0.5 * core.mass(f)))
+    near = (abs(c_x - GAUSS_HALF_MASS_RADIUS) < np.max(np.diff(g.r))
+            and abs(c_xi - 2.0 * GAUSS_HALF_MASS_RADIUS) < np.max(np.diff(g.rho)))
     return [("diagnostics.virial_identity", residual <= diagnostics.VIRIAL_TOL,
              f"rel {residual:.2e}"),
-            ("diagnostics.concentration", 0.5 < c_x < 1.5 and 1.0 < c_xi < 3.0,
-             f"c_x={c_x:.3f} c_xi={c_xi:.3f}")]
+            ("diagnostics.concentration", bool(near), f"c_x={c_x:.3f} c_xi={c_xi:.3f}")]
 
 
 def suite_recurrence() -> list[tuple[str, bool, str]]:
+    """The three known-answer cases of check_recurrence_cases."""
     cases = check_recurrence_cases()
     return [_line("recurrence.saturating", cases["saturating"], "top A_N N^s/C1 {:.6g}"),
             _line("recurrence.planted_violation", cases["planted_violation"],

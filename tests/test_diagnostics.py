@@ -1,11 +1,12 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from radnls import bands, cli, core, diagnostics, evolution, recurrence
+from radnls import bands, cli, core, diagnostics, evolution, recurrence, selftest
 
 from conftest import planted_band_field, single_snapshot_trajectory
 
@@ -119,6 +120,19 @@ class TestConcentrationRadii:
         assert abs(got_x - c_x) <= 1.5 * cell_x
         assert abs(got_xi - c_xi) <= 1.5 * cell_k
 
+    def test_selftest_half_mass_radius_against_mpmath(self):
+        y = mpmath.findroot(lambda y: (1 + y) * mpmath.exp(-y) - 0.5, 1.7)
+        assert selftest.GAUSS_HALF_MASS_RADIUS == pytest.approx(float(mpmath.sqrt(y / 2)),
+                                                                 rel=1e-15)
+
+    def test_selftest_line_fails_a_shifted_radius(self, monkeypatch):
+        # 0.1 is 2.5 cells of selftest's grid in r; the window 0.5 < c_x < 1.5 passed it
+        radii = diagnostics.concentration_radii
+        monkeypatch.setattr(diagnostics, "concentration_radii",
+                            lambda *args: (radii(*args)[0] + 0.1, radii(*args)[1]))
+        verdicts = {name: ok for name, ok, _ in selftest.suite_diagnostics()}
+        assert verdicts["diagnostics.concentration"] is False
+
     def test_monotone_in_eta(self, ground):
         m = ground.mass
         (x0, k0), (x1, k1), (x2, k2) = [radii_of(ground.profile, frac * m)
@@ -202,7 +216,8 @@ class TestSpatialDecayScan:
         raw = np.where((grid45.r > 2.0) & (grid45.r < 28.0),
                        grid45.r**-2.5, 0.0) * np.cos(3.0 * grid45.r)
         window = bands.phi_le(grid45.r, 26.0) * bands.phi_gt(grid45.r, 1.0)
-        f = bands.project_band(core.RadialField(grid45, raw * window), 4.0)
+        f = core.apply_multiplier(core.RadialField(grid45, raw * window),
+                                  bands.band_symbol(grid45, 4.0))
         traj = single_snapshot_trajectory(grid45, f)
         rep = diagnostics.spatial_decay_scan(traj, (4.0, 4.0), [1.5, 2.1, 3.0, 4.2, 6.0])
         assert rep.exponent == pytest.approx(0.5, abs=0.15)

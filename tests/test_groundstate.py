@@ -128,6 +128,17 @@ class TestCoarseStart:
         assert built == [(4, 15.0, 128)]
 
 
+class TestRoundOffFloor:
+    @pytest.mark.parametrize("r_max, n, stall", [(30.0, 1280, 1.21e-10), (45.0, 768, 8.4e-12)])
+    def test_twice_the_stall_certifies(self, r_max, n, stall):
+        # the residual held past convergence stalls at 0.22 and 0.24 times EPS rho_max^3
+        # on these grids, and at 0.024 and 0.017 times n EPS rho_max^2
+        gs = groundstate.solve_ground_state(core.make_radial_grid(4, r_max, n), tol=2 * stall)
+        checks = groundstate.check_ground_state(gs)
+        assert gs.residual < 2 * stall
+        assert all(ok for ok, _ in checks.values()), checks
+
+
 def tail_gap(gs, lo: float, hi: float, wall: bool = True) -> float:
     """max |Q / law - 1| on the nodes in [lo, hi], law being Q's tail past its core,
     C r^-nu [K_nu(r) - K_nu(r_max) I_nu(r) / I_nu(r_max)] (the Dirichlet Green's

@@ -126,17 +126,25 @@ class TestCli:
         assert cert["mass_agreement"] < 1e-4
         assert abs(cert["pohozaev_kinetic_ratio"] - 3 / 4) < 1e-4
 
-    @pytest.mark.parametrize("n", [640, 1280])
-    def test_tol_under_the_round_off_floor_exits_2_at_once(self, out_env, tmp_path, capsys,
-                                                           monkeypatch, n):
+    @pytest.mark.parametrize("r_max, n, tol", [
         # the residual stalls at 1.19e-10 (n = 640) and 9.0e-10 (n = 1280): 1e-10 would
         # run all MAX_ITER steps and exit 4
+        pytest.param(15.0, 640, 1e-10, id="640"),
+        pytest.param(15.0, 1280, 1e-10, id="1280"),
+        # the stalls themselves, 0.21-0.24 times EPS rho_max^3: not reliably reached
+        pytest.param(15.0, 384, 2.78e-11, id="r15-n384-stall"),
+        pytest.param(15.0, 640, 1.19e-10, id="r15-n640-stall"),
+        pytest.param(15.0, 1280, 9.04e-10, id="r15-n1280-stall"),
+        pytest.param(30.0, 1280, 1.21e-10, id="r30-n1280-stall"),
+        pytest.param(45.0, 768, 8.4e-12, id="r45-n768-stall")])
+    def test_tol_under_the_round_off_floor_exits_2_at_once(self, out_env, tmp_path, capsys,
+                                                           monkeypatch, r_max, n, tol):
         steps = []
         fixed_point = groundstate._fixed_point
         monkeypatch.setattr(groundstate, "_fixed_point",
                             lambda *args: steps.append(args) or fixed_point(*args))
-        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": n}, "output_dir": "gs"})
-        assert cli.main(["--config", cfg, "--tol", "1e-10", "ground-state"]) == 2
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": r_max, "n": n}, "output_dir": "gs"})
+        assert cli.main(["--config", cfg, "--tol", repr(tol), "ground-state"]) == 2
         assert steps == []
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "invalid_input" and "round-off floor" in error["detail"]
@@ -486,8 +494,7 @@ class TestCli:
             "groundstate.residual", "groundstate.shooting", "groundstate.pohozaev",
             "groundstate.sharp_ratio", "groundstate.energy", "groundstate.positivity",
             "groundstate.monotonicity", "groundstate.ratio_below_one",
-            "bands.partition", "bands.fat_idempotent", "bands.in_out_complete",
-            "bands.mismatch_norm",
+            "bands.in_out_complete", "bands.mismatch_norm",
             "evolution.solitary_wave", "evolution.mass", "evolution.free_gaussian",
             "diagnostics.virial_identity", "diagnostics.concentration",
             "recurrence.saturating", "recurrence.planted_violation",
