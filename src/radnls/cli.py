@@ -258,7 +258,7 @@ def cmd_ground_state(cfg: dict) -> int:
     checks = groundstate.check_ground_state(gs)
     value = {key: v for key, (_, v) in checks.items()}
     cert = {
-        "dimension": gs.dimension,
+        "dimension": grid.d,
         "mass": gs.mass,
         "mass_shooting": gs.mass_shooting,
         "mass_agreement": value["shooting"],

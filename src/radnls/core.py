@@ -553,9 +553,9 @@ def mass(f: RadialField) -> float:
 
 
 def lebesgue_norm(f: RadialField, p: float) -> float:
-    """||f||_{L^p}, p >= 1."""
-    if p < 1:
-        raise ValueError(f"Lebesgue exponent p={p} out of range (need p >= 1)")
+    """||f||_{L^p}, 1 <= p < inf."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"Lebesgue exponent p={p} out of range (need 1 <= p < inf)")
     return float(_power_sum(f.grid, f.values, p) ** (1.0 / p))
 
 
@@ -574,7 +574,13 @@ def _kinetic_sum(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _energy_sum(grid: RadialGrid, values: np.ndarray, coeffs: np.ndarray, mu: int) -> np.ndarray:
-    """The energy of energy() along the last axis, without its resolvedness gate."""
+    """E(f) = 1/2 ||grad f||^2 + mu * d/(2(d+2)) * ||f||^{2(d+2)/d}_{2(d+2)/d} along the last
+    axis of the samples values and their spectral coefficients coeffs.
+
+    mu = -1 is focusing, +1 defocusing, 0 the free flow.  The gradient is taken
+    spectrally, so the value means something only for a resolved field; the
+    caller judges that.
+    """
     kinetic = 0.5 * _kinetic_sum(grid, coeffs)
     if mu == 0:
         return kinetic
@@ -602,25 +608,8 @@ def _check_resolved(grid: RadialGrid, coeffs: np.ndarray, what: str) -> None:
             f"{what} is under-resolved: {frac:.3e} of its mass lies above rho_max/2")
 
 
-def gradient_norm_sq(f: RadialField) -> float:
-    return float(_kinetic_sum(f.grid, f.grid._forward_values(f.values)))
-
-
 def require_resolved(f: RadialField, what: str) -> None:
     _check_resolved(f.grid, f.grid._forward_values(f.values), what)
-
-
-def energy(f: RadialField, mu: int) -> float:
-    """E(f) = 1/2 ||grad f||^2 + mu * d/(2(d+2)) * ||f||^{2(d+2)/d}_{2(d+2)/d}.
-
-    mu = -1 is focusing, +1 defocusing, 0 the free flow.  Requires a resolved
-    field since the gradient is taken spectrally.
-    """
-    if mu not in (-1, 0, 1):
-        raise ValueError(f"mu must be -1, 0 or +1, got {mu}")
-    coeffs = f.grid._forward_values(f.values)
-    _check_resolved(f.grid, coeffs, "energy argument")
-    return float(_energy_sum(f.grid, f.values, coeffs, mu))
 
 
 # ---------------------------------------------------------------------------

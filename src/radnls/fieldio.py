@@ -23,6 +23,7 @@ groundstate.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -41,9 +42,6 @@ if TYPE_CHECKING:
     from .groundstate import GroundState
 
 MAGIC = b"RNLSFLD1"
-
-# GroundState fields stored next to the cached profile
-_GROUND_STATE_META = ("dimension", "mass", "kinetic", "residual", "mass_shooting", "iterations")
 
 
 def _field_bytes(grid: RadialGrid, values: np.ndarray) -> bytes:
@@ -187,8 +185,8 @@ def _replace_atomically(path: Path, write) -> None:
 
 
 def save_ground_state(gs: GroundState, cache_dir, tol: float) -> Path:
-    """Cache the profile as {key}.rfb, and its invariants, the sha256 of the .rfb
-    and the artifact version as {key}.json.
+    """Cache the profile as {key}.rfb, and GroundState's other fields, the sha256 of the
+    .rfb and the artifact version as {key}.json.
 
     The profile is written first and each file replaced atomically, so a
     visible .json always means a complete pair.
@@ -198,8 +196,8 @@ def save_ground_state(gs: GroundState, cache_dir, tol: float) -> Path:
     key = ground_state_key(gs.grid, tol)
     blob = _field_bytes(gs.grid, gs.profile.values)
     _replace_atomically(cache / f"{key}.rfb", lambda tmp: tmp.write_bytes(blob))
-    meta = {k: getattr(gs, k) for k in _GROUND_STATE_META} | {
-        "tol": tol, "sha256": hashlib.sha256(blob).hexdigest(), "artifact_version": __version__}
+    meta = {f.name: getattr(gs, f.name) for f in dataclasses.fields(gs) if f.name != "profile"}
+    meta.update(tol=tol, sha256=hashlib.sha256(blob).hexdigest(), artifact_version=__version__)
     text = json.dumps(meta, sort_keys=True, indent=1) + "\n"
     _replace_atomically(cache / f"{key}.json", lambda tmp: tmp.write_text(text))
     return cache / f"{key}.rfb"
@@ -211,7 +209,8 @@ def load_ground_state(cache_dir, grid: RadialGrid, tol: float) -> GroundState | 
     An entry whose .json is unreadable or incomplete, was written by another
     artifact version, or whose .rfb does not match the stored sha256 is a
     miss too, reported with one line on stderr; the caller solves again and
-    rewrites it.
+    rewrites it.  Keys the .json holds beyond GroundState's fields, such as
+    the invariants that earlier entries stored, are ignored.
     """
     from .groundstate import GroundState
 
@@ -223,7 +222,8 @@ def load_ground_state(cache_dir, grid: RadialGrid, tol: float) -> GroundState | 
     blob = fld.read_bytes()
     try:
         info = json.loads(meta.read_text())
-        fields = {k: info[k] for k in _GROUND_STATE_META}
+        fields = {f.name: info[f.name] for f in dataclasses.fields(GroundState)
+                  if f.name != "profile"}
         stored = (info["artifact_version"], info["sha256"])
     except (ValueError, TypeError, KeyError) as exc:
         problem = f"unreadable or incomplete ({type(exc).__name__}: {exc})"

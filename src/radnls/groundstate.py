@@ -12,16 +12,20 @@ independent Chebyshev collocation of the radial ODE in s = r^2.
 
 check_ground_state is Q's one certificate: every check that accepts a computed
 Q is made there, and ground-state, evolve, selftest and the acceptance suite
-judge Q through it.  Its identities all follow from the elliptic equation by
+judge Q through it.  Its identities follow from the elliptic equation by
 multiplying with Q resp. x . grad Q and integrating:
 
     ||grad Q||^2 / ||Q||^{2(d+2)/d}_{2(d+2)/d} = d / (d+2)
-    M(Q) = (2/d) ||grad Q||^2
     E(Q) = 0 for the focusing energy.
+
+M(Q) = (2/d) ||grad Q||^2 is not judged on its own: the pairing with Q,
+||Q||^{2(d+2)/d}_{2(d+2)/d} = ||grad Q||^2 + M(Q), holds at the fixed point, so
+it is Pohozaev's identity again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -32,12 +36,10 @@ from .core import (
     RadialField,
     RadialGrid,
     _check_resolved,
+    _energy_sum,
     _kinetic_sum,
     _multiplier_inverse,
     _power_sum,
-    energy,
-    gradient_norm_sq,
-    lebesgue_norm,
     mass,
     require_resolved,
     rescale,
@@ -76,19 +78,35 @@ TOL_FLOOR = 0.32
 
 @dataclass(frozen=True, eq=False)
 class GroundState:
-    """Certified ground-state profile with its invariants."""
+    """The fixed point's profile with what only its solve knows.  coeffs (Q's read-only
+    spectrum), mass, kinetic (||grad Q||^2) and mass_shooting are worked out from the
+    profile the first time each is read."""
 
     profile: RadialField
-    dimension: int
-    mass: float
-    kinetic: float          # ||grad Q||^2
     residual: float         # ||Lap Q - Q + Q^(1+4/d)||_2 / ||Q||_2
-    mass_shooting: float
     iterations: int
 
     @property
     def grid(self) -> RadialGrid:
         return self.profile.grid
+
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        coeffs = self.grid._forward_values(self.profile.values)
+        coeffs.setflags(write=False)
+        return coeffs
+
+    @functools.cached_property
+    def mass(self) -> float:
+        return mass(self.profile)
+
+    @functools.cached_property
+    def kinetic(self) -> float:
+        return float(_kinetic_sum(self.grid, self.coeffs))
+
+    @functools.cached_property
+    def mass_shooting(self) -> float:
+        return shooting_mass(self.grid.d)
 
 
 def _elliptic_residual(grid: RadialGrid, q: np.ndarray, p: float) -> float:
@@ -175,12 +193,9 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
         raise ValueError(f"tol {tol:g} is below the elliptic residual's round-off floor "
                          f"{floor:.3g} on this grid (n = {grid.n}, rho_max = {grid.rho_max:.4g})")
     q, residual, iterations = _fixed_point(grid, _start(grid, tol), tol)
-
-    profile = RadialField(grid, q.astype(np.complex128))
-    require_resolved(profile, "ground state")
-    return GroundState(profile=profile, dimension=grid.d, mass=mass(profile),
-                       kinetic=gradient_norm_sq(profile), residual=residual,
-                       mass_shooting=shooting_mass(grid.d), iterations=iterations)
+    gs = GroundState(RadialField(grid, q.astype(np.complex128)), residual, iterations)
+    _check_resolved(grid, gs.coeffs, "ground state")
+    return gs
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -224,8 +239,8 @@ def shooting_mass(d: int) -> float:
     moves F by less than 1e-13.  By Kwong's uniqueness theorem the positive
     decaying solution it reaches is Q.  M = |S^(d-1)|/2 int s^(d/2-1) F^2 ds by
     Clenshaw-Curtis quadrature.  No grid, transform, quadrature or truncation
-    radius is shared with core.  The certificate, the cache and perfbench
-    read it under this name and as mass_shooting.  NumericalFailure after
+    radius is shared with core.  The certificate and perfbench read it
+    under this name and as mass_shooting.  NumericalFailure after
     MAX_ITER steps; GroundStateError if the collocated equation misses by more
     than 1e-8 Q(0).
     """
@@ -270,46 +285,41 @@ def shooting_mass(d: int) -> float:
 # the sharp ratios, Q's certificate and the explicit solutions
 # ---------------------------------------------------------------------------
 
-def pohozaev_ratio(ground: GroundState) -> float:
-    """||grad Q||^2 / ||Q||_p^p with p = 2 + 4/d, which equals d/(d+2) for the ground state."""
-    grid = ground.grid
-    return ground.kinetic / float(_power_sum(grid, ground.profile.values, 2.0 + 4.0 / grid.d))
+def gn_ratio(grid: RadialGrid, values: np.ndarray, coeffs: np.ndarray,
+             mass_q: float) -> np.ndarray:
+    """Ratio of ||f||^{2(d+2)/d}_{2(d+2)/d} to its sharp interpolation bound
+    (d+2)/d * (M(f)/M(Q))^{2/d} * ||grad f||^2, mass_q = M(Q), along the last axis of
+    the samples values and their spectral coefficients coeffs.
 
-
-def gn_ratio(f: RadialField, ground: GroundState) -> float:
-    """Ratio of ||f||^{2(d+2)/d}_{2(d+2)/d} to its sharp interpolation bound.
-
-    The bound is (d+2)/d * (M(f)/M(Q))^{2/d} * ||grad f||^2; the ratio is <= 1
-    for every field and equals 1 exactly on the rescaled/rotated ground-state
-    family.
+    It is <= 1 for every field and equals 1 exactly on the rescaled/rotated ground-state
+    family.  ValueError on a zero field, UnresolvedFieldError on an unresolved one.
     """
-    d = f.grid.d
-    m = mass(f)
-    if m == 0.0:
+    d = grid.d
+    m = _power_sum(grid, values, 2)
+    if np.any(m == 0.0):
         raise ValueError("zero field")
-    coeffs = f.grid._forward_values(f.values)
-    _check_resolved(f.grid, coeffs, "interpolation-ratio argument")
-    pexp = 2.0 * (d + 2) / d
-    num = lebesgue_norm(f, pexp) ** pexp
-    den = (d + 2) / d * (m / ground.mass) ** (2.0 / d) * float(_kinetic_sum(f.grid, coeffs))
-    return num / den
+    _check_resolved(grid, coeffs, "interpolation-ratio argument")
+    num = _power_sum(grid, values, 2.0 * (d + 2) / d)
+    return num / ((d + 2) / d * (m / mass_q) ** (2.0 / d) * _kinetic_sum(grid, coeffs))
 
 
 def check_ground_state(ground: GroundState) -> dict[str, tuple[bool, float]]:
     """Q's certificate, each check by name as (ok, value), ok a bool against its one bound:
-    the fixed point's residual (< 1e-8), |M - mass_shooting| / M (< 1e-4), pohozaev_ratio
-    (within 1e-4 of d/(d+2)), gn_ratio (within 1e-3 of 1), E(Q) / ||grad Q||^2 (within
-    1e-4 of 0), positivity and monotonicity.  Positivity, min Q / max |Q| >= -n EPS,
-    judges the sign of Q only above the round-off floor n EPS max |Q|; below it, where
-    Q's tail lies at r_max 45, Q must be within the floor of 0.  Monotonicity: no sample
+    the fixed point's residual (< 1e-8), |M - mass_shooting| / M (< 1e-4), the Pohozaev
+    ratio ||grad Q||^2 / ||Q||_p^p, p = 2 + 4/d (within 1e-4 of d/(d+2)), gn_ratio (within
+    1e-3 of 1), E(Q) / ||grad Q||^2 (within 1e-4 of 0), positivity and monotonicity, all
+    from ground.coeffs without a transform of their own.  Positivity,
+    min Q / max |Q| >= -n EPS, judges the sign of Q only above the round-off floor
+    n EPS max |Q|; below it, where Q's tail lies at r_max 45, Q must be within the
+    floor of 0.  Monotonicity: no sample
     exceeds the one before it by more than 1e-10 Q(0); its value is the largest rise / Q(0).
     """
-    d = ground.grid.d
-    q = ground.profile.values.real
+    grid, values, coeffs = ground.grid, ground.profile.values, ground.coeffs
+    d, q = grid.d, values.real
     shooting = abs(ground.mass_shooting - ground.mass) / ground.mass
-    pohozaev = pohozaev_ratio(ground)
-    sharp = gn_ratio(ground.profile, ground)
-    energy_ratio = energy(ground.profile, -1) / ground.kinetic
+    pohozaev = ground.kinetic / float(_power_sum(grid, values, 2.0 + 4.0 / d))
+    sharp = float(gn_ratio(grid, values, coeffs, ground.mass))
+    energy_ratio = float(_energy_sum(grid, values, coeffs, -1)) / ground.kinetic
     peak = float(np.max(np.abs(q)))
     lowest = float(np.min(q))
     rise, top = float(np.max(np.diff(q))), float(q[0])
@@ -318,7 +328,7 @@ def check_ground_state(ground: GroundState) -> dict[str, tuple[bool, float]]:
             "pohozaev": (abs(pohozaev - d / (d + 2)) < 1e-4, pohozaev),
             "sharp_ratio": (abs(sharp - 1.0) < 1e-3, sharp),
             "energy": (abs(energy_ratio) < 1e-4, energy_ratio),
-            "positivity": (lowest >= -ground.grid.n * EPS * peak, lowest / peak),
+            "positivity": (lowest >= -grid.n * EPS * peak, lowest / peak),
             "monotonicity": (rise <= 1e-10 * top, rise / top)}
 
 

@@ -26,6 +26,11 @@ def radii_of(f, eta):
     return diagnostics.concentration_radii(f.grid, f.values, core.transform_forward(f).values, eta)
 
 
+def kinetic(f):
+    """||grad f||^2 of one field."""
+    return float(core._kinetic_sum(f.grid, f.grid._forward_values(f.values)))
+
+
 class TestTruncatedVirial:
     def test_zero_field(self, grid):
         zero = core.RadialField(grid, np.zeros(grid.n))
@@ -44,7 +49,7 @@ class TestTruncatedVirial:
 class TestVirialAcceleration:
     def test_truncated_matches_when_localized(self, free_dense):
         acc = diagnostics.virial_acceleration(free_dense, 12.0, 0.1)
-        k = core.gradient_norm_sq(free_dense.field(free_dense.index_at(0.1)))
+        k = kinetic(free_dense.field(free_dense.index_at(0.1)))
         assert abs(acc - 8 * k) / (8 * k) < 0.05
 
     def test_solitary_wave_flat(self, sw_dense, ground):
@@ -104,7 +109,7 @@ class TestKineticLocalization:
             ground.profile, eta_frac * ground.kinetic)
         resc = core.rescale(ground.profile, 2.0)
         scaled = kinetic_radius_of(
-            resc, eta_frac * core.gradient_norm_sq(resc))
+            resc, eta_frac * kinetic(resc))
         cell = ground.grid.r[1] - ground.grid.r[0]
         assert abs(scaled - base / 2) <= 1.5 * cell
 
@@ -288,7 +293,7 @@ def test_runners_match_single_field_loop(sw_dense):
 
     *_, rows = cli.DIAGNOSTIC_RUNNERS["kinetic_localization"](traj, {"eta_fraction": 1e-2})
     assert [r for _, r in rows] == [kinetic_radius_of(
-        f, 1e-2 * core.gradient_norm_sq(f)) for f in fields]
+        f, 1e-2 * kinetic(f)) for f in fields]
 
     *_, rows = cli.DIAGNOSTIC_RUNNERS["concentration"](traj, {"eta_fraction": 1e-2})
     assert [(c_x, c_xi) for _, c_x, c_xi in rows] == [
@@ -300,7 +305,7 @@ def test_runners_match_single_field_loop(sw_dense):
     for i, (t, acc, eight_k) in enumerate(rows, start=2):
         ref = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12 * h * h)
         assert acc == pytest.approx(ref, rel=1e-12, abs=1e-9)
-        assert eight_k == pytest.approx(8 * core.gradient_norm_sq(fields[i]), rel=1e-12)
+        assert eight_k == pytest.approx(8 * kinetic(fields[i]), rel=1e-12)
 
     shell = bands.phi_gt(grid.r, 1.0)
     rep = diagnostics.frequency_decay_fit(traj, 1.0, [4.0, 8.0, 16.0, 32.0])

@@ -9,6 +9,12 @@ from scipy.special import iv, kv
 from radnls import core, evolution, groundstate
 
 
+def sharp_ratio(f, ground):
+    """gn_ratio of one field."""
+    return float(groundstate.gn_ratio(f.grid, f.values, f.grid._forward_values(f.values),
+                                      ground.mass))
+
+
 class TestSolve:
     def test_pohozaev_mass_identity(self, ground):
         l3 = core.lebesgue_norm(ground.profile, 3.0) ** 3
@@ -21,6 +27,39 @@ class TestSolve:
 
     def test_grid_doubling_stability(self, ground, ground_double):
         assert abs(ground_double.mass - ground.mass) < 1e-6 * ground.mass
+
+
+class TestStoredFields:
+    def test_stores_only_what_the_solve_knows(self):
+        fields = [f.name for f in dataclasses.fields(groundstate.GroundState)]
+        assert fields == ["profile", "residual", "iterations"]
+
+    def test_invariants_follow_a_replaced_profile(self, ground):
+        doubled = dataclasses.replace(ground, profile=2.0 * ground.profile)
+        assert doubled.mass == pytest.approx(4.0 * ground.mass, rel=1e-14)
+        assert doubled.kinetic == pytest.approx(4.0 * ground.kinetic, rel=1e-14)
+
+    def test_certificate_makes_no_transform(self, grid, monkeypatch):
+        # the solve judged Q's resolvedness on its spectrum; the certificate reads it again
+        gs = groundstate.solve_ground_state(grid, tol=1e-8)
+        calls = []
+        forward = core.RadialGrid._forward_values
+        monkeypatch.setattr(core.RadialGrid, "_forward_values",
+                            lambda grid, values: calls.append(values.shape)
+                            or forward(grid, values))
+        assert all(ok for ok, _ in groundstate.check_ground_state(gs).values())
+        assert calls == []
+
+    def test_solve_and_certificate_call_shooting_once(self, grid, monkeypatch):
+        calls = []
+        shooting = groundstate.shooting_mass
+        monkeypatch.setattr(groundstate, "shooting_mass", lambda d: calls.append(d) or shooting(d))
+        gs = groundstate.solve_ground_state(grid, tol=1e-8)
+        assert calls == []
+        # the certificate reads mass_shooting, and ground-state reads it again for its JSON
+        checks = groundstate.check_ground_state(gs)
+        assert checks["shooting"][1] == abs(gs.mass_shooting - gs.mass) / gs.mass
+        assert calls == [grid.d]
 
 
 class TestCertificate:
@@ -170,21 +209,29 @@ class TestSharpRatio:
     def test_symmetry_family_attains_one(self, ground):
         fam = core.rescale(ground.profile, 2.0)
         fam = 0.7 * np.exp(0.3j) * fam
-        assert abs(groundstate.gn_ratio(fam, ground) - 1.0) < 1e-3
+        assert abs(sharp_ratio(fam, ground) - 1.0) < 1e-3
 
     def test_gaussian_strictly_below_one(self, grid, ground):
         f = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
-        j = groundstate.gn_ratio(f, ground)
+        j = sharp_ratio(f, ground)
         assert 0.0 < j < 1.0 - 1e-2
 
     def test_zero_field_rejected(self, grid, ground):
         with pytest.raises(ValueError):
-            groundstate.gn_ratio(core.RadialField(grid, np.zeros(grid.n)), ground)
+            sharp_ratio(core.RadialField(grid, np.zeros(grid.n)), ground)
+
+    def test_unresolved_field_rejected(self, grid, ground):
+        coeffs = np.zeros(grid.n, dtype=complex)
+        coeffs[-grid.n // 10:] = 1.0
+        rough = core.transform_inverse(core.SpectralField(grid, coeffs))
+        with pytest.raises(core.UnresolvedFieldError):
+            sharp_ratio(rough, ground)
 
     def test_corpus_never_exceeds_one(self, ground, grid):
         rng = np.random.default_rng(77)
-        worst = max(groundstate.gn_ratio(core.random_smooth_field(grid, rng), ground)
-                    for _ in range(100))
+        fields = np.array([core.random_smooth_field(grid, rng).values for _ in range(100)])
+        worst = np.max(groundstate.gn_ratio(grid, fields, grid._forward_values(fields),
+                                            ground.mass))
         assert worst <= 1.0 + 1e-3
 
 
@@ -203,8 +250,9 @@ class TestExplicitSolutions:
             assert abs(core.mass(pc) - ground.mass) < 1e-6 * ground.mass
 
     def test_pc_gradient_blowup_rate(self, ground):
-        g1 = math.sqrt(core.gradient_norm_sq(groundstate.make_pc(ground, -0.25)))
-        g2 = math.sqrt(core.gradient_norm_sq(groundstate.make_pc(ground, -0.5)))
+        grid = ground.grid
+        g1, g2 = (math.sqrt(core._kinetic_sum(grid, grid._forward_values(
+            groundstate.make_pc(ground, t).values))) for t in (-0.25, -0.5))
         assert abs(g1 / g2 - 2.0) < 0.2
 
     def test_pc_rejects_time_zero(self, ground):
@@ -239,7 +287,7 @@ class TestMassThreshold:
         energy, m = traj.energy_log[0], math.sqrt(traj.mass_log[0] / ground.mass)
         drift = max(abs(e - energy) for e in traj.energy_log) / energy
         assert drift < 1e-5
-        sharp = abs(groundstate.gn_ratio(ground.profile, ground) - 1.0)
+        sharp = abs(sharp_ratio(ground.profile, ground) - 1.0)
         tau = 1e-5 + m / (1.0 - m) * sharp
         kinetic = core._kinetic_sum(ground.grid, traj.coeffs)
         assert kinetic.max() <= 2.0 * energy / (1.0 - m) * (1.0 + tau)

@@ -54,6 +54,23 @@ class TestFieldFormats:
         assert again.mass == ground.mass
         assert np.array_equal(again.profile.values, ground.profile.values)
         assert fieldio.load_ground_state(tmp_path, ground.grid, 1e-6) is None
+        # beside the profile the .json holds the fields only the solve knows
+        meta = tmp_path / f"{fieldio.ground_state_key(ground.grid, 1e-8)}.json"
+        assert sorted(json.loads(meta.read_text())) == [
+            "artifact_version", "iterations", "residual", "sha256", "tol"]
+
+    def test_ground_state_cache_with_the_old_keys_loads(self, ground, tmp_path):
+        # an entry written when the .json also held the invariants still loads, and its
+        # invariants come from the profile, not from those keys
+        fieldio.save_ground_state(ground, tmp_path, 1e-8)
+        meta = tmp_path / f"{fieldio.ground_state_key(ground.grid, 1e-8)}.json"
+        info = json.loads(meta.read_text())
+        info |= {"dimension": 4, "mass": 1.0, "kinetic": 1.0, "mass_shooting": 1.0}
+        meta.write_text(json.dumps(info, sort_keys=True, indent=1) + "\n")
+        again = fieldio.load_ground_state(tmp_path, ground.grid, 1e-8)
+        assert (again.residual, again.iterations) == (ground.residual, ground.iterations)
+        assert np.array_equal(again.profile.values, ground.profile.values)
+        assert (again.mass, again.kinetic) == (ground.mass, ground.kinetic)
 
     def test_torn_ground_state_cache_write_is_not_trusted(self, ground, tmp_path, monkeypatch):
         def torn_write(path, text):
@@ -66,6 +83,11 @@ class TestFieldFormats:
         assert fieldio.load_ground_state(tmp_path, ground.grid, 1e-8) is None
         key = fieldio.ground_state_key(ground.grid, 1e-8)
         assert [p.name for p in tmp_path.iterdir()] == [f"{key}.rfb"]
+
+
+def pohozaev_fails(check):
+    """The certificate check with its Pohozaev ratio read as 0.1."""
+    return lambda gs: check(gs) | {"pohozaev": (False, 0.1)}
 
 
 @pytest.fixture()
@@ -161,7 +183,8 @@ class TestCli:
         # the artifacts stay for inspection; only a certified Q enters the cache
         cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128}, "output_dir": "gs"})
         with monkeypatch.context() as patch:
-            patch.setattr(groundstate, "pohozaev_ratio", lambda gs: 0.1)
+            patch.setattr(groundstate, "check_ground_state",
+                          pohozaev_fails(groundstate.check_ground_state))
             assert cli.main(["--config", cfg, "ground-state"]) == 1
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "certification_failed" and "pohozaev" in error["detail"]
@@ -218,7 +241,8 @@ class TestCli:
         cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
                                    "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
                                    "initial": {"kind": "sw"}, "output_dir": "run"})
-        monkeypatch.setattr(groundstate, "pohozaev_ratio", lambda gs: 0.1)
+        monkeypatch.setattr(groundstate, "check_ground_state",
+                            pohozaev_fails(groundstate.check_ground_state))
         assert cli.main(["--config", cfg, "evolve"]) == 1
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "certification_failed" and "pohozaev" in error["detail"]
@@ -278,7 +302,7 @@ class TestCli:
         assert summary["sw_final_l2_error"] < 1e-4
 
     @pytest.mark.parametrize("corrupt", [
-        pytest.param(lambda rfb, meta: _edit_json(meta, lambda m: m.pop("mass")),
+        pytest.param(lambda rfb, meta: _edit_json(meta, lambda m: m.pop("residual")),
                      id="json_missing_key"),
         pytest.param(lambda rfb, meta: meta.write_text(meta.read_text()[:40]),
                      id="truncated_json"),
@@ -491,9 +515,8 @@ class TestCli:
         assert len(set(names)) == len(names)
         assert names == [
             "core.roundtrip", "core.gaussian_mass", "core.plancherel", "core.scaling",
-            "groundstate.residual", "groundstate.shooting", "groundstate.pohozaev",
-            "groundstate.sharp_ratio", "groundstate.energy", "groundstate.positivity",
-            "groundstate.monotonicity", "groundstate.ratio_below_one",
+            "groundstate.shooting", "groundstate.pohozaev", "groundstate.monotonicity",
+            "groundstate.ratio_below_one",
             "bands.in_out_complete", "bands.mismatch_norm",
             "evolution.solitary_wave", "evolution.mass", "evolution.free_gaussian",
             "diagnostics.virial_identity", "diagnostics.concentration",
