@@ -17,6 +17,10 @@ ground-state loads core, groundstate and fieldio, evolve adds evolution, and
 diagnose loads neither groundstate, recurrence nor selftest.  Only the selftest
 command loads selftest: Q's certificate (groundstate.check_ground_state) is
 what ground-state and evolve judge Q by.
+
+diagnose and a from_trajectory lemma read the spectra evolve stored with the
+trajectory, and build the grid's kernel only for a product they make: virial,
+concentration and kinetic_localization make none with it.
 """
 
 from __future__ import annotations
@@ -301,6 +305,9 @@ def cmd_evolve(cfg: dict) -> int:
         "mass_drift": traj.mass_drift,
         "guard_event": traj.guard_event,
         "warnings": traj.warnings,
+        # the certificate of the grid whose spectra the trajectory stores
+        "grid_roundtrip_error": grid.roundtrip_error,
+        "grid_quadrature_error": grid.quadrature_error,
     }
     if kind == "sw":
         from . import groundstate

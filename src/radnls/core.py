@@ -12,7 +12,12 @@ companion quadrature rule for integrals against r^(d-1) dr.
 Each grid stores one real n x n kernel J_nu(j_m j_k / S), exactly symmetric
 (8 n^2 bytes, 13 MB at n = 1280), shared by the forward and inverse
 transforms, whose scalars, J_{nu+1}(j_k)^-2 among them, are applied to the
-n-vector instead.  It is built from its symmetry, a block of rows at a time,
+n-vector instead.  A grid builds its nodes, weights and scalars, and checks
+its quadrature rule, when it is constructed; the kernel is built, and its
+round trip certified, at the first product that reads it, so a grid that only
+sums over the nodes, such as the one a stored trajectory is loaded on, never
+builds it.  make_radial_grid builds both at once.  The kernel is built from
+its symmetry, a block of rows at a time,
 and applied a block of rows at a time too: each block is read once and used
 while it sits in cache, where one GEMM of the whole kernel against a single
 field streams all 13 MB far below memory speed.  Every kernel is zero-padded
@@ -255,8 +260,9 @@ def sphere_area(d: int) -> float:
 class RadialGrid:
     """Bessel-zero collocation grid with its radial Fourier transform.
 
-    Immutable after construction; every array is frozen.  Two grids with the
-    same (d, n, r_max) are interchangeable.
+    Immutable after construction, apart from the kernels and phases it builds
+    at their first use; every array is frozen.  Two grids with the same
+    (d, n, r_max) are interchangeable.
     """
 
     def __init__(self, d: int, r_max: float, n: int):
@@ -302,12 +308,12 @@ class RadialGrid:
         self.wrho1 = 2.0 / (self.r_max**2 * jnext**2)
         self._r_nu = self.r**self.nu
         self._rho_nu = self.rho**self.nu
-        # the one kernel K[m, k] = J_nu(j_m j_k / S), symmetric; the forward and inverse
-        # transforms differ only by scalars, the 1D weights with their J_{nu+1}(j_k)^-2
-        # among them, folded into the input vectors
-        self._kernel = self._symmetric_kernel(self.nu)
+        # the forward and inverse transforms differ only by scalars, the 1D weights with
+        # their J_{nu+1}(j_k)^-2 among them, folded into the input vectors; the one kernel
+        # they share is built at the first read of _kernel
         self._fwd_in = self.w1 * self._r_nu
         self._inv_in = self.wrho1 * self._rho_nu
+        self._kernel_store = None
         self._deriv_kernel = None
         self._pv_parts = None
         self._free_phases = {}
@@ -318,10 +324,16 @@ class RadialGrid:
         self.wrho = area * self.rho ** (self.d - 2) * self.wrho1
 
         for arr in (self.r, self.rho, self._high_rho, self.w1, self.wrho1, self.w, self.wrho,
-                    self._kernel, self._fwd_in, self._inv_in, self._r_nu, self._rho_nu):
+                    self._fwd_in, self._inv_in, self._r_nu, self._rho_nu):
             arr.setflags(write=False)
 
-        self._certify()
+        sigma, _, quad = self._certification_gaussian()
+        exact = (math.pi / 2.0) ** (self.d / 2.0) * sigma**self.d
+        self._quadrature_error = abs(quad - exact) / exact
+        if self._quadrature_error > QUADRATURE_TOL:
+            raise GridResolutionError(
+                f"quadrature error {self._quadrature_error:.3e} on a Gaussian exceeds "
+                f"{QUADRATURE_TOL:g}")
 
     @property
     def key(self) -> tuple:
@@ -344,7 +356,9 @@ class RadialGrid:
 
     @property
     def roundtrip_error(self) -> float:
-        """Relative L^2 error of the certification Gaussian after forward and inverse."""
+        """Relative L^2 error of the certification Gaussian after forward and inverse;
+        builds the kernel if no product has yet (GridResolutionError if it fails)."""
+        self._certified_kernel()
         return self._roundtrip_error
 
     @property
@@ -352,23 +366,39 @@ class RadialGrid:
         """Relative error of the quadrature rule on the certification Gaussian's mass."""
         return self._quadrature_error
 
-    def _certify(self) -> None:
+    def _certification_gaussian(self) -> tuple[float, np.ndarray, float]:
+        """The width sigma, exp(-(r/sigma)^2) at the nodes, and its mass by the quadrature rule."""
         sigma = min(1.0, self.r_max / 8.0)
         f = np.exp(-((self.r / sigma) ** 2))
-        coeffs = self._forward_values(f)
-        back = self._inverse_values(coeffs)
-        quad = float(_power_sum(self, f, 2))
-        err = math.sqrt(float(_power_sum(self, back - f, 2)) / quad)
-        if err > ROUNDTRIP_TOL:
-            raise GridResolutionError(
-                f"resolution too low: round-trip error {err:.3e} on a width-{sigma:g} "
-                f"Gaussian exceeds {ROUNDTRIP_TOL:g} (d={self.d}, r_max={self.r_max}, n={self.n})")
-        exact = (math.pi / 2.0) ** (self.d / 2.0) * sigma**self.d
-        quad_err = abs(quad - exact) / exact
-        if quad_err > QUADRATURE_TOL:
-            raise GridResolutionError(
-                f"quadrature error {quad_err:.3e} on a Gaussian exceeds {QUADRATURE_TOL:g}")
-        self._roundtrip_error, self._quadrature_error = err, quad_err
+        return sigma, f, float(_power_sum(self, f, 2))
+
+    def _certified_kernel(self) -> np.ndarray:
+        """The kernel K[m, k] = J_nu(j_m j_k / S), built at the first call, whose round
+        trip on the certification Gaussian is certified before it is returned.
+
+        The certificate's own forward and inverse transform read the kernel while it
+        is being certified; every other product reads a certified one.  A kernel that
+        fails is dropped, so each later call builds it again and raises again.
+        """
+        if self._kernel_store is None:
+            self._kernel_store = self._symmetric_kernel(self.nu)
+            try:
+                sigma, f, quad = self._certification_gaussian()
+                back = self._inverse_values(self._forward_values(f))
+                err = math.sqrt(float(_power_sum(self, back - f, 2)) / quad)
+                if err > ROUNDTRIP_TOL:
+                    raise GridResolutionError(
+                        f"resolution too low: round-trip error {err:.3e} on a width-{sigma:g} "
+                        f"Gaussian exceeds {ROUNDTRIP_TOL:g} (d={self.d}, r_max={self.r_max}, "
+                        f"n={self.n})")
+            except BaseException:
+                self._kernel_store = None
+                raise
+            self._roundtrip_error = err
+        return self._kernel_store
+
+    # every read of the kernel, the transforms' included, goes through its certificate
+    _kernel = property(_certified_kernel)
 
     def _symmetric_kernel(self, order: int, scale: float = 1.0,
                           rows: int | None = None) -> np.ndarray:
@@ -437,8 +467,11 @@ class RadialGrid:
 
 
 def make_radial_grid(d: int, r_max: float, n: int) -> RadialGrid:
-    """Build a certified radial grid (raises GridResolutionError if n is too small)."""
-    return RadialGrid(d, r_max, n)
+    """Build a certified radial grid with its kernel (raises GridResolutionError if n is
+    too small)."""
+    grid = RadialGrid(d, r_max, n)
+    grid._certified_kernel()
+    return grid
 
 
 def _frozen_values(grid: RadialGrid, values, what: str, rows: tuple = ()) -> np.ndarray:

@@ -11,9 +11,8 @@ mu = 0 runs the free flow (used by the diagnostics oracles); -1 is focusing,
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -72,9 +71,12 @@ class Trajectory:
     """Snapshots of a run plus its conservation log and guard events.
 
     values is a read-only (T, n) complex array whose row k is the snapshot at
-    times[k]; coeffs holds the spectral coefficients of every row, built on
-    first use by one stacked transform.  mass_log has one entry per completed
-    step (plus the initial value), energy_log one entry per snapshot.
+    times[k]; coeffs is the read-only (T, n) stack of their spectral
+    coefficients.  A load passes the stack it read and checked as
+    stored_coeffs; any other construction, dataclasses.replace included,
+    computes it from values by one stacked transform.  mass_log has one entry
+    per completed step (plus the initial value), energy_log one entry per
+    snapshot.
     """
 
     config: SimulationConfig
@@ -85,19 +87,20 @@ class Trajectory:
     energy_log: list
     guard_event: dict | None
     warnings: tuple
+    stored_coeffs: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, stored_coeffs):
         self.times = np.array(self.times, dtype=np.float64)
         self.values = _frozen_values(self.grid, self.values, "snapshot", (len(self.times),))
+        if stored_coeffs is None:
+            self.coeffs = self.grid._forward_values(self.values)
+            self.coeffs.setflags(write=False)
+        else:
+            self.coeffs = _frozen_values(self.grid, stored_coeffs, "coefficient",
+                                         (len(self.times),))
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @functools.cached_property
-    def coeffs(self) -> np.ndarray:
-        coeffs = self.grid._forward_values(self.values)
-        coeffs.setflags(write=False)
-        return coeffs
 
     @property
     def mass_drift(self) -> float:
@@ -161,7 +164,8 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
     the run ends there, and the partial trajectory comes back with guard_event
     set: a guard trip is reported, never silently clipped.  The loop carries the
     samples as an array; after it, the energy log past the initial entry reads the
-    Trajectory's coefficient stack, the one diagnose and duhamel_residual read.
+    Trajectory's coefficient stack, the one save_trajectory stores beside the
+    samples and diagnose reads back.
     """
     grid = u0.grid
     if grid.key != (cfg.dimension, cfg.n, cfg.r_max):

@@ -11,9 +11,17 @@ Binary snapshot layout (little endian):
 
 A load takes the grid the caller expects and checks the header's
 (d, n, r_max), which determines a grid exactly, against it; a load-save cycle
-is bit-exact on the samples and metadata.  A trajectory's manifest stores
-samples_sha256, the sha256 of its (T, n) sample stack, and a load whose
-snapshots hash otherwise is refused.
+is bit-exact on the samples and metadata.
+
+A trajectory directory holds manifest.json, one snapshot file per stored time
+under snapshots/, and coeffs.rfb: the snapshot header followed by the T rows
+of the (T, n) complex128 stack of the snapshots' spectral coefficients, which
+evolve computed for its energy log.  The manifest stores samples_sha256 and
+coeffs_sha256, the sha256 of each (T, n) stack, and a load whose files hash
+otherwise is refused.  So is one whose stored coefficient 0 of a snapshot
+differs from the one a single kernel row recomputes from its samples, so the
+two stacks come from the same run; diagnose then reads the spectra without
+building the grid's kernel.
 
 evolution is imported inside load_trajectory and groundstate inside
 load_ground_state, the functions that build their classes, so ground-state
@@ -54,19 +62,20 @@ def save_field_binary(f: RadialField, path) -> None:
     Path(path).write_bytes(_field_bytes(f.grid, f.values))
 
 
-def _samples(path, blob: bytes, grid: RadialGrid) -> np.ndarray:
+def _samples(path, blob: bytes, grid: RadialGrid, rows: int | None = None) -> np.ndarray:
     """The samples of the binary snapshot blob read from path, after checking that its
-    header names grid."""
+    header names grid; with rows, a (rows, n) stack of them after one header."""
     if blob[:8] != MAGIC:
         raise ValueError(f"{path}: not a radnls binary snapshot")
     if len(blob) < 28:
         raise ValueError(f"{path}: truncated snapshot")
     d, n, r_max = struct.unpack("<IQd", blob[8:28])
-    if len(blob) != 28 + 16 * n:
+    if len(blob) != 28 + 16 * n * (1 if rows is None else rows):
         raise ValueError(f"{path}: truncated snapshot")
     if grid.key != (d, n, r_max):
         raise ValueError(f"{path}: snapshot metadata does not match the supplied grid")
-    return np.frombuffer(blob[28:], dtype=np.complex128)
+    values = np.frombuffer(blob[28:], dtype=np.complex128)
+    return values if rows is None else values.reshape(rows, n)
 
 
 def load_field_binary(path, grid: RadialGrid) -> RadialField:
@@ -77,8 +86,8 @@ def load_field_binary(path, grid: RadialGrid) -> RadialField:
 # trajectories
 # ---------------------------------------------------------------------------
 
-def _samples_sha256(values: np.ndarray) -> str:
-    """sha256 of the (T, n) complex128 sample stack, row after row."""
+def _stack_sha256(values: np.ndarray) -> str:
+    """sha256 of a (T, n) complex128 stack, row after row."""
     return hashlib.sha256(np.ascontiguousarray(values).data).hexdigest()
 
 
@@ -90,6 +99,7 @@ def save_trajectory(traj: Trajectory, out_dir) -> Path:
         path.write_bytes(_field_bytes(traj.grid, row))
     for stale in set((out / "snapshots").glob("*.rfb")).difference(paths):  # an earlier run's
         stale.unlink()
+    (out / "coeffs.rfb").write_bytes(_field_bytes(traj.grid, traj.coeffs))
     manifest = {
         "artifact_version": __version__,
         "config_hash": config_hash(vars(traj.config)),
@@ -99,10 +109,31 @@ def save_trajectory(traj: Trajectory, out_dir) -> Path:
         "energy_log": list(traj.energy_log),
         "guard_event": traj.guard_event,
         "warnings": list(traj.warnings),
-        "samples_sha256": _samples_sha256(traj.values),
+        "samples_sha256": _stack_sha256(traj.values),
+        "coeffs_sha256": _stack_sha256(traj.coeffs),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     return out
+
+
+# a stored coefficient 0 may differ from its recomputation by this much of the largest
+# |uhat_k| of its snapshot: a run's own stack reads at most 3.5e-15 (pc blowup, n = 1280)
+# and 3.0e-15 (sw, n = 640), the stack of the same run times i 1.41
+COEFFS_CHECK_TOL = 1e-12
+
+
+def _check_coeffs(out: Path, grid: RadialGrid, values: np.ndarray, coeffs: np.ndarray) -> None:
+    """ValueError unless coefficient 0 of every row of coeffs matches its recomputation
+    from values by the kernel's first row, the one row this builds."""
+    row = grid._symmetric_kernel(grid.nu, 1.0, 1)[0, :grid.n] * grid._fwd_in
+    gap = np.abs(values @ row / grid._rho_nu[0] - coeffs[:, 0])
+    largest = np.max(np.abs(coeffs), axis=1)
+    bad = np.flatnonzero(~(gap <= COEFFS_CHECK_TOL * largest))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{out}: coeffs.rfb does not match the snapshots: coefficient 0 of "
+                         f"snapshot {i} differs from its recomputation by {gap[i]:.3e}, "
+                         f"against a largest |uhat| of {largest[i]:.3e}")
 
 
 def _numbers(value) -> bool:
@@ -121,11 +152,17 @@ _MANIFEST_KEYS = {
     "warnings": ("a list of strings",
                  lambda value: isinstance(value, list) and all(isinstance(x, str) for x in value)),
     "samples_sha256": ("a string", lambda value: isinstance(value, str)),
+    "coeffs_sha256": ("a string", lambda value: isinstance(value, str)),
 }
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory directory; ValueError if its manifest and snapshots disagree."""
+    """Read a trajectory directory; ValueError if its manifest, snapshots and coefficient
+    stack disagree.
+
+    The grid is constructed without its kernel, which only a product that needs
+    it builds and certifies.
+    """
     from .evolution import SimulationConfig, Trajectory
 
     out = Path(path)
@@ -148,14 +185,21 @@ def load_trajectory(path) -> Trajectory:
     if sorted(p.name for p in (out / "snapshots").iterdir()) != names:
         raise ValueError(f"{out}: snapshots/ must hold exactly the {len(names)} files "
                          "000000.rfb, 000001.rfb, ... named by the manifest's times")
-    grid = cfg.make_grid()
+    grid = RadialGrid(cfg.dimension, cfg.r_max, cfg.n)
     values = np.empty((len(times), grid.n), dtype=np.complex128)
     for row, path in zip(values, (out / "snapshots" / name for name in names)):
         row[:] = _samples(path, path.read_bytes(), grid)
-    if _samples_sha256(values) != manifest["samples_sha256"]:
+    if _stack_sha256(values) != manifest["samples_sha256"]:
         raise ValueError(f"{out}: snapshot samples do not match the manifest's samples_sha256")
+    coeffs_path = out / "coeffs.rfb"
+    if not coeffs_path.is_file():
+        raise ValueError(f"{out}: coeffs.rfb is missing")
+    coeffs = _samples(coeffs_path, coeffs_path.read_bytes(), grid, len(times))
+    if _stack_sha256(coeffs) != manifest["coeffs_sha256"]:
+        raise ValueError(f"{out}: coeffs.rfb does not match the manifest's coeffs_sha256")
+    _check_coeffs(out, grid, values, coeffs)
     return Trajectory(cfg, grid, times, values, manifest["mass_log"], manifest["energy_log"],
-                      manifest.get("guard_event"), tuple(manifest["warnings"]))
+                      manifest.get("guard_event"), tuple(manifest["warnings"]), coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,36 @@ class TestGridConstruction:
         with pytest.raises(core.GridResolutionError):
             core.make_radial_grid(4, 20.0, 16)
 
+    def test_constructor_checks_the_quadrature_rule(self):
+        # the constructor builds no kernel but certifies the quadrature rule, the
+        # stricter of the two certificates: at (4, 20, 16) it is 0.51 off, while the
+        # round trip reads 8.7e-9
+        with pytest.raises(core.GridResolutionError, match="quadrature error"):
+            core.RadialGrid(4, 20.0, 16)
+
+    def test_kernel_is_certified_at_its_first_product(self, monkeypatch):
+        # the first product, or roundtrip_error, builds the kernel and runs the round-trip
+        # certificate before returning; under a tolerance no kernel meets every attempt
+        # raises, and no failed kernel is kept for a later product to read
+        g = core.RadialGrid(4, 15.0, 64)
+        assert g._kernel_store is None and g.quadrature_error <= core.QUADRATURE_TOL
+        f = gaussian(g)
+        monkeypatch.setattr(core, "ROUNDTRIP_TOL", 0.0)
+        for _ in range(2):
+            with pytest.raises(core.GridResolutionError, match="round-trip error"):
+                core.transform_forward(f)
+            with pytest.raises(core.GridResolutionError, match="round-trip error"):
+                g.roundtrip_error
+            assert g._kernel_store is None
+        monkeypatch.undo()
+        # under the real tolerance the same grid certifies, as make_radial_grid's does
+        back = core.transform_inverse(core.transform_forward(f))
+        assert math.sqrt(core.mass(back - f) / core.mass(f)) < 1e-12
+        eager = core.make_radial_grid(4, 15.0, 64)
+        assert eager._kernel_store is not None
+        assert g.roundtrip_error == eager.roundtrip_error
+        assert np.array_equal(g._kernel, eager._kernel)
+
     @pytest.mark.parametrize("d", [0, 1, -2])
     def test_rejects_dimension_out_of_range(self, d):
         with pytest.raises(ValueError, match="dimension"):

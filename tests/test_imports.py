@@ -461,6 +461,14 @@ def test_two_kernel_products():
     assert loads and loads <= KERNEL_READERS, loads
 
 
+def test_kernel_store_is_read_through_its_certificate():
+    # the kernel sits in its store while its certificate runs; _certified_kernel, which
+    # runs it, is the store's one reader, and every product reads the _kernel property
+    loads = {f"{p.stem}.{where}" for p in SOURCES
+             for where in attribute_loads(p.read_text(), "_kernel_store")}
+    assert loads == {"core.RadialGrid._certified_kernel"}, loads
+
+
 def test_kernel_normalisation_stays_in_the_grid():
     # the kernel is J_nu(j_m j_k / S) itself; J_{nu+1}(j_k)^-2 lives in the grid's
     # weights and transform scalars, so no code reads the values J_{nu+1}(j_k)

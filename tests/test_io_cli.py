@@ -1,7 +1,10 @@
+import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +49,9 @@ class TestFieldFormats:
         assert back.mass_log == traj.mass_log
         for i in range(len(traj)):
             assert np.array_equal(back.field(i).values, traj.field(i).values)
+        # the stored spectra come back bit for bit, read-only, and without a kernel build
+        assert np.array_equal(back.coeffs, traj.coeffs) and not back.coeffs.flags.writeable
+        assert back.grid._kernel_store is None
 
     def test_ground_state_cache(self, ground, tmp_path):
         fieldio.save_ground_state(ground, tmp_path, 1e-8)
@@ -271,6 +277,10 @@ class TestCli:
         summary = json.loads((out_env / "run" / "evolve_summary.json").read_text())
         assert summary["mass_drift"] < 1e-8
         assert summary["sw_final_l2_error"] < 1e-4
+        # the certificate of the grid that computed the stored spectra
+        grid = core.make_radial_grid(4, SMALL_GRID["r_max"], SMALL_GRID["n"])
+        assert summary["grid_roundtrip_error"] == grid.roundtrip_error
+        assert summary["grid_quadrature_error"] == grid.quadrature_error
         assert cli.main(["--config", cfg, "diagnose",
                          str(out_env / "run" / "trajectory")]) == 0
         assert (out_env / "run" / "diagnose_summary.json").exists()
@@ -794,6 +804,7 @@ class TestCli:
         pytest.param("warnings", lambda m: 5, id="warnings"),
         pytest.param("warnings", lambda m: [5], id="warning_not_a_string"),
         pytest.param("samples_sha256", lambda m: None, id="samples_sha256"),
+        pytest.param("coeffs_sha256", lambda m: 5, id="coeffs_sha256"),
     ])
     def test_manifest_key_of_wrong_type_exits_2(self, out_env, tmp_path, capsys, key, wrong):
         cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
@@ -830,6 +841,19 @@ class TestCli:
         pytest.param(lambda run: _edit_json(run / "manifest.json",
                                             lambda m: m.pop("samples_sha256")),
                      id="missing_samples_sha256"),
+        pytest.param(lambda run: (run / "coeffs.rfb").unlink(), id="missing_coeffs"),
+        pytest.param(lambda run: (run / "coeffs.rfb").write_bytes(
+            (run / "coeffs.rfb").read_bytes()[:-16]), id="truncated_coeffs"),
+        pytest.param(lambda run: _rewrite_coeffs(run, header=(4, 128, 16.0)),
+                     id="coeffs_of_another_grid"),
+        pytest.param(lambda run: _flip_bit(run / "coeffs.rfb", 28 + 16 * 10),
+                     id="flipped_coeffs_bit"),
+        pytest.param(lambda run: _edit_json(run / "manifest.json",
+                                            lambda m: m.pop("coeffs_sha256")),
+                     id="missing_coeffs_sha256"),
+        # the stack of the run from e^{i/2} u0, with the manifest's hash rewritten to fit
+        pytest.param(lambda run: _rewrite_coeffs(run, factor=np.exp(0.5j)),
+                     id="coeffs_of_another_run_rehashed"),
     ])
     def test_inconsistent_trajectory_exits_2(self, out_env, tmp_path, capsys, corrupt):
         # the window of N=4 is [0, 1/2], so lemma reads the whole trajectory
@@ -848,10 +872,59 @@ class TestCli:
         assert capsys.readouterr().err.count("invalid_input") == 2
 
 
+class TestStoredSpectra:
+    """diagnose reads the spectra evolve stored, and builds no kernel it does not use."""
+
+    CONFIG = {"grid": {"r_max": 15.0, "n": 128},
+              "time": {"dt": 5e-3, "T": 0.1, "cadence": 2},
+              "diagnostics": [{"kind": "virial"}, {"kind": "concentration"}]}
+
+    def test_virial_and_concentration_build_no_kernel(self, out_env, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, {**self.CONFIG, "output_dir": "run"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        run = out_env / "run" / "trajectory"
+        build = core.RadialGrid._symmetric_kernel
+        rows = []
+        monkeypatch.setattr(core.RadialGrid, "_symmetric_kernel",
+                            lambda g, *args: rows.append(args[2:]) or build(g, *args))
+        names = ("virial.json", "concentration.json", "diagnose_summary.json")
+        assert cli.main(["--config", cfg, "diagnose", str(run)]) == 0
+        stored = {name: (out_env / "run" / name).read_bytes() for name in names}
+        # the one build is the load's check, a single row; the runners make none
+        assert rows == [(1,)]
+        monkeypatch.setattr(core.RadialGrid, "_symmetric_kernel", build)
+        # the path that recomputes the spectra from the samples writes the same bytes
+        load = fieldio.load_trajectory
+        monkeypatch.setattr(fieldio, "load_trajectory",
+                            lambda path: dataclasses.replace(load(path)))
+        assert cli.main(["--config", cfg, "diagnose", str(run)]) == 0
+        for name in names:
+            assert (out_env / "run" / name).read_bytes() == stored[name], name
+
+    def test_another_runs_stack_fails_the_consistency_check(self, out_env, tmp_path):
+        cfg = write_cfg(tmp_path, {**self.CONFIG, "output_dir": "run"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        run = out_env / "run" / "trajectory"
+        _rewrite_coeffs(run, factor=np.exp(0.5j))
+        with pytest.raises(ValueError, match="coefficient 0 of snapshot 0 differs"):
+            fieldio.load_trajectory(run)
+
+
 def _edit_json(path, edit):
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
+
+
+def _rewrite_coeffs(run, header=None, factor=1.0):
+    """Rewrite run's coeffs.rfb with another (d, n, r_max) header, or its stack times
+    factor, and store the new stack's sha256 in the manifest."""
+    blob = (run / "coeffs.rfb").read_bytes()
+    stack = np.frombuffer(blob[28:], dtype=np.complex128) * factor
+    head = blob[:28] if header is None else fieldio.MAGIC + struct.pack("<IQd", *header)
+    (run / "coeffs.rfb").write_bytes(head + stack.tobytes())
+    _edit_json(run / "manifest.json",
+               lambda m: m.update(coeffs_sha256=hashlib.sha256(stack.tobytes()).hexdigest()))
 
 
 def _flip_bit(path, at):
