@@ -30,12 +30,12 @@ import numpy as np
 from .core import (
     RadialField,
     RadialGrid,
+    _derivative_values,
     _real_matvec,
     _symbol_span,
     apply_multiplier,
     lebesgue_norm,
     mass,
-    radial_derivative,
     validate_scale,
 )
 
@@ -212,7 +212,7 @@ def in_out(f: RadialField, sign) -> RadialField:
     d = grid.d
     off, row_sum, diag_coef, pv_log = _pv_parts(grid)
     g = f.values * grid.r ** (d - 1)
-    fprime = radial_derivative(f).values
+    fprime = _derivative_values(grid, grid._forward_values(f.values))
     gprime = fprime * grid.r ** (d - 1) + (d - 1) * grid.r ** (d - 2) * f.values
     integral = _real_matvec(off, g) - g * row_sum + diag_coef * gprime + g * pv_log
     sgn = 1.0 if sign == "+" else -1.0

@@ -449,10 +449,14 @@ def cmd_lemma(cfg: dict) -> int:
         raise ConfigError(f"bad lemma.params: {exc}") from exc
     kind, seq_spec = kind_params("lemma.sequence", cfg["lemma"]["sequence"])
     if kind == "synthetic_power":
-        scales = tuple(params.m0 * 2.0**j for j in range(int(seq_spec["ladder"])))
         expo = float(params.s if seq_spec["exponent"] is None else seq_spec["exponent"])
-        seq = recurrence.ASequence(scales, tuple(min(params.a_bound, float(N) ** (-expo))
-                                                 for N in scales), "synthetic")
+        try:
+            scales = tuple(params.m0 * 2.0**j for j in range(int(seq_spec["ladder"])))
+            values = tuple(min(params.a_bound, N ** (-expo)) for N in scales)
+        except OverflowError as exc:
+            raise ConfigError(f"lemma.sequence: a synthetic_power scale 2^j or term N^-s "
+                              f"overflows a float ({exc})") from exc
+        seq = recurrence.ASequence(scales, values, "synthetic")
     elif kind == "from_trajectory":
         from . import fieldio
 

@@ -57,12 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    GridResolutionError,
-    NumericalFailure,
-    UnresolvedFieldError,
-)
+from .errors import GridResolutionError, NumericalFailure, UnresolvedFieldError
 
 RESOLVED_TAIL_FRACTION = 1e-6
 ROUNDTRIP_TOL = 1e-9
@@ -261,8 +256,8 @@ class RadialGrid:
     """Bessel-zero collocation grid with its radial Fourier transform.
 
     Immutable after construction, apart from the kernels and phases it builds
-    at their first use; every array is frozen.  Two grids with the same
-    (d, n, r_max) are interchangeable.
+    at their first use; every array is frozen.  A grid is identified by its key
+    (d, n, r_max): every same-grid check compares keys, never grids.
     """
 
     def __init__(self, d: int, r_max: float, n: int):
@@ -338,12 +333,6 @@ class RadialGrid:
     @property
     def key(self) -> tuple:
         return (self.d, self.n, self.r_max)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RadialGrid) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"RadialGrid(d={self.d}, r_max={self.r_max}, n={self.n})"
@@ -487,30 +476,15 @@ def _frozen_values(grid: RadialGrid, values, what: str, rows: tuple = ()) -> np.
 
 @dataclass(frozen=True, eq=False)
 class RadialField:
-    """Complex radial profile u(r_j) sampled on a grid."""
+    """Complex radial profile u(r_j) on a grid: a frozen, checked carrier of one finite
+    sample per node, copied and read-only.  It has no arithmetic: fields combine
+    through .values, on grids whose keys agree."""
 
     grid: RadialGrid
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_values(self.grid, self.values, "sample"))
-
-    def _check(self, other: "RadialField") -> None:
-        if self.grid.key != other.grid.key:
-            raise GridMismatchError("fields live on different grids")
-
-    def __add__(self, other: "RadialField") -> "RadialField":
-        self._check(other)
-        return RadialField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "RadialField") -> "RadialField":
-        self._check(other)
-        return RadialField(self.grid, self.values - other.values)
-
-    def __mul__(self, c) -> "RadialField":
-        return RadialField(self.grid, self.values * c)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True, eq=False)
@@ -641,25 +615,16 @@ def _check_resolved(grid: RadialGrid, coeffs: np.ndarray, what: str) -> None:
             f"{what} is under-resolved: {frac:.3e} of its mass lies above rho_max/2")
 
 
-def require_resolved(f: RadialField, what: str) -> None:
-    _check_resolved(f.grid, f.grid._forward_values(f.values), what)
-
-
 # ---------------------------------------------------------------------------
 # derivative and rescaling
 # ---------------------------------------------------------------------------
 
-def radial_derivative(f: RadialField) -> RadialField:
-    """Radial derivative df/dr, computed from the spectral representation.
+def _derivative_values(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
+    """df/dr at the nodes from the spectral coefficients, along the last axis.
 
     Differentiating r^(-nu) J_nu(rho r) in r yields -rho r^(-nu) J_{nu+1}(rho r),
     so the derivative is an order-(nu+1) synthesis of the same coefficients.
     """
-    return RadialField(f.grid, _derivative_values(f.grid, f.grid._forward_values(f.values)))
-
-
-def _derivative_values(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
-    """df/dr at the nodes from the spectral coefficients, along the last axis."""
     out = _real_matvec(grid.derivative_kernel(), coeffs, grid._inv_in * grid.rho)[..., :grid.n]
     return -out / grid._r_nu
 

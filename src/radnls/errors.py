@@ -17,16 +17,12 @@ class GridResolutionError(ValueError):
     """Grid cannot represent the certification field to tolerance."""
 
 
-class GridMismatchError(ValueError):
-    """Operation mixes fields living on different grids."""
-
-
 class UnresolvedFieldError(ValueError):
     """Too much spectral mass sits in the top half of the frequency range."""
 
 
 class GroundStateError(RuntimeError):
-    """Iteration failed to converge or certification failed."""
+    """Q failed its certificate, or the collocation cross-check missed its equation."""
 
 
 class ResolutionLossError(RuntimeError):

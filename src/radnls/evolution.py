@@ -108,10 +108,6 @@ class Trajectory:
         m0 = self.mass_log[0]
         return max(abs(m - m0) for m in self.mass_log) / m0 if m0 else 0.0
 
-    def field(self, i: int) -> RadialField:
-        """Snapshot i as a RadialField."""
-        return RadialField(self.grid, self.values[i])
-
     def index_at(self, t):
         """Index of the snapshot at time t; an array of times gives an array of indices."""
         t = np.asarray(t, dtype=np.float64)

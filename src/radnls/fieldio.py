@@ -158,7 +158,7 @@ _MANIFEST_KEYS = {
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory directory; ValueError if its manifest, snapshots and coefficient
-    stack disagree.
+    stack disagree, or its times are not the run's snapshot times.
 
     The grid is constructed without its kernel, which only a product that needs
     it builds and certifies.
@@ -181,6 +181,10 @@ def load_trajectory(path) -> Trajectory:
     times = manifest["times"]
     if len(manifest["energy_log"]) != len(times) or not manifest["mass_log"]:
         raise ValueError(f"{out}: manifest needs an energy_log entry per time and a mass_log")
+    # evolve stores step k's snapshot at k * dt, bit for bit; a guard trip ends the list early
+    if times != [k * cfg.dt for k in range(0, cfg.n_steps + 1, cfg.cadence)[:len(times)]]:
+        raise ValueError(f"{out}: manifest times are not the run's snapshot times k * dt, "
+                         "k = 0, cadence, 2 cadence, ... up to n_steps")
     names = [f"{i:06d}.rfb" for i in range(len(times))]
     if sorted(p.name for p in (out / "snapshots").iterdir()) != names:
         raise ValueError(f"{out}: snapshots/ must hold exactly the {len(names)} files "

@@ -41,7 +41,6 @@ from .core import (
     _multiplier_inverse,
     _power_sum,
     mass,
-    require_resolved,
     rescale,
     sphere_area,
 )
@@ -120,7 +119,8 @@ def _fixed_point(grid: RadialGrid, q: np.ndarray, tol: float) -> tuple[np.ndarra
     """The normalized iteration on grid from q: (Q, residual, iterations).
 
     It stops once a step moves q by less than 0.1 tol relative and the elliptic
-    residual is below tol; NumericalFailure after MAX_ITER steps.
+    residual is below tol; NumericalFailure after MAX_ITER steps, or at once if the
+    nonlinear pairing vanishes or is not finite (the iterate collapsed).
     """
     p = 1.0 + 4.0 / grid.d
     gamma = p / (p - 1.0)
@@ -131,7 +131,7 @@ def _fixed_point(grid: RadialGrid, q: np.ndarray, tol: float) -> tuple[np.ndarra
         num = float(np.sum(grid.wrho * (1.0 + grid.rho**2) * np.abs(coeffs) ** 2))
         den = float(_power_sum(grid, q, p + 1.0))
         if den <= 0 or not np.isfinite(den):
-            raise GroundStateError("iteration collapsed (vanishing nonlinear pairing)")
+            raise NumericalFailure("iteration collapsed (vanishing nonlinear pairing)")
         s_factor = num / den
         nl = grid._forward_values(q**p)
         q_new = _multiplier_inverse(grid, inv_helmholtz, nl).real
@@ -349,7 +349,8 @@ def check_solitary_wave(traj: Trajectory, ground: GroundState,
     """A run from e^{i t0} Q: its last snapshot's L^2 error against e^{i(t0 + t)} Q relative
     to ||Q||_2, and its mass drift."""
     target = make_sw(ground, t0 + traj.times[-1])
-    err = math.sqrt(mass(traj.field(-1) - target) / ground.mass)
+    err = math.sqrt(float(_power_sum(traj.grid, traj.values[-1] - target.values, 2))
+                    / ground.mass)
     return {"solitary_wave": (err < 1e-4, err), "mass": (traj.mass_drift < 1e-8, traj.mass_drift)}
 
 
@@ -357,7 +358,8 @@ def make_pc(ground: GroundState, t: float) -> RadialField:
     """The pseudo-conformal blowup solution |t|^{-d/2} e^{i(|x|^2-4)/(4t)} Q(x/t)."""
     if t == 0.0:
         raise ValueError("pseudo-conformal profile undefined at t = 0")
-    r = ground.grid.r
-    out = rescale(ground.profile, 1.0 / abs(t)) * np.exp(1j * (r**2 - 4.0) / (4.0 * t))
-    require_resolved(out, f"pseudo-conformal profile at t={t}")
+    grid = ground.grid
+    phase = np.exp(1j * (grid.r**2 - 4.0) / (4.0 * t))
+    out = RadialField(grid, rescale(ground.profile, 1.0 / abs(t)).values * phase)
+    _check_resolved(grid, grid._forward_values(out.values), f"pseudo-conformal profile at t={t}")
     return out

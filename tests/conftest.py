@@ -87,6 +87,11 @@ def corpus(grid):
     return [core.random_smooth_field(grid, rng) for _ in range(50)]
 
 
+def snapshot(traj, i):
+    """Snapshot i of a trajectory as a field."""
+    return core.RadialField(traj.grid, traj.values[i])
+
+
 def single_snapshot_trajectory(grid, field):
     """Wrap one field as a minimal trajectory for the fit/scan diagnostics."""
     cfg = evolution.SimulationConfig(dimension=grid.d, mu=0, r_max=grid.r_max,

@@ -17,7 +17,7 @@ import pytest
 from radnls import bands, cli, core, diagnostics, evolution, groundstate, recurrence, selftest
 
 from conftest import (mp_fractional_chain_ratio, mp_pointwise_band_norm, planted_band_field,
-                      single_snapshot_trajectory)
+                      single_snapshot_trajectory, snapshot)
 
 
 def report(criterion, ok, detail):
@@ -48,8 +48,8 @@ def test_criterion_2_solitary_wave_propagation(sw_dense, ground):
 
 
 def test_criterion_3_pseudo_conformal_oracle(pc_traj, ground):
-    err = math.sqrt(core.mass(pc_traj.field(-1) - groundstate.make_pc(ground, -0.5))
-                    / ground.mass)
+    gap = pc_traj.values[-1] - groundstate.make_pc(ground, -0.5).values
+    err = math.sqrt(core.mass(core.RadialField(ground.grid, gap)) / ground.mass)
     mass_drift = pc_traj.mass_drift
     # the chirp e^{i|x|^2/4t} makes ||grad u(t)||^2 = (||grad Q||^2 + t^2 ||xQ||^2 / 4) / t^2
     t = pc_traj.times - 1.0
@@ -77,7 +77,7 @@ def test_criterion_4_virial_identity(free_dense, defocusing_dense, sw_dense, sw_
 def test_criterion_5_frequency_decay(sw_dense, grid):
     scales = (4.0, 8.0, 16.0, 32.0)
     sub = sw_dense.values[::50]
-    traj = dataclasses.replace(single_snapshot_trajectory(grid, sw_dense.field(0)),
+    traj = dataclasses.replace(single_snapshot_trajectory(grid, snapshot(sw_dense, 0)),
                                times=[0.05 * i for i in range(len(sub))], values=sub)
     rep = diagnostics.frequency_decay_fit(traj, 1.0, scales)
     sw_ok = rep.passes and (rep.exponent is None or rep.exponent <= -1.75)

@@ -72,7 +72,7 @@ class TestGridConstruction:
     def test_roundtrip_on_reference_grid(self, grid20):
         f = gaussian(grid20)
         back = core.transform_inverse(core.transform_forward(f))
-        err = math.sqrt(core.mass(back - f) / core.mass(f))
+        err = math.sqrt(core.mass(core.RadialField(grid20, back.values - f.values)) / core.mass(f))
         assert err < 1e-9
 
     def test_rejects_low_resolution(self):
@@ -107,7 +107,7 @@ class TestGridConstruction:
         monkeypatch.undo()
         # under the real tolerance the same grid certifies, as make_radial_grid's does
         back = core.transform_inverse(core.transform_forward(f))
-        assert math.sqrt(core.mass(back - f) / core.mass(f)) < 1e-12
+        assert math.sqrt(core.mass(core.RadialField(g, back.values - f.values)) / core.mass(f)) < 1e-12
         eager = core.make_radial_grid(4, 15.0, 64)
         assert eager._kernel_store is not None
         assert g.roundtrip_error == eager.roundtrip_error
@@ -151,12 +151,6 @@ class TestTransforms:
         for f in corpus[:10]:
             m = core.mass(f)
             assert abs(core.sobolev_norm(f, 0.0) ** 2 - m) < 1e-8 * m
-
-    def test_grid_mismatch_rejected(self, grid, grid20):
-        f = gaussian(grid)
-        g = gaussian(grid20)
-        with pytest.raises(core.GridMismatchError):
-            _ = f + g
 
 
 def dense_transforms(d, r_max, n):
@@ -359,7 +353,7 @@ class TestKernel:
         bands.in_out(f, "+")  # builds the derivative and PV kernels once
         calls = [lambda: grid._forward_values(f.values),
                  lambda: grid._inverse_values(f.values),
-                 lambda: core.radial_derivative(f),
+                 lambda: core._derivative_values(grid, grid._forward_values(f.values)),
                  lambda: bands.in_out(f, "-")]
         tracemalloc.start()
         try:
@@ -548,7 +542,7 @@ class TestNorms:
     def test_lebesgue_homogeneity(self, grid, scale, phase, p):
         f = gaussian(grid)
         c = scale * np.exp(1j * phase)
-        assert core.lebesgue_norm(f * c, p) == pytest.approx(
+        assert core.lebesgue_norm(core.RadialField(grid, f.values * c), p) == pytest.approx(
             scale * core.lebesgue_norm(f, p), rel=1e-12)
 
 

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from radnls import bands, cli, core, diagnostics, evolution, recurrence, selftest
 
-from conftest import planted_band_field, single_snapshot_trajectory
+from conftest import planted_band_field, single_snapshot_trajectory, snapshot
 
 GAUSS_VIRIAL_4D = math.pi**2 / 4   # integral of |x|^2 e^{-2|x|^2} over R^4
 
@@ -49,7 +49,7 @@ class TestTruncatedVirial:
 class TestVirialAcceleration:
     def test_truncated_matches_when_localized(self, free_dense):
         acc = diagnostics.virial_acceleration(free_dense, 12.0, 0.1)
-        k = kinetic(free_dense.field(free_dense.index_at(0.1)))
+        k = kinetic(snapshot(free_dense, free_dense.index_at(0.1)))
         assert abs(acc - 8 * k) / (8 * k) < 0.05
 
     def test_solitary_wave_flat(self, sw_dense, ground):
@@ -97,7 +97,7 @@ class TestKineticLocalization:
         # in the limit eta -> total the radius walks down to the first node;
         # the first node's own share is tiny (the profile peak has zero
         # slope), so eta must sit inside that last gap
-        dens = ground.grid.w * np.abs(core.radial_derivative(ground.profile).values) ** 2
+        dens = ground.grid.w * np.abs(core._derivative_values(ground.grid, ground.coeffs)) ** 2
         tail_past_first = float(np.sum(dens[1:]))
         eta = 0.5 * (ground.kinetic + tail_past_first)
         r = kinetic_radius_of(ground.profile, eta)
@@ -149,7 +149,7 @@ class TestConcentrationRadii:
         m = ground.mass
         grid = ground.grid
         ix, ik = [], []
-        for f in map(sw_dense.field, range(0, len(sw_dense), 100)):
+        for f in (snapshot(sw_dense, i) for i in range(0, len(sw_dense), 100)):
             c_x, c_xi = radii_of(f, 1e-2 * m)
             ix.append(int(np.argmin(np.abs(grid.r - c_x))))
             ik.append(int(np.argmin(np.abs(grid.rho - c_xi))))
@@ -188,7 +188,7 @@ class TestFrequencyDecayFit:
 
     def test_solitary_wave_passes(self, sw_dense):
         sub = sw_dense.values[::100]
-        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, sw_dense.field(0)),
+        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, snapshot(sw_dense, 0)),
                                    times=[0.01 * i for i in range(len(sub))], values=sub)
         rep = diagnostics.frequency_decay_fit(traj, 1.0, self.SCALES)
         assert rep.passes is True
@@ -233,7 +233,7 @@ class TestSpatialDecayScan:
         # radii is the band kernels' slow tails, so the fitted power is a
         # finite positive delta rather than a noise-floor report
         sub = sw_dense.values[::200]
-        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, sw_dense.field(0)),
+        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, snapshot(sw_dense, 0)),
                                    times=[0.01 * i for i in range(len(sub))], values=sub)
         rep = diagnostics.spatial_decay_scan(traj, (4.0, 16.0), [2.0, 3.0, 4.5, 6.5])
         assert rep.passes
@@ -287,7 +287,7 @@ def test_runners_match_single_field_loop(sw_dense):
     # field norm and the grid radii exactly
     traj = dataclasses.replace(sw_dense, times=sw_dense.times[:300],
                                values=sw_dense.values[:300])
-    fields = [traj.field(i) for i in range(len(traj))]
+    fields = [snapshot(traj, i) for i in range(len(traj))]
     grid = traj.grid
     tol = 1e-12 * math.sqrt(core.mass(fields[0]))
 

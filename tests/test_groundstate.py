@@ -35,7 +35,7 @@ class TestStoredFields:
         assert fields == ["profile", "residual", "iterations"]
 
     def test_invariants_follow_a_replaced_profile(self, ground):
-        doubled = dataclasses.replace(ground, profile=2.0 * ground.profile)
+        doubled = dataclasses.replace(ground, profile=core.RadialField(ground.grid, 2.0 * ground.profile.values))
         assert doubled.mass == pytest.approx(4.0 * ground.mass, rel=1e-14)
         assert doubled.kinetic == pytest.approx(4.0 * ground.kinetic, rel=1e-14)
 
@@ -208,7 +208,7 @@ class TestTail:
 class TestSharpRatio:
     def test_symmetry_family_attains_one(self, ground):
         fam = core.rescale(ground.profile, 2.0)
-        fam = 0.7 * np.exp(0.3j) * fam
+        fam = core.RadialField(fam.grid, 0.7 * np.exp(0.3j) * fam.values)
         assert abs(sharp_ratio(fam, ground) - 1.0) < 1e-3
 
     def test_gaussian_strictly_below_one(self, grid, ground):

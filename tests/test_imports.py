@@ -158,9 +158,10 @@ def test_no_default_is_overridden_by_every_call_in_the_package():
     assert overridden_defaults([p.read_text() for p in SOURCES]) == []
 
 
-# public module-level functions and classes that nothing in the package names, each with
-# why it stays: the paper's lemmas and identities, which the acceptance suite measures, and
-# the reference test_runners_match_single_field_loop holds extract_A_sequence to
+# public module-level functions and classes, and public methods and properties of those
+# classes, that nothing in the package names, each with why it stays: the paper's lemmas
+# and identities, which the acceptance suite measures, and the reference
+# test_runners_match_single_field_loop holds extract_A_sequence to
 UNREFERENCED_ALLOWED = {
     "pointwise_band_norm": "Bernstein and radial Sobolev constants, judged by criterion 8",
     "fractional_chain_ratio": "the fractional chain rule, judged by criterion 8",
@@ -175,14 +176,25 @@ def _referenced(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and class, and of each
+    method and property of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef))
+
+
 def unreferenced_public(sources: list[str]) -> list[str]:
-    """Public module-level functions and classes that no code in the sources names,
-    apart from their own definitions.  Names are matched across modules by name alone."""
+    """Public module-level functions and classes, and public methods and properties of
+    those classes, that no code in the sources names apart from their own definitions.
+    Names are matched across modules, and methods across classes, by name alone."""
     trees = [ast.parse(source) for source in sources]
     used = sum((_referenced(tree) for tree in trees), Counter())
-    return sorted(node.name for tree in trees for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_")
+    return sorted(qualified for tree in trees for qualified, node in _public_definitions(tree)
+                  if not node.name.startswith("_")
                   and used[node.name] == _referenced(node)[node.name])
 
 
@@ -197,6 +209,22 @@ def test_guard_flags_a_public_name_nothing_references():
     # recursion and a class naming itself do not count; an attribute in another module does
     assert unreferenced_public([module, caller]) == ["Lone", "recursive"]
     assert unreferenced_public([module]) == ["Lone", "helper", "recursive"]
+
+
+def test_guard_flags_a_public_method_nothing_references():
+    module = ("class Box:\n"
+              "    def used(self):\n        return 1\n"
+              "    @property\n    def size(self):\n        return 0\n"
+              "    @property\n    def width(self):\n        return 0\n"
+              "    def lone(self):\n        return self.lone()\n"
+              "    def _private(self):\n        return 0\n"
+              "    def __len__(self):\n        return 0\n"
+              "def helper(box):\n    return box.used() + box.size\n")
+    caller = "import m\nm.helper(m.Box())\n"
+    # a method or property is used through an attribute of its name, in any module;
+    # a method calling itself does not count, and private and dunder methods are not public
+    assert unreferenced_public([module, caller]) == ["Box.lone", "Box.width"]
+    assert unreferenced_public([module]) == ["Box", "Box.lone", "Box.width", "helper"]
 
 
 def test_every_public_name_is_used_by_the_package():

@@ -47,8 +47,7 @@ class TestFieldFormats:
         back = fieldio.load_trajectory(tmp_path / "run")
         assert np.array_equal(back.times, traj.times)
         assert back.mass_log == traj.mass_log
-        for i in range(len(traj)):
-            assert np.array_equal(back.field(i).values, traj.field(i).values)
+        assert np.array_equal(back.values, traj.values)
         # the stored spectra come back bit for bit, read-only, and without a kernel build
         assert np.array_equal(back.coeffs, traj.coeffs) and not back.coeffs.flags.writeable
         assert back.grid._kernel_store is None
@@ -552,6 +551,11 @@ class TestCli:
         pytest.param({"kind": "synthetic_power", "ladder": 900},
                      "underflows below the smallest normal float",
                      id="underflowing_base_term"),
+        # OverflowError, at 2.0**1024 or at N^800, has no exit code of its own in the CLI
+        pytest.param({"kind": "synthetic_power", "ladder": 1100}, "overflows a float",
+                     id="overflowing_scale"),
+        pytest.param({"kind": "synthetic_power", "exponent": -800.0, "ladder": 10},
+                     "overflows a float", id="overflowing_term"),
     ])
     def test_bad_lemma_sequence_exits_2(self, out_env, tmp_path, capsys, sequence, detail):
         if "rows" in sequence:
@@ -713,6 +717,15 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical_failure" and "no convergence" in err["detail"]
 
+    def test_collapsed_fixed_point_exits_4(self, out_env, tmp_path, capsys, monkeypatch):
+        # a start whose nonlinear pairing vanishes is a numerical failure of the solve, not
+        # a failed certificate
+        monkeypatch.setattr(groundstate, "_start", lambda grid, tol: np.zeros(grid.n))
+        cfg = write_cfg(tmp_path, {"output_dir": "collapsed"})
+        assert cli.main(["--config", cfg, "--n", "128", "ground-state"]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical_failure" and "collapsed" in err["detail"]
+
     def test_unconverged_bessel_zeros_exit_4(self, out_env, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(core, "_NEWTON_STEPS", 1)
         cfg = write_cfg(tmp_path, {"grid": SMALL_GRID, "output_dir": "zeros"})
@@ -835,6 +848,9 @@ class TestCli:
         pytest.param(lambda run: _edit_json(run / "manifest.json",
                                             lambda m: m["energy_log"].pop()),
                      id="short_energy_log"),
+        pytest.param(lambda run: _edit_json(run / "manifest.json", lambda m: m["times"].reverse()),
+                     id="reversed_times"),
+        pytest.param(lambda run: _edit_json(run / "manifest.json", _nudge_time), id="shifted_time"),
         # the lowest mantissa bit of one sample's real part: the header still fits
         pytest.param(lambda run: _flip_bit(run / "snapshots" / "000003.rfb", 28 + 16 * 10),
                      id="flipped_sample_bit"),
@@ -867,6 +883,9 @@ class TestCli:
         assert cli.main(["--config", cfg, "evolve"]) == 0
         assert cli.main(["--config", cfg, "lemma"]) == 0
         corrupt(out_env / "run" / "trajectory")
+        # the load refuses it, before any diagnostic or extraction reads the snapshots
+        with pytest.raises(ValueError):
+            fieldio.load_trajectory(out_env / "run" / "trajectory")
         assert cli.main(["--config", cfg, "diagnose", str(out_env / "run" / "trajectory")]) == 2
         assert cli.main(["--config", cfg, "lemma"]) == 2
         assert capsys.readouterr().err.count("invalid_input") == 2
@@ -914,6 +933,11 @@ def _edit_json(path, edit):
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
+
+
+def _nudge_time(manifest):
+    """Move times[3] one ulp off the time evolve writes."""
+    manifest["times"][3] = math.nextafter(manifest["times"][3], math.inf)
 
 
 def _rewrite_coeffs(run, header=None, factor=1.0):
