@@ -18,7 +18,8 @@ Band projections multiply the spectral coefficients by symbols built from phi:
     band(N) : phi(rho / N) - phi(2 rho / N)
     high(N) : 1 - phi(2 rho / N)          (the sum of all bands >= N)
 
-P_N f is apply_multiplier(f, band_symbol(grid, N)).
+P_N f of the samples f is _multiplier_inverse(grid, band_symbol(grid, N),
+grid._forward_values(f)).  Every function here works on sample arrays.
 """
 
 from __future__ import annotations
@@ -28,14 +29,12 @@ import math
 import numpy as np
 
 from .core import (
-    RadialField,
     RadialGrid,
     _derivative_values,
+    _multiplier_inverse,
+    _power_sum,
     _real_matvec,
     _symbol_span,
-    apply_multiplier,
-    lebesgue_norm,
-    mass,
     validate_scale,
 )
 
@@ -141,23 +140,23 @@ def mismatch_norm(grid: RadialGrid, R: float, N: float) -> float:
     return float(np.linalg.svd((r_b * g) @ r_c.T, compute_uv=False)[0])
 
 
-def fractional_chain_ratio(u: RadialField, s: float) -> float:
-    """Fitted constant for the fractional chain rule on F(u) = |u|^{4/d} u.
+def fractional_chain_ratio(grid: RadialGrid, u: np.ndarray, s: float) -> float:
+    """Fitted constant for the fractional chain rule on F(u) = |u|^{4/d} u, u (n,) samples on grid.
 
     Returns |||grad|^s F(u)||_{2(d+2)/(d+4)} divided by
     |||grad|^s u||_{2(d+2)/d} * ||u||_{2(d+2)/d}^{4/d}.
     """
-    d = u.grid.d
+    d = grid.d
     if not 0.0 < s < 1.0 + 4.0 / d:
         raise ValueError(f"s={s} outside (0, 1 + 4/d)")
-    if mass(u) == 0.0:
+    if _power_sum(grid, u, 2) == 0.0:
         raise ValueError("zero field")
     q_num = 2.0 * (d + 2) / (d + 4)
     q_den = 2.0 * (d + 2) / d
-    fu = RadialField(u.grid, np.abs(u.values) ** (4.0 / d) * u.values)
-    frac = lambda h: apply_multiplier(h, u.grid.rho**s)
-    num = lebesgue_norm(frac(fu), q_num)
-    den = lebesgue_norm(frac(u), q_den) * lebesgue_norm(u, q_den) ** (4.0 / d)
+    frac = lambda h: _multiplier_inverse(grid, grid.rho**s, grid._forward_values(h))
+    norm = lambda h, q: float(_power_sum(grid, h, q) ** (1.0 / q))
+    num = norm(frac(np.abs(u) ** (4.0 / d) * u), q_num)
+    den = norm(frac(u), q_den) * norm(u, q_den) ** (4.0 / d)
     return num / den
 
 
@@ -199,8 +198,8 @@ def _pv_parts(grid: RadialGrid):
     return grid._pv_parts
 
 
-def in_out(f: RadialField, sign) -> RadialField:
-    """Outgoing (+) or incoming (-) component of a radial field.
+def in_out(grid: RadialGrid, f: np.ndarray, sign) -> np.ndarray:
+    """Outgoing (+) or incoming (-) component of a radial field, as (n,) samples of f on grid.
 
     [P^{+-} f](r) = f(r)/2 +- (i/pi) r^{2-d} PV int_0^inf f(s) s^{d-1} / (r^2 - s^2) ds.
 
@@ -208,13 +207,11 @@ def in_out(f: RadialField, sign) -> RadialField:
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    grid = f.grid
     d = grid.d
     off, row_sum, diag_coef, pv_log = _pv_parts(grid)
-    g = f.values * grid.r ** (d - 1)
-    fprime = _derivative_values(grid, grid._forward_values(f.values))
-    gprime = fprime * grid.r ** (d - 1) + (d - 1) * grid.r ** (d - 2) * f.values
+    g = f * grid.r ** (d - 1)
+    fprime = _derivative_values(grid, grid._forward_values(f))
+    gprime = fprime * grid.r ** (d - 1) + (d - 1) * grid.r ** (d - 2) * f
     integral = _real_matvec(off, g) - g * row_sum + diag_coef * gprime + g * pv_log
     sgn = 1.0 if sign == "+" else -1.0
-    out = 0.5 * f.values + sgn * (1j / math.pi) * grid.r ** (2 - d) * integral
-    return RadialField(grid, out)
+    return 0.5 * f + sgn * (1j / math.pi) * grid.r ** (2 - d) * integral

@@ -43,6 +43,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import core, diagnostics, groundstate
 
 EXIT_OK = 0
@@ -229,15 +231,14 @@ def _ground_state(cfg: dict, grid: core.RadialGrid, cache: Path):
 
 
 def _initial_field(cfg: dict, kind: str, params: dict, grid: core.RadialGrid,
-                   cache: Path) -> tuple[core.RadialField, groundstate.GroundState | None]:
-    """The initial field, and the ground state it is built from (None for gaussian and file)."""
+                   cache: Path) -> tuple[np.ndarray, groundstate.GroundState | None]:
+    """The initial samples, and the ground state they come from (None for gaussian and file)."""
     import numpy as np
 
-    from . import core, fieldio, groundstate
+    from . import fieldio, groundstate
 
     if kind == "gaussian":
-        a, w = params["amplitude"], params["width"]
-        return core.field_from_function(grid, lambda r: a * np.exp(-((r / w) ** 2))), None
+        return params["amplitude"] * np.exp(-((grid.r / params["width"]) ** 2)), None
     if kind == "file":
         return fieldio.load_field_binary(params["path"], grid), None
     gs = _ground_state(cfg, grid, cache)
@@ -245,7 +246,7 @@ def _initial_field(cfg: dict, kind: str, params: dict, grid: core.RadialGrid,
         return groundstate.make_sw(gs, params["t"]), gs
     if kind == "pc_ground_state":
         return groundstate.make_pc(gs, params["t"]), gs
-    return gs.profile, gs
+    return gs.profile.values, gs
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def cmd_ground_state(cfg: dict) -> int:
     out = output_dir(cfg)
     grid = core.make_radial_grid(cfg["dimension"], cfg["grid"]["r_max"], cfg["grid"]["n"])
     gs = groundstate.solve_ground_state(grid, tol=cfg["tol"])
-    fieldio.save_field_binary(gs.profile, out / "ground_state.rfb")
+    fieldio.save_field_binary(grid, gs.profile.values, out / "ground_state.rfb")
     checks = groundstate.check_ground_state(gs)
     value = {key: v for key, (_, v) in checks.items()}
     cert = {
@@ -296,7 +297,7 @@ def cmd_evolve(cfg: dict) -> int:
     grid = sim.make_grid()
     kind, params = kind_params("initial", cfg["initial"])
     u0, gs = _initial_field(cfg, kind, params, grid, out / "ground_state_cache")
-    traj = evolution.evolve(sim, u0)
+    traj = evolution.evolve(sim, grid, u0)
     run_dir = out / "trajectory"
     fieldio.save_trajectory(traj, run_dir)
     summary = {

@@ -1,4 +1,4 @@
-"""Radial collocation grids, the d-dimensional radial Fourier transform, and single-field norms.
+"""Radial collocation grids, the d-dimensional radial Fourier transform, and sums over samples.
 
 A radial function f(|x|) on R^d has the unitary Fourier transform
 
@@ -476,9 +476,9 @@ def _frozen_values(grid: RadialGrid, values, what: str, rows: tuple = ()) -> np.
 
 @dataclass(frozen=True, eq=False)
 class RadialField:
-    """Complex radial profile u(r_j) on a grid: a frozen, checked carrier of one finite
-    sample per node, copied and read-only.  It has no arithmetic: fields combine
-    through .values, on grids whose keys agree."""
+    """Complex radial profile u(r_j) on a grid, the type of GroundState.profile: a frozen,
+    checked carrier of one finite sample per node, copied and read-only.  It has no
+    arithmetic: fields combine through .values, on grids whose keys agree."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -487,6 +487,7 @@ class RadialField:
         object.__setattr__(self, "values", _frozen_values(self.grid, self.values, "sample"))
 
 
+# the single-field products below are what perfbench/trace.py times; no package code calls them
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Radial-frequency coefficients uhat(rho_k) on a grid."""
@@ -496,11 +497,6 @@ class SpectralField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_values(self.grid, self.values, "coefficient"))
-
-
-def field_from_function(grid: RadialGrid, fn) -> RadialField:
-    """Sample a callable of the radius on the grid nodes."""
-    return RadialField(grid, np.asarray(fn(grid.r), dtype=np.complex128))
 
 
 def transform_forward(f: RadialField) -> SpectralField:
@@ -552,27 +548,6 @@ def apply_multiplier(f: RadialField, symbol: np.ndarray) -> RadialField:
 def _power_sum(grid: RadialGrid, values: np.ndarray, p: float) -> np.ndarray:
     """Integral |f|^p dx = sum_k w_k |f_k|^p along the last axis."""
     return np.sum(grid.w * np.abs(values) ** p, axis=-1)
-
-
-def mass(f: RadialField) -> float:
-    """L^2 mass M(f) = Integral |f|^2 dx."""
-    return float(_power_sum(f.grid, f.values, 2))
-
-
-def lebesgue_norm(f: RadialField, p: float) -> float:
-    """||f||_{L^p}, 1 <= p < inf."""
-    if not 1 <= p < math.inf:
-        raise ValueError(f"Lebesgue exponent p={p} out of range (need 1 <= p < inf)")
-    return float(_power_sum(f.grid, f.values, p) ** (1.0 / p))
-
-
-def sobolev_norm(f: RadialField, s: float) -> float:
-    """Homogeneous Sobolev norm || |grad|^s f ||_2 via the multiplier rho^s."""
-    if not -2.0 <= s <= 3.0:
-        raise ValueError(f"regularity s={s} outside supported range [-2, 3]")
-    F = transform_forward(f)
-    return float(math.sqrt(np.sum(f.grid.wrho * f.grid.rho ** (2.0 * s)
-                                  * np.abs(F.values) ** 2)))
 
 
 def _kinetic_sum(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -630,12 +605,14 @@ def _derivative_values(grid: RadialGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _rescaled_values(grid: RadialGrid, values: np.ndarray, lam: float) -> np.ndarray:
-    """lam^{d/2} f(lam r) at the nodes, along the last axis; 0 where lam r > r_max.
+    """lam^{d/2} f(lam r) at the nodes, along the last axis, lam > 0 finite; 0 where lam r > r_max.
 
     The inverse transform at the radii lam r_m has the kernel J_nu(lam j_m j_k / S),
     the grid's own at scale lam, with the same scalars _inv_in.  Only its rows with
     lam r_m <= r_max, a prefix of the nodes, are built.
     """
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError("scaling factor must be positive and finite")
     coeffs = grid._forward_values(values)
     kept = int(np.count_nonzero(lam * grid.r <= grid.r_max))
     out = np.zeros_like(coeffs)
@@ -643,14 +620,6 @@ def _rescaled_values(grid: RadialGrid, values: np.ndarray, lam: float) -> np.nda
                                     grid._inv_in)[..., :kept]
                        * (lam ** (grid.d / 2.0) / (lam * grid.r[:kept]) ** grid.nu))
     return out
-
-
-def rescale(f: RadialField, lam: float) -> RadialField:
-    """Mass-preserving rescaling f -> lam^{d/2} f(lam x), sampled on the same grid; nodes
-    with lam r > r_max, where the series does not represent f, read 0."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError("scaling factor must be positive and finite")
-    return RadialField(f.grid, _rescaled_values(f.grid, f.values, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -696,14 +665,14 @@ def validate_scale(grid: RadialGrid, N: float) -> float:
 # randomized smooth corpus (shared by property tests and the selftest)
 # ---------------------------------------------------------------------------
 
-def random_smooth_field(grid: RadialGrid, rng: np.random.Generator) -> RadialField:
+def random_smooth_field(grid: RadialGrid, rng: np.random.Generator) -> np.ndarray:
     """Random smooth radial field, spatially localized, spectrum below the dyadic ladder's top.
 
     Spectral coefficients are complex Gaussian under a smooth envelope that
     dies well before the cap N_max of dyadic_range, so band partitions
     reconstruct such fields; the synthesized field is then tapered by a
     Gaussian of width r_max/6 so rescalings by factors in [1/2, 2] stay inside
-    the domain.  Unit mass; deterministic given the generator state.
+    the domain.  Returns its (n,) complex samples, of unit mass; deterministic given the generator.
     """
     g = grid
     cap = dyadic_range(g)[1]
@@ -713,9 +682,6 @@ def random_smooth_field(grid: RadialGrid, rng: np.random.Generator) -> RadialFie
     envelope[g.rho > 0.7 * cap] *= np.exp(-(((g.rho[g.rho > 0.7 * cap] - 0.7 * cap)
                                              / (0.05 * cap)) ** 4))
     coeffs = envelope * (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
-    f = transform_inverse(SpectralField(g, coeffs))
-    vals = f.values * np.exp(-((g.r / (g.r_max / 6.0)) ** 2))
+    vals = g._inverse_values(coeffs) * np.exp(-((g.r / (g.r_max / 6.0)) ** 2))
     m = float(_power_sum(g, vals, 2))
-    if m == 0.0:
-        return RadialField(g, vals)
-    return RadialField(g, vals / math.sqrt(m))
+    return vals if m == 0.0 else vals / math.sqrt(m)

@@ -17,7 +17,6 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .core import (
-    RadialField,
     RadialGrid,
     _check_resolved,
     _frozen_values,
@@ -25,7 +24,6 @@ from .core import (
     _multiplier_inverse,
     _power_sum,
     _tail_fraction,
-    apply_multiplier,
     make_radial_grid,
 )
 from .errors import ResolutionLossError
@@ -35,7 +33,7 @@ TAIL_GUARD_FRACTION = 1e-4
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Run parameters; cadence is in steps per stored snapshot."""
+    """Run parameters; dimension, n and cadence are ints, cadence in steps per snapshot."""
 
     dimension: int
     mu: int
@@ -46,6 +44,9 @@ class SimulationConfig:
     cadence: int
 
     def __post_init__(self):
+        for name in ("dimension", "n", "cadence"):  # a JSON manifest may hold 1.0 or true
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.mu not in (-1, 0, 1):
             raise ValueError(f"mu must be -1, 0 or +1, got {self.mu}")
         if not (self.dt > 0 and np.isfinite(self.dt)):
@@ -117,11 +118,6 @@ class Trajectory:
         return i if i.ndim else int(i)
 
 
-def free_propagate(f: RadialField, t: float) -> RadialField:
-    """Exact free flow: multiply the spectrum by exp(-i t rho^2)."""
-    return apply_multiplier(f, np.exp(-1j * t * f.grid.rho**2))
-
-
 def _nonlinearity(grid: RadialGrid, values: np.ndarray, mu: int) -> np.ndarray:
     """F(u) = mu |u|^(4/d) u evaluated pointwise."""
     if mu == 0:
@@ -153,8 +149,9 @@ def step(grid: RadialGrid, values: np.ndarray, dt: float, mu: int) -> np.ndarray
     return values
 
 
-def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
-    """Run the split-step integrator, storing snapshots every cadence steps.
+def evolve(cfg: SimulationConfig, grid: RadialGrid, u0: np.ndarray) -> Trajectory:
+    """Run the split-step integrator on grid from the (n,) samples u0, storing snapshots
+    every cadence steps.  grid must be the config's; u0 is copied, and must be finite.
 
     Each step is one call of the module's step.  When a step loses resolution
     the run ends there, and the partial trajectory comes back with guard_event
@@ -163,16 +160,16 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
     Trajectory's coefficient stack, the one save_trajectory stores beside the
     samples and diagnose reads back.
     """
-    grid = u0.grid
     if grid.key != (cfg.dimension, cfg.n, cfg.r_max):
         raise ValueError("initial condition grid does not match the config grid spec")
-    coeffs0 = grid._forward_values(u0.values)
+    values = _frozen_values(grid, u0, "sample")
+    coeffs0 = grid._forward_values(values)
     # a field whose sums overflow is refused here, as an error and not a numpy warning
     with np.errstate(over="ignore"):
         _check_resolved(grid, coeffs0, "initial condition")
         # the energy log skips the resolvedness gate: near a guard trip the tail can sit
         # between the strict threshold and the guard's, and the log still wants a number
-        energy0 = float(_energy_sum(grid, u0.values, coeffs0, cfg.mu))
+        energy0 = float(_energy_sum(grid, values, coeffs0, cfg.mu))
     if not math.isfinite(energy0):
         raise ValueError(f"initial condition energy is not finite ({energy0})")
 
@@ -182,7 +179,6 @@ def evolve(cfg: SimulationConfig, u0: RadialField) -> Trajectory:
             f"dt * rho_max^2 = {cfg.dt * grid.rho_max**2:.3g} > pi: the linear phase "
             "wraps within one step (accuracy, not stability, may suffer)")
 
-    values = u0.values
     t = 0.0
     times, rows, mass_log = [t], [values], [float(_power_sum(grid, values, 2))]
     guard_event = None

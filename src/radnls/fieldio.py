@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__, config_hash
-from .core import RadialField, RadialGrid
+from .core import RadialField, RadialGrid, _frozen_values
 
 if TYPE_CHECKING:
     from .evolution import Trajectory
@@ -58,8 +58,9 @@ def _field_bytes(grid: RadialGrid, values: np.ndarray) -> bytes:
     return header + np.ascontiguousarray(values).tobytes()
 
 
-def save_field_binary(f: RadialField, path) -> None:
-    Path(path).write_bytes(_field_bytes(f.grid, f.values))
+def save_field_binary(grid: RadialGrid, values, path) -> None:
+    """Write the (n,) samples values on grid, checked as load_field_binary checks them."""
+    Path(path).write_bytes(_field_bytes(grid, _frozen_values(grid, values, "sample")))
 
 
 def _samples(path, blob: bytes, grid: RadialGrid, rows: int | None = None) -> np.ndarray:
@@ -78,8 +79,9 @@ def _samples(path, blob: bytes, grid: RadialGrid, rows: int | None = None) -> np
     return values if rows is None else values.reshape(rows, n)
 
 
-def load_field_binary(path, grid: RadialGrid) -> RadialField:
-    return RadialField(grid, _samples(path, Path(path).read_bytes(), grid))
+def load_field_binary(path, grid: RadialGrid) -> np.ndarray:
+    """The snapshot's read-only (n,) samples; ValueError unless it is of grid and finite."""
+    return _frozen_values(grid, _samples(path, Path(path).read_bytes(), grid), "sample")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,7 @@ def load_trajectory(path) -> Trajectory:
     config = manifest["config"]
     try:
         cfg = SimulationConfig(**config)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{out}: manifest config does not fit SimulationConfig: {exc}") from exc
     if config_hash(config) != manifest["config_hash"]:
         raise ValueError(f"{out}: manifest config_hash does not match its config")

@@ -40,8 +40,7 @@ from .core import (
     _kinetic_sum,
     _multiplier_inverse,
     _power_sum,
-    mass,
-    rescale,
+    _rescaled_values,
     sphere_area,
 )
 from .errors import GroundStateError, NumericalFailure
@@ -97,7 +96,7 @@ class GroundState:
 
     @functools.cached_property
     def mass(self) -> float:
-        return mass(self.profile)
+        return float(_power_sum(self.grid, self.profile.values, 2))
 
     @functools.cached_property
     def kinetic(self) -> float:
@@ -339,9 +338,9 @@ def require_certified(checks: dict[str, tuple[bool, float]]) -> None:
         raise GroundStateError(f"certificate checks failed: {failed}")
 
 
-def make_sw(ground: GroundState, t: float) -> RadialField:
-    """The solitary wave e^{it} Q at time t."""
-    return RadialField(ground.grid, np.exp(1j * t) * ground.profile.values)
+def make_sw(ground: GroundState, t: float) -> np.ndarray:
+    """The samples of the solitary wave e^{it} Q at time t."""
+    return np.exp(1j * t) * ground.profile.values
 
 
 def check_solitary_wave(traj: Trajectory, ground: GroundState,
@@ -349,17 +348,17 @@ def check_solitary_wave(traj: Trajectory, ground: GroundState,
     """A run from e^{i t0} Q: its last snapshot's L^2 error against e^{i(t0 + t)} Q relative
     to ||Q||_2, and its mass drift."""
     target = make_sw(ground, t0 + traj.times[-1])
-    err = math.sqrt(float(_power_sum(traj.grid, traj.values[-1] - target.values, 2))
+    err = math.sqrt(float(_power_sum(traj.grid, traj.values[-1] - target, 2))
                     / ground.mass)
     return {"solitary_wave": (err < 1e-4, err), "mass": (traj.mass_drift < 1e-8, traj.mass_drift)}
 
 
-def make_pc(ground: GroundState, t: float) -> RadialField:
-    """The pseudo-conformal blowup solution |t|^{-d/2} e^{i(|x|^2-4)/(4t)} Q(x/t)."""
+def make_pc(ground: GroundState, t: float) -> np.ndarray:
+    """The samples of the pseudo-conformal solution |t|^{-d/2} e^{i(|x|^2-4)/(4t)} Q(x/t)."""
     if t == 0.0:
         raise ValueError("pseudo-conformal profile undefined at t = 0")
     grid = ground.grid
     phase = np.exp(1j * (grid.r**2 - 4.0) / (4.0 * t))
-    out = RadialField(grid, rescale(ground.profile, 1.0 / abs(t)).values * phase)
-    _check_resolved(grid, grid._forward_values(out.values), f"pseudo-conformal profile at t={t}")
+    out = _rescaled_values(grid, ground.profile.values, 1.0 / abs(t)) * phase
+    _check_resolved(grid, grid._forward_values(out), f"pseudo-conformal profile at t={t}")
     return out

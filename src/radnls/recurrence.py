@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # the verifier runs on floats alone; extraction imports these
     from .core import RadialGrid
     from .evolution import Trajectory
 
+# the relative slack of each verdict: recurrence rows, induction steps and conclusion rows
 CONCLUSION_SLACK = 1e-12
 
 
@@ -247,7 +248,7 @@ def check_recurrence(seq: ASequence, params: RecurrenceParams) -> RecurrenceRepo
                                          _base_terms(scales, params)):
         rhs = params.c1 * base + ssum
         rows.append((N, a_n, ssum, rhs, rhs - a_n, max(0.0, (a_n - ssum) / base), rungs))
-    holds = all(slack >= -CONCLUSION_SLACK * max(1.0, a_n) for _, a_n, _, _, slack, *_ in rows)
+    holds = all(slack >= -CONCLUSION_SLACK * a_n for _, a_n, _, _, slack, *_ in rows)
     return RecurrenceReport(params=params, rows=tuple(rows),
                             minimal_c1=max(r[5] for r in rows), holds_with_given_c1=holds)
 
@@ -301,7 +302,7 @@ def iterate_induction(params: RecurrenceParams, scales) -> InductionTable:
         nxt = [lim + p.beta_prime ** (j + 1) for lim in limit]
         js.append(j)
         bounds.append(tuple(bound))
-        verified.append(all(b + ssum <= n + CONCLUSION_SLACK * max(1.0, n)
+        verified.append(all(b + ssum <= n * (1.0 + CONCLUSION_SLACK)
                             for b, ssum, n in zip(base, sums, nxt)))
         if beta_j < floor or j > 100000:
             break
@@ -367,7 +368,7 @@ def verify_recursive_control(seq: ASequence, params: RecurrenceParams) -> Contro
         if N < params.m0:
             continue
         bound = table.limit_bound(N)
-        ok = a <= bound * (1.0 + tol) + tol
+        ok = a <= bound * (1.0 + tol)
         overall = overall and ok
         rows.append((N, a, bound, ok))
     return ControlReport(params=params, applicable=True, violated=(),

@@ -35,13 +35,13 @@ def _rel(grid: core.RadialGrid, a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(float(core._power_sum(grid, a - b, 2)) / float(core._power_sum(grid, b, 2)))
 
 
-def check_in_out_complete(fields) -> tuple[bool, float]:
-    """Worst relative error of P^+ f + P^- f against f.  No oracle: the two kernels are
-    complex conjugates, so the identity holds by construction.  It is the one such check
-    kept, and the one call of bands.in_out that the traced benchmark times, until the
-    decomposition is rebuilt against a closed form or deleted."""
-    worst = max(_rel(f.grid, bands.in_out(f, "+").values + bands.in_out(f, "-").values,
-                     f.values) for f in fields)
+def check_in_out_complete(grid: core.RadialGrid, fields) -> tuple[bool, float]:
+    """Worst relative error of P^+ f + P^- f against f over the sample arrays fields on grid.
+    No oracle: the two kernels are complex conjugates, so the identity holds by construction.
+    It is the one such check kept, and the one call of bands.in_out that the traced
+    benchmark times, until the decomposition is rebuilt against a closed form or deleted."""
+    worst = max(_rel(grid, bands.in_out(grid, f, "+") + bands.in_out(grid, f, "-"), f)
+                for f in fields)
     return worst < 1e-3, worst
 
 
@@ -113,6 +113,11 @@ def _ground():
     return groundstate.solve_ground_state(_grid(), tol=1e-8)
 
 
+def _gaussian(grid: core.RadialGrid, amplitude: float) -> np.ndarray:
+    """amplitude e^(-r^2) as complex samples, whose products round as a run's samples do."""
+    return (amplitude * np.exp(-(grid.r**2))).astype(np.complex128)
+
+
 def _line(name: str, result: tuple, fmt: str) -> tuple[str, bool, str]:
     ok, value = result
     return name, ok, fmt.format(value)
@@ -123,15 +128,16 @@ def suite_core() -> list[tuple[str, bool, str]]:
     quadrature error.  gaussian_mass: the closed form (pi/2)^2 of ||e^(-r^2)||^2 in R^4.
     plancherel: Plancherel's theorem, ||fhat|| = ||f||, with the two sides summed on
     different quadratures.  scaling: lam^(d/2) f(lam r) keeps the mass and multiplies
-    ||grad f|| by lam, through rescale's kernel at scale lam."""
+    ||grad f|| by lam, through _rescaled_values's kernel at scale lam."""
     g = _grid()
-    f = core.field_from_function(g, lambda r: np.exp(-(r**2)))
-    err = _rel(g, core.transform_inverse(core.transform_forward(f)).values, f.values)
-    m = core.mass(f)
-    pl = abs(core.sobolev_norm(f, 0.0) ** 2 - m) / m
+    f = _gaussian(g, 1.0)
+    fhat = g._forward_values(f)
+    err = _rel(g, g._inverse_values(fhat), f)
+    m = float(core._power_sum(g, f, 2))
+    pl = abs(float(np.sum(g.wrho * np.abs(fhat) ** 2)) - m) / m
     rng = np.random.default_rng(SEED)
     # the five fields rescale as one (5, n) stack, one kernel per lam
-    fields = np.array([core.random_smooth_field(g, rng).values for _ in range(5)])
+    fields = np.array([core.random_smooth_field(g, rng) for _ in range(5)])
     m0 = core._power_sum(g, fields, 2)
     k0 = np.sqrt(core._kinetic_sum(g, g._forward_values(fields)))
     errs = []
@@ -160,7 +166,7 @@ def suite_groundstate() -> list[tuple[str, bool, str]]:
     q = _ground()
     cert = groundstate.check_ground_state(q)
     rng = np.random.default_rng(SEED + 1)
-    fields = np.array([core.random_smooth_field(g, rng).values for _ in range(25)])
+    fields = np.array([core.random_smooth_field(g, rng) for _ in range(25)])
     jmax = float(np.max(groundstate.gn_ratio(g, fields, g._forward_values(fields), q.mass)))
     return [_line("groundstate.shooting", cert["shooting"], "rel {:.2e}"),
             _line("groundstate.pohozaev", cert["pohozaev"], "{:.8f}"),
@@ -173,7 +179,7 @@ def suite_bands() -> list[tuple[str, bool, str]]:
     scaling and decay theorems (check_mismatch_norm)."""
     g = _grid()
     f = core.random_smooth_field(g, np.random.default_rng(SEED + 2))
-    return [_line("bands.in_out_complete", check_in_out_complete([f]), "{:.2e}"),
+    return [_line("bands.in_out_complete", check_in_out_complete(g, [f]), "{:.2e}"),
             _line("bands.mismatch_norm", check_mismatch_norm(g),
                   "scaling {0[0]:.2e} decay {0[1]:.4f}")]
 
@@ -186,11 +192,11 @@ def suite_evolution() -> list[tuple[str, bool, str]]:
     q = _ground()
     cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=15.0, n=384,
                                      dt=1e-3, t_final=0.2, cadence=10)
-    traj = evolution.evolve(cfg, q.profile)
-    f = core.field_from_function(g, lambda r: np.exp(-(r**2)))
-    u = evolution.free_propagate(f, 0.3)
+    traj = evolution.evolve(cfg, g, q.profile.values)
+    f = _gaussian(g, 1.0)
+    u = g._inverse_values(g._free_phase(0.3) * g._forward_values(f))
     exact = (1 + 4j * 0.3) ** (-2) * np.exp(-g.r**2 / (1 + 4j * 0.3))
-    ferr = math.sqrt(float(core._power_sum(g, u.values - exact, 2)) / core.mass(f))
+    ferr = math.sqrt(float(core._power_sum(g, u - exact, 2)) / float(core._power_sum(g, f, 2)))
     run = groundstate.check_solitary_wave(traj, q, 0.0)
     return [_line("evolution.solitary_wave", run["solitary_wave"], "L2 err {:.2e}"),
             _line("evolution.mass", run["mass"], "drift {:.2e}"),
@@ -202,13 +208,13 @@ def suite_diagnostics() -> list[tuple[str, bool, str]]:
     concentration: the closed-form half-mass radii of 2 e^(-r^2), GAUSS_HALF_MASS_RADIUS
     in x and twice it in xi; the radii are nodes, so each may miss by one cell."""
     g = _grid()
-    f = core.field_from_function(g, lambda r: 2 * np.exp(-(r**2)))
+    f = _gaussian(g, 2.0)
     cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=15.0, n=384,
                                      dt=1e-3, t_final=0.1, cadence=1)
-    traj = evolution.evolve(cfg, f)
+    traj = evolution.evolve(cfg, g, f)
     residual = float(diagnostics.virial_residual(traj, traj.times[2:-2]).max())
     c_x, c_xi = map(float, diagnostics.concentration_radii(
-        g, f.values, g._forward_values(f.values), 0.5 * core.mass(f)))
+        g, f, g._forward_values(f), 0.5 * core._power_sum(g, f, 2)))
     near = (abs(c_x - GAUSS_HALF_MASS_RADIUS) < np.max(np.diff(g.r))
             and abs(c_xi - 2.0 * GAUSS_HALF_MASS_RADIUS) < np.max(np.diff(g.rho)))
     return [("diagnostics.virial_identity", residual <= diagnostics.VIRIAL_TOL,

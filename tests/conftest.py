@@ -44,34 +44,47 @@ def ground_double(grid_double):
     return groundstate.solve_ground_state(grid_double, tol=1e-8)
 
 
+def sampled(grid, fn):
+    """fn of the radius at the grid's nodes, as complex samples."""
+    return np.asarray(fn(grid.r), dtype=np.complex128)
+
+
+def mass(grid, values):
+    """The L^2 mass of the samples values on grid."""
+    return float(core._power_sum(grid, values, 2))
+
+
+def multiplied(grid, f, symbol):
+    """The samples whose spectrum is symbol times that of the samples f."""
+    return core._multiplier_inverse(grid, symbol, grid._forward_values(f))
+
+
 def _run(grid, u0, mu, dt, T, cadence):
     cfg = evolution.SimulationConfig(dimension=grid.d, mu=mu, r_max=grid.r_max,
                                      n=grid.n, dt=dt, t_final=T, cadence=cadence)
-    return evolution.evolve(cfg, u0)
+    return evolution.evolve(cfg, grid, u0)
 
 
 @pytest.fixture(scope="session")
 def sw_dense(grid, ground):
     """Solitary-wave run over a unit time at dense cadence."""
-    return _run(grid, ground.profile, -1, 1e-3, 1.0, 1)
+    return _run(grid, ground.profile.values, -1, 1e-3, 1.0, 1)
 
 
 @pytest.fixture(scope="session")
 def sw_half_dense(grid, ground):
     """Short solitary-wave run at halved dt (for refinement ratios)."""
-    return _run(grid, ground.profile, -1, 5e-4, 0.2, 1)
+    return _run(grid, ground.profile.values, -1, 5e-4, 0.2, 1)
 
 
 @pytest.fixture(scope="session")
 def free_dense(grid):
-    f = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
-    return _run(grid, f, 0, 1e-3, 0.2, 1)
+    return _run(grid, sampled(grid, lambda r: np.exp(-(r**2))), 0, 1e-3, 0.2, 1)
 
 
 @pytest.fixture(scope="session")
 def defocusing_dense(grid):
-    f = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
-    return _run(grid, f, 1, 1e-3, 0.2, 1)
+    return _run(grid, sampled(grid, lambda r: np.exp(-(r**2))), 1, 1e-3, 0.2, 1)
 
 
 @pytest.fixture(scope="session")
@@ -83,25 +96,23 @@ def pc_traj(grid, ground):
 
 @pytest.fixture(scope="session")
 def corpus(grid):
+    """50 random smooth fields on grid, a read-only (50, n) stack of samples."""
     rng = np.random.default_rng(123)
-    return [core.random_smooth_field(grid, rng) for _ in range(50)]
+    fields = np.array([core.random_smooth_field(grid, rng) for _ in range(50)])
+    fields.setflags(write=False)
+    return fields
 
 
-def snapshot(traj, i):
-    """Snapshot i of a trajectory as a field."""
-    return core.RadialField(traj.grid, traj.values[i])
-
-
-def single_snapshot_trajectory(grid, field):
-    """Wrap one field as a minimal trajectory for the fit/scan diagnostics."""
+def single_snapshot_trajectory(grid, values):
+    """Wrap the samples of one field as a minimal trajectory for the fit/scan diagnostics."""
     cfg = evolution.SimulationConfig(dimension=grid.d, mu=0, r_max=grid.r_max,
                                      n=grid.n, dt=1e-3, t_final=1e-3, cadence=1)
-    return evolution.Trajectory(cfg, grid, [0.0], [field.values], [core.mass(field)], [0.0],
+    return evolution.Trajectory(cfg, grid, [0.0], [values], [mass(grid, values)], [0.0],
                                 None, ())
 
 
 def planted_band_field(grid, scales, shell_values, shell_cut=1.0, seed=5):
-    """Field whose shell band norms || phi_>shell P_N u ||_2 are exactly planted.
+    """Samples of a field whose shell band norms || phi_>shell P_N u ||_2 are exactly planted.
 
     Each component has spectrum inside [0.6 N, N], where the band symbol is
     identically 1 and neighboring band symbols vanish, so the planted values
@@ -115,10 +126,10 @@ def planted_band_field(grid, scales, shell_values, shell_cut=1.0, seed=5):
     for N, target in zip(scales, shell_values):
         sym = ((grid.rho >= 0.6 * N) & (grid.rho <= N)).astype(float)
         coeffs = sym * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-        f = core.transform_inverse(core.SpectralField(grid, coeffs))
-        norm = math.sqrt(float(np.sum(grid.w * shell**2 * np.abs(f.values) ** 2)))
-        total += (target / norm) * f.values
-    return core.RadialField(grid, total)
+        f = grid._inverse_values(coeffs)
+        norm = math.sqrt(float(np.sum(grid.w * shell**2 * np.abs(f) ** 2)))
+        total += (target / norm) * f
+    return total
 
 
 # ---------------------------------------------------------------------------

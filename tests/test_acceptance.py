@@ -16,8 +16,8 @@ import pytest
 
 from radnls import bands, cli, core, diagnostics, evolution, groundstate, recurrence, selftest
 
-from conftest import (mp_fractional_chain_ratio, mp_pointwise_band_norm, planted_band_field,
-                      single_snapshot_trajectory, snapshot)
+from conftest import (mass, mp_fractional_chain_ratio, mp_pointwise_band_norm,
+                      planted_band_field, sampled, single_snapshot_trajectory)
 
 
 def report(criterion, ok, detail):
@@ -48,8 +48,8 @@ def test_criterion_2_solitary_wave_propagation(sw_dense, ground):
 
 
 def test_criterion_3_pseudo_conformal_oracle(pc_traj, ground):
-    gap = pc_traj.values[-1] - groundstate.make_pc(ground, -0.5).values
-    err = math.sqrt(core.mass(core.RadialField(ground.grid, gap)) / ground.mass)
+    gap = pc_traj.values[-1] - groundstate.make_pc(ground, -0.5)
+    err = math.sqrt(mass(ground.grid, gap) / ground.mass)
     mass_drift = pc_traj.mass_drift
     # the chirp e^{i|x|^2/4t} makes ||grad u(t)||^2 = (||grad Q||^2 + t^2 ||xQ||^2 / 4) / t^2
     t = pc_traj.times - 1.0
@@ -77,7 +77,7 @@ def test_criterion_4_virial_identity(free_dense, defocusing_dense, sw_dense, sw_
 def test_criterion_5_frequency_decay(sw_dense, grid):
     scales = (4.0, 8.0, 16.0, 32.0)
     sub = sw_dense.values[::50]
-    traj = dataclasses.replace(single_snapshot_trajectory(grid, snapshot(sw_dense, 0)),
+    traj = dataclasses.replace(single_snapshot_trajectory(grid, sw_dense.values[0]),
                                times=[0.05 * i for i in range(len(sub))], values=sub)
     rep = diagnostics.frequency_decay_fit(traj, 1.0, scales)
     sw_ok = rep.passes and (rep.exponent is None or rep.exponent <= -1.75)
@@ -125,7 +125,7 @@ def test_criterion_7_recursive_control_suite():
                   f"inadmissible->inapplicable={inad_ok} ({elapsed:.1f}s)")
 
 
-def test_criterion_8_harmonic_analysis_suite(grid_double, corpus):
+def test_criterion_8_harmonic_analysis_suite(grid, grid_double, corpus):
     t0 = time.monotonic()
     mismatch_ok, (scaling, decay) = selftest.check_mismatch_norm(grid_double)
     # decay faster than any power of N R: the factor per doubling shrinks, here from
@@ -133,7 +133,7 @@ def test_criterion_8_harmonic_analysis_suite(grid_double, corpus):
     chain = [bands.mismatch_norm(grid_double, 8.0, N) for N in (16.0, 32.0, 64.0)]
     decay_256, decay_512 = chain[1] / chain[0], chain[2] / chain[1]
     superpoly_ok = decay_512 < decay_256 < decay
-    complete_ok, complete_worst = selftest.check_in_out_complete(corpus[:10])
+    complete_ok, complete_worst = selftest.check_in_out_complete(grid, corpus[:10])
 
     # Bernstein and radial Sobolev against the continuum kernel row at the argmax node,
     # the chain rule against the 1F1 closed form of |grad|^s of a Gaussian
@@ -145,8 +145,8 @@ def test_criterion_8_harmonic_analysis_suite(grid_double, corpus):
         m = int(np.argmax(weight * norm))
         gaps[name] = (abs(norm[m] / mp_pointwise_band_norm(d, N, grid_double.r[m]) - 1.0), 2e-4)
     for a in (1.0, 2.0):
-        u = core.field_from_function(grid_double, lambda r: np.exp(-a * r**2))
-        gaps[f"chain_a{a:g}"] = (abs(bands.fractional_chain_ratio(u, 1.5)
+        u = sampled(grid_double, lambda r: np.exp(-a * r**2))
+        gaps[f"chain_a{a:g}"] = (abs(bands.fractional_chain_ratio(grid_double, u, 1.5)
                                      / mp_fractional_chain_ratio(d, 1.5, a) - 1.0), 1e-4)
     oracle_ok = all(gap < bound for gap, bound in gaps.values())
 

@@ -13,6 +13,8 @@ from scipy import special
 
 from radnls import bands, core
 
+from conftest import mass, sampled
+
 GAUSS_MASS_4D = (math.pi / 2) ** 2        # integral of e^{-2 r^2} over R^4
 GAUSS_KINETIC_4D = math.pi**2             # ||grad e^{-|x|^2}||_2^2 in d=4
 
@@ -65,14 +67,17 @@ for n, sizes in ((640, (64, 178, 251)), (1280, (64,)), (384, (64, 100))):
 
 
 def gaussian(grid, width=1.0):
-    return core.field_from_function(grid, lambda r: np.exp(-((r / width) ** 2)))
+    return sampled(grid, lambda r: np.exp(-((r / width) ** 2)))
+
+
+def roundtrip(grid, f):
+    return grid._inverse_values(grid._forward_values(f))
 
 
 class TestGridConstruction:
     def test_roundtrip_on_reference_grid(self, grid20):
         f = gaussian(grid20)
-        back = core.transform_inverse(core.transform_forward(f))
-        err = math.sqrt(core.mass(core.RadialField(grid20, back.values - f.values)) / core.mass(f))
+        err = math.sqrt(mass(grid20, roundtrip(grid20, f) - f) / mass(grid20, f))
         assert err < 1e-9
 
     def test_rejects_low_resolution(self):
@@ -100,14 +105,13 @@ class TestGridConstruction:
         monkeypatch.setattr(core, "ROUNDTRIP_TOL", 0.0)
         for _ in range(2):
             with pytest.raises(core.GridResolutionError, match="round-trip error"):
-                core.transform_forward(f)
+                g._forward_values(f)
             with pytest.raises(core.GridResolutionError, match="round-trip error"):
                 g.roundtrip_error
             assert g._kernel_store is None
         monkeypatch.undo()
         # under the real tolerance the same grid certifies, as make_radial_grid's does
-        back = core.transform_inverse(core.transform_forward(f))
-        assert math.sqrt(core.mass(core.RadialField(g, back.values - f.values)) / core.mass(f)) < 1e-12
+        assert math.sqrt(mass(g, roundtrip(g, f) - f) / mass(g, f)) < 1e-12
         eager = core.make_radial_grid(4, 15.0, 64)
         assert eager._kernel_store is not None
         assert g.roundtrip_error == eager.roundtrip_error
@@ -127,7 +131,7 @@ class TestGridConstruction:
             core.make_radial_grid(4, math.inf, 512)
 
     def test_quadrature_matches_gaussian_closed_form(self, grid20):
-        m = core.mass(gaussian(grid20))
+        m = mass(grid20, gaussian(grid20))
         assert abs(m - GAUSS_MASS_4D) < 1e-8 * GAUSS_MASS_4D
 
     def test_spectral_range_covers_dyadic_ladder(self, grid):
@@ -138,19 +142,19 @@ class TestGridConstruction:
 
 class TestTransforms:
     def test_forward_of_zero(self, grid):
-        F = core.transform_forward(core.RadialField(grid, np.zeros(grid.n)))
-        assert np.all(F.values == 0)
+        assert np.all(grid._forward_values(np.zeros(grid.n, dtype=np.complex128)) == 0)
 
     def test_gaussian_transform_closed_form(self, grid20):
         # unitary transform of e^{-|x|^2} is 2^{-d/2} e^{-|xi|^2/4}
-        F = core.transform_forward(gaussian(grid20))
+        fhat = grid20._forward_values(gaussian(grid20))
         exact = 0.25 * np.exp(-grid20.rho**2 / 4)
-        assert np.max(np.abs(F.values - exact)) < 1e-12
+        assert np.max(np.abs(fhat - exact)) < 1e-12
 
-    def test_plancherel(self, corpus):
+    def test_plancherel(self, grid, corpus):
         for f in corpus[:10]:
-            m = core.mass(f)
-            assert abs(core.sobolev_norm(f, 0.0) ** 2 - m) < 1e-8 * m
+            m = mass(grid, f)
+            spectral = float(np.sum(grid.wrho * np.abs(grid._forward_values(f)) ** 2))
+            assert abs(spectral - m) < 1e-8 * m
 
 
 def dense_transforms(d, r_max, n):
@@ -197,12 +201,12 @@ class TestKernel:
     def test_block_build_is_bitwise_full_evaluation(self, d, n, monkeypatch):
         # blocks of the default size, and of 48 rows so that n = 64 crosses a block
         # boundary too, against one block of all n rows, which evaluates every entry
-        # directly; orders nu and nu + 1, and rescale's kernel at radii inside and
+        # directly; orders nu and nu + 1, and _rescaled_values's kernel at radii inside and
         # beyond the nodes
         g = core.make_radial_grid(d, 15.0, n)
         nu = g.nu
         builds = [(nu, 1.0), (nu + 1, 1.0), (nu, 0.5), (nu, 2.0)]
-        # at scale 2 rescale builds only the rows with 2 r_m <= r_max; n - 50 rows
+        # at scale 2 _rescaled_values builds only the rows with 2 r_m <= r_max; n - 50 rows
         # end inside a block and mirror across a block boundary
         prefixes = (int(np.count_nonzero(2.0 * g.r <= g.r_max)), n - 50)
         blocked, blocks = [], (core._KERNEL_BLOCK, 48)
@@ -230,7 +234,7 @@ class TestKernel:
     def test_kernel_entries_match_mpmath(self, d):
         # J_order(scale j_m j_k / S) with the zeros refined in mpmath, the stored entry
         # itself, for the grid's kernel (order nu), the derivative kernel (nu + 1)
-        # and rescale's kernel at scale 1/2: orders 0-3 over d = 2, 4, 6.  The 100
+        # and _rescaled_values's kernel at scale 1/2: orders 0-3 over d = 2, 4, 6.  The 100
         # pairs (m, k) of ten nodes include the first rows and columns, which hold
         # the entries with x < order.  J_order has no zero there, so those entries
         # are held to a relative bound too, which the upward recurrence misses
@@ -350,11 +354,11 @@ class TestKernel:
 
     def test_complex_products_do_not_copy_the_kernel(self, grid):
         f = core.random_smooth_field(grid, np.random.default_rng(7))
-        bands.in_out(f, "+")  # builds the derivative and PV kernels once
-        calls = [lambda: grid._forward_values(f.values),
-                 lambda: grid._inverse_values(f.values),
-                 lambda: core._derivative_values(grid, grid._forward_values(f.values)),
-                 lambda: bands.in_out(f, "-")]
+        bands.in_out(grid, f, "+")  # builds the derivative and PV kernels once
+        calls = [lambda: grid._forward_values(f),
+                 lambda: grid._inverse_values(f),
+                 lambda: core._derivative_values(grid, grid._forward_values(f)),
+                 lambda: bands.in_out(grid, f, "-")]
         tracemalloc.start()
         try:
             for call in calls:
@@ -394,7 +398,7 @@ class TestKernel:
         # the dyadic bands at n = 640 span 10, 21, 42 and 82 kernel columns, read
         # as views of the kernel; a symbol wider than one block reads all of it,
         # and an all-zero symbol none
-        c = core.random_smooth_field(grid, np.random.default_rng(1)).values
+        c = core.random_smooth_field(grid, np.random.default_rng(1))
         stack = np.stack([c, 2.0 * c])
         real_matvec, widths = core._real_matvec, []
 
@@ -421,7 +425,7 @@ class TestKernel:
         # a copy of the band's 82 kernel columns would be 420 kB; the product of one
         # field needs a few kB
         f = core.random_smooth_field(grid, np.random.default_rng(3))
-        coeffs = grid._forward_values(f.values)
+        coeffs = grid._forward_values(f)
         symbol = bands.band_symbol(grid, 32.0)
         span = np.count_nonzero(symbol)
         tracemalloc.start()
@@ -497,44 +501,33 @@ class TestBessel:
 
 class TestNorms:
     def test_mass_zero_field(self, grid):
-        assert core.mass(core.RadialField(grid, np.zeros(grid.n))) == 0.0
+        assert mass(grid, np.zeros(grid.n, dtype=np.complex128)) == 0.0
 
-    def test_mass_scaling_invariance(self, corpus):
+    def test_mass_scaling_invariance(self, grid, corpus):
         for f in corpus[:5]:
             for lam in (0.5, 2.0):
-                fr = core.rescale(f, lam)
-                assert abs(core.mass(fr) - core.mass(f)) < 1e-6 * core.mass(f)
+                fr = core._rescaled_values(grid, f, lam)
+                assert abs(mass(grid, fr) - mass(grid, f)) < 1e-6 * mass(grid, f)
 
-    def test_h1_scaling_covariance(self, corpus):
+    def test_h1_scaling_covariance(self, grid, corpus):
         for f in corpus[:5]:
-            base = core.sobolev_norm(f, 1.0)
+            base = math.sqrt(kinetic(grid, f))
             for lam in (0.5, 2.0):
-                scaled = core.sobolev_norm(core.rescale(f, lam), 1.0)
+                scaled = math.sqrt(kinetic(grid, core._rescaled_values(grid, f, lam)))
                 assert abs(scaled / base - lam) < 1e-6 * lam
 
     def test_lebesgue_zero(self, grid):
-        assert core.lebesgue_norm(core.RadialField(grid, np.zeros(grid.n)), 3.0) == 0.0
+        assert lebesgue(grid, np.zeros(grid.n, dtype=np.complex128), 3.0) == 0.0
 
     def test_lebesgue_gaussian_l2(self, grid20):
-        v = core.lebesgue_norm(gaussian(grid20), 2.0) ** 2
+        v = lebesgue(grid20, gaussian(grid20), 2.0) ** 2
         assert abs(v - GAUSS_MASS_4D) < 1e-8 * GAUSS_MASS_4D
-
-    def test_lebesgue_rejects_bad_exponent(self, grid):
-        for p in (0.5, math.inf):
-            with pytest.raises(ValueError):
-                core.lebesgue_norm(gaussian(grid), p)
-
-    def test_sobolev_range_enforced(self, grid):
-        f = gaussian(grid)
-        for s in (-2.5, 3.5):
-            with pytest.raises(ValueError):
-                core.sobolev_norm(f, s)
 
     def test_positivity_and_definiteness(self, corpus, grid):
         for f in corpus[:10]:
-            assert core.mass(f) >= 0
-            assert core.lebesgue_norm(f, 3.0) >= 0
-        assert core.mass(core.RadialField(grid, np.zeros(grid.n))) <= 1e-12
+            assert mass(grid, f) >= 0
+            assert lebesgue(grid, f, 3.0) >= 0
+        assert mass(grid, np.zeros(grid.n, dtype=np.complex128)) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(scale=st.floats(0.1, 10.0), phase=st.floats(0, 2 * math.pi),
@@ -542,18 +535,27 @@ class TestNorms:
     def test_lebesgue_homogeneity(self, grid, scale, phase, p):
         f = gaussian(grid)
         c = scale * np.exp(1j * phase)
-        assert core.lebesgue_norm(core.RadialField(grid, f.values * c), p) == pytest.approx(
-            scale * core.lebesgue_norm(f, p), rel=1e-12)
+        assert lebesgue(grid, f * c, p) == pytest.approx(scale * lebesgue(grid, f, p), rel=1e-12)
 
 
-def energy(f, mu):
-    """E(f) of one field."""
-    return float(core._energy_sum(f.grid, f.values, f.grid._forward_values(f.values), mu))
+def lebesgue(grid, values, p):
+    """||f||_{L^p} of the samples values."""
+    return float(core._power_sum(grid, values, p) ** (1.0 / p))
+
+
+def kinetic(grid, values):
+    """||grad f||^2 of the samples values."""
+    return float(core._kinetic_sum(grid, grid._forward_values(values)))
+
+
+def energy(grid, values, mu):
+    """E(f) of the samples values."""
+    return float(core._energy_sum(grid, values, grid._forward_values(values), mu))
 
 
 class TestEnergy:
     def test_energy_zero_field(self, grid):
-        assert energy(core.RadialField(grid, np.zeros(grid.n)), -1) == 0.0
+        assert energy(grid, np.zeros(grid.n, dtype=np.complex128), -1) == 0.0
 
     def test_gaussian_linear_energy(self, grid20):
         # closed-form Gaussian moment, cross-checked by high-resolution quadrature
@@ -561,16 +563,16 @@ class TestEnergy:
         oracle, _ = quad(lambda r: 4 * r**2 * math.exp(-2 * r**2)
                          * core.sphere_area(4) * r**3, 0, 20)
         assert abs(oracle - GAUSS_KINETIC_4D) < 1e-10
-        e = energy(gaussian(grid20), 0)
+        e = energy(grid20, gaussian(grid20), 0)
         assert abs(e - 0.5 * GAUSS_KINETIC_4D) < 1e-8 * GAUSS_KINETIC_4D
 
 
 class TestEvaluationAndScales:
     @staticmethod
     def rescale_error(grid, lam):
-        """Worst error of rescale(e^{-r^2}, lam) against lam^{d/2} e^{-lam^2 r^2}."""
+        """Worst error of _rescaled_values(e^{-r^2}, lam) against lam^{d/2} e^{-lam^2 r^2}."""
         exact = lam ** (grid.d / 2) * np.exp(-((lam * grid.r) ** 2))
-        return np.max(np.abs(core.rescale(gaussian(grid), lam).values - exact))
+        return np.max(np.abs(core._rescaled_values(grid, gaussian(grid), lam) - exact))
 
     def test_rescale_matches_profile(self, grid20):
         for lam in (0.5, 2.0):
@@ -580,6 +582,11 @@ class TestEvaluationAndScales:
         # lam = 1/2 reads the series at r_1 / 2, inside the first node
         for lam in (0.5, 2.0):
             assert self.rescale_error(grid, lam) < 1e-10
+
+    def test_rescale_rejects_a_bad_factor(self, grid):
+        for lam in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="scaling factor must be positive and finite"):
+                core._rescaled_values(grid, gaussian(grid), lam)
 
     def test_is_dyadic(self):
         assert core.is_dyadic(0.5) and core.is_dyadic(64.0)

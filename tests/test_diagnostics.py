@@ -8,48 +8,48 @@ from scipy.optimize import brentq
 
 from radnls import bands, cli, core, diagnostics, evolution, recurrence, selftest
 
-from conftest import planted_band_field, single_snapshot_trajectory, snapshot
+from conftest import (mass, multiplied, planted_band_field, sampled,
+                      single_snapshot_trajectory)
 
 GAUSS_VIRIAL_4D = math.pi**2 / 4   # integral of |x|^2 e^{-2|x|^2} over R^4
 
 
-# the stacked diagnostics applied to one field
-def virial_of(f, R):
-    return diagnostics.truncated_virial(f.grid, f.values, R)
+# the stacked diagnostics applied to the samples of one field
+def virial_of(grid, f, R):
+    return diagnostics.truncated_virial(grid, f, R)
 
 
-def kinetic_radius_of(f, eta):
-    return diagnostics.kinetic_localization_radius(f.grid, core.transform_forward(f).values, eta)
+def kinetic_radius_of(grid, f, eta):
+    return diagnostics.kinetic_localization_radius(grid, grid._forward_values(f), eta)
 
 
-def radii_of(f, eta):
-    return diagnostics.concentration_radii(f.grid, f.values, core.transform_forward(f).values, eta)
+def radii_of(grid, f, eta):
+    return diagnostics.concentration_radii(grid, f, grid._forward_values(f), eta)
 
 
-def kinetic(f):
+def kinetic(grid, f):
     """||grad f||^2 of one field."""
-    return float(core._kinetic_sum(f.grid, f.grid._forward_values(f.values)))
+    return float(core._kinetic_sum(grid, grid._forward_values(f)))
 
 
 class TestTruncatedVirial:
     def test_zero_field(self, grid):
-        zero = core.RadialField(grid, np.zeros(grid.n))
-        assert virial_of(zero, 4.0) == 0.0
+        assert virial_of(grid, np.zeros(grid.n, dtype=np.complex128), 4.0) == 0.0
 
     def test_gaussian_moment(self, grid20):
-        f = core.field_from_function(grid20, lambda r: np.exp(-(r**2)))
-        v = virial_of(f, 1e6)
+        f = sampled(grid20, lambda r: np.exp(-(r**2)))
+        v = virial_of(grid20, f, 1e6)
         assert abs(v - GAUSS_VIRIAL_4D) < 1e-8 * GAUSS_VIRIAL_4D
 
     def test_monotone_in_cutoff(self, grid, corpus):
         f = corpus[0]
-        assert virial_of(f, 4.0) >= virial_of(f, 2.0)
+        assert virial_of(grid, f, 4.0) >= virial_of(grid, f, 2.0)
 
 
 class TestVirialAcceleration:
     def test_truncated_matches_when_localized(self, free_dense):
         acc = diagnostics.virial_acceleration(free_dense, 12.0, 0.1)
-        k = kinetic(snapshot(free_dense, free_dense.index_at(0.1)))
+        k = kinetic(free_dense.grid, free_dense.values[free_dense.index_at(0.1)])
         assert abs(acc - 8 * k) / (8 * k) < 0.05
 
     def test_solitary_wave_flat(self, sw_dense, ground):
@@ -86,12 +86,12 @@ class TestVirialAcceleration:
 class TestKineticLocalization:
     def test_radius_finite_on_ground_state(self, ground):
         eta = 1e-2 * ground.kinetic
-        r_star = kinetic_radius_of(ground.profile, eta)
+        r_star = kinetic_radius_of(ground.grid, ground.profile.values, eta)
         assert 0 < r_star < ground.grid.r_max / 2
 
     def test_eta_above_total_rejected(self, ground):
         with pytest.raises(ValueError):
-            kinetic_radius_of(ground.profile, 2 * ground.kinetic)
+            kinetic_radius_of(ground.grid, ground.profile.values, 2 * ground.kinetic)
 
     def test_eta_near_total_gives_first_node(self, ground):
         # in the limit eta -> total the radius walks down to the first node;
@@ -100,24 +100,23 @@ class TestKineticLocalization:
         dens = ground.grid.w * np.abs(core._derivative_values(ground.grid, ground.coeffs)) ** 2
         tail_past_first = float(np.sum(dens[1:]))
         eta = 0.5 * (ground.kinetic + tail_past_first)
-        r = kinetic_radius_of(ground.profile, eta)
+        r = kinetic_radius_of(ground.grid, ground.profile.values, eta)
         assert r == ground.grid.r[0]
 
     def test_rescaling_halves_radius(self, ground):
         eta_frac = 1e-2
-        base = kinetic_radius_of(
-            ground.profile, eta_frac * ground.kinetic)
-        resc = core.rescale(ground.profile, 2.0)
-        scaled = kinetic_radius_of(
-            resc, eta_frac * kinetic(resc))
+        grid = ground.grid
+        base = kinetic_radius_of(grid, ground.profile.values, eta_frac * ground.kinetic)
+        resc = core._rescaled_values(grid, ground.profile.values, 2.0)
+        scaled = kinetic_radius_of(grid, resc, eta_frac * kinetic(grid, resc))
         cell = ground.grid.r[1] - ground.grid.r[0]
         assert abs(scaled - base / 2) <= 1.5 * cell
 
 
 class TestConcentrationRadii:
     def test_gaussian_half_mass_quantiles(self, grid20):
-        f = core.field_from_function(grid20, lambda r: np.exp(-(r**2)))
-        got_x, got_xi = radii_of(f, 0.5 * core.mass(f))
+        f = sampled(grid20, lambda r: np.exp(-(r**2)))
+        got_x, got_xi = radii_of(grid20, f, 0.5 * mass(grid20, f))
         c_x = brentq(lambda c: math.exp(-2 * c * c) * (1 + 2 * c * c) - 0.5, 0.1, 5.0)
         c_xi = brentq(lambda c: math.exp(-c * c / 2) * (1 + c * c / 2) - 0.5, 0.1, 10.0)
         cell_x = grid20.r[1] - grid20.r[0]
@@ -140,7 +139,7 @@ class TestConcentrationRadii:
 
     def test_monotone_in_eta(self, ground):
         m = ground.mass
-        (x0, k0), (x1, k1), (x2, k2) = [radii_of(ground.profile, frac * m)
+        (x0, k0), (x1, k1), (x2, k2) = [radii_of(ground.grid, ground.profile.values, frac * m)
                                         for frac in (1e-3, 1e-2, 1e-1)]
         assert x0 >= x1 >= x2
         assert k0 >= k1 >= k2
@@ -149,8 +148,8 @@ class TestConcentrationRadii:
         m = ground.mass
         grid = ground.grid
         ix, ik = [], []
-        for f in (snapshot(sw_dense, i) for i in range(0, len(sw_dense), 100)):
-            c_x, c_xi = radii_of(f, 1e-2 * m)
+        for f in sw_dense.values[::100]:
+            c_x, c_xi = radii_of(grid, f, 1e-2 * m)
             ix.append(int(np.argmin(np.abs(grid.r - c_x))))
             ik.append(int(np.argmin(np.abs(grid.rho - c_xi))))
         assert max(ix) - min(ix) <= 1
@@ -158,15 +157,15 @@ class TestConcentrationRadii:
 
     def test_rescaling_maps_radii(self, ground):
         grid = ground.grid
-        base_x, base_xi = radii_of(ground.profile, 1e-2 * ground.mass)
-        resc = core.rescale(ground.profile, 2.0)
-        scaled_x, scaled_xi = radii_of(resc, 1e-2 * core.mass(resc))
+        base_x, base_xi = radii_of(grid, ground.profile.values, 1e-2 * ground.mass)
+        resc = core._rescaled_values(grid, ground.profile.values, 2.0)
+        scaled_x, scaled_xi = radii_of(grid, resc, 1e-2 * mass(grid, resc))
         assert abs(scaled_x - base_x / 2) <= 1.5 * (grid.r[1] - grid.r[0])
         assert abs(scaled_xi - 2 * base_xi) <= 3.0 * (grid.rho[1] - grid.rho[0])
 
     def test_eta_out_of_range(self, ground):
         with pytest.raises(ValueError):
-            radii_of(ground.profile, 2 * ground.mass)
+            radii_of(ground.grid, ground.profile.values, 2 * ground.mass)
 
 
 class TestFrequencyDecayFit:
@@ -188,13 +187,13 @@ class TestFrequencyDecayFit:
 
     def test_solitary_wave_passes(self, sw_dense):
         sub = sw_dense.values[::100]
-        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, snapshot(sw_dense, 0)),
+        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, sw_dense.values[0]),
                                    times=[0.01 * i for i in range(len(sub))], values=sub)
         rep = diagnostics.frequency_decay_fit(traj, 1.0, self.SCALES)
         assert rep.passes is True
 
     def test_noise_floor_reported_as_pass(self, grid):
-        f = core.field_from_function(grid, lambda r: 1e-14 * np.exp(-(r**2)))
+        f = sampled(grid, lambda r: 1e-14 * np.exp(-(r**2)))
         rep = diagnostics.frequency_decay_fit(single_snapshot_trajectory(grid, f),
                                               1.0, self.SCALES)
         assert rep.passes is True
@@ -221,8 +220,7 @@ class TestSpatialDecayScan:
         raw = np.where((grid45.r > 2.0) & (grid45.r < 28.0),
                        grid45.r**-2.5, 0.0) * np.cos(3.0 * grid45.r)
         window = bands.phi_le(grid45.r, 26.0) * bands.phi_gt(grid45.r, 1.0)
-        f = core.apply_multiplier(core.RadialField(grid45, raw * window),
-                                  bands.band_symbol(grid45, 4.0))
+        f = multiplied(grid45, (raw * window).astype(np.complex128), bands.band_symbol(grid45, 4.0))
         traj = single_snapshot_trajectory(grid45, f)
         rep = diagnostics.spatial_decay_scan(traj, (4.0, 4.0), [1.5, 2.1, 3.0, 4.2, 6.0])
         assert rep.exponent == pytest.approx(0.5, abs=0.15)
@@ -233,7 +231,7 @@ class TestSpatialDecayScan:
         # radii is the band kernels' slow tails, so the fitted power is a
         # finite positive delta rather than a noise-floor report
         sub = sw_dense.values[::200]
-        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, snapshot(sw_dense, 0)),
+        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, sw_dense.values[0]),
                                    times=[0.01 * i for i in range(len(sub))], values=sub)
         rep = diagnostics.spatial_decay_scan(traj, (4.0, 16.0), [2.0, 3.0, 4.5, 6.5])
         assert rep.passes
@@ -287,36 +285,36 @@ def test_runners_match_single_field_loop(sw_dense):
     # field norm and the grid radii exactly
     traj = dataclasses.replace(sw_dense, times=sw_dense.times[:300],
                                values=sw_dense.values[:300])
-    fields = [snapshot(traj, i) for i in range(len(traj))]
+    fields = traj.values
     grid = traj.grid
-    tol = 1e-12 * math.sqrt(core.mass(fields[0]))
+    tol = 1e-12 * math.sqrt(mass(grid, fields[0]))
 
     *_, rows = cli.DIAGNOSTIC_RUNNERS["kinetic_localization"](traj, {"eta_fraction": 1e-2})
     assert [r for _, r in rows] == [kinetic_radius_of(
-        f, 1e-2 * kinetic(f)) for f in fields]
+        grid, f, 1e-2 * kinetic(grid, f)) for f in fields]
 
     *_, rows = cli.DIAGNOSTIC_RUNNERS["concentration"](traj, {"eta_fraction": 1e-2})
     assert [(c_x, c_xi) for _, c_x, c_xi in rows] == [
-        radii_of(f, 1e-2 * core.mass(f)) for f in fields]
+        radii_of(grid, f, 1e-2 * mass(grid, f)) for f in fields]
 
     *_, rows = cli.DIAGNOSTIC_RUNNERS["virial"](traj, {"R": 8.0})
-    v = [virial_of(f, 8.0) for f in fields]
+    v = [virial_of(grid, f, 8.0) for f in fields]
     h = traj.times[1] - traj.times[0]
     for i, (t, acc, eight_k) in enumerate(rows, start=2):
         ref = (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12 * h * h)
         assert acc == pytest.approx(ref, rel=1e-12, abs=1e-9)
-        assert eight_k == pytest.approx(8 * kinetic(fields[i]), rel=1e-12)
+        assert eight_k == pytest.approx(8 * kinetic(grid, fields[i]), rel=1e-12)
 
     shell = bands.phi_gt(grid.r, 1.0)
     rep = diagnostics.frequency_decay_fit(traj, 1.0, [4.0, 8.0, 16.0, 32.0])
     for N, value in zip(rep.scales, rep.values):
         ref = max(math.sqrt(float(np.sum(grid.w * shell**2 * np.abs(
-            core.apply_multiplier(f, bands.band_symbol(grid, N)).values) ** 2))) for f in fields)
+            multiplied(grid, f, bands.band_symbol(grid, N))) ** 2))) for f in fields)
         assert abs(value - ref) <= tol
 
     seq = recurrence.extract_A_sequence(traj, [16.0, 32.0])
     for N, value in zip(seq.scales, seq.values):
-        high = dataclasses.replace(traj, values=[core.apply_multiplier(
-            f, bands.high_symbol(grid, N)).values for f in fields])
+        high = dataclasses.replace(traj, values=[multiplied(
+            grid, f, bands.high_symbol(grid, N)) for f in fields])
         ref = recurrence.strichartz_norm(high, (0.0, N ** -0.5))
         assert abs(value - ref) <= tol

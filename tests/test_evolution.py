@@ -5,37 +5,40 @@ import pytest
 
 from radnls import core, evolution
 
+from conftest import mass, sampled
 
-def relative_l2(a, b):
-    """||a - b|| / ||b|| for two fields on one grid."""
-    return math.sqrt(core.mass(core.RadialField(b.grid, a.values - b.values)) / core.mass(b))
+
+def relative_l2(grid, a, b):
+    """||a - b|| / ||b|| for two sample arrays on grid."""
+    return math.sqrt(mass(grid, a - b) / mass(grid, b))
 
 
 class TestFreePropagate:
+    # the free flow over time t is one step of length t at mu = 0: the exact multiplier
+    # exp(-i t rho^2) between the forward and the inverse transform
     def test_identity_at_time_zero(self, grid, corpus):
         f = corpus[0]
-        assert relative_l2(evolution.free_propagate(f, 0.0), f) < 1e-12
+        assert relative_l2(grid, evolution.step(grid, f, 0.0, 0), f) < 1e-12
 
     @pytest.mark.parametrize("t", [0.1, 0.5, -0.3])
     def test_gaussian_closed_form(self, grid, t):
-        f = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
-        u = evolution.free_propagate(f, t)
+        f = sampled(grid, lambda r: np.exp(-(r**2)))
+        u = evolution.step(grid, f, t, 0)
         exact = (1 + 4j * t) ** (-2) * np.exp(-grid.r**2 / (1 + 4j * t))
-        err = math.sqrt(float(np.sum(grid.w * np.abs(u.values - exact) ** 2))
-                        / core.mass(f))
+        err = math.sqrt(float(np.sum(grid.w * np.abs(u - exact) ** 2)) / mass(grid, f))
         assert err < 1e-6
 
-    def test_unitarity(self, corpus):
+    def test_unitarity(self, grid, corpus):
         f = corpus[1]
-        m = core.mass(f)
-        assert abs(core.mass(evolution.free_propagate(f, 1.7)) - m) < 1e-10 * m
+        m = mass(grid, f)
+        assert abs(mass(grid, evolution.step(grid, f, 1.7, 0)) - m) < 1e-10 * m
 
 
 class TestStep:
     def test_zero_field_fixed(self, grid):
         for mu in (-1, 0, 1):
             out = evolution.step(grid, np.zeros(grid.n, dtype=complex), 1e-3, mu)
-            assert core.mass(core.RadialField(grid, out)) == 0.0
+            assert mass(grid, out) == 0.0
 
     def test_solitary_wave_single_step(self, ground):
         u1 = evolution.step(ground.grid, ground.profile.values, 1e-3, -1)
@@ -94,6 +97,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             evolution.SimulationConfig(**dict(CONFIG, dt=1e-3, t_final=1.0, cadence=7))
 
+    @pytest.mark.parametrize("key", ["dimension", "n", "cadence"])
+    @pytest.mark.parametrize("wrong", [float, bool])
+    def test_rejects_counts_that_are_not_ints(self, key, wrong):
+        # a float or a bool, as a JSON manifest may hold, for a count the run uses as an int
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            evolution.SimulationConfig(**dict(CONFIG, **{key: wrong(CONFIG[key])}))
+
 
 class TestEvolve:
     def test_energy_log_matches_core_energy(self, defocusing_dense):
@@ -104,60 +114,73 @@ class TestEvolve:
             assert abs(defocusing_dense.energy_log[i] - e) <= 1e-12 * e
 
     def test_small_data_runs_clean(self, grid):
-        small = core.field_from_function(grid, lambda r: 0.05 * np.exp(-(r**2)))
+        small = sampled(grid, lambda r: 0.05 * np.exp(-(r**2)))
         cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=grid.r_max,
                                          n=grid.n, dt=1e-3, t_final=2.0, cadence=100)
-        traj = evolution.evolve(cfg, small)
+        traj = evolution.evolve(cfg, grid, small)
         assert traj.guard_event is None
         assert traj.mass_drift < 1e-8
 
     def test_concentration_ends_in_resolution_loss(self, grid):
         # supercritical mass concentrates until step 233 loses resolution; the partial
         # trajectory is returned with the event, not an exception
-        big = core.field_from_function(grid, lambda r: 20.0 * np.exp(-(r**2)))
+        big = sampled(grid, lambda r: 20.0 * np.exp(-(r**2)))
         cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=grid.r_max,
                                          n=grid.n, dt=1e-3, t_final=1.0, cadence=10)
-        traj = evolution.evolve(cfg, big)
+        traj = evolution.evolve(cfg, grid, big)
         assert traj.guard_event["kind"] == "resolution_loss"
         assert traj.guard_event["time"] == pytest.approx(0.232, rel=1e-12)
         assert len(traj) == 24 and len(traj.mass_log) == 233
 
     def test_grid_mismatch_rejected(self, grid20):
-        f = core.field_from_function(grid20, lambda r: np.exp(-(r**2)))
+        f = sampled(grid20, lambda r: np.exp(-(r**2)))
         cfg = evolution.SimulationConfig(dimension=4, mu=0, r_max=15.0, n=640,
                                          dt=1e-3, t_final=0.01, cadence=1)
         with pytest.raises(ValueError):
-            evolution.evolve(cfg, f)
+            evolution.evolve(cfg, grid20, f)
+
+    def test_initial_samples_checked_and_copied(self, grid):
+        # evolve checks u0 as the samples of one finite field on grid, and keeps a copy
+        cfg = evolution.SimulationConfig(dimension=4, mu=0, r_max=grid.r_max, n=grid.n,
+                                         dt=1e-3, t_final=0.002, cadence=1)
+        f = sampled(grid, lambda r: np.exp(-(r**2)))
+        with pytest.raises(ValueError, match="sample count"):
+            evolution.evolve(cfg, grid, f[:-1])
+        bad = f.copy()
+        bad[7] = np.nan
+        with pytest.raises(ValueError, match="samples contain non-finite values"):
+            evolution.evolve(cfg, grid, bad)
+        traj = evolution.evolve(cfg, grid, f)
+        f[:] = 0.0
+        assert np.array_equal(traj.values[0], sampled(grid, lambda r: np.exp(-(r**2))))
 
     def test_time_reversal_via_conjugation(self, grid):
-        f = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
+        f = sampled(grid, lambda r: np.exp(-(r**2)))
         cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=grid.r_max,
                                          n=grid.n, dt=1e-3, t_final=0.3, cadence=300)
-        fwd = evolution.evolve(cfg, f)
-        back = evolution.evolve(cfg, core.RadialField(grid, np.conj(fwd.values[-1])))
-        recovered = core.RadialField(grid, np.conj(back.values[-1]))
-        assert relative_l2(recovered, f) < 1e-6
+        fwd = evolution.evolve(cfg, grid, f)
+        back = evolution.evolve(cfg, grid, np.conj(fwd.values[-1]))
+        assert relative_l2(grid, np.conj(back.values[-1]), f) < 1e-6
 
     def test_scaling_covariance(self, grid):
         # lam^{d/2} u(lam^2 t, lam x) solves the same equation
         lam = 2.0
-        u0 = core.field_from_function(grid, lambda r: 0.5 * np.exp(-((r / 2) ** 2)))
+        u0 = sampled(grid, lambda r: 0.5 * np.exp(-((r / 2) ** 2)))
         cfg_long = evolution.SimulationConfig(dimension=4, mu=-1, r_max=grid.r_max,
                                               n=grid.n, dt=1e-3, t_final=0.4, cadence=400)
         cfg_short = evolution.SimulationConfig(dimension=4, mu=-1, r_max=grid.r_max,
                                                n=grid.n, dt=1e-3, t_final=0.1, cadence=100)
-        long_run = evolution.evolve(cfg_long, u0)
-        short_run = evolution.evolve(cfg_short, core.rescale(u0, lam))
-        rescaled_final = core.rescale(core.RadialField(grid, long_run.values[-1]), lam)
-        assert relative_l2(core.RadialField(grid, short_run.values[-1]), rescaled_final) < 1e-4
+        long_run = evolution.evolve(cfg_long, grid, u0)
+        short_run = evolution.evolve(cfg_short, grid, core._rescaled_values(grid, u0, lam))
+        rescaled_final = core._rescaled_values(grid, long_run.values[-1], lam)
+        assert relative_l2(grid, short_run.values[-1], rescaled_final) < 1e-4
 
 
-def per_snapshot_evolve(cfg, u0):
+def per_snapshot_evolve(cfg, grid, u0):
     """evolve as one loop that transforms each snapshot when it is stored: the
     reference for the stacked energy log."""
-    grid = u0.grid
-    values, t = u0.values, 0.0
-    times, rows, mass_log = [t], [values], [core.mass(u0)]
+    values, t = u0, 0.0
+    times, rows, mass_log = [t], [values], [mass(grid, u0)]
     energy_log = [float(core._energy_sum(grid, values, grid._forward_values(values), cfg.mu))]
     guard_event = None
     for k in range(1, cfg.n_steps + 1):
@@ -167,7 +190,7 @@ def per_snapshot_evolve(cfg, u0):
             guard_event = {"kind": "resolution_loss", "time": t, "detail": str(exc)}
             break
         t = k * cfg.dt
-        mass_log.append(core.mass(core.RadialField(grid, values)))
+        mass_log.append(mass(grid, values))
         if k % cfg.cadence == 0:
             times.append(t)
             rows.append(values)
@@ -186,10 +209,10 @@ class TestStackedEnergyLog:
     # and 233 at cadence 1
     @pytest.mark.parametrize("cadence", [10, 1])
     def test_matches_per_snapshot_loop(self, grid, cadence):
-        big = core.field_from_function(grid, lambda r: 20.0 * np.exp(-(r**2)))
+        big = sampled(grid, lambda r: 20.0 * np.exp(-(r**2)))
         cfg = run_config(grid, 0.3, cadence)
-        times, values, mass_log, energy_log, event = per_snapshot_evolve(cfg, big)
-        traj = evolution.evolve(cfg, big)
+        times, values, mass_log, energy_log, event = per_snapshot_evolve(cfg, grid, big)
+        traj = evolution.evolve(cfg, grid, big)
         assert event["kind"] == "resolution_loss"
         assert traj.guard_event == event
         assert np.array_equal(traj.times, times)
@@ -206,12 +229,12 @@ class TestStackedEnergyLog:
         monkeypatch.setattr(core, "_real_matvec",
                             lambda mat, vec, *scale: calls.append(vec.shape)
                             or real_matvec(mat, vec, *scale))
-        u0 = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
+        u0 = sampled(grid, lambda r: np.exp(-(r**2)))
 
         def count(cadence):
             calls.clear()
             cfg = run_config(grid, 0.192, cadence)
-            assert evolution.evolve(cfg, u0).guard_event is None
+            assert evolution.evolve(cfg, grid, u0).guard_event is None
             return len(calls)
 
         assert count(1) == count(2) == count(3) == 2 * 192 + 2
@@ -224,23 +247,23 @@ class TestStackedEnergyLog:
         monkeypatch.setattr(evolution, "step",
                             lambda grid, values, dt, mu: calls.append(dt)
                             or step(grid, values, dt, mu))
-        u0 = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
+        u0 = sampled(grid, lambda r: np.exp(-(r**2)))
         cfg = run_config(grid, 0.07, 1)
-        assert len(evolution.evolve(cfg, u0)) == 71
+        assert len(evolution.evolve(cfg, grid, u0)) == 71
         assert calls == [cfg.dt] * cfg.n_steps
 
     def test_no_field_per_step(self, grid, monkeypatch):
-        # the step loop carries sample arrays: a run of 40 steps builds no more
-        # RadialFields than one of 10
-        post_init = core.RadialField.__post_init__
+        # the step loop carries sample arrays: a run of 40 steps checks and copies no
+        # more of them than one of 10
+        frozen = evolution._frozen_values
         built = []
-        monkeypatch.setattr(core.RadialField, "__post_init__",
-                            lambda field: built.append(1) or post_init(field))
-        u0 = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
+        monkeypatch.setattr(evolution, "_frozen_values",
+                            lambda *args: built.append(1) or frozen(*args))
+        u0 = sampled(grid, lambda r: np.exp(-(r**2)))
 
         def count(t_final):
             built.clear()
-            assert evolution.evolve(run_config(grid, t_final, 10), u0).guard_event is None
+            assert evolution.evolve(run_config(grid, t_final, 10), grid, u0).guard_event is None
             return len(built)
 
         assert count(0.01) == count(0.04)
@@ -258,12 +281,13 @@ def lens_error(grid, mu, u0, dt, b=-0.5, t=0.5):
 
     def run(f, t_final):
         return evolution.evolve(evolution.SimulationConfig(
-            grid.d, mu, grid.r_max, grid.n, t_final / steps, t_final, steps), f)
+            grid.d, mu, grid.r_max, grid.n, t_final / steps, t_final, steps), grid, f)
 
-    v = run(core.RadialField(grid, u0.values * np.exp(1j * b * grid.r**2 / 4.0)), t)
+    v = run(u0 * np.exp(1j * b * grid.r**2 / 4.0), t)
     u = run(u0, t / s)
     assert v.guard_event is None and u.guard_event is None
-    image = core.rescale(core.RadialField(grid, u.values[-1]), 1.0 / s).values * np.exp(1j * b * grid.r**2 / (4.0 * s))
+    image = (core._rescaled_values(grid, u.values[-1], 1.0 / s)
+             * np.exp(1j * b * grid.r**2 / (4.0 * s)))
     gap = core._power_sum(grid, v.values[-1] - image, 2)
     return math.sqrt(float(gap / core._power_sum(grid, v.values[-1], 2)))
 
@@ -274,14 +298,14 @@ class TestLensTransform:
     # ratio within 10% of the order-2 value 4
     @pytest.mark.parametrize("mu, amplitude, bound", [(-1, 1.5, 2e-6), (1, 3.0, 4e-6)])
     def test_second_order_to_the_lens_image(self, grid, mu, amplitude, bound):
-        u0 = core.field_from_function(grid, lambda r: amplitude * np.exp(-(r**2)))
+        u0 = sampled(grid, lambda r: amplitude * np.exp(-(r**2)))
         coarse, fine = (lens_error(grid, mu, u0, dt) for dt in (4e-3, 2e-3))
         assert fine <= bound
         assert 3.6 <= coarse / fine <= 4.4
 
     def test_free_pair_to_round_off(self, grid):
         # the free steps are exact, so the gap is the map's own round-off: 9.5e-12
-        u0 = core.field_from_function(grid, lambda r: 1.5 * np.exp(-(r**2)))
+        u0 = sampled(grid, lambda r: 1.5 * np.exp(-(r**2)))
         assert lens_error(grid, 0, u0, 4e-3) <= 1e-10
 
 

@@ -160,13 +160,19 @@ def test_no_default_is_overridden_by_every_call_in_the_package():
 
 # public module-level functions and classes, and public methods and properties of those
 # classes, that nothing in the package names, each with why it stays: the paper's lemmas
-# and identities, which the acceptance suite measures, and the reference
-# test_runners_match_single_field_loop holds extract_A_sequence to
+# and identities, which the acceptance suite measures, the reference
+# test_runners_match_single_field_loop holds extract_A_sequence to, and the single-field
+# products that perfbench/trace.py times (SpectralField, which transform_forward builds,
+# goes with them)
+HELD_FOR_TRACE = "perfbench/trace.py times it; goes with the benchmark revision (ROADMAP item 25)"
 UNREFERENCED_ALLOWED = {
     "pointwise_band_norm": "Bernstein and radial Sobolev constants, judged by criterion 8",
     "fractional_chain_ratio": "the fractional chain rule, judged by criterion 8",
     "strichartz_norm": "the S-norm of the Strichartz estimate, extract_A_sequence's reference",
     "duhamel_residual": "the Duhamel formula's defect, judged by criterion 9",
+    "transform_forward": HELD_FOR_TRACE,
+    "transform_inverse": HELD_FOR_TRACE,
+    "apply_multiplier": HELD_FOR_TRACE,
 }
 
 
@@ -397,6 +403,43 @@ def test_no_command_loads_scipy(tmp_path):
         rc, modules = loaded_after(code, "--config", str(config), *command, cwd=tmp_path)
         found[name] = [rc, set(modules)]
     assert found == {name: [0, modules] for name, modules in LOADED.items()}
+
+
+# perfbench/trace.py loaded by path (its name shadows the standard library's trace), its
+# wrappers installed, then a small session and selftest run through them, and the two
+# kernel timings it takes on the session's stored Q.  The traced benchmark wraps package
+# functions by name and calls the single-field products, which no command reaches
+TRACED_SESSION = """
+import importlib.util, json, sys
+from pathlib import Path
+perfbench, out = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, str(perfbench))
+spec = importlib.util.spec_from_file_location("perfbench_trace", perfbench / "trace.py")
+trace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(trace)
+tracer = trace.Tracer()
+trace.instrument(tracer)
+codes = [trace.cli.main(["--config", str(out / "session.json"), *command])
+         for command in (["ground-state"], ["evolve"], ["selftest"])]
+kernel_us = trace.kernels(out)
+names = sorted({s["name"] for s in tracer.spans if not s["name"].startswith("cli.")})
+print(json.dumps([codes, sorted(kernel_us), min(kernel_us.values()) > 0, names]))
+"""
+
+
+def test_traced_benchmark_binds_the_package(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "session.json").write_text(json.dumps({
+        "grid": {"r_max": 15.0, "n": 128}, "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+        "initial": {"kind": "sw", "params": {"t": 0.0}}, "output_dir": str(out)}))
+    perfbench = Path(radnls.__file__).resolve().parents[2] / "perfbench"
+    codes, kernels, positive, names = loaded_after(TRACED_SESSION, str(perfbench), str(out))
+    assert codes == [0, 0, 0]
+    assert kernels == ["core.apply_multiplier_us", "core.transform_pair_us"] and positive
+    assert names == ["bands.in_out", "core.grid_build", "evolution.evolve", "evolution.step",
+                     "fieldio.load_trajectory", "fieldio.save_trajectory",
+                     "groundstate.shooting", "groundstate.solve", "recurrence.verify"]
 
 
 # core's own J_nu evaluator, and scipy.special's Bessel and modified Bessel functions

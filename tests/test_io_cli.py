@@ -21,10 +21,10 @@ class TestFieldFormats:
     def test_binary_round_trip_bit_exact(self, grid, corpus, tmp_path):
         f = corpus[0]
         path = tmp_path / "f.rfb"
-        fieldio.save_field_binary(f, path)
+        fieldio.save_field_binary(grid, f, path)
         back = fieldio.load_field_binary(path, grid)
-        assert np.array_equal(back.values, f.values)
-        assert back.grid.key == f.grid.key
+        assert np.array_equal(back, f)
+        assert not back.flags.writeable
 
     def test_binary_rejects_garbage(self, grid, tmp_path):
         p = tmp_path / "junk.rfb"
@@ -32,17 +32,24 @@ class TestFieldFormats:
         with pytest.raises(ValueError):
             fieldio.load_field_binary(p, grid)
 
+    def test_binary_save_refuses_non_finite_samples(self, grid, corpus, tmp_path):
+        bad = corpus[0].copy()
+        bad[3] = np.inf
+        with pytest.raises(ValueError, match="samples contain non-finite values"):
+            fieldio.save_field_binary(grid, bad, tmp_path / "f.rfb")
+        assert not (tmp_path / "f.rfb").exists()
+
     def test_binary_rejects_another_grid(self, grid, grid20, corpus, tmp_path):
         path = tmp_path / "f.rfb"
-        fieldio.save_field_binary(corpus[0], path)
+        fieldio.save_field_binary(grid, corpus[0], path)
         with pytest.raises(ValueError, match="does not match"):
             fieldio.load_field_binary(path, grid20)
 
     def test_trajectory_round_trip(self, grid, tmp_path):
-        f = core.field_from_function(grid, lambda r: np.exp(-(r**2)))
+        f = np.exp(-(grid.r**2)).astype(np.complex128)
         cfg = evolution.SimulationConfig(dimension=4, mu=0, r_max=grid.r_max,
                                          n=grid.n, dt=1e-3, t_final=0.01, cadence=5)
-        traj = evolution.evolve(cfg, f)
+        traj = evolution.evolve(cfg, grid, f)
         fieldio.save_trajectory(traj, tmp_path / "run")
         back = fieldio.load_trajectory(tmp_path / "run")
         assert np.array_equal(back.times, traj.times)
@@ -397,6 +404,22 @@ class TestCli:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error == {"error": "invalid_input", "detail": f"{snapshot}: truncated snapshot"}
 
+    def test_initial_file_with_a_non_finite_sample_exits_2(self, out_env, tmp_path, capsys):
+        # a well-formed snapshot of the config's grid, whose sample 5 is NaN
+        values = np.ones(SMALL_GRID["n"], dtype=np.complex128)
+        values[5] = np.nan
+        snapshot = tmp_path / "nan.rfb"
+        snapshot.write_bytes(fieldio.MAGIC + struct.pack("<IQd", 4, SMALL_GRID["n"],
+                                                         SMALL_GRID["r_max"]) + values.tobytes())
+        cfg = write_cfg(tmp_path, {"grid": SMALL_GRID,
+                                   "time": {"dt": 1e-3, "T": 0.01, "cadence": 1},
+                                   "initial": {"kind": "file", "params": {"path": str(snapshot)}},
+                                   "output_dir": "nan"})
+        assert cli.main(["--config", cfg, "evolve"]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error == {"error": "invalid_input", "detail": "samples contain non-finite values"}
+        assert not (out_env / "nan" / "trajectory").exists()
+
     def test_missing_trajectory_exits_3(self, out_env, tmp_path):
         cfg = write_cfg(tmp_path, {"output_dir": "x"})
         rc = cli.main(["--config", cfg, "diagnose", str(out_env / "nowhere")])
@@ -531,6 +554,23 @@ class TestCli:
             "diagnostics.virial_identity", "diagnostics.concentration",
             "recurrence.saturating", "recurrence.planted_violation",
             "recurrence.geometric_sum"]
+
+    def test_lemma_does_not_pass_a_sequence_above_its_bound(self, out_env, tmp_path, capsys):
+        # A_N = 5e-13 on N = 2^0 ... 2^23 breaks A_N <= C1 M0^s N^-s, every window being
+        # empty, from N = 2^9 on, and the conclusion's bound 2 C1 M0^s N^(-s+gamma) is
+        # 1.07e-16 at the top: values this far below 1 are judged by a relative slack only
+        (tmp_path / "seq.csv").write_text(
+            "N,A_N\n" + "".join(f"{2.0**k!r},5e-13\n" for k in range(24)))
+        cfg = write_cfg(tmp_path, {
+            "lemma": {"params": LEMMA_PARAMS | {"c1": 1e-9},
+                      "sequence": {"kind": "file", "path": str(tmp_path / "seq.csv")}},
+            "output_dir": "lem_small"})
+        assert cli.main(["--config", cfg, "lemma"]) == 0
+        report = json.loads((out_env / "lem_small" / "lemma_report.json").read_text())
+        assert report["control"]["applicable"] is False
+        assert report["control"]["violated"] == ["recurrence_with_given_c1"]
+        assert report["recurrence"]["holds_with_given_c1"] is False
+        assert capsys.readouterr().out.startswith("lemma: inapplicable ")
 
     def test_lemma_inapplicable_is_not_failure(self, out_env, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -791,6 +831,10 @@ class TestCli:
         # with config_hash matching the edited config, SimulationConfig itself rejects it
         pytest.param(lambda config: config.update(stepper="strang"), True, id="stepper_rehashed"),
         pytest.param(lambda config: config.pop("dt"), True, id="missing_dt_rehashed"),
+        # counts that JSON holds as floats: SimulationConfig takes ints only
+        pytest.param(lambda config: config.update(cadence=1.0), True,
+                     id="cadence_float_rehashed"),
+        pytest.param(lambda config: config.update(n=128.0), True, id="n_float_rehashed"),
     ])
     def test_bad_manifest_config_exits_2(self, out_env, tmp_path, capsys, edit, rehash):
         cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
