@@ -365,12 +365,9 @@ def _rows(*columns) -> list[tuple]:
 def _diag_virial(traj, spec):
     from . import core, diagnostics
 
-    if len(traj) < 5:
-        raise ConfigError("trajectory too short for the virial stencil")
-    times = traj.times[2:-2]
-    residual = float(diagnostics.virial_residual(traj, times).max())
+    residual = float(diagnostics.virial_residual(traj).max())
     header = ["t", "d2_virial", "eight_kinetic"]
-    rows = _rows(times, diagnostics.virial_acceleration(traj, spec["R"], times),
+    rows = _rows(traj.times[2:-2], diagnostics.virial_acceleration(traj, spec["R"]),
                  8 * core._kinetic_sum(traj.grid, traj.coeffs[2:-2]))
     payload = {"rows": _row_dicts(header, rows), "identity_residual": residual,
                "identity_bound": diagnostics.VIRIAL_TOL}

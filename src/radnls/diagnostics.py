@@ -3,6 +3,8 @@ localization, concentration radii, and power-law decay fits of band norms.
 
 Each quantity has one public function, which works along the last axis of its
 arrays, so it takes one field or a (T, n) stack of a trajectory's snapshots.
+The functions that take a Trajectory address its snapshots by row: the virial
+pair returns one value per interior row, 2 .. T-3.
 
 Decay fits are least squares on log2(scale) vs log2(norm); points under the
 1e-12 noise floor are discarded and the fit residual is always reported.  A
@@ -74,34 +76,28 @@ def truncated_virial(grid: RadialGrid, values: np.ndarray, R: float) -> np.ndarr
     return np.sum(grid.w * phi_le(grid.r, R) * grid.r**2 * np.abs(values) ** 2, axis=-1)
 
 
-def virial_acceleration(traj: Trajectory, R: float, t):
-    """Second time derivative of s -> V_R(u(s)) at a snapshot time (or an array of them).
+def virial_acceleration(traj: Trajectory, R: float) -> np.ndarray:
+    """Second time derivative of s -> V_R(u(s)) at each interior snapshot, rows 2 .. T-3.
 
-    Five-point centered stencil at the snapshot spacing; needs two snapshots
-    on each side of t.  For R beyond the localization radius this approaches
-    d^2/dt^2 of the full variance, which the flow pins at 16 E(u) (see
-    virial_residual).
+    Five-point centered stencil at the snapshot spacing, which is uniform.  For
+    R beyond the localization radius this approaches d^2/dt^2 of the full
+    variance, which the flow pins at 16 E(u) (see virial_residual).
     """
-    i = traj.index_at(t)
-    if np.any(i < 2) or np.any(i > len(traj) - 3):
-        raise ValueError("t too close to the trajectory ends for the 5-point stencil")
-    hs = np.diff(traj.times)[np.add.outer(i, np.arange(-2, 2))]
-    if np.any(np.max(np.abs(hs - hs[..., :1]), axis=-1) > 1e-9 * hs[..., 0]):
-        raise ValueError("snapshot spacing is not uniform around t")
-    h = hs[..., 0]
+    if len(traj) < 5:
+        raise ValueError("trajectory too short for the virial stencil")
+    h = np.diff(traj.times)[:-3]
     v = truncated_virial(traj.grid, traj.values, R)
-    return (-v[i - 2] + 16 * v[i - 1] - 30 * v[i] + 16 * v[i + 1] - v[i + 2]) / (12.0 * h * h)
+    return (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12.0 * h * h)
 
 
-def virial_residual(traj: Trajectory, t):
-    """|V'' - 16 E(u)| / (8 ||grad u||^2) at a snapshot time (or an array of them), 0 where
+def virial_residual(traj: Trajectory) -> np.ndarray:
+    """|V'' - 16 E(u)| / (8 ||grad u||^2) at each interior snapshot, rows 2 .. T-3, 0 where
     grad u = 0, with V'' the virial_acceleration of the untruncated variance.  The flow
     obeys V'' = 16 E (Glassey 1977); V'' comes from snapshots across time and E from
     each snapshot alone, so they agree only if the integrator solves the equation."""
-    i = traj.index_at(t)
-    coeffs = traj.coeffs[i]
-    gap = np.abs(virial_acceleration(traj, math.inf, t)
-                 - 16 * _energy_sum(traj.grid, traj.values[i], coeffs, traj.config.mu))
+    coeffs = traj.coeffs[2:-2]
+    gap = np.abs(virial_acceleration(traj, math.inf)
+                 - 16 * _energy_sum(traj.grid, traj.values[2:-2], coeffs, traj.config.mu))
     eight_k = 8 * _kinetic_sum(traj.grid, coeffs)
     return np.divide(gap, eight_k, out=np.zeros_like(gap), where=eight_k > 0)
 
@@ -180,8 +176,6 @@ def frequency_decay_fit(traj: Trajectory, shell_cut: float, Ns) -> DecayFitRepor
         raise ValueError("need at least 4 dyadic scales")
     if len(set(Ns)) < len(Ns):
         raise ValueError(f"scales must be strictly increasing, got Ns={Ns}")
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
     grid = traj.grid
     for N in Ns:
         validate_scale(grid, N)
@@ -204,8 +198,6 @@ def spatial_decay_scan(traj: Trajectory, n_range: tuple, Rs) -> DecayFitReport:
         raise ValueError("empty radius list")
     if any(b <= a for a, b in zip(Rs, Rs[1:])):
         raise ValueError("radii must be increasing")
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
     grid = traj.grid
     n0, n1 = float(n_range[0]), float(n_range[1])
     Ns = [2.0**k for k in range(-20, 40) if n0 <= 2.0**k <= n1]

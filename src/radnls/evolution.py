@@ -71,18 +71,17 @@ class SimulationConfig:
 class Trajectory:
     """Snapshots of a run plus its conservation log and guard events.
 
-    values is a read-only (T, n) complex array whose row k is the snapshot at
-    times[k]; coeffs is the read-only (T, n) stack of their spectral
-    coefficients.  A load passes the stack it read and checked as
+    values is a read-only (T, n) complex array, 1 <= T <= n_steps // cadence + 1,
+    whose row k is the snapshot after k * cadence steps, at times[k], which
+    follows from the config and T.  coeffs is the read-only (T, n) stack of their
+    spectral coefficients.  A load passes the stack it read and checked as
     stored_coeffs; any other construction, dataclasses.replace included,
     computes it from values by one stacked transform.  mass_log has one entry
-    per completed step (plus the initial value), energy_log one entry per
-    snapshot.
+    per completed step (plus the initial value), energy_log one entry per snapshot.
     """
 
     config: SimulationConfig
     grid: RadialGrid
-    times: np.ndarray
     values: np.ndarray
     mass_log: list
     energy_log: list
@@ -91,31 +90,26 @@ class Trajectory:
     stored_coeffs: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, stored_coeffs):
-        self.times = np.array(self.times, dtype=np.float64)
-        self.values = _frozen_values(self.grid, self.values, "snapshot", (len(self.times),))
+        cfg, rows = self.config, len(self.values)
+        if not 1 <= rows <= cfg.n_steps // cfg.cadence + 1:
+            raise ValueError(f"a trajectory holds 1 to {cfg.n_steps // cfg.cadence + 1} "
+                             f"snapshots, got {rows}")
+        self.times = np.arange(0, rows * cfg.cadence, cfg.cadence) * cfg.dt
+        self.values = _frozen_values(self.grid, self.values, "snapshot", (rows,))
         if stored_coeffs is None:
             self.coeffs = self.grid._forward_values(self.values)
             self.coeffs.setflags(write=False)
         else:
-            self.coeffs = _frozen_values(self.grid, stored_coeffs, "coefficient",
-                                         (len(self.times),))
+            self.coeffs = _frozen_values(self.grid, stored_coeffs, "coefficient", (rows,))
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.values)
 
     @property
     def mass_drift(self) -> float:
         """Largest relative departure of the mass log from its first entry; 0 at zero mass."""
         m0 = self.mass_log[0]
         return max(abs(m - m0) for m in self.mass_log) / m0 if m0 else 0.0
-
-    def index_at(self, t):
-        """Index of the snapshot at time t; an array of times gives an array of indices."""
-        t = np.asarray(t, dtype=np.float64)
-        i = np.argmin(np.abs(self.times - t[..., None]), axis=-1)
-        if np.any(np.abs(self.times[i] - t) > 1e-9 * np.maximum(1.0, np.abs(t))):
-            raise ValueError(f"t={t} is not a snapshot time")
-        return i if i.ndim else int(i)
 
 
 def _nonlinearity(grid: RadialGrid, values: np.ndarray, mu: int) -> np.ndarray:
@@ -180,7 +174,7 @@ def evolve(cfg: SimulationConfig, grid: RadialGrid, u0: np.ndarray) -> Trajector
             "wraps within one step (accuracy, not stability, may suffer)")
 
     t = 0.0
-    times, rows, mass_log = [t], [values], [float(_power_sum(grid, values, 2))]
+    rows, mass_log = [values], [float(_power_sum(grid, values, 2))]
     guard_event = None
     for k in range(1, cfg.n_steps + 1):
         try:
@@ -191,29 +185,26 @@ def evolve(cfg: SimulationConfig, grid: RadialGrid, u0: np.ndarray) -> Trajector
         t = k * cfg.dt
         mass_log.append(float(_power_sum(grid, values, 2)))
         if k % cfg.cadence == 0:
-            times.append(t)
             rows.append(values)
-    traj = Trajectory(cfg, grid, times, rows, mass_log, [energy0], guard_event, tuple(warnings))
+    traj = Trajectory(cfg, grid, rows, mass_log, [energy0], guard_event, tuple(warnings))
     energies = _energy_sum(grid, traj.values[1:], traj.coeffs[1:], cfg.mu)
     traj.energy_log.extend(map(float, energies))
     return traj
 
 
-def duhamel_residual(traj: Trajectory, t0: float, t1: float) -> float:
-    """L^2 defect of the integral identity between two snapshot times.
+def duhamel_residual(traj: Trajectory, i0: int, i1: int) -> float:
+    """L^2 defect of the integral identity between snapshots i0 and i1, at t0 and t1.
 
     Evaluates || u(t1) - e^{i(t1-t0) Lap} u(t0) + i Int_{t0}^{t1}
     e^{i(t1-s) Lap} F(u(s)) ds || with the integral done by the composite
-    trapezoid rule over the stored snapshots in [t0, t1].
+    trapezoid rule over the snapshots i0 .. i1.
     """
-    if not t0 < t1:
-        raise ValueError("need t0 < t1")
-    i0, i1 = traj.index_at(t0), traj.index_at(t1)
-    if i1 - i0 < 2:
-        raise ValueError("insufficient snapshots between t0 and t1 for the quadrature")
+    if not 0 <= i0 <= i1 - 2 < len(traj) - 2:
+        raise ValueError(f"need snapshots 0 <= i0 <= i1 - 2 < {len(traj) - 2}, got {i0}, {i1}")
     mu = traj.config.mu
     grid = traj.grid
     times = traj.times[i0:i1 + 1]
+    t0, t1 = times[0], times[-1]
     linear = _multiplier_inverse(grid, np.exp(-1j * (t1 - t0) * grid.rho**2), traj.coeffs[i0])
     integral = np.zeros(grid.n, dtype=np.complex128)
     if mu != 0:

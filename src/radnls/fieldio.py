@@ -160,7 +160,8 @@ _MANIFEST_KEYS = {
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory directory; ValueError if its manifest, snapshots and coefficient
-    stack disagree, or its times are not the run's snapshot times.
+    stack disagree, its config is invalid, or its times are not the run's snapshot
+    times (at least one).
 
     The grid is constructed without its kernel, which only a product that needs
     it builds and certifies.
@@ -174,24 +175,25 @@ def load_trajectory(path) -> Trajectory:
     if bad:
         raise ValueError(f"{out}: manifest.json must be an object with {', '.join(bad)}")
     config = manifest["config"]
-    try:
+    try:  # SimulationConfig checks the run's fields, RadialGrid the grid's
         cfg = SimulationConfig(**config)
+        grid = RadialGrid(cfg.dimension, cfg.r_max, cfg.n)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{out}: manifest config does not fit SimulationConfig: {exc}") from exc
+        raise ValueError(f"{out}: manifest config is invalid: {exc}") from exc
     if config_hash(config) != manifest["config_hash"]:
         raise ValueError(f"{out}: manifest config_hash does not match its config")
     times = manifest["times"]
     if len(manifest["energy_log"]) != len(times) or not manifest["mass_log"]:
         raise ValueError(f"{out}: manifest needs an energy_log entry per time and a mass_log")
     # evolve stores step k's snapshot at k * dt, bit for bit; a guard trip ends the list early
-    if times != [k * cfg.dt for k in range(0, cfg.n_steps + 1, cfg.cadence)[:len(times)]]:
+    steps = range(0, cfg.n_steps + 1, cfg.cadence)[:len(times)]
+    if not times or times != [k * cfg.dt for k in steps]:
         raise ValueError(f"{out}: manifest times are not the run's snapshot times k * dt, "
                          "k = 0, cadence, 2 cadence, ... up to n_steps")
     names = [f"{i:06d}.rfb" for i in range(len(times))]
     if sorted(p.name for p in (out / "snapshots").iterdir()) != names:
         raise ValueError(f"{out}: snapshots/ must hold exactly the {len(names)} files "
                          "000000.rfb, 000001.rfb, ... named by the manifest's times")
-    grid = RadialGrid(cfg.dimension, cfg.r_max, cfg.n)
     values = np.empty((len(times), grid.n), dtype=np.complex128)
     for row, path in zip(values, (out / "snapshots" / name for name in names)):
         row[:] = _samples(path, path.read_bytes(), grid)
@@ -204,7 +206,7 @@ def load_trajectory(path) -> Trajectory:
     if _stack_sha256(coeffs) != manifest["coeffs_sha256"]:
         raise ValueError(f"{out}: coeffs.rfb does not match the manifest's coeffs_sha256")
     _check_coeffs(out, grid, values, coeffs)
-    return Trajectory(cfg, grid, times, values, manifest["mass_log"], manifest["energy_log"],
+    return Trajectory(cfg, grid, values, manifest["mass_log"], manifest["energy_log"],
                       manifest.get("guard_event"), tuple(manifest["warnings"]), coeffs)
 
 

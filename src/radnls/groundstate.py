@@ -56,11 +56,6 @@ COLLOCATION_R_END = 18.0
 # spectral reach rho_max of the coarse grid, which resolves Q at d = 2-8: 128 nodes at
 # r_max 15 and 384 at r_max 45, where 128 nodes do not converge
 COARSE_REACH = 26.8
-# a grid starts from the coarse grid's Q only if it has more than COARSE_MARGIN nodes
-# beyond it: at d = 4 the coarse stage cost 2-5 ms more than it saved at n = 192-256
-# (r_max 15), 384 (r_max 30) and 512 (r_max 45), broke even at n = 320 (r_max 15) and
-# saved 8-30 ms at n = 512 (r_max 30) and 640-768 (r_max 45)
-COARSE_MARGIN = 128
 # float64's machine epsilon; n EPS max |Q| is the floor below which a sample of Q is
 # round-off
 EPS = float(np.finfo(np.float64).eps)
@@ -152,7 +147,7 @@ def _coarse_nodes(r_max: float) -> int:
 
 def _start(grid: RadialGrid, tol: float) -> np.ndarray:
     """The fine iteration's start: 2 exp(-r^2), or on a grid of more than
-    _coarse_nodes(r_max) + COARSE_MARGIN nodes the coarse grid's Q at grid's nodes.
+    _coarse_nodes(r_max) nodes the coarse grid's Q at grid's nodes.
 
     Both grids have the frequencies j_k / r_max and the synthesis scalars
     (2 / r_max^2) rho^nu, so the coarse coefficients zero-padded to n and
@@ -160,7 +155,7 @@ def _start(grid: RadialGrid, tol: float) -> np.ndarray:
     exactly at grid's nodes.
     """
     n_c = _coarse_nodes(grid.r_max)
-    if grid.n <= n_c + COARSE_MARGIN:
+    if grid.n <= n_c:
         return 2.0 * np.exp(-grid.r**2)
     coarse = RadialGrid(grid.d, grid.r_max, n_c)
     q, _, _ = _fixed_point(coarse, 2.0 * np.exp(-coarse.r**2), tol)
@@ -175,7 +170,7 @@ def solve_ground_state(grid: RadialGrid, tol: float) -> GroundState:
     Each step maps Q -> S^gamma (1 - Lap)^(-1) Q^(1+4/d) with the normalization
     S = <(1-Lap)Q, Q> / <Q^(1+4/d), Q> and gamma = p/(p-1) for nonlinearity
     power p = 1 + 4/d (the standard stabilizing exponent).  A grid of up to
-    _coarse_nodes(r_max) + COARSE_MARGIN nodes starts from 2 exp(-r^2); a finer one
+    _coarse_nodes(r_max) nodes starts from 2 exp(-r^2); a finer one
     starts from the Q that the same iteration reaches from there on the coarse
     grid, synthesized at its nodes.  The iteration's rate is set by the
     linearization at Q, not by the grid, so the fine grid then needs one or two

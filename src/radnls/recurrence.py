@@ -152,7 +152,7 @@ def strichartz_norm(traj: Trajectory, interval: tuple[float, float]) -> float:
 
 
 def extract_A_sequence(traj: Trajectory, Ns) -> ASequence:
-    """A_N = || P_{>=N} u ||_S on the shrinking window [t0, t0 + N^(-1/2)].
+    """A_N = || P_{>=N} u ||_S on the shrinking window [0, N^(-1/2)].
 
     P_{>=N} u is one product for the window's snapshots.  Its support, rho > N/2,
     is wider than one kernel block, so the product reads the whole kernel.
@@ -162,11 +162,10 @@ def extract_A_sequence(traj: Trajectory, Ns) -> ASequence:
 
     Ns = sorted(float(N) for N in Ns)
     grid = traj.grid
-    t0 = traj.times[0]
     values = []
     for N in Ns:
         validate_scale(grid, N)
-        sel = _window(traj, t0, t0 + N ** (-0.5))
+        sel = _window(traj, 0.0, N ** (-0.5))
         high = _multiplier_inverse(grid, high_symbol(grid, N), traj.coeffs[sel])
         values.append(_s_norm(grid, traj.times[sel], high))
     return ASequence(tuple(Ns), tuple(values), provenance="extracted-from-trajectory")

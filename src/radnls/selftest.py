@@ -212,7 +212,7 @@ def suite_diagnostics() -> list[tuple[str, bool, str]]:
     cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=15.0, n=384,
                                      dt=1e-3, t_final=0.1, cadence=1)
     traj = evolution.evolve(cfg, g, f)
-    residual = float(diagnostics.virial_residual(traj, traj.times[2:-2]).max())
+    residual = float(diagnostics.virial_residual(traj).max())
     c_x, c_xi = map(float, diagnostics.concentration_radii(
         g, f, g._forward_values(f), 0.5 * core._power_sum(g, f, 2)))
     near = (abs(c_x - GAUSS_HALF_MASS_RADIUS) < np.max(np.diff(g.r))

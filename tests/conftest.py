@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -107,8 +108,13 @@ def single_snapshot_trajectory(grid, values):
     """Wrap the samples of one field as a minimal trajectory for the fit/scan diagnostics."""
     cfg = evolution.SimulationConfig(dimension=grid.d, mu=0, r_max=grid.r_max,
                                      n=grid.n, dt=1e-3, t_final=1e-3, cadence=1)
-    return evolution.Trajectory(cfg, grid, [0.0], [values], [mass(grid, values)], [0.0],
-                                None, ())
+    return evolution.Trajectory(cfg, grid, [values], [mass(grid, values)], [0.0], None, ())
+
+
+def every(traj, k):
+    """Every k-th snapshot of traj, as the trajectory of the same run at k times its cadence."""
+    cfg = dataclasses.replace(traj.config, cadence=k * traj.config.cadence)
+    return dataclasses.replace(traj, config=cfg, values=traj.values[::k])
 
 
 def planted_band_field(grid, scales, shell_values, shell_cut=1.0, seed=5):

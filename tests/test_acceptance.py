@@ -7,7 +7,6 @@ in radnls.groundstate, the others in radnls.selftest), or in the diagnose
 runner it calls; nothing is calibrated at runtime.
 """
 
-import dataclasses
 import math
 import time
 
@@ -16,7 +15,7 @@ import pytest
 
 from radnls import bands, cli, core, diagnostics, evolution, groundstate, recurrence, selftest
 
-from conftest import (mass, mp_fractional_chain_ratio, mp_pointwise_band_norm,
+from conftest import (every, mass, mp_fractional_chain_ratio, mp_pointwise_band_norm,
                       planted_band_field, sampled, single_snapshot_trajectory)
 
 
@@ -76,10 +75,7 @@ def test_criterion_4_virial_identity(free_dense, defocusing_dense, sw_dense, sw_
 
 def test_criterion_5_frequency_decay(sw_dense, grid):
     scales = (4.0, 8.0, 16.0, 32.0)
-    sub = sw_dense.values[::50]
-    traj = dataclasses.replace(single_snapshot_trajectory(grid, sw_dense.values[0]),
-                               times=[0.05 * i for i in range(len(sub))], values=sub)
-    rep = diagnostics.frequency_decay_fit(traj, 1.0, scales)
+    rep = diagnostics.frequency_decay_fit(every(sw_dense, 50), 1.0, scales)
     sw_ok = rep.passes and (rep.exponent is None or rep.exponent <= -1.75)
 
     planted = planted_band_field(grid, scales, [N**-1.2 for N in scales])
@@ -94,7 +90,7 @@ def test_criterion_5_frequency_decay(sw_dense, grid):
 
 
 def test_criterion_6_kinetic_localization_uniformity(sw_dense):
-    traj = dataclasses.replace(sw_dense, times=sw_dense.times[::50], values=sw_dense.values[::50])
+    traj = every(sw_dense, 50)
     assert len(traj) >= 20
     ok, detail, *_ = cli.DIAGNOSTIC_RUNNERS["kinetic_localization"](traj, {"eta_fraction": 1e-2})
     report(6, ok, f"radius cell spread {detail['spread_cells']} over {len(traj)} snapshots")
@@ -160,9 +156,10 @@ def test_criterion_8_harmonic_analysis_suite(grid, grid_double, corpus):
 
 
 def test_criterion_9_duhamel_consistency(sw_dense, sw_half_dense, free_dense):
-    linear = evolution.duhamel_residual(free_dense, 0.0, 0.2)
-    r_coarse = evolution.duhamel_residual(sw_dense, 0.0, 0.2)
-    r_fine = evolution.duhamel_residual(sw_half_dense, 0.0, 0.2)
+    # the identity over [0, 0.2]: 200 steps of 1e-3, and 400 of 5e-4 at halved dt
+    linear = evolution.duhamel_residual(free_dense, 0, 200)
+    r_coarse = evolution.duhamel_residual(sw_dense, 0, 200)
+    r_fine = evolution.duhamel_residual(sw_half_dense, 0, 400)
     ratio = r_coarse / r_fine
     ok = linear < 1e-8 and ratio >= 3.0
     report(9, ok, f"linear residual={linear:.2e}, dt-halving ratio={ratio:.2f}")

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from radnls import bands, cli, core, diagnostics, evolution, recurrence, selftest
 
-from conftest import (mass, multiplied, planted_band_field, sampled,
+from conftest import (every, mass, multiplied, planted_band_field, sampled,
                       single_snapshot_trajectory)
 
 GAUSS_VIRIAL_4D = math.pi**2 / 4   # integral of |x|^2 e^{-2|x|^2} over R^4
@@ -48,13 +48,13 @@ class TestTruncatedVirial:
 
 class TestVirialAcceleration:
     def test_truncated_matches_when_localized(self, free_dense):
-        acc = diagnostics.virial_acceleration(free_dense, 12.0, 0.1)
-        k = kinetic(free_dense.grid, free_dense.values[free_dense.index_at(0.1)])
+        acc = diagnostics.virial_acceleration(free_dense, 12.0)[100 - 2]   # t = 0.1
+        k = kinetic(free_dense.grid, free_dense.values[100])
         assert abs(acc - 8 * k) / (8 * k) < 0.05
 
     def test_solitary_wave_flat(self, sw_dense, ground):
         # |u(t)| = Q for the solitary wave, so the virial curve is constant
-        acc = diagnostics.virial_acceleration(sw_dense, 10.0, 0.5)
+        acc = diagnostics.virial_acceleration(sw_dense, 10.0)[500 - 2]   # t = 0.5
         assert abs(acc) < 1e-2 * 8 * ground.kinetic
 
     def test_conserved_energy_identity_defocusing(self, defocusing_dense):
@@ -62,25 +62,26 @@ class TestVirialAcceleration:
         # at every interior snapshot, here with E from the energy log evolve wrote (criterion 4
         # judges its size)
         traj = defocusing_dense
-        times = traj.times[2:-2]
-        acc = diagnostics.virial_acceleration(traj, math.inf, times)
+        acc = diagnostics.virial_acceleration(traj, math.inf)
         eight_k = 8 * core._kinetic_sum(traj.grid, traj.coeffs[2:-2])
         gap = np.abs(acc - 16 * np.asarray(traj.energy_log[2:-2])) / eight_k
-        residual = diagnostics.virial_residual(traj, times)
+        residual = diagnostics.virial_residual(traj)
+        assert residual.shape == (len(traj) - 4,)
         assert np.max(np.abs(residual - gap)) < 1e-12     # E's round-off, relative to 8K
-        assert diagnostics.virial_residual(traj, 0.1) == residual[traj.index_at(0.1) - 2]
 
     def test_residual_falls_fourfold_per_dt_halving(self, sw_dense, sw_half_dense):
         # the split step is of order 2, and so is the identity's residual on the solitary wave
-        coarse = sw_dense.times[2:-2]
-        coarse = coarse[coarse <= 0.2]
-        ratio = (np.max(diagnostics.virial_residual(sw_dense, coarse))
-                 / np.max(diagnostics.virial_residual(sw_half_dense, sw_half_dense.times[2:-2])))
+        # rows 2 .. 200 of sw_dense are its interior snapshots in [0, 0.2], sw_half_dense's span
+        ratio = (np.max(diagnostics.virial_residual(sw_dense)[:199])
+                 / np.max(diagnostics.virial_residual(sw_half_dense)))
         assert 3.5 <= ratio <= 4.5
 
-    def test_needs_interior_time(self, free_dense):
-        with pytest.raises(ValueError):
-            diagnostics.virial_acceleration(free_dense, 4.0, 0.0)
+    def test_needs_five_snapshots(self, free_dense):
+        short = dataclasses.replace(free_dense, values=free_dense.values[:4])
+        for virial in (lambda traj: diagnostics.virial_acceleration(traj, 4.0),
+                       diagnostics.virial_residual):
+            with pytest.raises(ValueError, match="too short for the virial stencil"):
+                virial(short)
 
 
 class TestKineticLocalization:
@@ -186,10 +187,7 @@ class TestFrequencyDecayFit:
         assert rep.passes is True
 
     def test_solitary_wave_passes(self, sw_dense):
-        sub = sw_dense.values[::100]
-        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, sw_dense.values[0]),
-                                   times=[0.01 * i for i in range(len(sub))], values=sub)
-        rep = diagnostics.frequency_decay_fit(traj, 1.0, self.SCALES)
+        rep = diagnostics.frequency_decay_fit(every(sw_dense, 100), 1.0, self.SCALES)
         assert rep.passes is True
 
     def test_noise_floor_reported_as_pass(self, grid):
@@ -230,10 +228,8 @@ class TestSpatialDecayScan:
         # the profile itself decays exponentially; what survives at these
         # radii is the band kernels' slow tails, so the fitted power is a
         # finite positive delta rather than a noise-floor report
-        sub = sw_dense.values[::200]
-        traj = dataclasses.replace(single_snapshot_trajectory(sw_dense.grid, sw_dense.values[0]),
-                                   times=[0.01 * i for i in range(len(sub))], values=sub)
-        rep = diagnostics.spatial_decay_scan(traj, (4.0, 16.0), [2.0, 3.0, 4.5, 6.5])
+        rep = diagnostics.spatial_decay_scan(every(sw_dense, 200), (4.0, 16.0),
+                                             [2.0, 3.0, 4.5, 6.5])
         assert rep.passes
         assert rep.exponent is None or rep.exponent > 0.3
 
@@ -268,8 +264,7 @@ def test_transform_count_independent_of_snapshot_count(sw_dense, monkeypatch):
                         or real_matvec(mat, vec, *scale))
 
     def count(snapshots):
-        traj = dataclasses.replace(sw_dense, times=sw_dense.times[:snapshots],
-                                   values=sw_dense.values[:snapshots])
+        traj = dataclasses.replace(sw_dense, values=sw_dense.values[:snapshots])
         calls.clear()
         for kind, runner in cli.DIAGNOSTIC_RUNNERS.items():
             runner(traj, cli.kind_params("diagnostics", {"kind": kind})[1])
@@ -283,8 +278,7 @@ def test_runners_match_single_field_loop(sw_dense):
     # reference: the stacked functions applied one snapshot at a time; the
     # stacked transforms round differently, so values agree to round-off of the
     # field norm and the grid radii exactly
-    traj = dataclasses.replace(sw_dense, times=sw_dense.times[:300],
-                               values=sw_dense.values[:300])
+    traj = dataclasses.replace(sw_dense, values=sw_dense.values[:300])
     fields = traj.values
     grid = traj.grid
     tol = 1e-12 * math.sqrt(mass(grid, fields[0]))

@@ -154,6 +154,20 @@ class TestEvolve:
         f[:] = 0.0
         assert np.array_equal(traj.values[0], sampled(grid, lambda r: np.exp(-(r**2))))
 
+    def test_trajectory_holds_one_to_all_snapshots_of_its_run(self, grid):
+        # 6 steps at cadence 2 store at most 4 snapshots, at steps 0, 2, 4 and 6
+        cfg = evolution.SimulationConfig(dimension=4, mu=0, r_max=grid.r_max, n=grid.n,
+                                         dt=1e-3, t_final=0.006, cadence=2)
+
+        def trajectory(rows):
+            return evolution.Trajectory(cfg, grid, np.zeros((rows, grid.n)), [0.0],
+                                        [0.0] * rows, None, ())
+
+        assert trajectory(4).times.tolist() == [k * 1e-3 for k in (0, 2, 4, 6)]
+        for rows in (0, 5):
+            with pytest.raises(ValueError, match="1 to 4 snapshots, got"):
+                trajectory(rows)
+
     def test_time_reversal_via_conjugation(self, grid):
         f = sampled(grid, lambda r: np.exp(-(r**2)))
         cfg = evolution.SimulationConfig(dimension=4, mu=-1, r_max=grid.r_max,
@@ -311,13 +325,14 @@ class TestLensTransform:
 
 class TestDuhamel:
     def test_solitary_wave_residual_scale(self, sw_dense, ground):
-        res = evolution.duhamel_residual(sw_dense, 0.0, 0.2)
+        res = evolution.duhamel_residual(sw_dense, 0, 200)   # over [0, 0.2]
         assert res < 1e-3 * math.sqrt(ground.mass)
 
     def test_insufficient_snapshots_rejected(self, sw_dense):
         with pytest.raises(ValueError):
-            evolution.duhamel_residual(sw_dense, 0.0, 0.001)
+            evolution.duhamel_residual(sw_dense, 0, 1)
 
-    def test_requires_snapshot_times(self, sw_dense):
-        with pytest.raises(ValueError):
-            evolution.duhamel_residual(sw_dense, 0.00037, 0.2)
+    def test_requires_snapshots_of_the_trajectory(self, sw_dense):
+        for i0, i1 in ((-1, 200), (0, len(sw_dense))):
+            with pytest.raises(ValueError, match="need snapshots"):
+                evolution.duhamel_residual(sw_dense, i0, i1)

@@ -163,9 +163,9 @@ class TestCoarseStart:
         built = []
         monkeypatch.setattr(groundstate, "RadialGrid",
                             lambda *args: built.append(args) or core.RadialGrid(*args))
-        for n in (128 + groundstate.COARSE_MARGIN, 320):
+        for n in (128, 256, 320):
             groundstate.solve_ground_state(core.make_radial_grid(4, 15.0, n), tol=1e-8)
-        assert built == [(4, 15.0, 128)]
+        assert built == [(4, 15.0, 128)] * 2
 
 
 class TestRoundOffFloor:

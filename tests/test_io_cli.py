@@ -835,6 +835,11 @@ class TestCli:
         pytest.param(lambda config: config.update(cadence=1.0), True,
                      id="cadence_float_rehashed"),
         pytest.param(lambda config: config.update(n=128.0), True, id="n_float_rehashed"),
+        # a config SimulationConfig takes but the radial grid refuses
+        pytest.param(lambda config: config.update(n=8), True, id="n_8_rehashed"),
+        pytest.param(lambda config: config.update(dimension=3), True, id="dimension_3_rehashed"),
+        pytest.param(lambda config: config.update(r_max=-15.0), True,
+                     id="negative_r_max_rehashed"),
     ])
     def test_bad_manifest_config_exits_2(self, out_env, tmp_path, capsys, edit, rehash):
         cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
@@ -933,6 +938,35 @@ class TestCli:
         assert cli.main(["--config", cfg, "diagnose", str(out_env / "run" / "trajectory")]) == 2
         assert cli.main(["--config", cfg, "lemma"]) == 2
         assert capsys.readouterr().err.count("invalid_input") == 2
+
+
+    def test_empty_trajectory_exits_2(self, out_env, tmp_path, capsys):
+        # a directory that holds no snapshot, with every file and hash consistent with that
+        run = out_env / "run" / "trajectory"
+        seq = {"kind": "from_trajectory", "path": str(run), "Ns": [4]}
+        cfg = write_cfg(tmp_path, {"grid": {"r_max": 15.0, "n": 128},
+                                   "time": {"dt": 5e-3, "T": 0.5, "cadence": 1},
+                                   "diagnostics": [{"kind": "concentration"},
+                                                   {"kind": "kinetic_localization"}],
+                                   "lemma": {"params": LEMMA_PARAMS | {"m0": 2.0},
+                                             "sequence": seq},
+                                   "output_dir": "run"})
+        assert cli.main(["--config", cfg, "evolve"]) == 0
+        for snapshot in (run / "snapshots").iterdir():
+            snapshot.unlink()
+        (run / "coeffs.rfb").write_bytes((run / "coeffs.rfb").read_bytes()[:28])
+        empty = hashlib.sha256(b"").hexdigest()
+        _edit_json(run / "manifest.json", lambda m: m.update(
+            times=[], energy_log=[], samples_sha256=empty, coeffs_sha256=empty))
+        capsys.readouterr()
+        assert cli.main(["--config", cfg, "diagnose", str(run)]) == 2
+        assert cli.main(["--config", cfg, "lemma"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [json.loads(line) for line in err.strip().splitlines()]
+        assert len(errors) == 2
+        assert all(e["error"] == "invalid_input" and str(run) in e["detail"] for e in errors)
+        assert not (out_env / "run" / "concentration.json").exists()
 
 
 class TestStoredSpectra:

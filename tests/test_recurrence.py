@@ -75,9 +75,8 @@ def zero_trajectory(grid, n_snaps=51, dt=1e-3):
     cfg = evolution.SimulationConfig(dimension=grid.d, mu=0, r_max=grid.r_max,
                                      n=grid.n, dt=dt, t_final=(n_snaps - 1) * dt,
                                      cadence=1)
-    return evolution.Trajectory(cfg, grid, [i * dt for i in range(n_snaps)],
-                                np.zeros((n_snaps, grid.n)), [0.0] * n_snaps, [0.0] * n_snaps,
-                                None, ())
+    return evolution.Trajectory(cfg, grid, np.zeros((n_snaps, grid.n)), [0.0] * n_snaps,
+                                [0.0] * n_snaps, None, ())
 
 
 class TestStrichartzNorm:
